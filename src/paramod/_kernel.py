@@ -1,13 +1,12 @@
-"""Pure-Python arithmetic kernel.
+"""Gaussian-rational arithmetic and exact dense elimination.
 
 Scalars are triples ``(a, b, d)`` of ints for ``(a + b*i)/d``, ``d > 0``,
-``gcd(a, b, d) == 1``.  The matrix routines take lists of lists of triples.
-Determinant and rank use one-step Bareiss elimination (divisions are exact at
-every step, keeping intermediate entries small); the affine solver uses plain
+``gcd(a, b, d) == 1``; every operation returns a triple in that normal form,
+so equal values are equal tuples.  The matrix routines take lists of lists of
+triples.  Determinant and rank use one-step Bareiss elimination (divisions are
+exact at every step, keeping intermediate entries small); the reduced row
+echelon form behind the nullspace and the affine solver uses plain
 Gauss-Jordan, which is exact over a field.
-
-The Cython kernel mirrors this module operation for operation; any change here
-must be replicated there (``tests/test_kernels_cross.py`` compares the two).
 """
 
 from math import gcd
@@ -161,13 +160,8 @@ def mat_rref(rows, nrows, ncols):
     return m, pivots
 
 
-def mat_nullspace(rows, nrows, ncols):
-    """Basis of the right kernel, one vector per free column."""
-    if nrows == 0:
-        return [
-            [T_ONE if j == k else T_ZERO for j in range(ncols)] for k in range(ncols)
-        ]
-    m, pivots = mat_rref(rows, nrows, ncols)
+def _free_basis(m, pivots, ncols):
+    # one kernel vector per free column of the reduced matrix m
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -181,13 +175,14 @@ def mat_nullspace(rows, nrows, ncols):
     return basis
 
 
+def mat_nullspace(rows, nrows, ncols):
+    """Basis of the right kernel, one vector per free column."""
+    m, pivots = mat_rref(rows, nrows, ncols)
+    return _free_basis(m, pivots, ncols)
+
+
 def mat_solve_affine(rows, rhs, nrows, ncols):
     """Solve A x = b; returns (particular, nullspace_basis) or None."""
-    if nrows == 0:
-        return (
-            [T_ZERO] * ncols,
-            [[T_ONE if j == k else T_ZERO for j in range(ncols)] for k in range(ncols)],
-        )
     aug = [list(rows[i]) + [rhs[i]] for i in range(nrows)]
     m, pivots = mat_rref(aug, nrows, ncols + 1)
     if ncols in pivots:
@@ -195,14 +190,4 @@ def mat_solve_affine(rows, rhs, nrows, ncols):
     particular = [T_ZERO] * ncols
     for r, pc in enumerate(pivots):
         particular[pc] = m[r][ncols]
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [T_ZERO] * ncols
-        vec[free] = T_ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = t_neg(m[r][free])
-        basis.append(vec)
-    return particular, basis
+    return particular, _free_basis(m, pivots, ncols)

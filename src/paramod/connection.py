@@ -11,7 +11,6 @@ degrees and bounds the degrees of the cleared off-diagonal numerators
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .exactnum import ExactError, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
 from .parastruct import (
@@ -22,6 +21,7 @@ from .parastruct import (
     stabilizer_dim,
 )
 from .spectra import SpectrumRank2, elm_spectrum
+from .stability import sign_label, sign_pattern_sums
 
 
 class ConnectionError(ValueError):
@@ -534,13 +534,12 @@ def irreducibility_screen(t: FlatTriple):
     """
     bounds = degree_bounds(t.spectrum.d)
     patterns = []
-    for sigma in product((0, 1), repeat=NPOINTS):
-        total = sum((t.spectrum.nu[i][s] for i, s in enumerate(sigma)), sc(0))
+    for sigma, total in sign_pattern_sums(t.spectrum.nu):
         if not total.is_integer():
             continue
         deg = -total.re_pair[0]
         if bounds.lo <= deg <= bounds.hi:
-            patterns.append(("".join("+" if s == 0 else "-" for s in sigma), deg))
+            patterns.append((sign_label(sigma), deg))
     if patterns:
         return "unknown", patterns
     return "irreducible", []

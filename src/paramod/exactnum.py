@@ -10,18 +10,18 @@ from __future__ import annotations
 import re as _re
 from math import gcd
 
-from ._kernels import (
+from ._kernel import (
     T_ONE,
     mat_det,
     mat_nullspace,
     mat_rank,
-    mat_rref,
     mat_solve_affine,
     t_add,
     t_div,
     t_inv,
     t_mul,
     t_neg,
+    t_norm,
     t_sub,
 )
 
@@ -47,9 +47,9 @@ class Scalar:
                 raise ExactError("re and im parts must be real")
             a1, _, d1 = re_t
             a2, _, d2 = im_t
-            self._t = _norm(a1 * d2, a2 * d1, d1 * d2)
+            self._t = t_norm(a1 * d2, a2 * d1, d1 * d2)
         else:
-            self._t = _norm(int(re), int(im), 1)
+            self._t = t_norm(int(re), int(im), 1)
 
     @classmethod
     def _wrap(cls, triple):
@@ -59,11 +59,11 @@ class Scalar:
 
     @classmethod
     def rational(cls, num: int, den: int = 1) -> "Scalar":
-        return cls._wrap(_norm(int(num), 0, int(den)))
+        return cls._wrap(t_norm(int(num), 0, int(den)))
 
     @classmethod
     def gaussian(cls, re_num: int, re_den: int, im_num: int, im_den: int) -> "Scalar":
-        return cls._wrap(_norm(re_num * im_den, im_num * re_den, re_den * im_den))
+        return cls._wrap(t_norm(re_num * im_den, im_num * re_den, re_den * im_den))
 
     @classmethod
     def parse(cls, text: str) -> "Scalar":
@@ -116,18 +116,6 @@ class Scalar:
     def is_integer(self) -> bool:
         a, b, d = self._t
         return b == 0 and d == 1
-
-    def real(self) -> "Scalar":
-        a, _, d = self._t
-        return Scalar._wrap(_norm(a, 0, d))
-
-    def imag(self) -> "Scalar":
-        _, b, d = self._t
-        return Scalar._wrap(_norm(b, 0, d))
-
-    def conjugate(self) -> "Scalar":
-        a, b, d = self._t
-        return Scalar._wrap((a, -b, d))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -236,19 +224,6 @@ class Scalar:
         return f"Scalar({self})"
 
 
-def _norm(a: int, b: int, d: int):
-    if d == 0:
-        raise ZeroDivisionError("zero denominator")
-    if d < 0:
-        a, b, d = -a, -b, -d
-    g = gcd(gcd(a, b), d)
-    if g > 1:
-        a //= g
-        b //= g
-        d //= g
-    return (a, b, d)
-
-
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
@@ -261,8 +236,10 @@ def _parse_rat(s: str) -> tuple[int, int]:
     if not _RAT_RE.fullmatch(s):
         raise ExactError(f"malformed rational {s!r}")
     if "/" in s:
-        num, den = s.split("/", 1)
-        return int(num), int(den)
+        num, den = (int(x) for x in s.split("/", 1))
+        if den == 0:
+            raise ExactError(f"zero denominator in {s!r}")
+        return num, den
     return int(s), 1
 
 
@@ -530,10 +507,6 @@ class Mat:
             [[Scalar._wrap(t) for t in vec] for vec in basis],
         )
 
-    def rref(self) -> tuple["Mat", list[int]]:
-        m, pivots = mat_rref(self._triples(), self.rows, self.cols)
-        return Mat([[Scalar._wrap(t) for t in row] for row in m]), pivots
-
     def __mul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ExactError("dimension mismatch")
@@ -561,14 +534,6 @@ class Mat:
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Mat[{body}]"
-
-
-def det(m: Mat) -> Scalar:
-    return m.det()
-
-
-def rank(m: Mat) -> int:
-    return m.rank()
 
 
 def interpolate(points, degree_bound: int):

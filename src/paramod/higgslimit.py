@@ -33,7 +33,14 @@ from .parastruct import (
     bprime_generic_representative,
 )
 from .spectra import SpectrumRank2
-from .stability import OnWallError, WeightVector, is_stable, s_value, weight_is_non_special
+from .stability import (
+    OnWallError,
+    WeightVector,
+    is_stable,
+    s_value,
+    saturated_members,
+    weight_is_non_special,
+)
 
 
 class HiggsError(ValueError):
@@ -181,11 +188,6 @@ def theta_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly
     raw = conn.offdiag_upper(cfg)
     bound = 3 + conn.bundle.d0 - conn.bundle.d1
     return raw.shrink(max(bound, -1))
-
-
-def xi_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly:
-    """The cleared (21) numerator, tail included."""
-    return conn.offdiag_lower(cfg)
 
 
 @dataclass(frozen=True)
@@ -554,10 +556,6 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
 def _degenerate_candidate(t: FlatTriple, w: WeightVector, j: int):
     """The degeneration onto a degree -1 inclusion whose non-contact set is
     exactly the j-th marked point; None when no such inclusion exists."""
-    from itertools import product as _product
-
-    from .stability import _is_saturated
-
     cfg = t.cfg
     rows = []
     for i in range(NPOINTS):
@@ -569,30 +567,15 @@ def _degenerate_candidate(t: FlatTriple, w: WeightVector, j: int):
             rows.append([sc(1), zi, sc(0), sc(0), sc(0)])
         else:
             rows.append([-u.value, -u.value * zi, sc(1), zi, zi * zi])
-    basis = Mat(rows).nullspace()
-    found = None
-    for coeffs in _product(range(4), repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        vec = [sc(0)] * 5
-        for c, bvec in zip(coeffs, basis):
-            if c:
-                vec = [v + sc(c) * b for v, b in zip(vec, bvec)]
-        q = Poly(vec[:2], bound=1)
-        r = Poly(vec[2:], bound=2)
-        if not _is_saturated(q, r, 1, 2):
-            continue
-        # contact at z_j must fail
-        u = t.structure.flags[j]
+    uj = t.structure.flags[j]
+
+    def hits_j(q, r):
         qv, rv = q(cfg.z[j]), r(cfg.z[j])
-        if u.is_infinity():
-            hits = qv.is_zero()
-        else:
-            hits = rv == u.value * qv
-        if not hits:
-            found = (q, r)
-            break
-    if found is None:
+        return qv.is_zero() if uj.is_infinity() else rv == uj.value * qv
+
+    # (q, r) of formal degrees (1, 2): a degree -1 inclusion into B
+    members = saturated_members(Mat(rows).nullspace(), 1, 2)
+    if all(hits_j(q, r) for q, r in members):
         return None
     margin = s_value(1, 2, {j}, w)
     return LimitCandidate(f"E-1({j + 1})", margin, margin > sc(0), None)

@@ -5,11 +5,10 @@ spectrum map, and the trace-coordinate hypersurface polynomial."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .exactnum import ExactError, Scalar, sc
 from .parastruct import NPOINTS
-from .stability import WeightVector
+from .stability import WeightVector, sign_pattern_sums
 
 
 class SpectrumError(ValueError):
@@ -43,12 +42,7 @@ class SpectrumRank2:
         """Kostov-genericity (no sign-pattern sum is an integer),
         non-resonance (no eigenvalue gap is an integer), and their
         conjunction."""
-        kostov = True
-        for sigma in product((0, 1), repeat=NPOINTS):
-            total = sum((self.nu[i][s] for i, s in enumerate(sigma)), sc(0))
-            if total.is_integer():
-                kostov = False
-                break
+        kostov = not any(total.is_integer() for _, total in sign_pattern_sums(self.nu))
         non_res = all(not (p - m).is_integer() for p, m in self.nu)
         return {
             "kostov_generic": kostov,

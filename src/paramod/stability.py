@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exactnum import ExactError, Mat, Poly, Scalar, sc
+from .exactnum import ZERO, ExactError, Mat, Poly, Scalar, sc
 from .parastruct import (
     B,
     BPRIME,
@@ -75,13 +75,23 @@ class WeightVector:
         return f"WeightVector({[str(x) for x in self.w]})"
 
 
+def sign_pattern_sums(pairs):
+    """Yield ``(sigma, sum_i pairs[i][sigma[i]])`` for the 2^5 patterns
+    ``sigma`` in {0, 1}^5, in lexicographic order, lazily, so that callers
+    can stop at the first pattern that decides their question."""
+    for sigma in product((0, 1), repeat=NPOINTS):
+        yield sigma, sum((p[s] for p, s in zip(pairs, sigma)), ZERO)
+
+
+def sign_label(sigma) -> str:
+    """``sigma`` written with '+' for 0 and '-' for 1."""
+    return "".join("+" if s == 0 else "-" for s in sigma)
+
+
 def weight_is_kostov_generic(w: WeightVector, d: int) -> bool:
     """No sign pattern makes ``(d + sum eps_i w_i) / 2`` an integer."""
-    for eps in product((1, -1), repeat=NPOINTS):
-        total = sum((sc(e) * x for e, x in zip(eps, w.w)), sc(d))
-        if (total / 2).is_integer():
-            return False
-    return True
+    sums = sign_pattern_sums([(x, -x) for x in w.w])
+    return not any(((total + d) / 2).is_integer() for _, total in sums)
 
 
 def weight_is_non_special(w: WeightVector, d: int) -> bool:
@@ -185,20 +195,21 @@ def _contact_of(
     return frozenset(out)
 
 
-def _find_saturated(basis, dq: int, dr: int):
-    """A saturated member of the span, or None (certified by grid exhaustion).
+def saturated_members(basis, dq: int, dr: int):
+    """Yield the saturated members ``(q, r)`` of the span of ``basis`` found on
+    the grid of span coefficients {0..dq+dr}^m, in ``product`` order.
 
     The saturation locus is cut out by the formal resultant, a polynomial of
     total degree <= dq + dr in the span coordinates, so by the finite-grid
-    Schwartz-Zippel lemma a full search over {0..dq+dr}^m is conclusive.
+    Schwartz-Zippel lemma the span has a saturated member iff the grid holds
+    one: an exhausted generator certifies that there is none.
     """
-    m = len(basis)
-    if m == 0:
-        return None
+    if not basis:
+        return
     ncols = len(basis[0])
     width = max(dq, 0) + max(dr, 0) + 1
-    for coeffs in product(range(width), repeat=m):
-        if all(c == 0 for c in coeffs):
+    for coeffs in product(range(width), repeat=len(basis)):
+        if not any(coeffs):
             continue
         vec = [sc(0)] * ncols
         for c, bvec in zip(coeffs, basis):
@@ -206,8 +217,7 @@ def _find_saturated(basis, dq: int, dr: int):
                 vec = [v + sc(c) * b for v, b in zip(vec, bvec)]
         q, r = _witness_from_vector(vec, dq, dr)
         if _is_saturated(q, r, dq, dr):
-            return q, r
-    return None
+            yield q, r
 
 
 def _candidate_degrees(bundle: BundleSplitType) -> list[int]:
@@ -276,7 +286,6 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
         contact = frozenset(structure.infinity_indices())
         return [LineSubbundleWitness(k, None, r, contact)]
     nq, nr = dq + 1, dr + 1
-    ncols = nq + nr
 
     def contact_row(i):
         zi = cfg.z[i]
@@ -297,16 +306,8 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
             if any(tset <= m for m, _ in maximal):
                 continue
             rows = [contact_row(i) for i in T]
-            if rows:
-                basis = Mat(rows).nullspace()
-            else:
-                basis = [
-                    [sc(1) if j == c else sc(0) for j in range(ncols)]
-                    for c in range(ncols)
-                ]
-            if not basis:
-                continue
-            found = _find_saturated(basis, dq, dr)
+            basis = Mat(rows).nullspace() if rows else Mat.identity(nq + nr).entries
+            found = next(saturated_members(basis, dq, dr), None)
             if found is None:
                 continue
             q, r = found
@@ -426,18 +427,14 @@ def chamber_classify(w: WeightVector, d: int) -> ChamberDescriptor:
     """Record the side of every wall ``sum eps_i w_i = 2m - d``; error when a
     functional vanishes (the weight lies on a wall)."""
     ineqs = []
-    for eps in product((1, -1), repeat=NPOINTS):
-        total = sum((sc(e) * x for e, x in zip(eps, w.w)), sc(0))
+    for sigma, total in sign_pattern_sums([(x, -x) for x in w.w]):
+        label = sign_label(sigma)
         for m2 in range(-5, 6):
             if (m2 - d) % 2 != 0:
                 continue
             diff = total - sc(m2)
             if diff.is_zero():
-                raise OnWallError(
-                    f"wall {''.join('+' if e > 0 else '-' for e in eps)} = {m2}"
-                )
+                raise OnWallError(f"wall {label} = {m2}")
             side = "<" if diff < sc(0) else ">"
-            ineqs.append(
-                f"{''.join('+' if e > 0 else '-' for e in eps)} {side} {m2}"
-            )
+            ineqs.append(f"{label} {side} {m2}")
     return ChamberDescriptor(d, tuple(ineqs))

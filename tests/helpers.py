@@ -151,31 +151,27 @@ def _oracle_b(structure, cfg, w) -> bool:
             return False
     else:
         for j in range(NPOINTS):
+            # a contact at two infinite flags makes q (degree <= 1) vanish
+            # twice, so no saturated section attains it
+            if len(inf_idx - {j}) >= 2:
+                continue
             if not (total - 2 * w.w[j] < sc(3)):
                 return False
     # Case II: degree 1, the unique higher-degree factor
     s = sum((w.w[i] for i in inf_idx), sc(1)) - sum((w.w[i] for i in fin_idx), sc(0))
     if not (s < sc(0)):
         return False
-    # Case III: degree 0
-    if len(inf_idx) >= 4:
-        return True
-    m_inf = 0
-    for size in range(len(fin_idx), 1, -1):
-        found = False
-        for sub in combinations(fin_idx, size):
-            rows = [[sc(1), cfg.z[i], structure.flags[i].value] for i in sub]
-            if Mat(rows).rank() == 2:
-                found = True
-                break
-        if found:
-            m_inf = size
-            break
-    if m_inf == 0:
-        m_inf = min(1, len(fin_idx))
-    for sub in combinations(fin_idx, m_inf):
-        rows = [[sc(1), cfg.z[i], structure.flags[i].value] for i in sub]
-        if len(sub) >= 2 and Mat(rows).rank() != 2:
+    # Case III: degree 0, every inclusion-maximal collinear subset of the
+    # finite flags (at most two points are always collinear)
+    collinear = [
+        set(sub)
+        for size in range(len(fin_idx) + 1)
+        for sub in combinations(fin_idx, size)
+        if size <= 2
+        or Mat([[sc(1), cfg.z[i], structure.flags[i].value] for i in sub]).rank() == 2
+    ]
+    for sub in collinear:
+        if any(sub < other for other in collinear):
             continue
         inside = sum((w.w[i] for i in sub), sc(0))
         if not (inside - (total - inside) < sc(1)):

@@ -60,15 +60,15 @@ class TestStabilityCli:
         assert code == 3
 
     def test_malformed_exit_code(self, capsys):
-        code, _ = run(
-            capsys,
-            "stability",
-            "--bundle", "B",
-            "--z", Z,
-            "--u", "0,0,0,0",
-            "--w", "1/10,1/10,1/10,1/10,1/10",
-        )
-        assert code == 2
+        for argv in (
+            ("stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0",
+             "--w", "1/10,1/10,1/10,1/10,1/10"),
+            ("classify", "--bundle", "B", "--z", "0,1,2,3,1/0", "--u", "1,0,0,0,0"),
+            ("stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0,1",
+             "--w", "1/0,1/10,1/10,1/10,1/10"),
+        ):
+            code, _ = run(capsys, *argv)
+            assert code == 2, argv
 
 
 class TestCountsCli:

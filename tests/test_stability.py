@@ -187,6 +187,15 @@ class TestOracleAgreement:
                 continue
             assert verdict == oracle_is_stable(s, cfg, w)
 
+    def test_non_maximum_collinear_set_destabilizes(self):
+        # flags 1, 2, 5 are collinear, yet the pair {4, 5} has the smaller
+        # degree-0 margin 1 - 151/130 < 0
+        cfg = MarkedConfiguration(["-11/3", "7/4", "10/3", "9/4", "5"])
+        s = ParabolicStructure(B, ["-16", "-11/2", "-21/2", "-34", "4/5"])
+        w = WeightVector(["3/13", "2/13", "1/13", "12/13", "7/10"])
+        assert is_stable(s, cfg, w).stable is False
+        assert oracle_is_stable(s, cfg, w) is False
+
 
 class TestStabilizingWeight:
     def test_witness_values(self):
