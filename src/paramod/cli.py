@@ -44,6 +44,7 @@ from .parastruct import (
     StratumId,
     all_bprime_orbit_labels,
     bprime_generic_representative,
+    bprime_orbit_representatives,
     classify,
 )
 from .spectra import (
@@ -99,9 +100,18 @@ def _parse_spectrum(text: str, d: int) -> SpectrumRank2:
     return SpectrumRank2(pairs, d)
 
 
-def _load_json(args):
+def _load_json(args, key, decode):
+    """Decode the ``--json`` payload, a JSON object, or its ``key`` member
+    when present.  A value of the wrong JSON type is malformed input: the
+    type errors it raises while decoding become ExactError."""
     with open(args.json, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ExactError(f"JSON payload must be an object, not {type(data).__name__}")
+    try:
+        return decode(data.get(key, data))
+    except (TypeError, AttributeError, IndexError) as e:
+        raise ExactError(f"malformed JSON payload: {e}") from e
 
 
 def _emit(args, payload):
@@ -147,11 +157,11 @@ def cmd_counts(args):
 
 def cmd_weights(args):
     if args.json:
-        data = _load_json(args)
-        label = data["stratum"]
+        stratum = _load_json(args, "stratum", _stratum_from_label)
+    elif args.stratum is None:
+        raise ExactError("weights needs --stratum or --json")
     else:
-        label = args.stratum
-    stratum = _stratum_from_label(label)
+        stratum = _stratum_from_label(args.stratum)
     return stabilizing_weight(stratum).to_json()
 
 
@@ -253,15 +263,13 @@ def _triple_from_json(data) -> FlatTriple:
 
 
 def cmd_validate(args):
-    data = _load_json(args)
-    triple = _triple_from_json(data.get("triple", data))
+    triple = _load_json(args, "triple", _triple_from_json)
     ok, violations = validate_triple(triple)
     return {"valid": ok, "violations": violations}
 
 
 def cmd_limit(args):
-    data = _load_json(args)
-    triple = _triple_from_json(data.get("triple", data))
+    triple = _load_json(args, "triple", _triple_from_json)
     w = _parse_weight(args.w)
     res = cstar_limit(triple, w)
     return {
@@ -277,15 +285,13 @@ def cmd_limit(args):
 def cmd_fiber(args):
     cfg = _parse_cfg(args)
     nu = _parse_spectrum(args.nu, args.d)
-    data = _load_json(args)
-    point = FixedLocusPoint.from_json(data.get("point", data))
+    point = _load_json(args, "point", FixedLocusPoint.from_json)
     return {"dim": fiber_dimension(point, cfg, nu)}
 
 
 def cmd_canonicalize(args):
     cfg = _parse_cfg(args)
-    data = _load_json(args)
-    point = FixedLocusPoint.from_json(data.get("point", data))
+    point = _load_json(args, "point", FixedLocusPoint.from_json)
     canon = fixedpoint_canonicalize(point, cfg)
     return {
         "point": canon.to_json(cfg),
@@ -316,19 +322,8 @@ def cmd_tables(args):
 
 def _orbit_rows(cfg):
     yield ["label", "representative"]
-    from itertools import combinations
-
-    yield [
-        classify(bprime_generic_representative(cfg), cfg).label(),
-        ",".join(str(u) for u in bprime_generic_representative(cfg).flags),
-    ]
-    zero = ParabolicStructure(BPRIME, [0, 0, 0, 0, 0])
-    yield [classify(zero, cfg).label(), ",".join(str(u) for u in zero.flags)]
-    for size in range(1, 6):
-        for pattern in combinations(range(5), size):
-            flags = ["inf" if i in pattern else "0" for i in range(5)]
-            s = ParabolicStructure(BPRIME, flags)
-            yield [classify(s, cfg).label(), ",".join(flags)]
+    for s in bprime_orbit_representatives(cfg):
+        yield [classify(s, cfg).label(), ",".join(str(u) for u in s.flags)]
 
 
 def _loci_rows(cfg):

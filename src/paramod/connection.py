@@ -1,18 +1,34 @@
 """Explicit logarithmic connections on split bundles over the affine chart.
 
-A connection is ``d + sum_i A_i/(z - z_i) dz + G(z) dz`` in the split frame;
-holomorphy at infinity pins the diagonal residue sums to minus the summand
-degrees and bounds the degrees of the cleared off-diagonal numerators
-``N12 = sum A12_i prod_{j != i}(z - z_j)`` (by ``3 + d0 - d1``) and
-``N21 + G21 * prod (z - z_j)`` (by ``3 + d1 - d0``).  Only the (21) entry of
-``G`` can be nonzero, a polynomial tail of degree at most ``d1 - d0 - 2``.
+A connection is ``d + sum_i A_i/(z - z_i) dz + G(z) dz`` in the split frame.
+The residue ``A_i`` has the prescribed eigenvalues ``(nu+, nu-)`` and the flag
+as its ``nu+`` eigenline; these conditions leave one unknown ``x_i`` per
+point, so ``A_i = C_i + x_i D_i`` with constant 2x2 matrices: for a finite
+flag ``t``, ``C = [[nu+, 0], [t(nu+ - nu-), nu-]]`` and
+``D = [[-t, 1], [-t^2, t]]``; for the infinite flag, ``C = [[nu-, 0], [0, nu+]]``
+and ``D = [[0, 0], [1, 0]]``.  Holomorphy at infinity pins the diagonal
+residue sums to minus the summand degrees and bounds the degrees of the
+cleared off-diagonal numerators ``N12 = sum A12_i prod_{j != i}(z - z_j)``
+(by ``3 + d0 - d1``) and ``N21 + G21 * prod (z - z_j)`` (by ``3 + d1 - d0``),
+all linear in the ``x_i``.  Only the (21) entry of ``G`` can be nonzero, a
+polynomial tail of degree at most ``d1 - d0 - 2``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import ExactError, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
+from .exactnum import (
+    ONE,
+    ZERO,
+    ExactError,
+    Mat,
+    Poly,
+    ProjectivePoint,
+    Scalar,
+    monic_from_roots,
+    sc,
+)
 from .parastruct import (
     NPOINTS,
     BundleSplitType,
@@ -299,45 +315,6 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
     return (not v, v)
 
 
-class _Affine:
-    """Affine-linear expression in the solver unknowns."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const, coeffs):
-        self.const = sc(const)
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def constant(cls, c, n):
-        return cls(c, [sc(0)] * n)
-
-    @classmethod
-    def unknown(cls, k, n, scale=1):
-        coeffs = [sc(0)] * n
-        coeffs[k] = sc(scale)
-        return cls(0, coeffs)
-
-    def __add__(self, other):
-        return _Affine(
-            self.const + other.const,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
-    def __sub__(self, other):
-        return _Affine(
-            self.const - other.const,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)],
-        )
-
-    def scale(self, c):
-        c = sc(c)
-        return _Affine(c * self.const, [c * a for a in self.coeffs])
-
-    def at(self, values) -> Scalar:
-        return sum((c * x for c, x in zip(self.coeffs, values)), self.const)
-
-
 class ConnectionSpace:
     """Affine parameterization of every connection making the inputs a flat
     triple.
@@ -347,10 +324,12 @@ class ConnectionSpace:
     count appearing in the fiber-dimension proof), and ``dim_mod_gauge``
     subtracts the positive-dimensional part of the flag stabilizer from the
     honest dimension; for structures with scalar stabilizer the two gauge
-    numbers bracket the same two-dimensional fiber.
+    numbers bracket the same two-dimensional fiber.  ``parts`` holds the
+    ``(C_i, D_i)`` of every point; a solution vector ``(x_0..x_4, tail)``
+    becomes the connection with residues ``C_i + x_i D_i``.
     """
 
-    def __init__(self, structure, cfg, nu, labels, particular, basis, dim_before_gauge):
+    def __init__(self, structure, cfg, nu, labels, particular, basis, dim_before_gauge, parts):
         self.structure = structure
         self.cfg = cfg
         self.nu = nu
@@ -358,6 +337,7 @@ class ConnectionSpace:
         self.particular = particular
         self.basis = basis
         self.dim_before_gauge = dim_before_gauge
+        self.parts = parts
         self.stab_dim = stabilizer_dim(structure, cfg)
 
     @property
@@ -399,23 +379,24 @@ class ConnectionSpace:
         return FlatTriple(self.structure, self.nu, self.connection_at(params), self.cfg)
 
     def _build(self, values) -> LogConnection:
-        mats = []
-        for i in range(NPOINTS):
-            exprs = self._matrices[i]
-            mats.append(
-                (
-                    (exprs[0][0].at(values), exprs[0][1].at(values)),
-                    (exprs[1][0].at(values), exprs[1][1].at(values)),
-                )
-            )
-        bundle = self.structure.bundle
-        ntail = max(bundle.d1 - bundle.d0 - 1, 0)
-        tail_vals = []
-        for k, lab in enumerate(self.labels):
-            if lab[0] == "g":
-                tail_vals.append(values[k])
-        tail = Poly(tail_vals, bound=ntail - 1) if ntail else None
-        return LogConnection(bundle, mats, tail)
+        mats = [
+            tuple(tuple(c + x * d for c, d in zip(crow, drow)) for crow, drow in zip(C, D))
+            for (C, D), x in zip(self.parts, values)
+        ]
+        tail = values[NPOINTS:]
+        return LogConnection(
+            self.structure.bundle, mats, Poly(tail, bound=len(tail) - 1) if tail else None
+        )
+
+
+def _residue_parts(p: Scalar, m: Scalar, u: ProjectivePoint):
+    """``(C, D)`` such that the residues with eigenvalues ``(p, m)`` and the
+    flag ``u`` as ``p``-eigenline are exactly ``C + x*D``, ``x`` free: the
+    (12) entry at a finite flag ``t``, the (21) entry at an infinite one."""
+    if u.is_infinity():
+        return ((m, ZERO), (ZERO, p)), ((ZERO, ZERO), (ONE, ZERO))
+    t = u.value
+    return ((p, ZERO), (t * (p - m), m)), ((-t, ONE), (-t * t, t))
 
 
 def solve_connection_space(
@@ -425,12 +406,14 @@ def solve_connection_space(
 ) -> ConnectionSpace | None:
     """Solve the full residue-constraint system exactly.
 
-    Per point one parameter survives the eigenline and trace conditions (the
-    (12) entry at a finite flag, the (21) entry at an infinite one); the tail
-    coefficients are additional unknowns.  The holomorphy constraints are the
-    diagonal sums and the off-diagonal numerator degree bounds.  Returns None
-    when the system is infeasible (decomposable structures with
-    Kostov-generic spectra).
+    The unknowns are the ``x_i`` of ``A_i = C_i + x_i D_i`` (see
+    ``_residue_parts``) and the tail coefficients.  The constraints, all
+    linear, are the two diagonal residue sums and the coefficients of the
+    off-diagonal numerators above their degree bounds, highest first; the
+    tail term ``G21 * prod (z - z_j)`` has degree at most ``3 + d1 - d0`` and
+    so enters none of them.  ``dim_before_gauge`` is the dimension left by
+    the diagonal sums alone.  Returns None when the system is infeasible
+    (decomposable structures with Kostov-generic spectra).
     """
     bundle = structure.bundle
     d0, d1 = bundle.d0, bundle.d1
@@ -440,89 +423,30 @@ def solve_connection_space(
         )
     ntail = max(d1 - d0 - 1, 0)
     labels = [("x", i) for i in range(NPOINTS)] + [("g", k) for k in range(ntail)]
-    n = len(labels)
+    parts = [_residue_parts(*nu.nu[i], structure.flags[i]) for i in range(NPOINTS)]
 
-    zero = _Affine.constant(0, n)
-    matrices = []
-    a12_exprs, a21_exprs = [], []
-    for i in range(NPOINTS):
-        p, m = nu.nu[i]
-        u = structure.flags[i]
-        x = _Affine.unknown(i, n)
-        if u.is_infinity():
-            a11 = _Affine.constant(m, n)
-            a12 = zero
-            a21 = x
-            a22 = _Affine.constant(p, n)
-        else:
-            t = u.value
-            a11 = _Affine.constant(p, n) - x.scale(t)
-            a12 = x
-            a21 = _Affine.constant(t * (p - m), n) - x.scale(t * t)
-            a22 = _Affine.constant(m, n) + x.scale(t)
-        matrices.append(((a11, a12), (a21, a22)))
-        a12_exprs.append(a12)
-        a21_exprs.append(a21)
+    def row(r, c, weights, target):
+        """``sum_i w_i (A_i)_rc = target`` as (coefficients, right-hand side)."""
+        const = sum((w * C[r][c] for w, (C, _) in zip(weights, parts)), ZERO)
+        return [w * D[r][c] for w, (_, D) in zip(weights, parts)] + [ZERO] * ntail, target - const
 
-    rows_diag = []
-    s11 = zero
-    s22 = zero
-    for (r1, r2) in matrices:
-        s11 = s11 + r1[0]
-        s22 = s22 + r2[1]
-    rows_diag.append((s11, sc(-d0)))
-    rows_diag.append((s22, sc(-d1)))
-
-    rows_inf = []
-    # (12) numerator: degree bound 3 + d0 - d1
-    n12 = _numerator_coeffs(a12_exprs, [zero] * 0, cfg, n)
-    for k in range(len(n12) - 1, 3 + d0 - d1, -1):
-        rows_inf.append((n12[k], sc(0)))
-    # (21) numerator with the tail: degree bound 3 + d1 - d0
-    tail_exprs = [_Affine.unknown(NPOINTS + k, n) for k in range(ntail)]
-    n21 = _numerator_coeffs(a21_exprs, tail_exprs, cfg, n)
-    for k in range(len(n21) - 1, 3 + d1 - d0, -1):
-        rows_inf.append((n21[k], sc(0)))
+    ones = [ONE] * NPOINTS
+    rows = [row(0, 0, ones, sc(-d0)), row(1, 1, ones, sc(-d1))]
+    poles = [monic_from_roots(cfg.z[:i] + cfg.z[i + 1 :]) for i in range(NPOINTS)]
+    for (r, c), bound in (((0, 1), 3 + d0 - d1), ((1, 0), 3 + d1 - d0)):
+        for k in range(NPOINTS - 1, bound, -1):
+            rows.append(row(r, c, [p.coeff(k) for p in poles], ZERO))
 
     def solve(rows):
-        from .exactnum import Mat
+        return Mat([coeffs for coeffs, _ in rows]).solve_affine([rhs for _, rhs in rows])
 
-        if not rows:
-            ident = [[sc(1) if j == k else sc(0) for j in range(n)] for k in range(n)]
-            return [sc(0)] * n, ident
-        mat = Mat([[e.coeffs[k] for k in range(n)] for e, _ in rows])
-        rhs = [target - e.const for e, target in rows]
-        return mat.solve_affine(rhs)
-
-    before = solve(rows_diag)
-    dim_before = len(before[1]) if before is not None else -1
-    full = solve(rows_diag + rows_inf)
+    before = solve(rows[:2])
+    full = solve(rows)
     if full is None:
         return None
     particular, basis = full
-    space = ConnectionSpace(structure, cfg, nu, labels, particular, basis, dim_before)
-    space._matrices = matrices
-    return space
-
-
-def _numerator_coeffs(entry_exprs, tail_exprs, cfg, n):
-    """Coefficient expressions of ``sum_i e_i prod_{j != i}(z - z_j) +
-    tail(z) prod_j (z - z_j)`` in the solver unknowns."""
-    zs = cfg.z
-    deg = NPOINTS - 1 + len(tail_exprs)
-    coeffs = [_Affine.constant(0, n) for _ in range(deg + 1)]
-    for i, e in enumerate(entry_exprs):
-        partial = monic_from_roots([zs[k] for k in range(NPOINTS) if k != i])
-        for k in range(partial.degree() + 1):
-            if not partial.coeff(k).is_zero():
-                coeffs[k] = coeffs[k] + e.scale(partial.coeff(k))
-    if tail_exprs:
-        full = monic_from_roots(zs)
-        for t_k, texpr in enumerate(tail_exprs):
-            for k in range(full.degree() + 1):
-                if not full.coeff(k).is_zero():
-                    coeffs[t_k + k] = coeffs[t_k + k] + texpr.scale(full.coeff(k))
-    return coeffs
+    dim_before = len(before[1]) if before is not None else -1
+    return ConnectionSpace(structure, cfg, nu, labels, particular, basis, dim_before, parts)
 
 
 def irreducibility_screen(t: FlatTriple):
@@ -554,10 +478,8 @@ def verify_invariant_line(t: FlatTriple, q: Poly | None, r: Poly | None) -> bool
     qp = q if q is not None else Poly.zero(-1)
     rp = r if r is not None else Poly.zero(-1)
     prod_all = monic_from_roots(cfg.z)
-    dq = Poly([(k + 1) * c for k, c in enumerate(qp.coeffs[1:])], bound=max(qp.bound - 1, -1)) if qp.bound >= 1 else Poly.zero(-1)
-    dr = Poly([(k + 1) * c for k, c in enumerate(rp.coeffs[1:])], bound=max(rp.bound - 1, -1)) if rp.bound >= 1 else Poly.zero(-1)
-    w1 = prod_all * dq
-    w2 = prod_all * dr
+    w1 = prod_all * qp.derivative()
+    w2 = prod_all * rp.derivative()
     for i in range(NPOINTS):
         ((a11, a12), (a21, a22)) = t.connection.residues[i]
         partial = monic_from_roots([cfg.z[k] for k in range(NPOINTS) if k != i])
@@ -691,11 +613,7 @@ def gauge_transform(t: FlatTriple, params) -> FlatTriple:
         o21 + (o11 - o22).mul_poly(shift) - o12.mul_poly(shift * shift)
     ).scale(inv_a)
     # derivative of the shift joins the (21) polynomial part
-    dshift = Poly(
-        [(k + 1) * c for k, c in enumerate(shift.coeffs[1:])],
-        bound=max(shift.bound - 1, 0),
-    )
-    n21 = RationalEntry(cfg, n21.residues, n21.tail - inv_a * dshift)
+    n21 = RationalEntry(cfg, n21.residues, n21.tail - inv_a * shift.derivative())
     n22 = o22 + o12.mul_poly(shift)
     conn = _connection_from_entries(
         bundle, cfg, {(0, 0): n11, (0, 1): n12, (1, 0): n21, (1, 1): n22}

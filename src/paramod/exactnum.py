@@ -68,6 +68,8 @@ class Scalar:
     @classmethod
     def parse(cls, text: str) -> "Scalar":
         """Parse ``"p/q"``, ``"p/q+r/s*i"`` and the obvious degenerate forms."""
+        if not isinstance(text, str):
+            raise ExactError(f"scalar must be a string, not {type(text).__name__}")
         s = text.strip().replace(" ", "")
         if not s:
             raise ExactError("empty scalar string")
@@ -408,6 +410,11 @@ class Poly:
         return Poly([sc(other) * c for c in self.coeffs], bound=self.bound)
 
     __rmul__ = __mul__
+
+    def derivative(self) -> "Poly":
+        return Poly(
+            [k * c for k, c in enumerate(self.coeffs) if k], bound=max(self.bound - 1, -1)
+        )
 
     def shrink(self, bound: int) -> "Poly":
         """Re-record a smaller degree bound, verifying higher terms vanish."""

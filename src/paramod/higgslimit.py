@@ -21,6 +21,7 @@ from .exactnum import (
     Poly,
     ProjectivePoint,
     Scalar,
+    divided_difference_weights,
     monic_from_roots,
     sc,
 )
@@ -330,11 +331,10 @@ def fixedpoint_from_higgs(h: StronglyParabolicHiggs) -> FixedLocusPoint:
 
 
 def _double_marked_zero(theta: Poly, cfg, marked) -> int | None:
+    # a marked zero z_i is double when the derivative vanishes there too
+    d = theta.derivative()
     for i in marked:
-        zi = cfg.z[i]
-        # double root at z_i: theta proportional to (z - z_i)^2
-        d = Poly([(k + 1) * c for k, c in enumerate(theta.coeffs[1:])], bound=1)
-        if d(zi).is_zero():
+        if d(cfg.z[i]).is_zero():
             return i
     return None
 
@@ -621,13 +621,9 @@ def fiber_dimension(
     choice = dict(p.flag_choice)
     weights = []  # coefficient of each unknown in the trace-sum constraint
     const = sc(0)
-    for i in range(NPOINTS):
-        zi = cfg.z[i]
-        wprod = Poly([1], bound=0)
-        for k in range(NPOINTS):
-            if k != i:
-                wprod = wprod * Poly([-cfg.z[k], 1], bound=1)
-        a12 = theta(zi) / wprod(zi)
+    # the (12) residue pinned by theta is theta(z_i) / prod_{k != i}(z_i - z_k)
+    for i, w_i in enumerate(divided_difference_weights(cfg.z)):
+        a12 = theta(cfg.z[i]) * w_i
         if choice.get(i) == "upper":
             # infinite flag: the surviving unknown is the (21) residue,
             # absent from the trace sum

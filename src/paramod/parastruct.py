@@ -487,15 +487,18 @@ def bprime_generic_representative(cfg: MarkedConfiguration) -> ParabolicStructur
     return ParabolicStructure(BPRIME, [zi**4 for zi in cfg.z])
 
 
-def all_bprime_orbit_labels(cfg: MarkedConfiguration) -> list[str]:
-    """Labels of all 33 B'-orbits via explicit representatives."""
-    labels = []
-    labels.append(classify(bprime_generic_representative(cfg), cfg).label())
-    labels.append(
-        classify(ParabolicStructure(BPRIME, [0, 0, 0, 0, 0]), cfg).label()
-    )
+def bprime_orbit_representatives(cfg: MarkedConfiguration) -> list[ParabolicStructure]:
+    """One structure on each of the 33 B'-orbits: the generic indecomposable
+    one, all flags zero, then the flags at infinity over every nonempty index
+    subset (by size, then lexicographically) and zero elsewhere."""
+    reps = [bprime_generic_representative(cfg), ParabolicStructure(BPRIME, [0] * NPOINTS)]
     for size in range(1, NPOINTS + 1):
         for pattern in combinations(range(NPOINTS), size):
-            flags = [INF if i in pattern else ProjectivePoint.finite(0) for i in range(NPOINTS)]
-            labels.append(classify(ParabolicStructure(BPRIME, flags), cfg).label())
-    return labels
+            flags = [INF if i in pattern else 0 for i in range(NPOINTS)]
+            reps.append(ParabolicStructure(BPRIME, flags))
+    return reps
+
+
+def all_bprime_orbit_labels(cfg: MarkedConfiguration) -> list[str]:
+    """Labels of all 33 B'-orbits via explicit representatives."""
+    return [classify(s, cfg).label() for s in bprime_orbit_representatives(cfg)]

@@ -338,7 +338,6 @@ def is_stable(
     structure: ParabolicStructure,
     cfg: MarkedConfiguration,
     w: WeightVector,
-    require_non_special: bool = True,
     quick: bool = False,
 ) -> StabilityReport:
     """Exact stability decision with the minimizing witness and margin.
@@ -348,7 +347,7 @@ def is_stable(
     short-circuits the remaining degrees: the verdict is unchanged but the
     reported witness need not be the global minimizer.
     """
-    if require_non_special and not weight_is_non_special(w, structure.bundle.degree):
+    if not weight_is_non_special(w, structure.bundle.degree):
         raise OnWallError("weight is not non-special")
     worst = None
     worst_s = None

@@ -59,13 +59,28 @@ class TestStabilityCli:
         )
         assert code == 3
 
-    def test_malformed_exit_code(self, capsys):
+    def test_malformed_exit_code(self, capsys, tmp_path):
+        # JSON payloads of the wrong type are malformed input too
+        structure_int = tmp_path / "structure_int.json"
+        structure_int.write_text(json.dumps({"structure": 5}))
+        array = tmp_path / "array.json"
+        array.write_text(json.dumps([1, 2]))
+        int_theta = tmp_path / "int_theta.json"
+        int_theta.write_text(
+            json.dumps({"component": "F1", "chart": "top", "theta": [0, 1, 2]})
+        )
         for argv in (
             ("stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0",
              "--w", "1/10,1/10,1/10,1/10,1/10"),
             ("classify", "--bundle", "B", "--z", "0,1,2,3,1/0", "--u", "1,0,0,0,0"),
             ("stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0,1",
              "--w", "1/0,1/10,1/10,1/10,1/10"),
+            ("validate", "--json", str(structure_int)),
+            ("limit", "--json", str(array), "--w", W_SMALL),
+            ("fiber", "--json", str(array), "--z", Z, "--nu", NU1, "--d", "1"),
+            ("weights", "--json", str(array)),
+            ("canonicalize", "--json", str(int_theta), "--z", Z),
+            ("weights",),
         ):
             code, _ = run(capsys, *argv)
             assert code == 2, argv

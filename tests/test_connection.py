@@ -128,6 +128,25 @@ class TestSolveConnectionSpace:
         with pytest.raises(ConnectionError):
             solve_connection_space(s, CFG, nu0)
 
+    def test_every_split_validates(self):
+        # splits beyond B and B' exercise the (21) rows and longer tails
+        rng = random.Random(19)
+        solved = set()
+        for d in (-1, 0, 1, 2):
+            for bundle in degree_bounds(d).splits:
+                flags = [INF] + [rand_rational(rng, -30, 30, 6) for _ in range(4)]
+                s = ParabolicStructure(bundle, flags)
+                nu = rand_nonspecial_spectrum(rng, d=d)
+                space = solve_connection_space(s, CFG, nu)
+                if space is None:
+                    continue
+                solved.add(bundle.d1 - bundle.d0)
+                assert len(space.labels) == 5 + max(bundle.d1 - bundle.d0 - 1, 0)
+                for conn in space.basis_connections():
+                    ok, violations = validate_triple(FlatTriple(s, nu, conn, CFG))
+                    assert ok, (bundle, violations)
+        assert solved == {0, 1, 2}
+
     def test_infinity_flags_forced_a12_zero(self):
         rng = random.Random(17)
         s = ParabolicStructure(B, [INF, 3, 5, 7, 11])

@@ -60,6 +60,11 @@ class TestScalar:
         with pytest.raises(ExactError):
             _ = Scalar(0, 1) < Scalar(1)
 
+    def test_parse_rejects_non_string(self):
+        for value in (5, None, ["1"]):
+            with pytest.raises(ExactError):
+                Scalar.parse(value)
+
     def test_pow(self):
         s = Scalar.rational(-2, 3)
         assert s**3 == Scalar.rational(-8, 27)
@@ -207,6 +212,13 @@ class TestPoly:
         p = Poly([1, 1]) * Poly([-1, 1])
         assert p == Poly([-1, 0, 1])
         assert p(sc(3)) == Scalar(8)
+
+    def test_derivative(self):
+        d = Poly([5, 1, -2, 3]).derivative()
+        assert d == Poly([1, -4, 9]) and d.bound == 2
+        assert Poly([0, 1, 0], bound=2).derivative().coeffs == (sc(1), sc(0))
+        for p in (Poly.constant(7), Poly.zero(-1)):
+            assert p.derivative().is_zero() and p.derivative().bound == -1
 
     def test_monic_from_roots(self):
         p = monic_from_roots([1, 2])

@@ -12,6 +12,7 @@ from paramod.parastruct import (
     act,
     all_bprime_orbit_labels,
     bprime_generic_representative,
+    bprime_orbit_representatives,
     classify,
     find_automorphism,
     is_decomposable,
@@ -195,6 +196,10 @@ class TestOrbits:
     def test_33_orbits(self):
         labels = all_bprime_orbit_labels(CFG)
         assert len(labels) == len(set(labels)) == 33
+        reps = bprime_orbit_representatives(CFG)
+        assert all(s.bundle == BPRIME for s in reps)
+        assert reps[0] == bprime_generic_representative(CFG)
+        assert [classify(s, CFG).label() for s in reps] == labels
 
     def test_action_orbit_reflexive(self):
         rng = random.Random(5)
