@@ -3,16 +3,19 @@
 Scalars are triples ``(a, b, d)`` of ints for ``(a + b*i)/d``, ``d > 0``,
 ``gcd(a, b, d) == 1``; every operation returns a triple in that normal form,
 so equal values are equal tuples.  The matrix routines take lists of lists of
-triples.  Determinant and rank use one-step Bareiss elimination (divisions are
-exact at every step, keeping intermediate entries small); the reduced row
-echelon form behind the nullspace and the affine solver uses plain
-Gauss-Jordan, which is exact over a field.
+triples.  Determinant and rank are fraction-free: each row is scaled once by
+the lcm of its denominators, and one forward elimination, one-step Bareiss
+over the Gaussian integers ``(re, im)``, divides exactly by the previous
+pivot, so no gcd is taken inside the loop; the determinant is normalised to
+one triple at the end.  The reduced row echelon form behind the nullspace and
+the affine solver uses plain Gauss-Jordan, which is exact over a field.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 T_ZERO = (0, 0, 1)
 T_ONE = (1, 0, 1)
+ZI_ZERO = (0, 0)
 
 
 def t_norm(a, b, d):
@@ -73,64 +76,86 @@ def _is_zero(x):
     return x[0] == 0 and x[1] == 0
 
 
-def mat_det(rows, n):
-    """Determinant of an n-by-n matrix of triples, one-step Bareiss."""
-    m = [list(r) for r in rows]
+def t_clear(triples):
+    """Scale triples by the lcm ``L`` of their denominators: the Gaussian
+    integers ``(a*L/d, b*L/d)`` and ``L``."""
+    den = lcm(*(t[2] for t in triples))
+    return [(a * (den // d), b * (den // d)) for a, b, d in triples], den
+
+
+def _zi_pivots(m, nrows, ncols):
+    """One-step Bareiss forward elimination of the Gaussian-integer rows ``m``
+    in place.  Yields ``(col, sign)`` as each pivot lands in the next row, with
+    ``sign`` the parity of the row swaps so far, before eliminating below it.
+    With ``p`` the previous pivot, each entry below becomes
+    ``(pivot*x - lead*y)/p``, an exact division in Z[i]: by Sylvester's
+    identity every entry is a minor of ``m``."""
+    pr, pi = 1, 0
     sign = 1
-    prev = T_ONE
-    for k in range(n - 1):
-        if _is_zero(m[k][k]):
-            for i in range(k + 1, n):
-                if not _is_zero(m[i][k]):
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return T_ZERO
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, n):
-                num = t_sub(t_mul(pivot, row_i[j]), t_mul(lead, row_k[j]))
-                row_i[j] = t_div(num, prev)
-            row_i[k] = T_ZERO
-        prev = pivot
-    det = m[n - 1][n - 1]
-    if sign < 0:
-        det = t_neg(det)
-    return det
+    row = 0
+    for col in range(ncols):
+        for i in range(row, nrows):
+            if _is_zero(m[i][col]):
+                continue
+            if i != row:
+                m[row], m[i] = m[i], m[row]
+                sign = -sign
+            break
+        else:
+            continue
+        yield col, sign
+        krow = m[row]
+        ar, ai = krow[col]
+        norm = pr * pr + pi * pi
+        for i in range(row + 1, nrows):
+            irow = m[i]
+            lr, li = irow[col]
+            for j in range(col + 1, ncols):
+                xr, xi = irow[j]
+                yr, yi = krow[j]
+                nr = ar * xr - ai * xi - lr * yr + li * yi
+                ni = ar * xi + ai * xr - lr * yi - li * yr
+                irow[j] = ((nr * pr + ni * pi) // norm, (ni * pr - nr * pi) // norm)
+            irow[col] = ZI_ZERO
+        pr, pi = ar, ai
+        row += 1
+        if row == nrows:
+            return
+
+
+def zi_det(m, n):
+    """Determinant ``(re, im)`` of the n-by-n Gaussian-integer rows ``m``,
+    which are overwritten."""
+    rank = 0
+    sign = 1
+    for col, sign in _zi_pivots(m, n, n):
+        if col != rank:
+            return ZI_ZERO
+        rank += 1
+    if rank < n:
+        return ZI_ZERO
+    re, im = m[n - 1][n - 1]
+    return (sign * re, sign * im)
+
+
+def mat_det(rows, n):
+    """Determinant of an n-by-n matrix of triples: each row is cleared of its
+    denominators once, the Gaussian-integer determinant is divided by their
+    product."""
+    m = []
+    den = 1
+    for row in rows:
+        zrow, scale = t_clear(row)
+        m.append(zrow)
+        den *= scale
+    re, im = zi_det(m, n)
+    return t_norm(re, im, den)
 
 
 def mat_rank(rows, nrows, ncols):
-    """Rank by fraction-free forward elimination."""
-    m = [list(r) for r in rows]
-    prev = T_ONE
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot_row = -1
-        for i in range(row, nrows):
-            if not _is_zero(m[i][col]):
-                pivot_row = i
-                break
-        if pivot_row < 0:
-            continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        pivot = m[row][col]
-        for i in range(row + 1, nrows):
-            lead = m[i][col]
-            for j in range(col + 1, ncols):
-                num = t_sub(t_mul(pivot, m[i][j]), t_mul(lead, m[row][j]))
-                m[i][j] = t_div(num, prev)
-            m[i][col] = T_ZERO
-        prev = pivot
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank: the number of pivots of the Gaussian-integer forward elimination."""
+    m = [t_clear(row)[0] for row in rows]
+    return sum(1 for _ in _zi_pivots(m, nrows, ncols))
 
 
 def mat_rref(rows, nrows, ncols):

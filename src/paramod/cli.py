@@ -37,6 +37,7 @@ from .higgslimit import (
 from .parastruct import (
     B,
     BPRIME,
+    NPOINTS,
     BundleSplitType,
     MarkedConfiguration,
     ParabolicStructure,
@@ -405,11 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("chamber"), "w", "d").set_defaults(fn=cmd_chamber)
     common(sub.add_parser("empty"), "bundle", "w").set_defaults(fn=cmd_empty)
     common(sub.add_parser("spectrum"), "nu", "d").set_defaults(fn=cmd_spectrum)
+    points = range(1, NPOINTS + 1)
     p = common(sub.add_parser("elm-weight"), "w")
-    p.add_argument("--j", type=int, required=True, help="marked point index, 1-based")
+    p.add_argument(
+        "--j", type=int, choices=points, required=True, help="marked point index, 1-based"
+    )
     p.set_defaults(fn=cmd_elm_weight)
     p = common(sub.add_parser("elm-spectrum"), "nu", "d")
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--j", type=int, choices=points, required=True)
     p.set_defaults(fn=cmd_elm_spectrum)
     p = common(sub.add_parser("mc"), "nu", "d")
     p.add_argument("--sigma", required=True, help="five signs, e.g. ++-+-")

@@ -17,6 +17,7 @@ from ._kernel import (
     mat_rank,
     mat_solve_affine,
     t_add,
+    t_clear,
     t_div,
     t_inv,
     t_mul,
@@ -588,3 +589,11 @@ def divided_difference_weights(xs) -> list[Scalar]:
                 w = w * (xi - xj)
         out.append(w.inverse())
     return out
+
+
+def clear_denominators(vectors):
+    """The scalar vectors times the lcm ``D`` of all their denominators, as
+    lists of Gaussian integers ``(re, im)``, and ``D``."""
+    flat, den = t_clear([x._t for vec in vectors for x in vec])
+    entries = iter(flat)
+    return [[next(entries) for _ in vec] for vec in vectors], den

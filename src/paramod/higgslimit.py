@@ -37,6 +37,7 @@ from .spectra import SpectrumRank2
 from .stability import (
     OnWallError,
     WeightVector,
+    contact_rows,
     is_stable,
     s_value,
     saturated_members,
@@ -533,8 +534,9 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     candidates.append(LimitCandidate("E1", m1, m1 > sc(0), None))
 
     if bundle == B:
+        rows = contact_rows(t.structure, cfg, 1, 2)
         for j in range(NPOINTS):
-            cand = _degenerate_candidate(t, w, j)
+            cand = _degenerate_candidate(t, w, j, rows)
             if cand is not None:
                 candidates.append(cand)
 
@@ -553,20 +555,11 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     return LimitResult(point, winner.higgs, tuple(candidates))
 
 
-def _degenerate_candidate(t: FlatTriple, w: WeightVector, j: int):
+def _degenerate_candidate(t: FlatTriple, w: WeightVector, j: int, rows: dict):
     """The degeneration onto a degree -1 inclusion whose non-contact set is
-    exactly the j-th marked point; None when no such inclusion exists."""
+    exactly the j-th marked point; None when no such inclusion exists.
+    ``rows`` are the structure's ``contact_rows`` at formal degrees (1, 2)."""
     cfg = t.cfg
-    rows = []
-    for i in range(NPOINTS):
-        if i == j:
-            continue
-        zi = cfg.z[i]
-        u = t.structure.flags[i]
-        if u.is_infinity():
-            rows.append([sc(1), zi, sc(0), sc(0), sc(0)])
-        else:
-            rows.append([-u.value, -u.value * zi, sc(1), zi, zi * zi])
     uj = t.structure.flags[j]
 
     def hits_j(q, r):
@@ -574,7 +567,8 @@ def _degenerate_candidate(t: FlatTriple, w: WeightVector, j: int):
         return qv.is_zero() if uj.is_infinity() else rv == uj.value * qv
 
     # (q, r) of formal degrees (1, 2): a degree -1 inclusion into B
-    members = saturated_members(Mat(rows).nullspace(), 1, 2)
+    basis = Mat([row for i, row in rows.items() if i != j]).nullspace()
+    members = saturated_members(basis, 1, 2)
     if all(hits_j(q, r) for q, r in members):
         return None
     margin = s_value(1, 2, {j}, w)

@@ -116,7 +116,7 @@ class MCBranch:
             sigma = tuple(sigma)
         sigma = tuple(sigma)
         if len(sigma) != NPOINTS or any(s not in "+-" for s in sigma):
-            raise SpectrumError("sigma must be five characters from '+-'")
+            raise ExactError("sigma must be five characters from '+-'")
         bv = tuple(sc(x) for x in beta_v)
         if len(bv) != NPOINTS:
             raise ExactError(f"expected {NPOINTS} beta_v values")

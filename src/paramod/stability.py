@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .exactnum import ZERO, ExactError, Mat, Poly, Scalar, sc
+from ._kernel import ZI_ZERO, zi_det
+from .exactnum import ONE, ZERO, ExactError, Mat, Poly, Scalar, clear_denominators, sc
 from .parastruct import (
     B,
     BPRIME,
@@ -128,8 +129,9 @@ class LineSubbundleWitness:
         return qv, rv
 
 
-def formal_resultant(q_coeffs, dq: int, r_coeffs, dr: int) -> Scalar:
-    """Resultant of q and r at formal degrees (dq, dr).
+def formal_resultant(q_coeffs, dq: int, r_coeffs, dr: int) -> tuple[int, int]:
+    """Resultant of q and r at formal degrees (dq, dr), for Gaussian-integer
+    coefficients ``(re, im)``, lowest degree first; returns ``(re, im)``.
 
     Vanishes exactly when the degree-(dq, dr) homogenizations share a
     projective root; a root "at infinity" appears when both top coefficients
@@ -139,21 +141,21 @@ def formal_resultant(q_coeffs, dq: int, r_coeffs, dr: int) -> Scalar:
         raise ExactError("formal degrees must be nonnegative")
     n = dq + dr
     if n == 0:
-        return sc(1)
-    qs = [q_coeffs[k] if k < len(q_coeffs) else sc(0) for k in range(dq + 1)]
-    rs = [r_coeffs[k] if k < len(r_coeffs) else sc(0) for k in range(dr + 1)]
+        return (1, 0)
+    qs = [q_coeffs[k] if k < len(q_coeffs) else ZI_ZERO for k in range(dq + 1)]
+    rs = [r_coeffs[k] if k < len(r_coeffs) else ZI_ZERO for k in range(dr + 1)]
     rows = []
     for shift in range(dr):
-        row = [sc(0)] * n
+        row = [ZI_ZERO] * n
         for k in range(dq + 1):
             row[shift + k] = qs[dq - k]
         rows.append(row)
     for shift in range(dq):
-        row = [sc(0)] * n
+        row = [ZI_ZERO] * n
         for k in range(dr + 1):
             row[shift + k] = rs[dr - k]
         rows.append(row)
-    return Mat(rows).det()
+    return zi_det(rows, n)
 
 
 def _hom_degrees(bundle: BundleSplitType, k: int) -> tuple[int, int]:
@@ -161,22 +163,12 @@ def _hom_degrees(bundle: BundleSplitType, k: int) -> tuple[int, int]:
     return bundle.d0 - k, bundle.d1 - k
 
 
-def _witness_from_vector(vec, dq, dr) -> tuple[Poly | None, Poly | None]:
-    nq = dq + 1 if dq >= 0 else 0
-    q = Poly(vec[:nq], bound=dq) if dq >= 0 else None
-    r = Poly(vec[nq:], bound=dr) if dr >= 0 else None
-    return q, r
-
-
-def _is_saturated(q: Poly | None, r: Poly | None, dq: int, dr: int) -> bool:
-    if dq < 0:
-        return r is not None and dr == 0 and not r.is_zero()
-    if dr < 0:
-        return q is not None and dq == 0 and not q.is_zero()
-    if q.is_zero() and r.is_zero():
-        return False
-    res = formal_resultant(list(q.coeffs), dq, list(r.coeffs), dr)
-    return not res.is_zero()
+def _is_saturated(vec, dq: int, dr: int) -> bool:
+    # vec: the Gaussian-integer coefficients of q, then of r
+    nonzero = any(v != ZI_ZERO for v in vec)
+    if dq < 0 or dr < 0:
+        return nonzero and max(dq, dr) == 0
+    return nonzero and formal_resultant(vec[: dq + 1], dq, vec[dq + 1 :], dr) != ZI_ZERO
 
 
 def _contact_of(
@@ -203,20 +195,29 @@ def saturated_members(basis, dq: int, dr: int):
     total degree <= dq + dr in the span coordinates, so by the finite-grid
     Schwartz-Zippel lemma the span has a saturated member iff the grid holds
     one: an exhausted generator certifies that there is none.
+
+    The grid is walked on Gaussian integers, the basis scaled once by the lcm
+    ``D`` of its denominators.  Scaling ``(q, r)`` by ``D`` multiplies the
+    resultant by ``D^(dq+dr)``, so the same grid points test saturated; only a
+    yielded member is divided back by ``D``.
     """
     if not basis:
         return
-    ncols = len(basis[0])
+    ibasis, den = clear_denominators(basis)
+    ncols = len(ibasis[0])
+    nq = dq + 1 if dq >= 0 else 0
     width = max(dq, 0) + max(dr, 0) + 1
-    for coeffs in product(range(width), repeat=len(basis)):
+    for coeffs in product(range(width), repeat=len(ibasis)):
         if not any(coeffs):
             continue
-        vec = [sc(0)] * ncols
-        for c, bvec in zip(coeffs, basis):
+        vec = [ZI_ZERO] * ncols
+        for c, bvec in zip(coeffs, ibasis):
             if c:
-                vec = [v + sc(c) * b for v, b in zip(vec, bvec)]
-        q, r = _witness_from_vector(vec, dq, dr)
-        if _is_saturated(q, r, dq, dr):
+                vec = [(x + c * a, y + c * b) for (x, y), (a, b) in zip(vec, bvec)]
+        if _is_saturated(vec, dq, dr):
+            vals = [Scalar.gaussian(a, den, b, den) for a, b in vec]
+            q = Poly(vals[:nq], bound=dq) if dq >= 0 else None
+            r = Poly(vals[nq:], bound=dr) if dr >= 0 else None
             yield q, r
 
 
@@ -273,6 +274,25 @@ def _b_degree_zero_candidates(structure, cfg) -> list[LineSubbundleWitness]:
     ]
 
 
+def contact_rows(structure, cfg, dq: int, dr: int) -> dict[int, list[Scalar]]:
+    """Per marked point where a section ``(q, r)`` of formal degrees
+    ``(dq, dr)``, ``dq >= 0``, can meet the flag, the row of the linear
+    condition that it does, on the coefficients of q then r.  An infinite
+    flag asks q(z_i) = 0; for ``dq = 0`` that forces q = 0, and no such
+    section is saturated."""
+    out = {}
+    for i, (zi, u) in enumerate(zip(cfg.z, structure.flags)):
+        powers = [ONE]
+        for _ in range(max(dq, dr)):
+            powers.append(powers[-1] * zi)
+        if u.is_infinity():
+            if dq >= 1:
+                out[i] = powers[: dq + 1] + [ZERO] * (dr + 1)
+        else:
+            out[i] = [-u.value * x for x in powers[: dq + 1]] + powers[: dr + 1]
+    return out
+
+
 def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
     if structure.bundle == B and k == 0:
         return _b_degree_zero_candidates(structure, cfg)
@@ -285,28 +305,19 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
         r = Poly([1], bound=0)
         contact = frozenset(structure.infinity_indices())
         return [LineSubbundleWitness(k, None, r, contact)]
-    nq, nr = dq + 1, dr + 1
-
-    def contact_row(i):
-        zi = cfg.z[i]
-        u = structure.flags[i]
-        if u.is_infinity():
-            return [zi**p for p in range(nq)] + [sc(0)] * nr
-        return [-u.value * zi**p for p in range(nq)] + [zi**p for p in range(nr)]
-
-    contactable = [
-        i
-        for i in range(NPOINTS)
-        if not structure.flags[i].is_infinity() or dq >= 1
-    ]
+    rows = contact_rows(structure, cfg, dq, dr)
+    contactable = list(rows)
     maximal: list[tuple[frozenset, LineSubbundleWitness]] = []
     for size in range(len(contactable), -1, -1):
         for T in combinations(contactable, size):
             tset = frozenset(T)
             if any(tset <= m for m, _ in maximal):
                 continue
-            rows = [contact_row(i) for i in T]
-            basis = Mat(rows).nullspace() if rows else Mat.identity(nq + nr).entries
+            basis = (
+                Mat([rows[i] for i in T]).nullspace()
+                if T
+                else Mat.identity(dq + dr + 2).entries
+            )
             found = next(saturated_members(basis, dq, dr), None)
             if found is None:
                 continue

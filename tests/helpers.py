@@ -1,14 +1,18 @@
-"""Shared samplers and the closed-form stability oracle used by the tests.
+"""Shared samplers and the test oracles.
 
-The oracle transcribes the case analysis for line subbundles of B and B'
-(full-contact determinant test at degree -1, the unique higher-degree factor,
-maximal collinear subsets at degree 0) and is kept independent of the
-enumeration-based decision path in paramod.stability.
+The closed-form stability oracle transcribes the case analysis for line
+subbundles of B and B' (full-contact determinant test at degree -1, the
+unique higher-degree factor, maximal collinear subsets at degree 0) and is
+kept independent of the enumeration-based decision path in paramod.stability.
+The rational Bareiss determinant and rank and the saturation grid search on
+Scalars are the slow references for the Gaussian-integer kernel and grid
+search in paramod.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from paramod.exactnum import INF, Mat, ProjectivePoint, Scalar, sc
+from paramod._kernel import T_ONE, T_ZERO, t_div, t_mul, t_neg, t_sub
+from paramod.exactnum import INF, Mat, Poly, ProjectivePoint, Scalar, sc
 from paramod.parastruct import (
     B,
     BPRIME,
@@ -208,3 +212,144 @@ def _oracle_bprime(structure, cfg, w) -> bool:
     if not (s < sc(0)):
         return False
     return True
+
+
+def _t_is_zero(x):
+    return x[0] == 0 and x[1] == 0
+
+
+def oracle_det(rows, n):
+    """Determinant of an n-by-n matrix of triples by Bareiss elimination over
+    normalised Gaussian rationals."""
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = T_ONE
+    for k in range(n - 1):
+        if _t_is_zero(m[k][k]):
+            for i in range(k + 1, n):
+                if not _t_is_zero(m[i][k]):
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return T_ZERO
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            row_k = m[k]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                num = t_sub(t_mul(pivot, row_i[j]), t_mul(lead, row_k[j]))
+                row_i[j] = t_div(num, prev)
+            row_i[k] = T_ZERO
+        prev = pivot
+    det = m[n - 1][n - 1]
+    if sign < 0:
+        det = t_neg(det)
+    return det
+
+
+def oracle_rank(rows, nrows, ncols):
+    """Rank by Bareiss forward elimination over normalised Gaussian rationals."""
+    m = [list(r) for r in rows]
+    prev = T_ONE
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        pivot_row = -1
+        for i in range(row, nrows):
+            if not _t_is_zero(m[i][col]):
+                pivot_row = i
+                break
+        if pivot_row < 0:
+            continue
+        m[row], m[pivot_row] = m[pivot_row], m[row]
+        pivot = m[row][col]
+        for i in range(row + 1, nrows):
+            lead = m[i][col]
+            for j in range(col + 1, ncols):
+                num = t_sub(t_mul(pivot, m[i][j]), t_mul(lead, m[row][j]))
+                m[i][j] = t_div(num, prev)
+            m[i][col] = T_ZERO
+        prev = pivot
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank
+
+
+def rand_triple_matrix(rng, nrows, ncols):
+    """Random matrix of triples: real or Gaussian entries, many zeros, with
+    zero leading pivots and dependent rows mixed in."""
+    gaussian = rng.random() < 0.5
+
+    def entry():
+        if rng.random() < 0.3:
+            return T_ZERO
+        im = rng.randint(-9, 9) if gaussian else 0
+        return Scalar.gaussian(rng.randint(-12, 12), rng.randint(1, 9), im, rng.randint(1, 9))._t
+
+    m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    shape = rng.random()
+    if shape < 0.25:
+        # zero leading entries force row swaps
+        for row in m[: rng.randint(1, nrows)]:
+            row[0] = T_ZERO
+    elif shape < 0.5 and nrows > 1:
+        # a row that is a combination of two others makes the matrix singular
+        k = rng.randrange(nrows)
+        others = [x for x in range(nrows) if x != k]
+        i, j = rng.choice(others), rng.choice(others)
+        c = entry()
+        m[k] = [t_sub(x, t_mul(c, y)) for x, y in zip(m[i], m[j])]
+    return m
+
+
+def _oracle_resultant(qs, dq, rs, dr) -> Scalar:
+    n = dq + dr
+    if n == 0:
+        return sc(1)
+    rows = []
+    for shift in range(dr):
+        row = [sc(0)] * n
+        for k in range(dq + 1):
+            row[shift + k] = qs[dq - k]
+        rows.append(row)
+    for shift in range(dq):
+        row = [sc(0)] * n
+        for k in range(dr + 1):
+            row[shift + k] = rs[dr - k]
+        rows.append(row)
+    return Scalar._wrap(oracle_det([[x._t for x in row] for row in rows], n))
+
+
+def _oracle_is_saturated(q, r, dq, dr) -> bool:
+    if dq < 0:
+        return r is not None and dr == 0 and not r.is_zero()
+    if dr < 0:
+        return q is not None and dq == 0 and not q.is_zero()
+    if q.is_zero() and r.is_zero():
+        return False
+    return not _oracle_resultant(list(q.coeffs), dq, list(r.coeffs), dr).is_zero()
+
+
+def oracle_saturated_members(basis, dq, dr):
+    """The saturation grid search on Scalars: every grid vector is built by
+    Scalar arithmetic and tested with the rational Bareiss resultant."""
+    if not basis:
+        return
+    ncols = len(basis[0])
+    width = max(dq, 0) + max(dr, 0) + 1
+    nq = dq + 1 if dq >= 0 else 0
+    for coeffs in product(range(width), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        vec = [sc(0)] * ncols
+        for c, bvec in zip(coeffs, basis):
+            if c:
+                vec = [v + sc(c) * b for v, b in zip(vec, bvec)]
+        q = Poly(vec[:nq], bound=dq) if dq >= 0 else None
+        r = Poly(vec[nq:], bound=dr) if dr >= 0 else None
+        if _oracle_is_saturated(q, r, dq, dr):
+            yield q, r

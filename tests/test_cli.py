@@ -81,6 +81,12 @@ class TestStabilityCli:
             ("weights", "--json", str(array)),
             ("canonicalize", "--json", str(int_theta), "--z", Z),
             ("weights",),
+            # marked point indices outside 1..5 and a malformed sign pattern
+            ("elm-weight", "--w", W_SMALL, "--j", "0"),
+            ("elm-weight", "--w", W_SMALL, "--j", "9"),
+            ("elm-spectrum", "--nu", NU1, "--d", "1", "--j", "0"),
+            ("mc", "--nu", NU1, "--d", "1", "--sigma", "++",
+             "--beta-v=-1/4,-1/4,-1/4,-1/4,-1/4"),
         ):
             code, _ = run(capsys, *argv)
             assert code == 2, argv

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from helpers import oracle_det, oracle_rank, rand_triple_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +128,19 @@ class TestDet:
         swapped = [rows[1], rows[0], rows[2]]
         assert Mat(swapped).det() == -Mat(rows).det()
 
+    def test_matches_rational_bareiss(self):
+        # the Gaussian-integer determinant against the rational one, triple
+        # for triple: real and Gaussian entries, forced swaps, singular rows
+        rng = random.Random(2024)
+        zeros = 0
+        for _ in range(2000):
+            n = rng.randint(1, 5)
+            rows = rand_triple_matrix(rng, n, n)
+            det = Mat([[Scalar._wrap(t) for t in row] for row in rows]).det()
+            assert det._t == oracle_det(rows, n), rows
+            zeros += det.is_zero()
+        assert zeros > 200
+
 
 class TestRank:
     def test_zero_matrix(self):
@@ -151,6 +165,14 @@ class TestRank:
     def test_rank_transpose(self, xs):
         m = Mat([xs[0:4], xs[4:8], xs[8:12]])
         assert m.rank() == m.transpose().rank()
+
+    def test_matches_rational_bareiss(self):
+        rng = random.Random(2025)
+        for _ in range(2000):
+            nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+            rows = rand_triple_matrix(rng, nrows, ncols)
+            m = Mat([[Scalar._wrap(t) for t in row] for row in rows])
+            assert m.rank() == oracle_rank(rows, nrows, ncols), rows
 
 
 class TestInterpolate:

@@ -5,11 +5,14 @@ import pytest
 
 from helpers import (
     oracle_is_stable,
+    oracle_saturated_members,
     rand_config,
     rand_nonspecial_weight,
+    rand_rational,
     rand_structure,
+    rand_uij_indecomposable,
 )
-from paramod.exactnum import INF, Poly, Scalar, sc
+from paramod.exactnum import INF, Mat, Poly, Scalar, sc
 from paramod.parastruct import (
     B,
     BPRIME,
@@ -21,12 +24,15 @@ from paramod.stability import (
     ChamberDescriptor,
     OnWallError,
     WeightVector,
+    _hom_degrees,
     chamber_classify,
+    contact_rows,
     destabilizing_candidates,
     formal_resultant,
     is_stable,
     no_stable_structure,
     s_value,
+    saturated_members,
     stabilizing_weight,
     weight_is_kostov_generic,
 )
@@ -71,17 +77,79 @@ class TestSValue:
 
 
 class TestFormalResultant:
+    # coefficients are Gaussian integers (re, im), lowest degree first
     def test_coprime(self):
         # q = z, r = z - 1 at formal degrees (1, 2): no projective common root
-        assert not formal_resultant([sc(0), sc(1)], 1, [sc(-1), sc(1), sc(0)], 2).is_zero()
+        assert formal_resultant([(0, 0), (1, 0)], 1, [(-1, 0), (1, 0), (0, 0)], 2) != (0, 0)
 
     def test_common_affine_root(self):
         # q = z, r = z^2
-        assert formal_resultant([sc(0), sc(1)], 1, [sc(0), sc(0), sc(1)], 2).is_zero()
+        assert formal_resultant([(0, 0), (1, 0)], 1, [(0, 0), (0, 0), (1, 0)], 2) == (0, 0)
 
     def test_common_root_at_infinity(self):
         # both drop formal degree: q = 1 (bound 1), r = z (bound 2)
-        assert formal_resultant([sc(1), sc(0)], 1, [sc(0), sc(1), sc(0)], 2).is_zero()
+        assert formal_resultant([(1, 0), (0, 0)], 1, [(0, 0), (1, 0), (0, 0)], 2) == (0, 0)
+
+
+def _grid_structures():
+    # decomposable B (spans without a saturated member), two infinite flags
+    # and B', two each
+    rng = random.Random(41)
+    out = []
+    for _ in range(2):
+        cfg = rand_config(rng)
+        a, b = rand_rational(rng), rand_rational(rng, -10, 10, 4)
+        out.append((ParabolicStructure(B, [a + b * z for z in cfg.z]), cfg))
+        i, j = sorted(rng.sample(range(5), 2))
+        out.append((rand_uij_indecomposable(rng, cfg, i, j), cfg))
+        out.append((rand_structure(rng, BPRIME, n_inf=0), cfg))
+    return out
+
+
+def _members(gen):
+    return [
+        tuple(None if p is None else (p.coeffs, p.bound) for p in pair)
+        for pair in gen
+    ]
+
+
+class TestSaturatedMembers:
+    """The grid search on Gaussian integers yields exactly the members, in
+    the same order, of the grid search on Scalars."""
+
+    def _assert_same(self, basis, dq, dr):
+        got = _members(saturated_members(basis, dq, dr))
+        assert got == _members(oracle_saturated_members(basis, dq, dr))
+        return len(got)
+
+    def test_candidate_bases(self):
+        # every contact subset's span, as _candidates_at_degree builds it
+        spans = []
+        for s, cfg in _grid_structures():
+            dq, dr = _hom_degrees(s.bundle, -1)
+            rows = contact_rows(s, cfg, dq, dr)
+            for size in range(len(rows) + 1):
+                for T in combinations(rows, size):
+                    basis = (
+                        Mat([rows[i] for i in T]).nullspace()
+                        if T
+                        else Mat.identity(dq + dr + 2).entries
+                    )
+                    spans.append(self._assert_same(basis, dq, dr))
+        assert 0 in spans and max(spans) > 1
+
+    def test_degenerate_candidate_bases(self):
+        # the (1, 2) spans of higgslimit._degenerate_candidate: contact at
+        # every marked point but the j-th
+        spans = []
+        for s, cfg in _grid_structures():
+            if s.bundle != B:
+                continue
+            rows = contact_rows(s, cfg, 1, 2)
+            for j in range(5):
+                basis = Mat([row for i, row in rows.items() if i != j]).nullspace()
+                spans.append(self._assert_same(basis, 1, 2))
+        assert 0 in spans and max(spans) > 0
 
 
 class TestCandidates:
