@@ -26,7 +26,6 @@ from .exactnum import (
     Poly,
     ProjectivePoint,
     Scalar,
-    monic_from_roots,
     sc,
 )
 from .parastruct import (
@@ -34,6 +33,7 @@ from .parastruct import (
     BundleSplitType,
     MarkedConfiguration,
     ParabolicStructure,
+    point_index,
     stabilizer_dim,
 )
 from .spectra import SpectrumRank2, elm_spectrum
@@ -119,7 +119,7 @@ class RationalEntry:
         for r, zi in zip(self.residues, zs):
             if r.is_zero():
                 continue
-            quot, rem = _divide_linear(p, zi)
+            quot, rem = p.divide_linear(zi)
             if not rem == p(zi):
                 raise ConnectionError("polynomial division inconsistency")
             tail = tail + r * quot
@@ -139,20 +139,21 @@ class RationalEntry:
             res[i] = self.residues[i] / (zs[i] - zs[j])
             at_j = at_j - res[i]
         res[j] = at_j
-        quot, _ = _divide_linear(self.tail, zs[j])
+        quot, _ = self.tail.divide_linear(zs[j])
         return RationalEntry(self.cfg, res, quot)
 
     def residue_sum(self) -> Scalar:
         return sum(self.residues, sc(0))
 
     def cleared_numerator(self) -> Poly:
-        """``entry * prod (z - z_j)`` as a polynomial."""
-        zs = self.cfg.z
-        total = self.tail * monic_from_roots(zs)
-        for i, r in enumerate(self.residues):
+        """``entry * prod (z - z_j)`` as a polynomial, from the configuration's
+        pole products."""
+        node, partials = self.cfg.pole_products()
+        total = self.tail * node
+        for r, partial in zip(self.residues, partials):
             if r.is_zero():
                 continue
-            total = total + r * monic_from_roots([zs[k] for k in range(NPOINTS) if k != i])
+            total = total + r * partial
         return total
 
     def __eq__(self, other):
@@ -163,20 +164,6 @@ class RationalEntry:
             and self.residues == other.residues
             and self.tail == other.tail
         )
-
-
-def _divide_linear(p: Poly, a: Scalar) -> tuple[Poly, Scalar]:
-    """Synthetic division ``p = (z - a) q + rem``."""
-    d = p.degree()
-    if d < 0:
-        return Poly.zero(-1), sc(0)
-    out = [sc(0)] * d
-    carry = sc(0)
-    for k in range(d, -1, -1):
-        carry = p.coeff(k) + carry * a
-        if k > 0:
-            out[k - 1] = carry
-    return Poly(out, bound=max(d - 1, -1)), carry
 
 
 class LogConnection:
@@ -432,7 +419,7 @@ def solve_connection_space(
 
     ones = [ONE] * NPOINTS
     rows = [row(0, 0, ones, sc(-d0)), row(1, 1, ones, sc(-d1))]
-    poles = [monic_from_roots(cfg.z[:i] + cfg.z[i + 1 :]) for i in range(NPOINTS)]
+    _, poles = cfg.pole_products()
     for (r, c), bound in (((0, 1), 3 + d0 - d1), ((1, 0), 3 + d1 - d0)):
         for k in range(NPOINTS - 1, bound, -1):
             rows.append(row(r, c, [p.coeff(k) for p in poles], ZERO))
@@ -458,10 +445,11 @@ def irreducibility_screen(t: FlatTriple):
     """
     bounds = degree_bounds(t.spectrum.d)
     patterns = []
-    for sigma, total in sign_pattern_sums(t.spectrum.nu):
-        if not total.is_integer():
+    den, sums = sign_pattern_sums(t.spectrum.nu)
+    for sigma, (re, im) in sums:
+        if im != 0 or re % den != 0:
             continue
-        deg = -total.re_pair[0]
+        deg = -(re // den)
         if bounds.lo <= deg <= bounds.hi:
             patterns.append((sign_label(sigma), deg))
     if patterns:
@@ -477,12 +465,10 @@ def verify_invariant_line(t: FlatTriple, q: Poly | None, r: Poly | None) -> bool
     cfg = t.cfg
     qp = q if q is not None else Poly.zero(-1)
     rp = r if r is not None else Poly.zero(-1)
-    prod_all = monic_from_roots(cfg.z)
+    prod_all, partials = cfg.pole_products()
     w1 = prod_all * qp.derivative()
     w2 = prod_all * rp.derivative()
-    for i in range(NPOINTS):
-        ((a11, a12), (a21, a22)) = t.connection.residues[i]
-        partial = monic_from_roots([cfg.z[k] for k in range(NPOINTS) if k != i])
+    for ((a11, a12), (a21, a22)), partial in zip(t.connection.residues, partials):
         w1 = w1 + partial * (a11 * qp + a12 * rp)
         w2 = w2 + partial * (a21 * qp + a22 * rp)
     w2 = w2 + prod_all * (t.connection.tail * qp)
@@ -530,7 +516,7 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
     """
     cfg = t.cfg
     bundle = t.connection.bundle
-    zj = cfg.z[j]
+    zj = cfg.z[point_index(j)]
     lin = Poly([-zj, 1])
     e = _entries(t)
     u = t.structure.flags[j]

@@ -417,6 +417,20 @@ class Poly:
             [k * c for k, c in enumerate(self.coeffs) if k], bound=max(self.bound - 1, -1)
         )
 
+    def divide_linear(self, a) -> tuple["Poly", Scalar]:
+        """Synthetic division ``p = (z - a) q + rem``: ``(q, rem)``, with ``q``
+        bounded by one less than the actual degree of ``p``."""
+        d = self.degree()
+        if d < 0:
+            return Poly.zero(-1), ZERO
+        out = [ZERO] * d
+        carry = ZERO
+        for k in range(d, -1, -1):
+            carry = self.coeffs[k] + carry * a
+            if k > 0:
+                out[k - 1] = carry
+        return Poly(out, bound=d - 1), carry
+
     def shrink(self, bound: int) -> "Poly":
         """Re-record a smaller degree bound, verifying higher terms vanish."""
         if self.degree() > bound:

@@ -20,6 +20,7 @@ from .exactnum import (
     Scalar,
     divided_difference_weights,
     interpolate,
+    monic_from_roots,
     sc,
 )
 
@@ -30,10 +31,24 @@ class StratumError(ValueError):
     """Raised when an operation is applied to the wrong stratum or bundle."""
 
 
-class MarkedConfiguration:
-    """Five pairwise distinct finite real marked points on the affine line."""
+def point_index(j) -> int:
+    """``j`` checked as the 0-based index of a marked point; a negative index
+    is rejected, not read from the end."""
+    if not isinstance(j, int) or not 0 <= j < NPOINTS:
+        raise ExactError(f"marked point index {j!r} outside 0..{NPOINTS - 1}")
+    return j
 
-    __slots__ = ("z",)
+
+class MarkedConfiguration:
+    """Five pairwise distinct finite real marked points on the affine line.
+
+    Instances are immutable, so the pole products of ``pole_products`` are
+    built once, on first use, and kept in the ``_poles`` slot for the life of
+    the configuration; the connection solver, ``RationalEntry.cleared_numerator``
+    and ``verify_invariant_line`` read them from there.
+    """
+
+    __slots__ = ("z", "_poles")
 
     def __init__(self, z):
         zs = tuple(sc(x) for x in z)
@@ -44,6 +59,17 @@ class MarkedConfiguration:
         if len(set(zs)) != NPOINTS:
             raise ExactError("marked points must be pairwise distinct")
         self.z = zs
+        self._poles = None
+
+    def pole_products(self) -> tuple[Poly, tuple[Poly, ...]]:
+        """The node polynomial ``prod_j (z - z_j)`` and the five products
+        ``prod_{j != i} (z - z_j)``, each the node polynomial divided by
+        ``z - z_i``; the same coefficients and bounds as ``monic_from_roots``
+        of the same roots."""
+        if self._poles is None:
+            node = monic_from_roots(self.z)
+            self._poles = (node, tuple(node.divide_linear(zi)[0] for zi in self.z))
+        return self._poles
 
     def to_json(self):
         return {"z": [str(x) for x in self.z]}

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactnum import ExactError, Scalar, sc
-from .parastruct import NPOINTS
+from .parastruct import NPOINTS, point_index
 from .stability import WeightVector, sign_pattern_sums
 
 
@@ -42,7 +42,8 @@ class SpectrumRank2:
         """Kostov-genericity (no sign-pattern sum is an integer),
         non-resonance (no eigenvalue gap is an integer), and their
         conjunction."""
-        kostov = not any(total.is_integer() for _, total in sign_pattern_sums(self.nu))
+        den, sums = sign_pattern_sums(self.nu)
+        kostov = not any(im == 0 and re % den == 0 for _, (re, im) in sums)
         non_res = all(not (p - m).is_integer() for p, m in self.nu)
         return {
             "kostov_generic": kostov,
@@ -82,7 +83,7 @@ def elm_weight(w: WeightVector, j: int) -> WeightVector:
 
     ``w_j == 0`` is rejected: the transform would leave the [0, 1) range.
     """
-    if w.w[j].is_zero():
+    if w.w[point_index(j)].is_zero():
         raise SpectrumError("elementary transformation of weight 0 leaves [0, 1)")
     new = list(w.w)
     new[j] = sc(1) - new[j]
@@ -93,7 +94,7 @@ def elm_spectrum(nu: SpectrumRank2, j: int) -> SpectrumRank2:
     """Spectrum transform at z_j: ``(nu^+, nu^-) -> (1 + nu^-, nu^+)`` there,
     degree drops by one.  Kostov-genericity and non-resonance are preserved."""
     pairs = list(nu.nu)
-    p, m = pairs[j]
+    p, m = pairs[point_index(j)]
     pairs[j] = (sc(1) + m, p)
     return SpectrumRank2(pairs, nu.d - 1)
 

@@ -77,11 +77,24 @@ class WeightVector:
 
 
 def sign_pattern_sums(pairs):
-    """Yield ``(sigma, sum_i pairs[i][sigma[i]])`` for the 2^5 patterns
-    ``sigma`` in {0, 1}^5, in lexicographic order, lazily, so that callers
-    can stop at the first pattern that decides their question."""
-    for sigma in product((0, 1), repeat=NPOINTS):
-        yield sigma, sum((p[s] for p, s in zip(pairs, sigma)), ZERO)
+    """The sums ``sum_i pairs[i][sigma[i]]`` over the 2^5 patterns ``sigma``
+    in {0, 1}^5, on integers: ``(D, sums)``, with ``D`` the lcm of the
+    denominators of all ten scalars and ``sums`` the list of
+    ``(sigma, (re, im))`` in lexicographic (``product``) order, each sum
+    times ``D`` as a Gaussian integer.
+
+    Every caller asks an integrality or sign question of a sum ``s``, and
+    answers it with one integer test on ``D*s``: ``s`` is an integer iff
+    ``im == 0 and re % D == 0``, and ``s - m`` has the sign of ``re - m*D``.
+    Its callers are ``weight_is_kostov_generic``, ``chamber_classify``,
+    ``SpectrumRank2.predicates`` and ``connection.irreducibility_screen``.
+    """
+    ipairs, den = clear_denominators(pairs)
+    sums = [(0, 0)]
+    for pair in ipairs:
+        # one more sign, varying fastest, as in ``product``
+        sums = [(re + a, im + b) for re, im in sums for a, b in pair]
+    return den, list(zip(product((0, 1), repeat=NPOINTS), sums))
 
 
 def sign_label(sigma) -> str:
@@ -91,8 +104,8 @@ def sign_label(sigma) -> str:
 
 def weight_is_kostov_generic(w: WeightVector, d: int) -> bool:
     """No sign pattern makes ``(d + sum eps_i w_i) / 2`` an integer."""
-    sums = sign_pattern_sums([(x, -x) for x in w.w])
-    return not any(((total + d) / 2).is_integer() for _, total in sums)
+    den, sums = sign_pattern_sums([(x, -x) for x in w.w])
+    return all((re + d * den) % (2 * den) for _, (re, _) in sums)
 
 
 def weight_is_non_special(w: WeightVector, d: int) -> bool:
@@ -437,14 +450,15 @@ def chamber_classify(w: WeightVector, d: int) -> ChamberDescriptor:
     """Record the side of every wall ``sum eps_i w_i = 2m - d``; error when a
     functional vanishes (the weight lies on a wall)."""
     ineqs = []
-    for sigma, total in sign_pattern_sums([(x, -x) for x in w.w]):
+    den, sums = sign_pattern_sums([(x, -x) for x in w.w])
+    for sigma, (re, _) in sums:
         label = sign_label(sigma)
         for m2 in range(-5, 6):
             if (m2 - d) % 2 != 0:
                 continue
-            diff = total - sc(m2)
-            if diff.is_zero():
+            diff = re - m2 * den
+            if diff == 0:
                 raise OnWallError(f"wall {label} = {m2}")
-            side = "<" if diff < sc(0) else ">"
+            side = "<" if diff < 0 else ">"
             ineqs.append(f"{label} {side} {m2}")
     return ChamberDescriptor(d, tuple(ineqs))

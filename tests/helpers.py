@@ -6,13 +6,17 @@ unique higher-degree factor, maximal collinear subsets at degree 0) and is
 kept independent of the enumeration-based decision path in paramod.stability.
 The rational Bareiss determinant and rank and the saturation grid search on
 Scalars are the slow references for the Gaussian-integer kernel and grid
-search in paramod.
+search in paramod.  The 2^5 sign-pattern loop on Scalars, with the four
+decisions built on it, is the reference for the integer sign-pattern sums,
+and the per-call rebuild of the pole products the reference for the
+products a configuration keeps.
 """
 
 from itertools import combinations, product
 
 from paramod._kernel import T_ONE, T_ZERO, t_div, t_mul, t_neg, t_sub
-from paramod.exactnum import INF, Mat, Poly, ProjectivePoint, Scalar, sc
+from paramod.connection import degree_bounds
+from paramod.exactnum import INF, Mat, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
 from paramod.parastruct import (
     B,
     BPRIME,
@@ -21,7 +25,7 @@ from paramod.parastruct import (
     ParabolicStructure,
 )
 from paramod.spectra import SpectrumRank2
-from paramod.stability import WeightVector, weight_is_non_special
+from paramod.stability import OnWallError, WeightVector, sign_label, weight_is_non_special
 
 
 def rand_rational(rng, lo=-40, hi=40, max_den=8):
@@ -353,3 +357,61 @@ def oracle_saturated_members(basis, dq, dr):
         r = Poly(vec[nq:], bound=dr) if dr >= 0 else None
         if _oracle_is_saturated(q, r, dq, dr):
             yield q, r
+
+
+def oracle_sign_pattern_sums(pairs):
+    """Yield ``(sigma, sum_i pairs[i][sigma[i]])`` as a Scalar for the 2^5
+    patterns ``sigma`` in ``product`` order."""
+    for sigma in product((0, 1), repeat=NPOINTS):
+        yield sigma, sum((p[s] for p, s in zip(pairs, sigma)), sc(0))
+
+
+def oracle_kostov_generic(w, d) -> bool:
+    sums = oracle_sign_pattern_sums([(x, -x) for x in w.w])
+    return not any(((total + d) / 2).is_integer() for _, total in sums)
+
+
+def oracle_chamber_inequalities(w, d) -> tuple[str, ...]:
+    """The inequalities of ``chamber_classify``; OnWallError with the same
+    message on a wall."""
+    ineqs = []
+    for sigma, total in oracle_sign_pattern_sums([(x, -x) for x in w.w]):
+        label = sign_label(sigma)
+        for m2 in range(-5, 6):
+            if (m2 - d) % 2 != 0:
+                continue
+            diff = total - sc(m2)
+            if diff.is_zero():
+                raise OnWallError(f"wall {label} = {m2}")
+            ineqs.append(f"{label} {'<' if diff < sc(0) else '>'} {m2}")
+    return tuple(ineqs)
+
+
+def oracle_predicates(nu) -> dict[str, bool]:
+    kostov = not any(t.is_integer() for _, t in oracle_sign_pattern_sums(nu.nu))
+    non_res = all(not (p - m).is_integer() for p, m in nu.nu)
+    return {"kostov_generic": kostov, "non_resonant": non_res, "non_special": kostov and non_res}
+
+
+def oracle_irreducibility_screen(nu):
+    bounds = degree_bounds(nu.d)
+    patterns = []
+    for sigma, total in oracle_sign_pattern_sums(nu.nu):
+        if not total.is_integer():
+            continue
+        deg = -total.re_pair[0]
+        if bounds.lo <= deg <= bounds.hi:
+            patterns.append((sign_label(sigma), deg))
+    return ("unknown", patterns) if patterns else ("irreducible", [])
+
+
+def oracle_cleared_numerator(entry) -> Poly:
+    """``entry * prod (z - z_j)`` with every pole product rebuilt from the
+    roots by ``monic_from_roots``."""
+    zs = entry.cfg.z
+    total = entry.tail * monic_from_roots(zs)
+    for i, r in enumerate(entry.residues):
+        if r.is_zero():
+            continue
+        total = total + r * monic_from_roots([zs[k] for k in range(NPOINTS) if k != i])
+    return total

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import paramod
 from paramod.cli import main
 
 Z = "0,1,2,3,4"
@@ -109,6 +114,47 @@ class TestDeterminism:
         _, out1 = run(capsys, "tables", "--suite", "special-loci")
         _, out2 = run(capsys, "tables", "--suite", "special-loci")
         assert out1 == out2 and out1
+
+
+# each command with the files it writes, run in order in one directory
+HASH_SEED_COMMANDS = [
+    (["classify", "--bundle", "B", "--z", Z, "--u", "inf,1/2,0,3,4"], None),
+    (["stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0,1",
+      "--w", "1/10,1/10,1/10,1/10,1/10"], None),
+    (["weights", "--stratum", "U2"], None),
+    (["tables", "--suite", "orbits"], None),
+    (["solve", "--bundle", "B", "--z", Z, "--u", "1,2,3,5,7", "--nu", NU1,
+      "--params", "1,2", "--out", "triple.json"], "triple.json"),
+    (["limit", "--json", "triple.json", "--w", W_SMALL, "--out", "limit.json"], "limit.json"),
+    (["fiber", "--json", "limit.json", "--z", Z, "--nu", NU1, "--d", "1"], None),
+]
+
+
+def _run_under_hash_seed(seed, workdir):
+    src = str(Path(paramod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = []
+    for argv, written in HASH_SEED_COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "paramod.cli", *argv],
+            cwd=workdir, env=env, capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        out.append((proc.stdout, (workdir / written).read_bytes() if written else None))
+    return out
+
+
+class TestHashSeedDeterminism:
+    def test_identical_bytes_across_processes(self, tmp_path):
+        runs = []
+        for seed in (0, 1, 2):
+            workdir = tmp_path / f"seed{seed}"
+            workdir.mkdir()
+            runs.append(_run_under_hash_seed(seed, workdir))
+        assert all(stdout or written for stdout, written in runs[0])
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
 
 
 class TestPipelines:

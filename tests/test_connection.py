@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import rand_config, rand_nonspecial_spectrum, rand_rational
+from helpers import oracle_cleared_numerator, rand_config, rand_nonspecial_spectrum, rand_rational
 from paramod.connection import (
     ConnectionError,
     FlatTriple,
@@ -15,7 +15,7 @@ from paramod.connection import (
     validate_triple,
     verify_invariant_line,
 )
-from paramod.exactnum import INF, Poly, sc
+from paramod.exactnum import INF, ExactError, Poly, sc
 from paramod.parastruct import (
     B,
     BundleSplitType,
@@ -146,6 +146,27 @@ class TestSolveConnectionSpace:
                     ok, violations = validate_triple(FlatTriple(s, nu, conn, CFG))
                     assert ok, (bundle, violations)
         assert solved == {0, 1, 2}
+
+    def test_cleared_numerator_matches_rebuild(self):
+        # the splits of test_every_split_validates, on two configurations
+        rng = random.Random(23)
+        checked = 0
+        for cfg in (CFG, rand_config(rng)):
+            for d in (-1, 0, 1, 2):
+                for bundle in degree_bounds(d).splits:
+                    flags = [INF] + [rand_rational(rng, -30, 30, 6) for _ in range(4)]
+                    s = ParabolicStructure(bundle, flags)
+                    space = solve_connection_space(s, cfg, rand_nonspecial_spectrum(rng, d=d))
+                    if space is None:
+                        continue
+                    for conn in space.basis_connections():
+                        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                            entry = conn.entry(r, c, cfg)
+                            got = entry.cleared_numerator()
+                            expected = oracle_cleared_numerator(entry)
+                            assert (got.coeffs, got.bound) == (expected.coeffs, expected.bound)
+                            checked += 1
+        assert checked > 100
 
     def test_infinity_flags_forced_a12_zero(self):
         rng = random.Random(17)
@@ -452,6 +473,14 @@ class TestElmTriple:
         for i in range(5):
             if i != j:
                 assert out.spectrum.nu[i] == nu.nu[i]
+
+    def test_point_index_outside_range_rejected(self):
+        rng = random.Random(59)
+        space = solve_connection_space(finite_nonzero_structure(rng), CFG, spectrum_deg1(rng))
+        t = space.triple_at([1, 2])
+        for j in (-1, -5, 5):
+            with pytest.raises(ExactError):
+                elm_triple(t, j)
 
 
 class TestElmTripleBprime:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from paramod.exactnum import INF, Scalar, sc
+from helpers import rand_config
+from paramod.exactnum import INF, Scalar, monic_from_roots, sc
 from paramod.parastruct import (
     B,
     BPRIME,
@@ -39,6 +40,26 @@ def rand_params(rng, bundle=B):
     a = Scalar.rational(rng.choice([x for x in range(-9, 10) if x != 0]), rng.randrange(1, 5))
     rest = 2 if bundle == B else 4
     return [a] + [Scalar.rational(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(rest)]
+
+
+class TestPoleProducts:
+    def test_match_monic_from_roots(self):
+        rng = random.Random(2201)
+        for _ in range(200):
+            cfg = rand_config(rng)
+            node, partials = cfg.pole_products()
+            expected = monic_from_roots(cfg.z)
+            assert (node.coeffs, node.bound) == (expected.coeffs, expected.bound)
+            assert len(partials) == 5
+            for i, p in enumerate(partials):
+                expected = monic_from_roots(cfg.z[:i] + cfg.z[i + 1 :])
+                assert (p.coeffs, p.bound) == (expected.coeffs, expected.bound)
+            assert cfg.pole_products() is cfg.pole_products()
+
+    def test_not_part_of_equality(self):
+        fresh = MarkedConfiguration([0, 1, 2, 3, 4])
+        CFG.pole_products()
+        assert fresh == CFG and hash(fresh) == hash(CFG)
 
 
 class TestAction:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rand_nonspecial_spectrum
-from paramod.exactnum import Scalar, sc
+from paramod.exactnum import ExactError, Scalar, sc
 from paramod.spectra import (
     MCBranch,
     SpectrumError,
@@ -77,6 +77,13 @@ class TestElmWeight:
         right = elm_weight(w, perm[j])
         assert left == WeightVector([right.w[perm[i]] for i in range(5)])
 
+    def test_point_index_outside_range_rejected(self):
+        # a negative index must not be read from the end (-1 as point 5)
+        w = WeightVector(["1/8", "1/9", "1/7", "1/11", "1/13"])
+        for j in (-1, -5, 5):
+            with pytest.raises(ExactError):
+                elm_weight(w, j)
+
 
 class TestElmSpectrum:
     def test_quarter_slot(self):
@@ -98,6 +105,11 @@ class TestElmSpectrum:
             out = elm_spectrum(nu, j)
             preds = out.predicates()
             assert preds["kostov_generic"] and preds["non_resonant"]
+
+    def test_point_index_outside_range_rejected(self):
+        for j in (-1, -5, 5):
+            with pytest.raises(ExactError):
+                elm_spectrum(QUARTER, j)
 
     def test_resonant_in_resonant_out(self):
         nu = SpectrumRank2([(sc(0), sc(0))] * 5, 0)

@@ -1,10 +1,15 @@
 import random
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import (
+    oracle_chamber_inequalities,
+    oracle_irreducibility_screen,
     oracle_is_stable,
+    oracle_kostov_generic,
+    oracle_predicates,
     oracle_saturated_members,
     rand_config,
     rand_nonspecial_weight,
@@ -12,6 +17,7 @@ from helpers import (
     rand_structure,
     rand_uij_indecomposable,
 )
+from paramod.connection import irreducibility_screen
 from paramod.exactnum import INF, Mat, Poly, Scalar, sc
 from paramod.parastruct import (
     B,
@@ -20,6 +26,7 @@ from paramod.parastruct import (
     ParabolicStructure,
     classify,
 )
+from paramod.spectra import SpectrumRank2
 from paramod.stability import (
     ChamberDescriptor,
     OnWallError,
@@ -33,6 +40,7 @@ from paramod.stability import (
     no_stable_structure,
     s_value,
     saturated_members,
+    sign_pattern_sums,
     stabilizing_weight,
     weight_is_kostov_generic,
 )
@@ -52,6 +60,82 @@ class TestKostovGeneric:
         w0 = WeightVector.uniform(0)
         assert weight_is_kostov_generic(w0, 1)
         assert not weight_is_kostov_generic(w0, 2)
+
+
+def _chamber_or_wall(classify_fn, w, d):
+    try:
+        return classify_fn(w, d)
+    except OnWallError as exc:
+        return ("wall", str(exc))
+
+
+def _rand_sign_spectrum(rng, kind):
+    """A spectrum of degree -1..2 with real small-denominator eigenvalues
+    (many integer sign-pattern sums), Gaussian ones, or Gaussian ones whose
+    imaginary parts cancel in some patterns."""
+    d = rng.randrange(-1, 3)
+
+    def val(max_den, im=0):
+        return Scalar.gaussian(rng.randrange(-6, 7), rng.randrange(1, max_den + 1), im, 1)
+
+    if kind == "real":
+        vals = [val(3) for _ in range(9)]
+    elif kind == "gaussian":
+        vals = [val(6, rng.randrange(-3, 4)) for _ in range(9)]
+    else:
+        y = rng.randrange(1, 4)
+        vals = [val(2, y), val(2), val(2, -y)] + [val(2) for _ in range(6)]
+    vals.append(-sum(vals, sc(d)))
+    return SpectrumRank2(list(zip(vals[0::2], vals[1::2])), d)
+
+
+class TestSignPatternSums:
+    def test_integer_sums_match_scalar_sums(self):
+        nu = SpectrumRank2([("1/2+i", "-1/3"), ("1/4", "-1/4"), ("2", "-i"), ("0", "1/6"), ("1", "-7/3")], -1)
+        den, sums = sign_pattern_sums(nu.nu)
+        assert den == 12
+        for sigma, (re, im) in sums:
+            total = sum((p[s] for p, s in zip(nu.nu, sigma)), sc(0))
+            assert Scalar.gaussian(re, den, im, den) == total
+        assert [sigma for sigma, _ in sums] == [
+            tuple(int(b) for b in f"{k:05b}") for k in range(32)
+        ]
+
+    def test_weights_match_scalar_loop(self):
+        # small denominators put many weights on a wall; the walls of
+        # chamber_classify depend only on the parity of d
+        rng = random.Random(2101)
+        walls = non_generic = 0
+        for k in range(2000):
+            max_den = (4, 6, 16)[k % 3]
+            w = WeightVector(
+                [Scalar.rational(rng.randrange(0, den), den)
+                 for den in [rng.randrange(1, max_den + 1) for _ in range(5)]]
+            )
+            for d in (-1, 0, 1, 2):
+                generic = weight_is_kostov_generic(w, d)
+                assert generic == oracle_kostov_generic(w, d), (w, d)
+                non_generic += not generic
+            d = k % 2
+            got = _chamber_or_wall(lambda w, d: chamber_classify(w, d).inequalities, w, d)
+            assert got == _chamber_or_wall(oracle_chamber_inequalities, w, d), (w, d)
+            walls += got[0] == "wall"
+        assert walls > 100 and non_generic > 500
+
+    def test_spectra_match_scalar_loop(self):
+        rng = random.Random(2102)
+        seen = {"non-kostov": 0, "gaussian-integer-sum": 0, "unknown": 0}
+        for k in range(2000):
+            nu = _rand_sign_spectrum(rng, ("real", "gaussian", "cancelling")[k % 3])
+            preds = nu.predicates()
+            assert preds == oracle_predicates(nu), nu
+            screen = irreducibility_screen(SimpleNamespace(spectrum=nu))
+            assert screen == oracle_irreducibility_screen(nu), nu
+            seen["non-kostov"] += not preds["kostov_generic"]
+            seen["unknown"] += screen[0] == "unknown"
+            if not preds["kostov_generic"] and any(not x.is_real() for p in nu.nu for x in p):
+                seen["gaussian-integer-sum"] += 1
+        assert min(seen.values()) > 200, seen
 
 
 class TestSValue:
