@@ -225,7 +225,10 @@ class LogConnection:
              (Scalar.parse(m[1][0]), Scalar.parse(m[1][1])))
             for m in data["A"]
         ]
-        coeffs = [Scalar.parse(s) for s in data.get("G21", [])]
+        g21 = data.get("G21", [])
+        if not isinstance(g21, list):
+            raise ExactError("G21 must be a list of coefficients")
+        coeffs = [Scalar.parse(s) for s in g21]
         tail = Poly(coeffs, bound=max(bundle.d1 - bundle.d0 - 2, -1)) if coeffs else None
         return cls(bundle, residues, tail)
 

@@ -17,10 +17,12 @@ from math import isqrt
 from .connection import FlatTriple, LogConnection, solve_connection_space
 from .exactnum import (
     INF,
+    ExactError,
     Mat,
     Poly,
     ProjectivePoint,
     Scalar,
+    clear_denominators,
     divided_difference_weights,
     monic_from_roots,
     sc,
@@ -263,22 +265,38 @@ class FixedLocusPoint:
 
     @classmethod
     def from_json(cls, data) -> "FixedLocusPoint":
-        if data["component"] == "F0":
+        component = data["component"]
+        if component == "F0":
             return cls("F0")
-        choices = tuple(
-            sorted((int(k) - 1, v) for k, v in data.get("flagChoice", {}).items())
-        )
+        if component != "F1":
+            raise ExactError(f"component must be F0 or F1, not {component!r}")
+        choices = []
+        for k, v in data.get("flagChoice", {}).items():
+            if v not in ("lower", "upper"):
+                raise ExactError(f"flag choice must be lower or upper, not {v!r}")
+            choices.append((_json_point_index(int(k)), v))
+        choices = tuple(sorted(choices))
         if "exceptional_at" in data:
             return cls(
                 "F1",
                 data["chart"],
                 None,
-                int(data["exceptional_at"]) - 1,
+                _json_point_index(data["exceptional_at"]),
                 ProjectivePoint.parse(data["tangent"]),
                 choices,
             )
         theta = tuple(Scalar.parse(s) for s in data["theta"])
+        if len(theta) != 3:
+            raise ExactError("theta takes three coefficients")
         return cls("F1", data["chart"], theta, None, None, choices)
+
+
+def _json_point_index(k) -> int:
+    """The 0-based index of the 1-based marked point index ``k`` of a JSON
+    payload."""
+    if type(k) is not int or not 1 <= k <= NPOINTS:
+        raise ExactError(f"marked point index {k!r} outside 1..{NPOINTS}")
+    return k - 1
 
 
 def _normalize_theta(theta: Poly) -> tuple[Scalar, ...]:
@@ -566,8 +584,10 @@ def _degenerate_candidate(t: FlatTriple, w: WeightVector, j: int, rows: dict):
         qv, rv = q(cfg.z[j]), r(cfg.z[j])
         return qv.is_zero() if uj.is_infinity() else rv == uj.value * qv
 
-    # (q, r) of formal degrees (1, 2): a degree -1 inclusion into B
-    basis = Mat([row for i, row in rows.items() if i != j]).nullspace()
+    # (q, r) of formal degrees (1, 2): a degree -1 inclusion into B; hits_j
+    # is homogeneous, so the cleared basis gives the same answer
+    kernel = Mat([row for i, row in rows.items() if i != j]).nullspace()
+    basis, _ = clear_denominators(kernel)
     members = saturated_members(basis, 1, 2)
     if all(hits_j(q, r) for q, r in members):
         return None

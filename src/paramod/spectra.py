@@ -56,10 +56,10 @@ class SpectrumRank2:
 
     @classmethod
     def from_json(cls, data) -> "SpectrumRank2":
-        return cls(
-            [(Scalar.parse(p), Scalar.parse(m)) for p, m in data["nu"]],
-            int(data["d"]),
-        )
+        d = data["d"]
+        if type(d) is not int:
+            raise ExactError(f"spectrum degree must be an integer, not {d!r}")
+        return cls([(Scalar.parse(p), Scalar.parse(m)) for p, m in data["nu"]], d)
 
     def __eq__(self, other):
         if not isinstance(other, SpectrumRank2):

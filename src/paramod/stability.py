@@ -6,15 +6,25 @@ witness pair ``(q, r)`` found by exact linear algebra.  The closed-form
 criteria of the three case analyses (full-contact determinant, the unique
 higher-degree factor, maximal collinear subsets) fall out as special cases and
 serve as the independent test oracle, not as the decision path.
+
+The enumeration runs on Gaussian integers.  The contact rows are cleared of
+their denominators once; the kernel of a contact set ``T`` is restricted from
+the kernel of ``T[:-1]`` by the fraction-free kernel of the one row vector
+``row . N(T[:-1])``, in the style of Bareiss; and the kernel goes to the
+saturation grid as it is.  A witness found in the kernel of ``T`` has contact
+exactly ``T``, because contact sets are visited by descending size (see
+``_candidates_at_degree``), so no contact is evaluated back on the marked
+points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import gcd
 
-from ._kernel import ZI_ZERO, zi_det
-from .exactnum import ONE, ZERO, ExactError, Mat, Poly, Scalar, clear_denominators, sc
+from ._kernel import ZI_ZERO, t_clear, zi_det
+from .exactnum import ONE, ZERO, ExactError, Poly, Scalar, clear_denominators, sc
 from .parastruct import (
     B,
     BPRIME,
@@ -184,51 +194,32 @@ def _is_saturated(vec, dq: int, dr: int) -> bool:
     return nonzero and formal_resultant(vec[: dq + 1], dq, vec[dq + 1 :], dr) != ZI_ZERO
 
 
-def _contact_of(
-    q: Poly | None, r: Poly | None, structure: ParabolicStructure, cfg
-) -> frozenset[int]:
-    out = set()
-    for i, u in enumerate(structure.flags):
-        qv = q(cfg.z[i]) if q is not None else sc(0)
-        rv = r(cfg.z[i]) if r is not None else sc(0)
-        if u.is_infinity():
-            if qv.is_zero():
-                out.add(i)
-        else:
-            if rv == u.value * qv and not (qv.is_zero() and rv.is_zero()):
-                out.add(i)
-    return frozenset(out)
-
-
 def saturated_members(basis, dq: int, dr: int):
-    """Yield the saturated members ``(q, r)`` of the span of ``basis`` found on
-    the grid of span coefficients {0..dq+dr}^m, in ``product`` order.
+    """Yield the saturated members ``(q, r)`` of the span of the
+    Gaussian-integer ``basis`` found on the grid of span coefficients
+    {0..dq+dr}^m, in ``product`` order, with the Gaussian-integer
+    coefficients of that grid point.
 
     The saturation locus is cut out by the formal resultant, a polynomial of
     total degree <= dq + dr in the span coordinates, so by the finite-grid
     Schwartz-Zippel lemma the span has a saturated member iff the grid holds
-    one: an exhausted generator certifies that there is none.
-
-    The grid is walked on Gaussian integers, the basis scaled once by the lcm
-    ``D`` of its denominators.  Scaling ``(q, r)`` by ``D`` multiplies the
-    resultant by ``D^(dq+dr)``, so the same grid points test saturated; only a
-    yielded member is divided back by ``D``.
+    one: an exhausted generator certifies that there is none.  Which basis
+    spans the space changes which members are found, never whether one is.
     """
     if not basis:
         return
-    ibasis, den = clear_denominators(basis)
-    ncols = len(ibasis[0])
+    ncols = len(basis[0])
     nq = dq + 1 if dq >= 0 else 0
     width = max(dq, 0) + max(dr, 0) + 1
-    for coeffs in product(range(width), repeat=len(ibasis)):
+    for coeffs in product(range(width), repeat=len(basis)):
         if not any(coeffs):
             continue
         vec = [ZI_ZERO] * ncols
-        for c, bvec in zip(coeffs, ibasis):
+        for c, bvec in zip(coeffs, basis):
             if c:
                 vec = [(x + c * a, y + c * b) for (x, y), (a, b) in zip(vec, bvec)]
         if _is_saturated(vec, dq, dr):
-            vals = [Scalar.gaussian(a, den, b, den) for a, b in vec]
+            vals = [Scalar.gaussian(a, 1, b, 1) for a, b in vec]
             q = Poly(vals[:nq], bound=dq) if dq >= 0 else None
             r = Poly(vals[nq:], bound=dr) if dr >= 0 else None
             yield q, r
@@ -250,6 +241,8 @@ def destabilizing_candidates(
 
     Lower degrees than the returned ones satisfy
     ``s >= 5 - sum(w) > 0`` for every admissible weight and are omitted.
+    Witnesses found by the kernel enumeration have Gaussian-integer
+    coefficients: any nonzero multiple of ``(q, r)`` is the same subbundle.
     """
     out = []
     for k in _candidate_degrees(structure.bundle):
@@ -306,7 +299,77 @@ def contact_rows(structure, cfg, dq: int, dr: int) -> dict[int, list[Scalar]]:
     return out
 
 
+def _zi_restrict(basis, row):
+    """Basis of the vectors of the span of the Gaussian-integer ``basis`` on
+    which the linear form ``row`` vanishes, fraction-free.
+
+    With ``c_j = row . N_j`` and ``p`` the first index with ``c_p != 0``, the
+    kernel of the one-row matrix ``(c_j)`` has the basis ``c_p e_j - c_j e_p``,
+    ``j != p``; its image ``c_p N_j - c_j N_p`` is divided by its integer
+    content, and a vector with ``c_j = 0`` is kept as it is.  When every
+    ``c_j`` vanishes the span is already in the kernel of ``row``."""
+    dots = []
+    for vec in basis:
+        re = im = 0
+        for (a, b), (x, y) in zip(row, vec):
+            re += a * x - b * y
+            im += a * y + b * x
+        dots.append((re, im))
+    p = next((j for j, c in enumerate(dots) if c != ZI_ZERO), None)
+    if p is None:
+        return basis
+    pr, pi = dots[p]
+    pvec = basis[p]
+    out = []
+    for j, (vec, (cr, ci)) in enumerate(zip(basis, dots)):
+        if j == p:
+            continue
+        if cr == 0 and ci == 0:
+            out.append(vec)
+            continue
+        new = [
+            (pr * x - pi * y - cr * u + ci * v, pr * y + pi * x - cr * v - ci * u)
+            for (x, y), (u, v) in zip(vec, pvec)
+        ]
+        g = gcd(*(t for z in new for t in z))
+        out.append([(x // g, y // g) for x, y in new] if g > 1 else new)
+    return out
+
+
+def _contact_kernel(T, zrows, kernels):
+    """The Gaussian-integer kernel basis of the contact rows ``T``, restricted
+    from the kernel of its longest prefix in ``kernels`` one row at a time;
+    every prefix on the way is stored in ``kernels``."""
+    basis = kernels.get(T)
+    if basis is not None:
+        return basis
+    j = len(T) - 1
+    while T[:j] not in kernels:
+        j -= 1
+    basis = kernels[T[:j]]
+    for m in range(j, len(T)):
+        basis = _zi_restrict(basis, zrows[T[m]])
+        kernels[T[: m + 1]] = basis
+    return basis
+
+
 def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
+    """The inclusion-maximal contact sets at degree ``k`` with witnesses.
+
+    Contact sets ``T`` of the contactable points are visited by descending
+    size, skipping those inside a set already found, and ``T`` is recorded
+    when the kernel ``N(T)`` of its contact rows holds a saturated member.
+    Its contact is exactly ``T``: a member of ``N(T)`` with a contact
+    ``C`` larger than ``T`` is a saturated member of ``N(C)`` (a saturated
+    section meets no flag outside the contactable points), and ``C`` was
+    visited earlier, so ``C``, or a found set containing it, is recorded and
+    ``T`` would have been skipped.  Whether ``N(T)`` holds a saturated member
+    depends only on the span, so the recorded sets do not depend on the basis.
+
+    The rows are cleared to Gaussian integers once, and ``N(T)`` is restricted
+    from ``N(T[:-1])`` by the fraction-free kernel of one row vector
+    (``_zi_restrict``), the kernels memoised per call by prefix.
+    """
     if structure.bundle == B and k == 0:
         return _b_degree_zero_candidates(structure, cfg)
     dq, dr = _hom_degrees(structure.bundle, k)
@@ -319,26 +382,21 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
         contact = frozenset(structure.infinity_indices())
         return [LineSubbundleWitness(k, None, r, contact)]
     rows = contact_rows(structure, cfg, dq, dr)
+    zrows = {i: t_clear([x._t for x in row])[0] for i, row in rows.items()}
+    n = dq + dr + 2
+    kernels = {(): [[(1, 0) if c == e else ZI_ZERO for c in range(n)] for e in range(n)]}
     contactable = list(rows)
-    maximal: list[tuple[frozenset, LineSubbundleWitness]] = []
+    maximal: list[LineSubbundleWitness] = []
     for size in range(len(contactable), -1, -1):
         for T in combinations(contactable, size):
             tset = frozenset(T)
-            if any(tset <= m for m, _ in maximal):
+            if any(tset <= m.contact for m in maximal):
                 continue
-            basis = (
-                Mat([rows[i] for i in T]).nullspace()
-                if T
-                else Mat.identity(dq + dr + 2).entries
-            )
+            basis = _contact_kernel(T, zrows, kernels)
             found = next(saturated_members(basis, dq, dr), None)
-            if found is None:
-                continue
-            q, r = found
-            contact = _contact_of(q, r, structure, cfg)
-            if not any(contact <= m for m, _ in maximal):
-                maximal.append((contact, LineSubbundleWitness(k, q, r, contact)))
-    return [w for _, w in maximal]
+            if found is not None:
+                maximal.append(LineSubbundleWitness(k, *found, tset))
+    return maximal
 
 
 @dataclass(frozen=True)

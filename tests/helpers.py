@@ -8,8 +8,10 @@ The rational Bareiss determinant and rank and the saturation grid search on
 Scalars are the slow references for the Gaussian-integer kernel and grid
 search in paramod.  The 2^5 sign-pattern loop on Scalars, with the four
 decisions built on it, is the reference for the integer sign-pattern sums,
-and the per-call rebuild of the pole products the reference for the
-products a configuration keeps.
+the per-call rebuild of the pole products the reference for the
+products a configuration keeps.  The enumeration of contact sets by rational
+nullspaces, with each witness's contact evaluated back on the marked points,
+is the reference for the Gaussian-integer contact kernels.
 """
 
 from itertools import combinations, product
@@ -25,7 +27,16 @@ from paramod.parastruct import (
     ParabolicStructure,
 )
 from paramod.spectra import SpectrumRank2
-from paramod.stability import OnWallError, WeightVector, sign_label, weight_is_non_special
+from paramod.stability import (
+    LineSubbundleWitness,
+    OnWallError,
+    WeightVector,
+    _b_degree_zero_candidates,
+    _hom_degrees,
+    contact_rows,
+    sign_label,
+    weight_is_non_special,
+)
 
 
 def rand_rational(rng, lo=-40, hi=40, max_den=8):
@@ -415,3 +426,55 @@ def oracle_cleared_numerator(entry) -> Poly:
             continue
         total = total + r * monic_from_roots([zs[k] for k in range(NPOINTS) if k != i])
     return total
+
+
+def oracle_contact_of(q, r, structure, cfg) -> frozenset[int]:
+    """The marked points where the fiber of ``(q, r)`` equals the flag,
+    evaluated on Scalars."""
+    out = set()
+    for i, u in enumerate(structure.flags):
+        qv = q(cfg.z[i]) if q is not None else sc(0)
+        rv = r(cfg.z[i]) if r is not None else sc(0)
+        if u.is_infinity():
+            if qv.is_zero():
+                out.add(i)
+        else:
+            if rv == u.value * qv and not (qv.is_zero() and rv.is_zero()):
+                out.add(i)
+    return frozenset(out)
+
+
+def oracle_candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
+    """The degree-``k`` candidates by the rational enumeration: each contact
+    set's kernel from ``Mat.nullspace``, the Scalar grid search, and the
+    contact of the found witness evaluated by ``oracle_contact_of``."""
+    if structure.bundle == B and k == 0:
+        return _b_degree_zero_candidates(structure, cfg)
+    dq, dr = _hom_degrees(structure.bundle, k)
+    if dq < 0:
+        if dr != 0:
+            return []
+        r = Poly([1], bound=0)
+        contact = frozenset(structure.infinity_indices())
+        return [LineSubbundleWitness(k, None, r, contact)]
+    rows = contact_rows(structure, cfg, dq, dr)
+    contactable = list(rows)
+    maximal: list[tuple[frozenset, LineSubbundleWitness]] = []
+    for size in range(len(contactable), -1, -1):
+        for T in combinations(contactable, size):
+            tset = frozenset(T)
+            if any(tset <= m for m, _ in maximal):
+                continue
+            basis = (
+                Mat([rows[i] for i in T]).nullspace()
+                if T
+                else Mat.identity(dq + dr + 2).entries
+            )
+            found = next(oracle_saturated_members(basis, dq, dr), None)
+            if found is None:
+                continue
+            q, r = found
+            contact = oracle_contact_of(q, r, structure, cfg)
+            if not any(contact <= m for m, _ in maximal):
+                maximal.append((contact, LineSubbundleWitness(k, q, r, contact)))
+    return [w for _, w in maximal]

@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,9 @@ from paramod.cli import main
 
 Z = "0,1,2,3,4"
 NU1 = "1/4,-1/4;1/4,-1/4;1/4,-1/4;1/4,-1/4;1/4,-5/4"
+NU0 = "1/4,-1/4;1/4,-1/4;1/4,-1/4;1/4,-1/4;1/4,-1/4"
 W_SMALL = "1/8,1/9,1/7,1/11,1/13"
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run(capsys, *argv):
@@ -116,33 +120,96 @@ class TestDeterminism:
         assert out1 == out2 and out1
 
 
-# each command with the files it writes, run in order in one directory
-HASH_SEED_COMMANDS = [
-    (["classify", "--bundle", "B", "--z", Z, "--u", "inf,1/2,0,3,4"], None),
-    (["stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0,1",
-      "--w", "1/10,1/10,1/10,1/10,1/10"], None),
-    (["weights", "--stratum", "U2"], None),
-    (["tables", "--suite", "orbits"], None),
-    (["solve", "--bundle", "B", "--z", Z, "--u", "1,2,3,5,7", "--nu", NU1,
-      "--params", "1,2", "--out", "triple.json"], "triple.json"),
-    (["limit", "--json", "triple.json", "--w", W_SMALL, "--out", "limit.json"], "limit.json"),
-    (["fiber", "--json", "limit.json", "--z", Z, "--nu", NU1, "--d", "1"], None),
+# the README invocations, run in order in one directory; the golden file of
+# each holds the bytes it emits, on stdout or in its --out file
+README_EXAMPLES = [
+    ("classify", ["classify", "--bundle", "B", "--z", Z, "--u", "1,0,0,0,0"]),
+    ("stability", ["stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0,1",
+                   "--w", "1/10,1/10,1/10,1/10,1/10"]),
+    ("counts", ["counts", "--bundle", "Bprime", "--z", Z]),
+    ("weights", ["weights", "--stratum", "U2"]),
+    ("spectrum", ["spectrum", "--nu", NU1, "--d", "1"]),
+    ("elm-spectrum", ["elm-spectrum", "--nu", NU1, "--d", "1", "--j", "1"]),
+    ("mc", ["mc", "--nu", NU0, "--d", "0", "--sigma", "+++++",
+            "--beta-v=-1/4,-1/4,-1/4,-1/4,-1/4"]),
+    ("solve", ["solve", "--bundle", "B", "--z", Z, "--u", "1,2,3,5,7", "--nu", NU1,
+               "--params", "1,2", "--out", "triple.json"]),
+    ("limit", ["limit", "--json", "triple.json", "--w", W_SMALL, "--out", "limit.json"]),
+    ("fiber", ["fiber", "--json", "limit.json", "--z", Z, "--nu", NU1, "--d", "1"]),
+    ("tables-orbits", ["tables", "--suite", "orbits"]),
+    ("tables-special-loci", ["tables", "--suite", "special-loci"]),
+    ("tables-chambers", ["tables", "--suite", "chambers"]),
+    ("tables-fibers", ["tables", "--suite", "fibers"]),
 ]
+
+
+class TestReadmeGolden:
+    def test_readme_examples_match_golden_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, argv in README_EXAMPLES:
+            code, out = run(capsys, *argv)
+            assert code == 0, name
+            emitted = out.encode()
+            if "--out" in argv:
+                assert out == ""
+                emitted = (tmp_path / argv[argv.index("--out") + 1]).read_bytes()
+            assert emitted == (GOLDEN / f"{name}.out").read_bytes(), name
+
+
+# every subcommand once, with the files it writes, run in order in one directory
+HASH_SEED_COMMANDS = [
+    ["classify", "--bundle", "B", "--z", Z, "--u", "inf,1/2,0,3,4"],
+    ["stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0,1",
+     "--w", "1/10,1/10,1/10,1/10,1/10"],
+    ["counts", "--bundle", "Bprime", "--z", Z, "--list"],
+    ["weights", "--stratum", "U2"],
+    ["chamber", "--w", W_SMALL, "--d", "1"],
+    ["empty", "--bundle", "B", "--w", W_SMALL],
+    ["spectrum", "--nu", NU1, "--d", "1"],
+    ["elm-weight", "--w", W_SMALL, "--j", "2"],
+    ["elm-spectrum", "--nu", NU1, "--d", "1", "--j", "1"],
+    ["mc", "--nu", NU0, "--d", "0", "--sigma", "+++++", "--beta-v=-1/4,-1/4,-1/4,-1/4,-1/4"],
+    ["charpoly", "--vals", "1,2,3,5,7"],
+    ["degree-bounds", "--d", "1"],
+    ["solve", "--bundle", "B", "--z", Z, "--u", "1,2,3,5,7", "--nu", NU1,
+     "--params", "1,2", "--out", "triple.json"],
+    ["validate", "--json", "triple.json"],
+    ["limit", "--json", "triple.json", "--w", W_SMALL, "--out", "limit.json"],
+    ["fiber", "--json", "limit.json", "--z", Z, "--nu", NU1, "--d", "1"],
+    ["canonicalize", "--json", "limit.json", "--z", Z],
+    ["tables", "--suite", "orbits"],
+    ["tables", "--suite", "special-loci"],
+    ["tables", "--suite", "chambers"],
+    ["tables", "--suite", "fibers"],
+]
+
+# runs the commands of argv[1] through main() in one process and prints, per
+# command, its exit code, its stdout and the file it wrote, as JSON
+_HASH_SEED_CHILD = """
+import contextlib, io, json, sys
+from paramod.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    written = argv[argv.index("--out") + 1] if "--out" in argv else None
+    out.append([code, buf.getvalue(), open(written).read() if written else None])
+sys.stdout.write(json.dumps(out))
+"""
 
 
 def _run_under_hash_seed(seed, workdir):
     src = str(Path(paramod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED=str(seed))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = []
-    for argv, written in HASH_SEED_COMMANDS:
-        proc = subprocess.run(
-            [sys.executable, "-m", "paramod.cli", *argv],
-            cwd=workdir, env=env, capture_output=True, timeout=120,
-        )
-        assert proc.returncode == 0, (argv, proc.stderr)
-        out.append((proc.stdout, (workdir / written).read_bytes() if written else None))
-    return out
+    env.pop("PARAMOD_LOG", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASH_SEED_CHILD, json.dumps(HASH_SEED_COMMANDS)],
+        cwd=workdir, env=env, capture_output=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestHashSeedDeterminism:
@@ -152,9 +219,109 @@ class TestHashSeedDeterminism:
             workdir = tmp_path / f"seed{seed}"
             workdir.mkdir()
             runs.append(_run_under_hash_seed(seed, workdir))
-        assert all(stdout or written for stdout, written in runs[0])
+        assert len(runs[0]) == len(HASH_SEED_COMMANDS)
+        for argv, (code, stdout, written) in zip(HASH_SEED_COMMANDS, runs[0]):
+            assert code == 0 and (stdout or written), argv
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
+
+
+_NUMERAL = re.compile(r"-?\d+(/\d+)?")
+_HUGE = "7" * 5000
+
+
+def _argv_mutations(argv):
+    """Each option value of ``argv`` with its last list element dropped, and
+    with its first numeral replaced by a zero denominator and by 5,000-digit
+    numerals."""
+    for k, arg in enumerate(argv):
+        flag, eq, value = arg.partition("=") if arg.startswith("--") else ("", "", arg)
+        if k == 0 or (arg.startswith("--") and not eq):
+            continue
+        prefix = flag + eq
+        sep = ";" if ";" in value else ","
+        parts = value.split(sep)
+        variants = [sep.join(parts[:-1])] if len(parts) > 1 else []
+        m = _NUMERAL.search(value)
+        if m:
+            for numeral in ("1/0", _HUGE, "1/" + _HUGE):
+                variants.append(value[: m.start()] + numeral + value[m.end():])
+        for v in variants:
+            yield argv[:k] + [prefix + v] + argv[k + 1 :]
+
+
+# JSON values of every type; a key gets each whose type differs from its own
+_WRONG_TYPES = [5, 1.5, True, None, "x", [], {}]
+
+
+def _json_mutations(obj, path=()):
+    """``(path, value)``: every key of ``obj`` with a value of a wrong JSON
+    type, a list with its last element dropped, a string with a zero
+    denominator or a 5,000-digit numeral, an integer out of the range of
+    marked point indices."""
+    if path:
+        yield from ((path, w) for w in _WRONG_TYPES if type(w) is not type(obj))
+        if isinstance(obj, list) and obj:
+            yield path, obj[:-1]
+        if isinstance(obj, str):
+            yield from ((path, v) for v in ("1/0", _HUGE))
+        if type(obj) is int:
+            yield from ((path, v) for v in (0, 9))
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        # "zeros" is written for the reader and not read back
+        if key != "zeros":
+            yield from _json_mutations(value, path + (key,))
+
+
+def _with_value(obj, path, value):
+    obj = copy.deepcopy(obj)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+class TestExitCodes:
+    """Malformed input exits 2 and a failed precondition 3, never 4 (an
+    invariant violation) or 0, for every subcommand."""
+
+    def test_malformed_inputs_exit_2_or_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in HASH_SEED_COMMANDS:
+            assert run(capsys, *argv)[0] == 0, argv
+        exceptional = {"component": "F1", "chart": "bottom", "theta": ["0", "-9/2", "1"],
+                       "flagChoice": {"1": "lower"}}
+        (tmp_path / "exceptional.json").write_text(json.dumps(exceptional))
+        _, out = run(capsys, "canonicalize", "--json", "exceptional.json", "--z", Z)
+        payloads = [
+            ("triple", json.loads((tmp_path / "triple.json").read_text())["triple"],
+             [["validate"], ["limit", "--w", W_SMALL]]),
+            ("point", json.loads((tmp_path / "limit.json").read_text())["point"],
+             [["fiber", "--z", Z, "--nu", NU1, "--d", "1"], ["canonicalize", "--z", Z]]),
+            ("point", json.loads(out)["point"],
+             [["fiber", "--z", Z, "--nu", NU1, "--d", "1"], ["canonicalize", "--z", Z]]),
+        ]
+        assert "exceptional_at" in payloads[2][1]
+        failures = []
+        n_argv = n_json = 0
+        for argv in HASH_SEED_COMMANDS:
+            for bad in _argv_mutations(argv):
+                n_argv += 1
+                code, _ = run(capsys, *bad)
+                if code not in (2, 3):
+                    failures.append((code, bad[0], [a[:40] for a in bad]))
+        for key, payload, commands in payloads:
+            for path, value in _json_mutations(payload):
+                (tmp_path / "bad.json").write_text(json.dumps({key: _with_value(payload, path, value)}))
+                for cmd in commands:
+                    n_json += 1
+                    code, _ = run(capsys, cmd[0], "--json", "bad.json", *cmd[1:])
+                    if code not in (2, 3):
+                        failures.append((code, cmd[0], path, repr(value)[:40]))
+        assert not failures, failures
+        assert n_argv > 100 and n_json > 1000
 
 
 class TestPipelines:

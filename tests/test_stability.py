@@ -5,7 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import (
+    oracle_candidates_at_degree,
     oracle_chamber_inequalities,
+    oracle_contact_of,
     oracle_irreducibility_screen,
     oracle_is_stable,
     oracle_kostov_generic,
@@ -15,10 +17,13 @@ from helpers import (
     rand_nonspecial_weight,
     rand_rational,
     rand_structure,
+    rand_u2_indecomposable,
+    rand_ui_indecomposable,
     rand_uij_indecomposable,
 )
+from paramod._kernel import t_clear
 from paramod.connection import irreducibility_screen
-from paramod.exactnum import INF, Mat, Poly, Scalar, sc
+from paramod.exactnum import INF, Mat, Poly, Scalar, clear_denominators, sc
 from paramod.parastruct import (
     B,
     BPRIME,
@@ -31,7 +36,10 @@ from paramod.stability import (
     ChamberDescriptor,
     OnWallError,
     WeightVector,
+    _candidate_degrees,
+    _contact_kernel,
     _hom_degrees,
+    _zi_restrict,
     chamber_classify,
     contact_rows,
     destabilizing_candidates,
@@ -197,29 +205,43 @@ def _members(gen):
     ]
 
 
+def _cleared_rows(rows):
+    # each contact row cleared to Gaussian integers, as _candidates_at_degree does
+    return {i: t_clear([x._t for x in row])[0] for i, row in rows.items()}
+
+
+def _unit_kernels(n):
+    return {(): [[(1, 0) if c == e else (0, 0) for c in range(n)] for e in range(n)]}
+
+
+def _scalar_rows(ibasis):
+    return [[Scalar.gaussian(a, 1, b, 1) for a, b in vec] for vec in ibasis]
+
+
+def _subsets(keys):
+    # every subset, by descending size as _candidates_at_degree walks them
+    return [T for size in range(len(keys), -1, -1) for T in combinations(keys, size)]
+
+
 class TestSaturatedMembers:
     """The grid search on Gaussian integers yields exactly the members, in
-    the same order, of the grid search on Scalars."""
+    the same order, of the grid search on Scalars over the same basis."""
 
-    def _assert_same(self, basis, dq, dr):
-        got = _members(saturated_members(basis, dq, dr))
-        assert got == _members(oracle_saturated_members(basis, dq, dr))
+    def _assert_same(self, ibasis, dq, dr):
+        got = _members(saturated_members(ibasis, dq, dr))
+        assert got == _members(oracle_saturated_members(_scalar_rows(ibasis), dq, dr))
         return len(got)
 
     def test_candidate_bases(self):
-        # every contact subset's span, as _candidates_at_degree builds it
+        # every contact subset's kernel, as _candidates_at_degree builds it
         spans = []
         for s, cfg in _grid_structures():
             dq, dr = _hom_degrees(s.bundle, -1)
-            rows = contact_rows(s, cfg, dq, dr)
-            for size in range(len(rows) + 1):
-                for T in combinations(rows, size):
-                    basis = (
-                        Mat([rows[i] for i in T]).nullspace()
-                        if T
-                        else Mat.identity(dq + dr + 2).entries
-                    )
-                    spans.append(self._assert_same(basis, dq, dr))
+            zrows = _cleared_rows(contact_rows(s, cfg, dq, dr))
+            kernels = _unit_kernels(dq + dr + 2)
+            for T in _subsets(list(zrows)):
+                basis = _contact_kernel(T, zrows, kernels)
+                spans.append(self._assert_same(basis, dq, dr))
         assert 0 in spans and max(spans) > 1
 
     def test_degenerate_candidate_bases(self):
@@ -231,9 +253,118 @@ class TestSaturatedMembers:
                 continue
             rows = contact_rows(s, cfg, 1, 2)
             for j in range(5):
-                basis = Mat([row for i, row in rows.items() if i != j]).nullspace()
+                kernel = Mat([row for i, row in rows.items() if i != j]).nullspace()
+                basis, _ = clear_denominators(kernel)
                 spans.append(self._assert_same(basis, 1, 2))
         assert 0 in spans and max(spans) > 0
+
+
+def _gaussian_rows(rng):
+    # five Gaussian rows on five columns: the fourth a Gaussian combination
+    # of the first two, so its restriction to their kernel is zero, and the
+    # fifth zero
+    def entry():
+        return Scalar.gaussian(rng.randint(-9, 9), rng.randint(1, 6), rng.randint(-9, 9), rng.randint(1, 6))
+
+    rows = [[entry() for _ in range(5)] for _ in range(3)]
+    c = entry()
+    rows.append([x + c * y for x, y in zip(rows[0], rows[1])])
+    rows.append([sc(0)] * 5)
+    return dict(enumerate(rows))
+
+
+class TestContactKernels:
+    """The prefix-restricted Gaussian-integer kernel of every subset of the
+    contact rows spans the rational nullspace of those rows."""
+
+    def _assert_spans_nullspace(self, rows, T, basis):
+        want = Mat([rows[i] for i in T]).nullspace() if T else None
+        dim = len(want) if T else len(rows[next(iter(rows))])
+        assert len(basis) == dim, T
+        if not basis:
+            return
+        zbasis = Mat(_scalar_rows(basis))
+        assert zbasis.rank() == dim, T
+        for i in T:
+            for vec in _scalar_rows(basis):
+                assert sum((a * x for a, x in zip(rows[i], vec)), sc(0)).is_zero()
+        if T:
+            assert Mat(_scalar_rows(basis) + want).rank() == dim, T
+
+    def test_grid_structure_rows(self):
+        seen = set()
+        for s, cfg in _grid_structures():
+            for dq, dr in {_hom_degrees(s.bundle, -1), (1, 2)}:
+                rows = contact_rows(s, cfg, dq, dr)
+                zrows = _cleared_rows(rows)
+                kernels = _unit_kernels(dq + dr + 2)
+                for T in _subsets(list(rows)):
+                    basis = _contact_kernel(T, zrows, kernels)
+                    self._assert_spans_nullspace(rows, T, basis)
+                    seen.add(len(basis))
+        assert seen >= {1, 2, 3, 4, 5}
+
+    def test_gaussian_and_dependent_rows(self):
+        rng = random.Random(61)
+        unchanged = 0
+        for _ in range(20):
+            rows = _gaussian_rows(rng)
+            zrows = _cleared_rows(rows)
+            kernels = _unit_kernels(5)
+            for T in _subsets(list(rows)):
+                basis = _contact_kernel(T, zrows, kernels)
+                self._assert_spans_nullspace(rows, T, basis)
+                # row . N(prefix) = 0: the restriction keeps the prefix basis
+                if T[-1:] == (3,) and {0, 1} <= set(T) or T[-1:] == (4,):
+                    assert basis is kernels[T[:-1]]
+                    unchanged += 1
+        assert unchanged > 0
+
+    def test_restriction_divides_out_content(self):
+        basis = [[(2, 0), (0, 0)], [(0, 0), (2, 0)]]
+        assert _zi_restrict(basis, [(3, 0), (3, 0)]) == [[(-1, 0), (1, 0)]]
+
+
+class TestCandidatesMatchOracle:
+    """The Gaussian-integer enumeration finds the same contact sets, in the
+    same order, as the rational one, with saturated witnesses whose contact
+    is exactly the recorded set."""
+
+    def _structures(self):
+        rng = random.Random(83)
+        out = list(_grid_structures())
+        for _ in range(8):
+            cfg = rand_config(rng)
+            i, j = sorted(rng.sample(range(5), 2))
+            a, b = rand_rational(rng), rand_rational(rng, -10, 10, 4)
+            out += [
+                (rand_u2_indecomposable(rng, cfg), cfg),
+                (rand_ui_indecomposable(rng, cfg, i), cfg),
+                (rand_uij_indecomposable(rng, cfg, i, j), cfg),
+                (ParabolicStructure(B, [a + b * z for z in cfg.z]), cfg),
+                (rand_structure(rng, BPRIME, n_inf=0), cfg),
+            ]
+        return out
+
+    def test_same_contacts_in_same_order(self):
+        for s, cfg in self._structures():
+            got = destabilizing_candidates(s, cfg)
+            want = [
+                c
+                for k in _candidate_degrees(s.bundle)
+                for c in oracle_candidates_at_degree(s, cfg, k)
+            ]
+            assert [(c.degree, c.contact) for c in got] == [
+                (c.degree, c.contact) for c in want
+            ], s
+            for c in got:
+                assert oracle_contact_of(c.q, c.r, s, cfg) == c.contact
+                dq, dr = _hom_degrees(s.bundle, c.degree)
+                if dq < 0:
+                    assert c.q is None and not c.r.is_zero()
+                    continue
+                (coeffs,), _ = clear_denominators([c.q.coeffs + c.r.coeffs])
+                assert formal_resultant(coeffs[: dq + 1], dq, coeffs[dq + 1 :], dr) != (0, 0)
 
 
 class TestCandidates:
