@@ -83,6 +83,16 @@ def t_clear(triples):
     return [(a * (den // d), b * (den // d)) for a, b, d in triples], den
 
 
+def zi_dot(row, vec):
+    """The product ``sum row[k] * vec[k]`` of two Gaussian-integer vectors,
+    as ``(re, im)``."""
+    re = im = 0
+    for (a, b), (x, y) in zip(row, vec):
+        re += a * x - b * y
+        im += a * y + b * x
+    return re, im
+
+
 def _zi_pivots(m, nrows, ncols):
     """One-step Bareiss forward elimination of the Gaussian-integer rows ``m``
     in place.  Yields ``(col, sign)`` as each pivot lands in the next row, with

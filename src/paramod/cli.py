@@ -42,11 +42,11 @@ from .parastruct import (
     MarkedConfiguration,
     ParabolicStructure,
     StratumError,
-    StratumId,
     all_bprime_orbit_labels,
     bprime_generic_representative,
     bprime_orbit_representatives,
     classify,
+    stratum_from_label,
 )
 from .spectra import (
     MCBranch,
@@ -158,26 +158,12 @@ def cmd_counts(args):
 
 def cmd_weights(args):
     if args.json:
-        stratum = _load_json(args, "stratum", _stratum_from_label)
+        stratum = _load_json(args, "stratum", stratum_from_label)
     elif args.stratum is None:
         raise ExactError("weights needs --stratum or --json")
     else:
-        stratum = _stratum_from_label(args.stratum)
+        stratum = stratum_from_label(args.stratum)
     return stabilizing_weight(stratum).to_json()
-
-
-def _stratum_from_label(label: str) -> StratumId:
-    if label.startswith("U2"):
-        return StratumId("U2")
-    if label.startswith("U''("):
-        idx = tuple(int(t) - 1 for t in label[4:-1].split(","))
-        return StratumId("UijDoublePrime", idx)
-    if label.startswith("U("):
-        idx = tuple(int(t) - 1 for t in label[2:-1].split(","))
-        return StratumId("Ui", idx)
-    if label == "Bprime-generic-indecomposable":
-        return StratumId("BprimeGenericIndec")
-    raise StratumError(f"no stabilizing weight for stratum {label!r}")
 
 
 def cmd_chamber(args):

@@ -80,10 +80,6 @@ class RationalEntry:
             raise ExactError("one residue per marked point")
         self.tail = tail if tail is not None else Poly.zero(-1)
 
-    @classmethod
-    def zero(cls, cfg) -> "RationalEntry":
-        return cls(cfg, [0] * NPOINTS)
-
     def __add__(self, other: "RationalEntry") -> "RationalEntry":
         return RationalEntry(
             self.cfg,

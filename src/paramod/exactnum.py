@@ -41,16 +41,11 @@ class Scalar:
     __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, Scalar) or isinstance(im, Scalar):
-            re_t = re._t if isinstance(re, Scalar) else (int(re), 0, 1)
-            im_t = im._t if isinstance(im, Scalar) else (int(im), 0, 1)
-            if re_t[1] != 0 or im_t[1] != 0:
-                raise ExactError("re and im parts must be real")
-            a1, _, d1 = re_t
-            a2, _, d2 = im_t
-            self._t = t_norm(a1 * d2, a2 * d1, d1 * d2)
-        else:
-            self._t = t_norm(int(re), int(im), 1)
+        if type(re) is not int or type(im) is not int:
+            raise ExactError(
+                f"Scalar parts must be ints, not {type(re).__name__} and {type(im).__name__}"
+            )
+        self._t = t_norm(re, im, 1)
 
     @classmethod
     def _wrap(cls, triple):

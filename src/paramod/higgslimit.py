@@ -4,9 +4,12 @@ The limit of ``(E, L, c * nabla)`` as ``c -> 0`` is computed by the
 gauge-family construction: finitely many candidate degenerations are built
 from the off-diagonal residue data (keep the upper part, keep the lower part,
 or degenerate onto a degree -1 inclusion) and the unique Higgs-stable
-candidate is returned.  The fixed locus for ``sum(w) < 1`` has two components:
-the single point F0 on the (-1, 2) split and the family F1 of nilpotent Higgs
-fields on the (0, 1) split, modeled as two glued blown-up planes.
+candidate is returned.  The degree -1 inclusions are looked up on the
+Gaussian-integer contact lattice of ``stability``: the kernels of four contact
+rows and their saturated grid members.  The fixed locus for ``sum(w) < 1`` has
+two components: the single point F0 on the (-1, 2) split and the family F1 of
+nilpotent Higgs fields on the (0, 1) split, modeled as two glued blown-up
+planes.
 """
 
 from __future__ import annotations
@@ -14,15 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+from ._kernel import ZI_ZERO, zi_dot
 from .connection import FlatTriple, LogConnection, solve_connection_space
 from .exactnum import (
     INF,
     ExactError,
-    Mat,
     Poly,
     ProjectivePoint,
     Scalar,
-    clear_denominators,
     divided_difference_weights,
     monic_from_roots,
     sc,
@@ -39,10 +41,12 @@ from .spectra import SpectrumRank2
 from .stability import (
     OnWallError,
     WeightVector,
+    contact_kernel,
     contact_rows,
     is_stable,
     s_value,
     saturated_members,
+    unit_kernels,
     weight_is_non_special,
 )
 
@@ -276,10 +280,13 @@ class FixedLocusPoint:
                 raise ExactError(f"flag choice must be lower or upper, not {v!r}")
             choices.append((_json_point_index(int(k)), v))
         choices = tuple(sorted(choices))
+        chart = data["chart"]
+        if chart not in ("top", "bottom"):
+            raise ExactError(f"chart must be top or bottom, not {chart!r}")
         if "exceptional_at" in data:
             return cls(
                 "F1",
-                data["chart"],
+                chart,
                 None,
                 _json_point_index(data["exceptional_at"]),
                 ProjectivePoint.parse(data["tangent"]),
@@ -288,7 +295,9 @@ class FixedLocusPoint:
         theta = tuple(Scalar.parse(s) for s in data["theta"])
         if len(theta) != 3:
             raise ExactError("theta takes three coefficients")
-        return cls("F1", data["chart"], theta, None, None, choices)
+        if all(c.is_zero() for c in theta):
+            raise ExactError("theta must not vanish")
+        return cls("F1", chart, theta, None, None, choices)
 
 
 def _json_point_index(k) -> int:
@@ -553,8 +562,9 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
 
     if bundle == B:
         rows = contact_rows(t.structure, cfg, 1, 2)
+        kernels = unit_kernels(5)
         for j in range(NPOINTS):
-            cand = _degenerate_candidate(t, w, j, rows)
+            cand = _degenerate_candidate(w, j, rows, kernels)
             if cand is not None:
                 candidates.append(cand)
 
@@ -573,23 +583,29 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     return LimitResult(point, winner.higgs, tuple(candidates))
 
 
-def _degenerate_candidate(t: FlatTriple, w: WeightVector, j: int, rows: dict):
+def _degenerate_candidate(w: WeightVector, j: int, rows: dict, kernels: dict):
     """The degeneration onto a degree -1 inclusion whose non-contact set is
     exactly the j-th marked point; None when no such inclusion exists.
-    ``rows`` are the structure's ``contact_rows`` at formal degrees (1, 2)."""
-    cfg = t.cfg
-    uj = t.structure.flags[j]
 
-    def hits_j(q, r):
-        qv, rv = q(cfg.z[j]), r(cfg.z[j])
-        return qv.is_zero() if uj.is_infinity() else rv == uj.value * qv
+    ``rows`` are the structure's Gaussian-integer ``contact_rows`` at the
+    formal degrees (1, 2) of a degree -1 inclusion ``(q, r)`` into B, and
+    ``kernels`` the ``contact_kernel`` memo shared by the five ``j``.  A
+    saturated member of the kernel ``N`` of the other four rows misses
+    ``z_j`` iff its product with row ``j`` is nonzero.
 
-    # (q, r) of formal degrees (1, 2): a degree -1 inclusion into B; hits_j
-    # is homogeneous, so the cleared basis gives the same answer
-    kernel = Mat([row for i, row in rows.items() if i != j]).nullspace()
-    basis, _ = clear_denominators(kernel)
-    members = saturated_members(basis, 1, 2)
-    if all(hits_j(q, r) for q, r in members):
+    The answer depends only on the span of ``N``, not on its basis.  With
+    ``res`` the formal resultant and ``l_j`` the product with row ``j``, both
+    read in the coordinates of a basis of ``N``, the result is None iff
+    ``P = res * l_j`` vanishes on the grid {0..3}^m of ``saturated_members``.
+    ``P`` is homogeneous of degree 4, and a nonzero homogeneous quartic is
+    nonzero at some grid point: if some monomial has every exponent <= 3,
+    by Alon's Combinatorial Nullstellensatz (Combin. Probab. Comput. 8,
+    1999); otherwise ``P = sum c_i x_i^4`` and a unit vector works.  So the
+    result is None iff ``P`` vanishes on all of ``N``, whatever the basis.
+    """
+    others = tuple(i for i in rows if i != j)
+    members = saturated_members(contact_kernel(others, rows, kernels), 1, 2)
+    if all(zi_dot(rows[j], vec) == ZI_ZERO for vec in members):
         return None
     margin = s_value(1, 2, {j}, w)
     return LimitCandidate(f"E-1({j + 1})", margin, margin > sc(0), None)

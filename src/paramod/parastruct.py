@@ -362,6 +362,28 @@ def classify(structure: ParabolicStructure, cfg: MarkedConfiguration) -> Stratum
     raise StratumError("classification defined for B and B' only")
 
 
+# (family, decomposable) of the strata ``classify`` returns, by the number of
+# infinite flags; three or more take the last entry
+_CLASSIFY_FAMILIES = (
+    (("U2", False), ("U2", True), ("BprimeGenericIndec", False), ("BprimeGenericDec", True)),
+    (("Ui", False), ("Ui", True), ("BprimeInf", True)),
+    (("UijPrime", True), ("UijDoublePrime", False), ("BprimeInf", True)),
+    (("Uplus", True), ("BprimeInf", True)),
+)
+
+
+def stratum_from_label(label) -> StratumId:
+    """The stratum, without coordinates, that ``classify`` labels ``label``:
+    the inverse of ``StratumId.label``.  Any other value is malformed."""
+    for n in range(NPOINTS + 1):
+        for indices in combinations(range(NPOINTS), n):
+            for family, dec in _CLASSIFY_FAMILIES[min(n, 3)]:
+                stratum = StratumId(family, indices, None, dec)
+                if stratum.label() == label:
+                    return stratum
+    raise ExactError(f"no stratum is labelled {label!r}")
+
+
 def uij_split_invariant(
     structure: ParabolicStructure, cfg: MarkedConfiguration
 ) -> Scalar:

@@ -7,14 +7,16 @@ criteria of the three case analyses (full-contact determinant, the unique
 higher-degree factor, maximal collinear subsets) fall out as special cases and
 serve as the independent test oracle, not as the decision path.
 
-The enumeration runs on Gaussian integers.  The contact rows are cleared of
-their denominators once; the kernel of a contact set ``T`` is restricted from
-the kernel of ``T[:-1]`` by the fraction-free kernel of the one row vector
-``row . N(T[:-1])``, in the style of Bareiss; and the kernel goes to the
-saturation grid as it is.  A witness found in the kernel of ``T`` has contact
-exactly ``T``, because contact sets are visited by descending size (see
+The enumeration runs on Gaussian integers.  ``contact_rows`` returns the
+contact rows cleared of their denominators; the kernel of a contact set ``T``
+is restricted from the kernel of ``T[:-1]`` by the fraction-free kernel of the
+one row vector ``row . N(T[:-1])``, in the style of Bareiss; and the kernel
+goes to the saturation grid as it is, which yields Gaussian-integer grid
+vectors.  A witness found in the kernel of ``T`` has contact exactly ``T``,
+because contact sets are visited by descending size (see
 ``_candidates_at_degree``), so no contact is evaluated back on the marked
-points.
+points.  This module is the only one that builds contact spans: the C*-limit's
+degenerations in ``higgslimit`` take theirs from ``contact_kernel``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
-from ._kernel import ZI_ZERO, t_clear, zi_det
+from ._kernel import ZI_ZERO, t_clear, zi_det, zi_dot
 from .exactnum import ONE, ZERO, ExactError, Poly, Scalar, clear_denominators, sc
 from .parastruct import (
     B,
@@ -195,10 +197,10 @@ def _is_saturated(vec, dq: int, dr: int) -> bool:
 
 
 def saturated_members(basis, dq: int, dr: int):
-    """Yield the saturated members ``(q, r)`` of the span of the
-    Gaussian-integer ``basis`` found on the grid of span coefficients
-    {0..dq+dr}^m, in ``product`` order, with the Gaussian-integer
-    coefficients of that grid point.
+    """Yield the saturated members of the span of the Gaussian-integer
+    ``basis`` found on the grid of span coefficients {0..dq+dr}^m, in
+    ``product`` order: the Gaussian-integer coefficients of q, then of r, at
+    that grid point.
 
     The saturation locus is cut out by the formal resultant, a polynomial of
     total degree <= dq + dr in the span coordinates, so by the finite-grid
@@ -209,7 +211,6 @@ def saturated_members(basis, dq: int, dr: int):
     if not basis:
         return
     ncols = len(basis[0])
-    nq = dq + 1 if dq >= 0 else 0
     width = max(dq, 0) + max(dr, 0) + 1
     for coeffs in product(range(width), repeat=len(basis)):
         if not any(coeffs):
@@ -219,10 +220,7 @@ def saturated_members(basis, dq: int, dr: int):
             if c:
                 vec = [(x + c * a, y + c * b) for (x, y), (a, b) in zip(vec, bvec)]
         if _is_saturated(vec, dq, dr):
-            vals = [Scalar.gaussian(a, 1, b, 1) for a, b in vec]
-            q = Poly(vals[:nq], bound=dq) if dq >= 0 else None
-            r = Poly(vals[nq:], bound=dr) if dr >= 0 else None
-            yield q, r
+            yield vec
 
 
 def _candidate_degrees(bundle: BundleSplitType) -> list[int]:
@@ -280,23 +278,32 @@ def _b_degree_zero_candidates(structure, cfg) -> list[LineSubbundleWitness]:
     ]
 
 
-def contact_rows(structure, cfg, dq: int, dr: int) -> dict[int, list[Scalar]]:
+def contact_rows(structure, cfg, dq: int, dr: int) -> dict[int, list[tuple[int, int]]]:
     """Per marked point where a section ``(q, r)`` of formal degrees
     ``(dq, dr)``, ``dq >= 0``, can meet the flag, the row of the linear
-    condition that it does, on the coefficients of q then r.  An infinite
-    flag asks q(z_i) = 0; for ``dq = 0`` that forces q = 0, and no such
-    section is saturated."""
+    condition that it does, on the coefficients of q then r, cleared of its
+    denominators to Gaussian integers ``(re, im)``.  An infinite flag asks
+    q(z_i) = 0; for ``dq = 0`` that forces q = 0, and no such section is
+    saturated."""
     out = {}
     for i, (zi, u) in enumerate(zip(cfg.z, structure.flags)):
         powers = [ONE]
         for _ in range(max(dq, dr)):
             powers.append(powers[-1] * zi)
         if u.is_infinity():
-            if dq >= 1:
-                out[i] = powers[: dq + 1] + [ZERO] * (dr + 1)
+            if dq < 1:
+                continue
+            row = powers[: dq + 1] + [ZERO] * (dr + 1)
         else:
-            out[i] = [-u.value * x for x in powers[: dq + 1]] + powers[: dr + 1]
+            row = [-u.value * x for x in powers[: dq + 1]] + powers[: dr + 1]
+        out[i] = t_clear([x._t for x in row])[0]
     return out
+
+
+def unit_kernels(n: int) -> dict:
+    """A kernel memo for ``contact_kernel`` on ``n`` coefficients: the empty
+    contact set, whose kernel has the unit basis."""
+    return {(): [[(1, 0) if c == e else ZI_ZERO for c in range(n)] for e in range(n)]}
 
 
 def _zi_restrict(basis, row):
@@ -308,13 +315,7 @@ def _zi_restrict(basis, row):
     ``j != p``; its image ``c_p N_j - c_j N_p`` is divided by its integer
     content, and a vector with ``c_j = 0`` is kept as it is.  When every
     ``c_j`` vanishes the span is already in the kernel of ``row``."""
-    dots = []
-    for vec in basis:
-        re = im = 0
-        for (a, b), (x, y) in zip(row, vec):
-            re += a * x - b * y
-            im += a * y + b * x
-        dots.append((re, im))
+    dots = [zi_dot(row, vec) for vec in basis]
     p = next((j for j, c in enumerate(dots) if c != ZI_ZERO), None)
     if p is None:
         return basis
@@ -336,10 +337,11 @@ def _zi_restrict(basis, row):
     return out
 
 
-def _contact_kernel(T, zrows, kernels):
+def contact_kernel(T, zrows, kernels):
     """The Gaussian-integer kernel basis of the contact rows ``T``, restricted
-    from the kernel of its longest prefix in ``kernels`` one row at a time;
-    every prefix on the way is stored in ``kernels``."""
+    from the kernel of its longest prefix in ``kernels`` (seeded by
+    ``unit_kernels``) one row at a time; every prefix on the way is stored in
+    ``kernels``."""
     basis = kernels.get(T)
     if basis is not None:
         return basis
@@ -366,9 +368,10 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
     ``T`` would have been skipped.  Whether ``N(T)`` holds a saturated member
     depends only on the span, so the recorded sets do not depend on the basis.
 
-    The rows are cleared to Gaussian integers once, and ``N(T)`` is restricted
-    from ``N(T[:-1])`` by the fraction-free kernel of one row vector
-    (``_zi_restrict``), the kernels memoised per call by prefix.
+    ``N(T)`` is restricted from ``N(T[:-1])`` by the fraction-free kernel of
+    one Gaussian-integer contact row (``_zi_restrict``), the kernels memoised
+    per call by prefix; only the grid vector kept as the witness becomes
+    ``(q, r)``.
     """
     if structure.bundle == B and k == 0:
         return _b_degree_zero_candidates(structure, cfg)
@@ -382,20 +385,20 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
         contact = frozenset(structure.infinity_indices())
         return [LineSubbundleWitness(k, None, r, contact)]
     rows = contact_rows(structure, cfg, dq, dr)
-    zrows = {i: t_clear([x._t for x in row])[0] for i, row in rows.items()}
-    n = dq + dr + 2
-    kernels = {(): [[(1, 0) if c == e else ZI_ZERO for c in range(n)] for e in range(n)]}
-    contactable = list(rows)
+    kernels = unit_kernels(dq + dr + 2)
     maximal: list[LineSubbundleWitness] = []
-    for size in range(len(contactable), -1, -1):
-        for T in combinations(contactable, size):
+    for size in range(len(rows), -1, -1):
+        for T in combinations(rows, size):
             tset = frozenset(T)
             if any(tset <= m.contact for m in maximal):
                 continue
-            basis = _contact_kernel(T, zrows, kernels)
-            found = next(saturated_members(basis, dq, dr), None)
-            if found is not None:
-                maximal.append(LineSubbundleWitness(k, *found, tset))
+            basis = contact_kernel(T, rows, kernels)
+            vec = next(saturated_members(basis, dq, dr), None)
+            if vec is not None:
+                vals = [Scalar.gaussian(a, 1, b, 1) for a, b in vec]
+                q = Poly(vals[: dq + 1], bound=dq)
+                r = Poly(vals[dq + 1 :], bound=dr)
+                maximal.append(LineSubbundleWitness(k, q, r, tset))
     return maximal
 
 

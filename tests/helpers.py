@@ -10,15 +10,19 @@ search in paramod.  The 2^5 sign-pattern loop on Scalars, with the four
 decisions built on it, is the reference for the integer sign-pattern sums,
 the per-call rebuild of the pole products the reference for the
 products a configuration keeps.  The enumeration of contact sets by rational
-nullspaces, with each witness's contact evaluated back on the marked points,
-is the reference for the Gaussian-integer contact kernels.
+nullspaces of the contact rows on Scalars, with each witness's contact
+evaluated back on the marked points, is the reference for the
+Gaussian-integer contact kernels; the C*-limit's degenerations by a rational
+nullspace and q, r evaluated at the marked point are the reference for the
+ones on the contact lattice.
 """
 
 from itertools import combinations, product
 
 from paramod._kernel import T_ONE, T_ZERO, t_div, t_mul, t_neg, t_sub
 from paramod.connection import degree_bounds
-from paramod.exactnum import INF, Mat, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
+from paramod.exactnum import INF, ONE, ZERO, Mat, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
+from paramod.higgslimit import LimitCandidate
 from paramod.parastruct import (
     B,
     BPRIME,
@@ -33,7 +37,7 @@ from paramod.stability import (
     WeightVector,
     _b_degree_zero_candidates,
     _hom_degrees,
-    contact_rows,
+    s_value,
     sign_label,
     weight_is_non_special,
 )
@@ -444,6 +448,21 @@ def oracle_contact_of(q, r, structure, cfg) -> frozenset[int]:
     return frozenset(out)
 
 
+def oracle_contact_rows(structure, cfg, dq, dr) -> dict[int, list[Scalar]]:
+    """``contact_rows`` on Scalars, before clearing the denominators."""
+    out = {}
+    for i, (zi, u) in enumerate(zip(cfg.z, structure.flags)):
+        powers = [ONE]
+        for _ in range(max(dq, dr)):
+            powers.append(powers[-1] * zi)
+        if u.is_infinity():
+            if dq >= 1:
+                out[i] = powers[: dq + 1] + [ZERO] * (dr + 1)
+        else:
+            out[i] = [-u.value * x for x in powers[: dq + 1]] + powers[: dr + 1]
+    return out
+
+
 def oracle_candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
     """The degree-``k`` candidates by the rational enumeration: each contact
     set's kernel from ``Mat.nullspace``, the Scalar grid search, and the
@@ -457,7 +476,7 @@ def oracle_candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]
         r = Poly([1], bound=0)
         contact = frozenset(structure.infinity_indices())
         return [LineSubbundleWitness(k, None, r, contact)]
-    rows = contact_rows(structure, cfg, dq, dr)
+    rows = oracle_contact_rows(structure, cfg, dq, dr)
     contactable = list(rows)
     maximal: list[tuple[frozenset, LineSubbundleWitness]] = []
     for size in range(len(contactable), -1, -1):
@@ -478,3 +497,22 @@ def oracle_candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]
             if not any(contact <= m for m, _ in maximal):
                 maximal.append((contact, LineSubbundleWitness(k, q, r, contact)))
     return [w for _, w in maximal]
+
+
+def oracle_degenerate_candidate(structure, cfg, w, j):
+    """``higgslimit._degenerate_candidate`` by the rational path: the
+    nullspace of the other four (1, 2) contact rows from ``Mat.nullspace``,
+    its saturated members from the Scalar grid search, and the contact at
+    ``z_j`` evaluated on q and r."""
+    rows = oracle_contact_rows(structure, cfg, 1, 2)
+    uj = structure.flags[j]
+
+    def hits_j(q, r):
+        qv, rv = q(cfg.z[j]), r(cfg.z[j])
+        return qv.is_zero() if uj.is_infinity() else rv == uj.value * qv
+
+    kernel = Mat([row for i, row in rows.items() if i != j]).nullspace()
+    if all(hits_j(q, r) for q, r in oracle_saturated_members(kernel, 1, 2)):
+        return None
+    margin = s_value(1, 2, {j}, w)
+    return LimitCandidate(f"E-1({j + 1})", margin, margin > sc(0), None)

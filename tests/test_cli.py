@@ -4,10 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import paramod
 from paramod.cli import main
+from paramod.parastruct import stratum_from_label
 
 Z = "0,1,2,3,4"
 NU1 = "1/4,-1/4;1/4,-1/4;1/4,-1/4;1/4,-1/4;1/4,-5/4"
@@ -78,6 +80,20 @@ class TestStabilityCli:
         int_theta.write_text(
             json.dumps({"component": "F1", "chart": "top", "theta": [0, 1, 2]})
         )
+        # classify's output for a decomposable structure: U2-dec
+        u2_dec = tmp_path / "u2_dec.json"
+        u2_dec.write_text(json.dumps(
+            run_json(capsys, "classify", "--bundle", "B", "--z", Z, "--u", "0,1,2,3,4")
+        ))
+        # an unknown chart and an all-zero theta
+        side_chart = tmp_path / "side_chart.json"
+        side_chart.write_text(
+            json.dumps({"component": "F1", "chart": "side", "theta": ["0", "1", "2"]})
+        )
+        zero_theta = tmp_path / "zero_theta.json"
+        zero_theta.write_text(
+            json.dumps({"component": "F1", "chart": "top", "theta": ["0", "0", "0"]})
+        )
         for argv in (
             ("stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0",
              "--w", "1/10,1/10,1/10,1/10,1/10"),
@@ -90,6 +106,16 @@ class TestStabilityCli:
             ("weights", "--json", str(array)),
             ("canonicalize", "--json", str(int_theta), "--z", Z),
             ("weights",),
+            # stratum labels that classify never prints, and a -dec label
+            *(("weights", "--stratum", label) for label in (
+                "U''(1,9)", "U''(1)", "U''(1,0)", "U2-dec", "U2xyz", "U(0)",
+                "U(9)", "U(1,2)", "U''(3,2)",
+            )),
+            ("weights", "--json", str(u2_dec)),
+            *((cmd, "--json", str(bad), *rest)
+              for bad in (side_chart, zero_theta)
+              for cmd, *rest in (("canonicalize", "--z", Z),
+                                 ("fiber", "--z", Z, "--nu", NU1, "--d", "1"))),
             # marked point indices outside 1..5 and a malformed sign pattern
             ("elm-weight", "--w", W_SMALL, "--j", "0"),
             ("elm-weight", "--w", W_SMALL, "--j", "9"),
@@ -99,6 +125,27 @@ class TestStabilityCli:
         ):
             code, _ = run(capsys, *argv)
             assert code == 2, argv
+
+
+class TestStratumLabels:
+    def test_every_b_label_round_trips(self, capsys):
+        # flags z + 1 are collinear, z^2 are not, on z = 0..4: each pattern
+        # of infinite flags, decomposable and not
+        labels = set()
+        for n in range(6):
+            for inf in combinations(range(5), n):
+                for finite in (["1", "2", "3", "4", "5"], ["0", "1", "4", "9", "16"]):
+                    u = ",".join("inf" if i in inf else v for i, v in enumerate(finite))
+                    data = run_json(capsys, "classify", "--bundle", "B", "--z", Z, "--u", u)
+                    label = data["stratum"]
+                    stratum = stratum_from_label(label)
+                    assert stratum.label() == label
+                    assert stratum.decomposable == data["decomposable"]
+                    code, _ = run(capsys, "weights", "--stratum", label)
+                    assert code == (2 if data["decomposable"] else 0), label
+                    labels.add(label)
+        # U2, U(i), U'(i,j), U''(i,j) and U+ with their -dec halves
+        assert len(labels) == 2 + 10 + 10 + 10 + 16
 
 
 class TestCountsCli:
@@ -255,18 +302,18 @@ _WRONG_TYPES = [5, 1.5, True, None, "x", [], {}]
 
 
 def _json_mutations(obj, path=()):
-    """``(path, value)``: every key of ``obj`` with a value of a wrong JSON
-    type, a list with its last element dropped, a string with a zero
-    denominator or a 5,000-digit numeral, an integer out of the range of
-    marked point indices."""
+    """``(path, value, codes)``: every key of ``obj`` with a value of a wrong
+    JSON type or a list with its last element dropped, which must exit 2, and
+    a string with a zero denominator or a 5,000-digit numeral or an integer
+    out of the range of marked point indices, which may exit 2 or 3."""
     if path:
-        yield from ((path, w) for w in _WRONG_TYPES if type(w) is not type(obj))
+        yield from ((path, w, (2,)) for w in _WRONG_TYPES if type(w) is not type(obj))
         if isinstance(obj, list) and obj:
-            yield path, obj[:-1]
+            yield path, obj[:-1], (2,)
         if isinstance(obj, str):
-            yield from ((path, v) for v in ("1/0", _HUGE))
+            yield from ((path, v, (2, 3)) for v in ("1/0", _HUGE))
         if type(obj) is int:
-            yield from ((path, v) for v in (0, 9))
+            yield from ((path, v, (2, 3)) for v in (0, 9))
     items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
     for key, value in items:
         # "zeros" is written for the reader and not read back
@@ -285,7 +332,8 @@ def _with_value(obj, path, value):
 
 class TestExitCodes:
     """Malformed input exits 2 and a failed precondition 3, never 4 (an
-    invariant violation) or 0, for every subcommand."""
+    invariant violation) or 0, for every subcommand; a JSON value of the
+    wrong type or a truncated list is malformed and exits exactly 2."""
 
     def test_malformed_inputs_exit_2_or_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -313,12 +361,12 @@ class TestExitCodes:
                 if code not in (2, 3):
                     failures.append((code, bad[0], [a[:40] for a in bad]))
         for key, payload, commands in payloads:
-            for path, value in _json_mutations(payload):
+            for path, value, codes in _json_mutations(payload):
                 (tmp_path / "bad.json").write_text(json.dumps({key: _with_value(payload, path, value)}))
                 for cmd in commands:
                     n_json += 1
                     code, _ = run(capsys, cmd[0], "--json", "bad.json", *cmd[1:])
-                    if code not in (2, 3):
+                    if code not in codes:
                         failures.append((code, cmd[0], path, repr(value)[:40]))
         assert not failures, failures
         assert n_argv > 100 and n_json > 1000

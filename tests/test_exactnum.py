@@ -61,6 +61,12 @@ class TestScalar:
         with pytest.raises(ExactError):
             _ = Scalar(0, 1) < Scalar(1)
 
+    def test_constructor_takes_ints_only(self):
+        assert Scalar(2, -3) == Scalar.gaussian(2, 1, -3, 1)
+        for parts in ((1.5,), (2.9, 0.7), ("3",), (1, "0"), (True,), (Scalar(1),), (0, Scalar(1))):
+            with pytest.raises(ExactError):
+                Scalar(*parts)
+
     def test_parse_rejects_non_string(self):
         for value in (5, None, ["1"]):
             with pytest.raises(ExactError):

@@ -2,13 +2,22 @@ import random
 
 import pytest
 
-from helpers import rand_nonspecial_spectrum, rand_nonspecial_weight, rand_rational
+from helpers import (
+    oracle_contact_rows,
+    oracle_degenerate_candidate,
+    rand_config,
+    rand_nonspecial_spectrum,
+    rand_nonspecial_weight,
+    rand_rational,
+    rand_structure,
+)
 from paramod.connection import gauge_transform, solve_connection_space, validate_triple
-from paramod.exactnum import INF, Poly, ProjectivePoint, Scalar, sc
+from paramod.exactnum import INF, Mat, Poly, ProjectivePoint, Scalar, sc
 from paramod.higgslimit import (
     FixedLocusPoint,
     HiggsError,
     StronglyParabolicHiggs,
+    _degenerate_candidate,
     cstar_limit,
     fixed_component,
     fixedpoint_canonicalize,
@@ -28,7 +37,7 @@ from paramod.parastruct import (
     bprime_generic_representative,
     is_decomposable,
 )
-from paramod.stability import WeightVector, is_stable
+from paramod.stability import WeightVector, contact_rows, is_stable, unit_kernels
 
 CFG = MarkedConfiguration([0, 1, 2, 3, 4])
 W_SMALL = WeightVector(["1/8", "1/9", "1/7", "1/11", "1/13"])
@@ -348,6 +357,74 @@ class TestCstarLimit:
         w = rand_nonspecial_weight(rng, total_below=1)
         res = cstar_limit(t, w)
         assert fixedpoint_canonicalize(res.point, CFG) == res.point
+
+
+def _perturbed_collinear(rng, cfg):
+    # flags on one line a + b z, a random subset of them moved off it
+    a, b = rand_rational(rng), rand_rational(rng, -10, 10, 4)
+    flags = [a + b * z for z in cfg.z]
+    for i in rng.sample(range(5), rng.randrange(0, 3)):
+        flags[i] = flags[i] + rand_rational(rng, 1, 9, 3)
+    return ParabolicStructure(B, flags)
+
+
+def _section_flags(rng, cfg):
+    # u_i = r(z_i)/q(z_i) for random (q, r) of degrees (1, 2): the section
+    # meets every flag, so the 5x5 (1, 2) contact matrix is singular
+    q = Poly([rand_rational(rng, -6, 6, 3), rand_rational(rng, -4, 4, 2)])
+    r = Poly([rand_rational(rng, -6, 6, 3) for _ in range(3)])
+    flags = []
+    for z in cfg.z:
+        qv, rv = q(z), r(z)
+        flags.append(INF if qv.is_zero() else ProjectivePoint.finite(rv / qv))
+    return ParabolicStructure(B, flags)
+
+
+class TestDegenerateCandidates:
+    """The degenerations on the Gaussian-integer contact lattice, from one
+    kernel memo for the five j, match the rational nullspace path for every
+    j: the same None, name and margin."""
+
+    # per kind: the seed, and the least number of candidates found and of
+    # Nones among the 200 comparisons; the section flags make the (1, 2)
+    # contact matrix M singular, so the kernel of four rows is ker M, spanned
+    # by the section, which meets every flag
+    KINDS = {
+        "random": (101, 100, 40),
+        "collinear": (102, 40, 100),
+        "section": (103, 0, 150),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_matches_rational_path(self, kind):
+        seed, min_found, min_missing = self.KINDS[kind]
+        rng = random.Random(seed)
+        found = missing = 0
+        for _ in range(40):
+            cfg = rand_config(rng)
+            if kind == "random":
+                s = rand_structure(rng, B)
+            elif kind == "collinear":
+                s = _perturbed_collinear(rng, cfg)
+            else:
+                s = _section_flags(rng, cfg)
+                rows = oracle_contact_rows(s, cfg, 1, 2)
+                assert Mat([rows[i] for i in range(5)]).det().is_zero()
+            w = rand_nonspecial_weight(rng, total_below=1)
+            rows = contact_rows(s, cfg, 1, 2)
+            kernels = unit_kernels(5)
+            for j in range(5):
+                got = _degenerate_candidate(w, j, rows, kernels)
+                want = oracle_degenerate_candidate(s, cfg, w, j)
+                if want is None:
+                    assert got is None, (s, j)
+                    missing += 1
+                else:
+                    assert (got.name, got.margin, got.stable) == (
+                        want.name, want.margin, want.stable
+                    ), (s, j)
+                    found += 1
+        assert found >= min_found and missing >= min_missing, (found, missing)
 
 
 class TestFiberDimension:

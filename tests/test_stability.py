@@ -8,6 +8,7 @@ from helpers import (
     oracle_candidates_at_degree,
     oracle_chamber_inequalities,
     oracle_contact_of,
+    oracle_contact_rows,
     oracle_irreducibility_screen,
     oracle_is_stable,
     oracle_kostov_generic,
@@ -37,10 +38,10 @@ from paramod.stability import (
     OnWallError,
     WeightVector,
     _candidate_degrees,
-    _contact_kernel,
     _hom_degrees,
     _zi_restrict,
     chamber_classify,
+    contact_kernel,
     contact_rows,
     destabilizing_candidates,
     formal_resultant,
@@ -50,6 +51,7 @@ from paramod.stability import (
     saturated_members,
     sign_pattern_sums,
     stabilizing_weight,
+    unit_kernels,
     weight_is_kostov_generic,
 )
 
@@ -198,20 +200,14 @@ def _grid_structures():
     return out
 
 
-def _members(gen):
-    return [
-        tuple(None if p is None else (p.coeffs, p.bound) for p in pair)
-        for pair in gen
-    ]
+def _vectors(members):
+    # the (q, r) of the Scalar grid search as one coefficient vector, q first
+    return [[x for p in pair if p is not None for x in p.coeffs] for pair in members]
 
 
 def _cleared_rows(rows):
-    # each contact row cleared to Gaussian integers, as _candidates_at_degree does
+    # each Scalar row cleared to Gaussian integers
     return {i: t_clear([x._t for x in row])[0] for i, row in rows.items()}
-
-
-def _unit_kernels(n):
-    return {(): [[(1, 0) if c == e else (0, 0) for c in range(n)] for e in range(n)]}
 
 
 def _scalar_rows(ibasis):
@@ -224,12 +220,13 @@ def _subsets(keys):
 
 
 class TestSaturatedMembers:
-    """The grid search on Gaussian integers yields exactly the members, in
-    the same order, of the grid search on Scalars over the same basis."""
+    """The grid search on Gaussian integers yields, in the same order, the
+    coefficient vectors of exactly the members that the grid search on
+    Scalars finds over the same basis."""
 
     def _assert_same(self, ibasis, dq, dr):
-        got = _members(saturated_members(ibasis, dq, dr))
-        assert got == _members(oracle_saturated_members(_scalar_rows(ibasis), dq, dr))
+        got = _scalar_rows(saturated_members(ibasis, dq, dr))
+        assert got == _vectors(oracle_saturated_members(_scalar_rows(ibasis), dq, dr))
         return len(got)
 
     def test_candidate_bases(self):
@@ -237,24 +234,25 @@ class TestSaturatedMembers:
         spans = []
         for s, cfg in _grid_structures():
             dq, dr = _hom_degrees(s.bundle, -1)
-            zrows = _cleared_rows(contact_rows(s, cfg, dq, dr))
-            kernels = _unit_kernels(dq + dr + 2)
+            zrows = contact_rows(s, cfg, dq, dr)
+            kernels = unit_kernels(dq + dr + 2)
             for T in _subsets(list(zrows)):
-                basis = _contact_kernel(T, zrows, kernels)
+                basis = contact_kernel(T, zrows, kernels)
                 spans.append(self._assert_same(basis, dq, dr))
         assert 0 in spans and max(spans) > 1
 
     def test_degenerate_candidate_bases(self):
         # the (1, 2) spans of higgslimit._degenerate_candidate: contact at
-        # every marked point but the j-th
+        # every marked point but the j-th, from one memo for the five j
         spans = []
         for s, cfg in _grid_structures():
             if s.bundle != B:
                 continue
-            rows = contact_rows(s, cfg, 1, 2)
+            zrows = contact_rows(s, cfg, 1, 2)
+            kernels = unit_kernels(5)
             for j in range(5):
-                kernel = Mat([row for i, row in rows.items() if i != j]).nullspace()
-                basis, _ = clear_denominators(kernel)
+                others = tuple(i for i in zrows if i != j)
+                basis = contact_kernel(others, zrows, kernels)
                 spans.append(self._assert_same(basis, 1, 2))
         assert 0 in spans and max(spans) > 0
 
@@ -295,11 +293,13 @@ class TestContactKernels:
         seen = set()
         for s, cfg in _grid_structures():
             for dq, dr in {_hom_degrees(s.bundle, -1), (1, 2)}:
-                rows = contact_rows(s, cfg, dq, dr)
-                zrows = _cleared_rows(rows)
-                kernels = _unit_kernels(dq + dr + 2)
+                rows = oracle_contact_rows(s, cfg, dq, dr)
+                zrows = contact_rows(s, cfg, dq, dr)
+                # each Gaussian-integer row is the Scalar row cleared
+                assert zrows == _cleared_rows(rows)
+                kernels = unit_kernels(dq + dr + 2)
                 for T in _subsets(list(rows)):
-                    basis = _contact_kernel(T, zrows, kernels)
+                    basis = contact_kernel(T, zrows, kernels)
                     self._assert_spans_nullspace(rows, T, basis)
                     seen.add(len(basis))
         assert seen >= {1, 2, 3, 4, 5}
@@ -310,9 +310,9 @@ class TestContactKernels:
         for _ in range(20):
             rows = _gaussian_rows(rng)
             zrows = _cleared_rows(rows)
-            kernels = _unit_kernels(5)
+            kernels = unit_kernels(5)
             for T in _subsets(list(rows)):
-                basis = _contact_kernel(T, zrows, kernels)
+                basis = contact_kernel(T, zrows, kernels)
                 self._assert_spans_nullspace(rows, T, basis)
                 # row . N(prefix) = 0: the restriction keeps the prefix basis
                 if T[-1:] == (3,) and {0, 1} <= set(T) or T[-1:] == (4,):
