@@ -55,7 +55,11 @@ class Scalar:
 
     @classmethod
     def rational(cls, num: int, den: int = 1) -> "Scalar":
-        return cls._wrap(t_norm(int(num), 0, int(den)))
+        if type(num) is not int or type(den) is not int:
+            raise ExactError(
+                f"rational parts must be ints, not {type(num).__name__} and {type(den).__name__}"
+            )
+        return cls._wrap(t_norm(num, 0, den))
 
     @classmethod
     def gaussian(cls, re_num: int, re_den: int, im_num: int, im_den: int) -> "Scalar":

@@ -43,9 +43,9 @@ from .stability import (
     WeightVector,
     contact_kernel,
     contact_rows,
+    has_saturated_member,
     is_stable,
     s_value,
-    saturated_members,
     unit_kernels,
     weight_is_non_special,
 )
@@ -591,21 +591,22 @@ def _degenerate_candidate(w: WeightVector, j: int, rows: dict, kernels: dict):
     formal degrees (1, 2) of a degree -1 inclusion ``(q, r)`` into B, and
     ``kernels`` the ``contact_kernel`` memo shared by the five ``j``.  A
     saturated member of the kernel ``N`` of the other four rows misses
-    ``z_j`` iff its product with row ``j`` is nonzero.
+    ``z_j`` iff its product ``l_j`` with row ``j`` is nonzero.
 
-    The answer depends only on the span of ``N``, not on its basis.  With
-    ``res`` the formal resultant and ``l_j`` the product with row ``j``, both
-    read in the coordinates of a basis of ``N``, the result is None iff
-    ``P = res * l_j`` vanishes on the grid {0..3}^m of ``saturated_members``.
-    ``P`` is homogeneous of degree 4, and a nonzero homogeneous quartic is
-    nonzero at some grid point: if some monomial has every exponent <= 3,
-    by Alon's Combinatorial Nullstellensatz (Combin. Probab. Comput. 8,
-    1999); otherwise ``P = sum c_i x_i^4`` and a unit vector works.  So the
-    result is None iff ``P`` vanishes on all of ``N``, whatever the basis.
+    So the result is None iff ``N`` has no saturated member
+    (``has_saturated_member``) or ``l_j`` vanishes on every basis vector of
+    ``N``.  The saturated members are the complement in ``N`` of the zero
+    set of the formal resultant; when they exist they form a nonempty
+    Zariski-open subset of the irreducible space ``N``, which is dense and
+    so lies in no proper hyperplane: some saturated member has ``l_j != 0``
+    unless ``l_j`` vanishes on all of ``N``.  Neither test depends on the
+    basis of ``N``, and no member is built.
     """
     others = tuple(i for i in rows if i != j)
-    members = saturated_members(contact_kernel(others, rows, kernels), 1, 2)
-    if all(zi_dot(rows[j], vec) == ZI_ZERO for vec in members):
+    basis = contact_kernel(others, rows, kernels)
+    if all(zi_dot(rows[j], vec) == ZI_ZERO for vec in basis) or not (
+        has_saturated_member(basis, 1, 2)
+    ):
         return None
     margin = s_value(1, 2, {j}, w)
     return LimitCandidate(f"E-1({j + 1})", margin, margin > sc(0), None)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
-from ._kernel import ZI_ZERO, t_clear, zi_det, zi_dot
+from ._kernel import ZI_ZERO, t_clear, t_norm, zi_dot
 from .exactnum import ONE, ZERO, ExactError, Poly, Scalar, clear_denominators, sc
 from .parastruct import (
     B,
@@ -124,13 +124,23 @@ def weight_is_non_special(w: WeightVector, d: int) -> bool:
     return w.is_non_resonant() and weight_is_kostov_generic(w, d)
 
 
+def _cleared_weights(w: WeightVector) -> tuple[list[int], int]:
+    # the weights' numerators over the lcm of their denominators, and that lcm
+    nums, den = t_clear([x._t for x in w.w])
+    return [a for a, _ in nums], den
+
+
+def _margin(d: int, deg_f: int, contact, nums, den: int) -> Scalar:
+    total = (d - 2 * deg_f) * den
+    for i, a in enumerate(nums):
+        total = total - a if i in contact else total + a
+    return Scalar._wrap(t_norm(total, 0, den))
+
+
 def s_value(d: int, deg_f: int, contact, w: WeightVector) -> Scalar:
-    """Stability margin ``d - 2 deg F + sum_{off} w_i - sum_{on} w_i``."""
-    contact = set(contact)
-    total = sc(d - 2 * deg_f)
-    for i, wi in enumerate(w.w):
-        total = total - wi if i in contact else total + wi
-    return total
+    """Stability margin ``d - 2 deg F + sum_{off} w_i - sum_{on} w_i``,
+    summed on the weights' numerators over their common denominator."""
+    return _margin(d, deg_f, contact, *_cleared_weights(w))
 
 
 @dataclass(frozen=True)
@@ -161,26 +171,36 @@ def formal_resultant(q_coeffs, dq: int, r_coeffs, dr: int) -> tuple[int, int]:
     Vanishes exactly when the degree-(dq, dr) homogenizations share a
     projective root; a root "at infinity" appears when both top coefficients
     vanish, which is how saturation failure at the last chart is detected.
+
+    Only ``dq <= 1`` is taken, which covers every candidate degree of B and
+    B' with ``dq >= 0`` (``_candidate_degrees``).  There the Sylvester
+    determinant has a closed form: ``q0^dr`` for ``dq = 0``, and for
+    ``dq = 1`` the homogenized r at the root ``(-q0 : q1)`` of q,
+    ``sum_k r_k (-q0)^k q1^(dr-k)``, by Horner's rule.
     """
     if dq < 0 or dr < 0:
         raise ExactError("formal degrees must be nonnegative")
-    n = dq + dr
-    if n == 0:
-        return (1, 0)
-    qs = [q_coeffs[k] if k < len(q_coeffs) else ZI_ZERO for k in range(dq + 1)]
+    if dq > 1:
+        raise ExactError("the formal resultant takes dq <= 1 only")
+    xr, xi = q_coeffs[0] if q_coeffs else ZI_ZERO
+    if dq == 0:
+        re, im = 1, 0
+        for _ in range(dr):
+            re, im = re * xr - im * xi, re * xi + im * xr
+        return (re, im)
+    xr, xi = -xr, -xi
+    yr, yi = q_coeffs[1] if len(q_coeffs) > 1 else ZI_ZERO
     rs = [r_coeffs[k] if k < len(r_coeffs) else ZI_ZERO for k in range(dr + 1)]
-    rows = []
-    for shift in range(dr):
-        row = [ZI_ZERO] * n
-        for k in range(dq + 1):
-            row[shift + k] = qs[dq - k]
-        rows.append(row)
-    for shift in range(dq):
-        row = [ZI_ZERO] * n
-        for k in range(dr + 1):
-            row[shift + k] = rs[dr - k]
-        rows.append(row)
-    return zi_det(rows, n)
+    re, im = rs[dr]
+    pr, pi = 1, 0
+    for k in range(dr - 1, -1, -1):
+        pr, pi = pr * yr - pi * yi, pr * yi + pi * yr
+        cr, ci = rs[k]
+        re, im = (
+            re * xr - im * xi + cr * pr - ci * pi,
+            re * xi + im * xr + cr * pi + ci * pr,
+        )
+    return (re, im)
 
 
 def _hom_degrees(bundle: BundleSplitType, k: int) -> tuple[int, int]:
@@ -196,22 +216,137 @@ def _is_saturated(vec, dq: int, dr: int) -> bool:
     return nonzero and formal_resultant(vec[: dq + 1], dq, vec[dq + 1 :], dr) != ZI_ZERO
 
 
+def _zi_trim(p):
+    # drop the trailing zero coefficients: the zero polynomial becomes []
+    p = list(p)
+    while p and p[-1] == ZI_ZERO:
+        p.pop()
+    return p
+
+
+def _zi_mul(p, q):
+    # product of two trimmed Gaussian-integer polynomials, lowest degree first
+    if not p or not q:
+        return []
+    out = [ZI_ZERO] * (len(p) + len(q) - 1)
+    for i, (a, b) in enumerate(p):
+        for j, (c, d) in enumerate(q):
+            x, y = out[i + j]
+            out[i + j] = (x + a * c - b * d, y + a * d + b * c)
+    return out
+
+
+def _zi_primitive(vec):
+    # the Gaussian-integer vector divided by the gcd of all its parts
+    g = gcd(*(t for z in vec for t in z))
+    return [(x // g, y // g) for x, y in vec] if g > 1 else vec
+
+
+def _zi_prem(a, b):
+    """The pseudo-remainder of ``a`` by ``b``, nonzero trimmed polynomials
+    with ``deg a >= deg b``: ``a`` is replaced by ``lc(b) a - lc(a) z^s b``
+    until its degree drops below ``deg b``, then divided by the integer
+    content of its coefficients."""
+    br, bi = b[-1]
+    nb = len(b)
+    while len(a) >= nb:
+        ar, ai = a[-1]
+        s = len(a) - nb
+        a = [(br * x - bi * y, br * y + bi * x) for x, y in a]
+        for k, (u, v) in enumerate(b):
+            x, y = a[s + k]
+            a[s + k] = (x - ar * u + ai * v, y - ar * v - ai * u)
+        a = _zi_trim(a)
+    return _zi_primitive(a)
+
+
+def _zi_gcd(a, b):
+    """A gcd of two nonzero trimmed Gaussian-integer polynomials, up to a
+    constant factor, by the primitive pseudo-remainder sequence (Brown and
+    Traub, J. ACM 18, 1971)."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _zi_prem(a, b)
+        if not r:
+            return b
+        a, b = b, r
+    return b
+
+
+def has_saturated_member(basis, dq: int, dr: int) -> bool:
+    """Whether the span ``V`` of the linearly independent Gaussian-integer
+    ``basis`` at formal degrees ``(dq, dr)``, both nonnegative, holds a
+    saturated member: iff
+
+    1. ``V`` has no base point on P^1: not every basis vector has both top
+       coefficients ``q[dq]``, ``r[dr]`` zero (the chart at infinity), and
+       the polynomials ``q_a``, ``r_a`` of the basis have a gcd of degree 0;
+    2. ``dim V = 1``, or some minor ``q_a r_b - q_b r_a`` is a nonzero
+       polynomial.
+
+    A member is saturated iff its degree-(dq, dr) homogenizations have no
+    common zero on P^1, so a base point leaves none saturated.  Suppose
+    there is none.  If ``dim V = 1`` the basis vector itself is saturated.
+    If some minor is nonzero, the evaluation ``V -> C^2`` at a point ``p``
+    has rank 2 away from the finitely many zeros of the minors and rank 1 at
+    them, so the members vanishing at ``p`` form a subspace ``V_p`` of
+    dimension ``dim V - 2`` at all but finitely many ``p`` and ``dim V - 1``
+    at the rest.  The union of the ``V_p`` then has dimension at most
+    ``dim V - 1`` and misses a member, which is saturated.  If every minor
+    vanishes and ``dim V >= 2``, the members are pairwise proportional over
+    C(z): ``V = S (a, b)`` for a saturated pair ``(a, b)`` and a space ``S``
+    of polynomials of dimension ``dim V``, which holds an ``s`` of degree
+    ``e >= 1``.  So ``deg a <= dq - e`` and ``deg b <= dr - e``: a member
+    ``s (a, b)`` with ``s`` constant has both top coefficients zero, one
+    with ``s`` not constant vanishes at a root of ``s``, and none is
+    saturated.
+
+    The gcd runs by primitive pseudo-remainders over Z[i], dividing out the
+    integer content of each remainder; only its degree is read.
+    """
+    if dq < 0 or dr < 0:
+        raise ExactError("formal degrees must be nonnegative")
+    if all(vec[dq] == ZI_ZERO and vec[-1] == ZI_ZERO for vec in basis):
+        return False
+    qs = [_zi_trim(vec[: dq + 1]) for vec in basis]
+    rs = [_zi_trim(vec[dq + 1 :]) for vec in basis]
+    if len(basis) > 1 and all(
+        _zi_mul(qs[a], rs[b]) == _zi_mul(qs[b], rs[a])
+        for a, b in combinations(range(len(basis)), 2)
+    ):
+        return False
+    g = None
+    for p in qs + rs:
+        if p:
+            g = p if g is None else _zi_gcd(g, p)
+            if len(g) == 1:
+                return True
+    return False
+
+
 def saturated_members(basis, dq: int, dr: int):
     """Yield the saturated members of the span of the Gaussian-integer
     ``basis`` found on the grid of span coefficients {0..dq+dr}^m, in
     ``product`` order: the Gaussian-integer coefficients of q, then of r, at
     that grid point.
 
-    The saturation locus is cut out by the formal resultant, a polynomial of
-    total degree <= dq + dr in the span coordinates, so by the finite-grid
-    Schwartz-Zippel lemma the span has a saturated member iff the grid holds
-    one: an exhausted generator certifies that there is none.  Which basis
-    spans the space changes which members are found, never whether one is.
+    The saturation locus is cut out by the formal resultant, a homogeneous
+    polynomial of degree dq + dr in the span coordinates, so when
+    ``dq + dr >= 1`` the finite-grid Schwartz-Zippel lemma says the span has
+    a saturated member iff the grid holds one.  Which basis spans the space
+    changes which members are found, never whether one is.  When the first
+    grid point, the last basis vector, is not saturated,
+    ``has_saturated_member`` decides whether the span holds any: when it
+    holds none the generator stops there instead of exhausting the grid, and
+    otherwise the walk goes on, so the members yielded are the grid's either
+    way.
     """
     if not basis:
         return
     ncols = len(basis[0])
     width = max(dq, 0) + max(dr, 0) + 1
+    certify = dq >= 0 and dr >= 0
     for coeffs in product(range(width), repeat=len(basis)):
         if not any(coeffs):
             continue
@@ -221,6 +356,9 @@ def saturated_members(basis, dq: int, dr: int):
                 vec = [(x + c * a, y + c * b) for (x, y), (a, b) in zip(vec, bvec)]
         if _is_saturated(vec, dq, dr):
             yield vec
+        elif certify and not has_saturated_member(basis, dq, dr):
+            return
+        certify = False
 
 
 def _candidate_degrees(bundle: BundleSplitType) -> list[int]:
@@ -332,8 +470,7 @@ def _zi_restrict(basis, row):
             (pr * x - pi * y - cr * u + ci * v, pr * y + pi * x - cr * v - ci * u)
             for (x, y), (u, v) in zip(vec, pvec)
         ]
-        g = gcd(*(t for z in new for t in z))
-        out.append([(x // g, y // g) for x, y in new] if g > 1 else new)
+        out.append(_zi_primitive(new))
     return out
 
 
@@ -434,11 +571,12 @@ def is_stable(
     """
     if not weight_is_non_special(w, structure.bundle.degree):
         raise OnWallError("weight is not non-special")
+    nums, den = _cleared_weights(w)
     worst = None
     worst_s = None
     for k in _candidate_degrees(structure.bundle):
         for cand in _candidates_at_degree(structure, cfg, k):
-            s = s_value(structure.bundle.degree, cand.degree, cand.contact, w)
+            s = _margin(structure.bundle.degree, cand.degree, cand.contact, nums, den)
             if s.is_zero():
                 raise OnWallError(
                     f"margin vanishes on degree {cand.degree} "

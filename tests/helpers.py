@@ -14,7 +14,9 @@ nullspaces of the contact rows on Scalars, with each witness's contact
 evaluated back on the marked points, is the reference for the
 Gaussian-integer contact kernels; the C*-limit's degenerations by a rational
 nullspace and q, r evaluated at the marked point are the reference for the
-ones on the contact lattice.
+ones on the contact lattice.  The exhaustive saturation grid is the reference
+for the base-locus certificate that stops it early; the stability margin
+summed on Scalars is the reference for the one on the cleared weights.
 """
 
 from itertools import combinations, product
@@ -37,7 +39,6 @@ from paramod.stability import (
     WeightVector,
     _b_degree_zero_candidates,
     _hom_degrees,
-    s_value,
     sign_label,
     weight_is_non_special,
 )
@@ -514,5 +515,15 @@ def oracle_degenerate_candidate(structure, cfg, w, j):
     kernel = Mat([row for i, row in rows.items() if i != j]).nullspace()
     if all(hits_j(q, r) for q, r in oracle_saturated_members(kernel, 1, 2)):
         return None
-    margin = s_value(1, 2, {j}, w)
+    margin = oracle_s_value(1, 2, {j}, w)
     return LimitCandidate(f"E-1({j + 1})", margin, margin > sc(0), None)
+
+
+def oracle_s_value(d, deg_f, contact, w) -> Scalar:
+    """The stability margin ``d - 2 deg F + sum_{off} w_i - sum_{on} w_i``
+    summed on Scalars."""
+    contact = set(contact)
+    total = sc(d - 2 * deg_f)
+    for i, wi in enumerate(w.w):
+        total = total - wi if i in contact else total + wi
+    return total

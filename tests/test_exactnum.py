@@ -67,6 +67,15 @@ class TestScalar:
             with pytest.raises(ExactError):
                 Scalar(*parts)
 
+    def test_rational_takes_ints_only(self):
+        assert Scalar.rational(-6, 4) == Scalar.gaussian(-3, 2, 0, 1)
+        assert Scalar.rational(7) == Scalar(7)
+        for parts in ((1.5, 2), ("3", 2.9), (True,), (1, True), (3, 2.0), (Scalar(1),), (1, Scalar(2))):
+            with pytest.raises(ExactError):
+                Scalar.rational(*parts)
+        with pytest.raises(ZeroDivisionError):
+            Scalar.rational(1, 0)
+
     def test_parse_rejects_non_string(self):
         for value in (5, None, ["1"]):
             with pytest.raises(ExactError):

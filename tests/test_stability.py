@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from helpers import (
+    _oracle_resultant,
     oracle_candidates_at_degree,
     oracle_chamber_inequalities,
     oracle_contact_of,
@@ -13,6 +14,7 @@ from helpers import (
     oracle_is_stable,
     oracle_kostov_generic,
     oracle_predicates,
+    oracle_s_value,
     oracle_saturated_members,
     rand_config,
     rand_nonspecial_weight,
@@ -24,7 +26,8 @@ from helpers import (
 )
 from paramod._kernel import t_clear
 from paramod.connection import irreducibility_screen
-from paramod.exactnum import INF, Mat, Poly, Scalar, clear_denominators, sc
+from paramod import stability
+from paramod.exactnum import INF, ExactError, Mat, Poly, Scalar, clear_denominators, sc
 from paramod.parastruct import (
     B,
     BPRIME,
@@ -45,6 +48,7 @@ from paramod.stability import (
     contact_rows,
     destabilizing_candidates,
     formal_resultant,
+    has_saturated_member,
     is_stable,
     no_stable_structure,
     s_value,
@@ -170,6 +174,19 @@ class TestSValue:
             assert s_value(1, 0, cp, wp) == base
 
 
+    def test_matches_scalar_sum(self):
+        # the same value, and so the same string, as the sum on Scalars
+        rng = random.Random(19)
+        for _ in range(200):
+            w = WeightVector(
+                [Scalar.rational(rng.randrange(0, den), den) for den in [rng.randrange(2, 30) for _ in range(5)]]
+            )
+            contact = set(rng.sample(range(5), rng.randint(0, 5)))
+            d, deg_f = rng.choice([0, 1]), rng.randint(-2, 3)
+            got, want = s_value(d, deg_f, contact, w), oracle_s_value(d, deg_f, contact, w)
+            assert got == want and str(got) == str(want)
+
+
 class TestFormalResultant:
     # coefficients are Gaussian integers (re, im), lowest degree first
     def test_coprime(self):
@@ -183,6 +200,32 @@ class TestFormalResultant:
     def test_common_root_at_infinity(self):
         # both drop formal degree: q = 1 (bound 1), r = z (bound 2)
         assert formal_resultant([(1, 0), (0, 0)], 1, [(0, 0), (1, 0), (0, 0)], 2) == (0, 0)
+
+    def test_closed_forms_match_sylvester_determinant(self):
+        # the closed forms at dq <= 1 agree with the rational Bareiss
+        # determinant of the Sylvester matrix, sign included
+        rng = random.Random(29)
+
+        def coeff():
+            if rng.random() < 0.25:
+                return (0, 0)
+            return (rng.randint(-4, 4), rng.randint(-4, 4) if rng.random() < 0.5 else 0)
+
+        zeros = 0
+        for _ in range(400):
+            dq, dr = rng.randint(0, 1), rng.randint(0, 4)
+            qs = [coeff() for _ in range(dq + 1)]
+            rs = [coeff() for _ in range(dr + 1)]
+            got = formal_resultant(qs, dq, rs, dr)
+            want = _oracle_resultant(_scalar_rows([qs])[0], dq, _scalar_rows([rs])[0], dr)
+            assert Scalar.gaussian(got[0], 1, got[1], 1) == want, (qs, dq, rs, dr)
+            zeros += got == (0, 0)
+        assert zeros > 30
+
+    def test_formal_degrees_outside_closed_forms_rejected(self):
+        for dq, dr in ((2, 1), (3, 0), (-1, 2), (1, -1)):
+            with pytest.raises(ExactError):
+                formal_resultant([(1, 0)] * (max(dq, 0) + 1), dq, [(1, 0)] * (max(dr, 0) + 1), dr)
 
 
 def _grid_structures():
@@ -219,15 +262,17 @@ def _subsets(keys):
     return [T for size in range(len(keys), -1, -1) for T in combinations(keys, size)]
 
 
+def _assert_same_members(ibasis, dq, dr):
+    # the Gaussian-integer grid search yields what the Scalar one does
+    got = _scalar_rows(saturated_members(ibasis, dq, dr))
+    assert got == _vectors(oracle_saturated_members(_scalar_rows(ibasis), dq, dr))
+    return len(got)
+
+
 class TestSaturatedMembers:
     """The grid search on Gaussian integers yields, in the same order, the
     coefficient vectors of exactly the members that the grid search on
     Scalars finds over the same basis."""
-
-    def _assert_same(self, ibasis, dq, dr):
-        got = _scalar_rows(saturated_members(ibasis, dq, dr))
-        assert got == _vectors(oracle_saturated_members(_scalar_rows(ibasis), dq, dr))
-        return len(got)
 
     def test_candidate_bases(self):
         # every contact subset's kernel, as _candidates_at_degree builds it
@@ -238,7 +283,7 @@ class TestSaturatedMembers:
             kernels = unit_kernels(dq + dr + 2)
             for T in _subsets(list(zrows)):
                 basis = contact_kernel(T, zrows, kernels)
-                spans.append(self._assert_same(basis, dq, dr))
+                spans.append(_assert_same_members(basis, dq, dr))
         assert 0 in spans and max(spans) > 1
 
     def test_degenerate_candidate_bases(self):
@@ -253,8 +298,134 @@ class TestSaturatedMembers:
             for j in range(5):
                 others = tuple(i for i in zrows if i != j)
                 basis = contact_kernel(others, zrows, kernels)
-                spans.append(self._assert_same(basis, 1, 2))
+                spans.append(_assert_same_members(basis, 1, 2))
         assert 0 in spans and max(spans) > 0
+
+
+def _span(pairs):
+    # a Gaussian-integer basis from (q, r) coefficient lists, lowest degree
+    # first, each coefficient an int or a pair (re, im)
+    return [[c if isinstance(c, tuple) else (c, 0) for c in q + r] for q, r in pairs]
+
+
+def _class_structures(rng, count):
+    # the five input classes of a random stability decision, ``count`` each
+    out = {name: [] for name in ("generic", "one-inf", "two-inf", "decomposable", "bprime")}
+    for _ in range(count):
+        cfg = rand_config(rng)
+        i, j = sorted(rng.sample(range(5), 2))
+        a, b = rand_rational(rng), rand_rational(rng, -10, 10, 4)
+        out["generic"].append((rand_u2_indecomposable(rng, cfg), cfg))
+        out["one-inf"].append((rand_ui_indecomposable(rng, cfg, i), cfg))
+        out["two-inf"].append((rand_uij_indecomposable(rng, cfg, i, j), cfg))
+        out["decomposable"].append((ParabolicStructure(B, [a + b * z for z in cfg.z]), cfg))
+        out["bprime"].append((rand_structure(rng, BPRIME, n_inf=0), cfg))
+    return out
+
+
+class TestSpanCertificate:
+    """``has_saturated_member`` says whether the exhaustive Scalar grid
+    search finds a saturated member, on constructed spans that reach each
+    of its branches and on the contact kernels of every input class."""
+
+    # name: (dq, dr, basis as (q, r) pairs, whether a member is saturated)
+    SPANS = {
+        "dim 1, saturated": (1, 2, [([1, 1], [0, 0, 1])], True),
+        "dim 1, finite base point": (1, 2, [([-1, 1], [0, -1, 1])], False),
+        "dim 1, base point at infinity": (1, 2, [([1, 0], [0, 1, 0])], False),
+        # all minors zero without a base point: {(q, (z + 2) q)}, {(0, r)}
+        # and {(q, (z + 1 + i) q)}
+        "minors zero, (q, lq)": (1, 2, [([1, 0], [2, 1, 0]), ([0, 1], [0, 2, 1])], False),
+        "minors zero, (0, r)": (1, 2, [([0, 0], [1, 0, 0]), ([0, 0], [0, 1, 0]), ([0, 0], [0, 0, 1])], False),
+        "minors zero, Gaussian (q, lq)": (
+            1, 2, [([(0, 1), 0], [(-1, 1), (0, 1), 0]), ([3, 1], [(3, 3), (4, 1), 1])], False,
+        ),
+        # a nonzero minor and a base point at z = 1, at z = i, at infinity
+        "minor, finite base point": (1, 2, [([-1, 1], [0, 0, 0]), ([0, 0], [-3, 2, 1])], False),
+        "minor, Gaussian base point": (
+            1, 2, [([(0, -1), 1], [0, 0, 0]), ([0, 0], [(0, -1), (1, -1), 1]), ([(0, -2), 2], [(0, -1), 1, 0])], False,
+        ),
+        "minor, base point at infinity only": (1, 2, [([1, 0], [0, 0, 0]), ([0, 0], [0, 1, 0])], False),
+        "minor, no base point": (1, 2, [([1, 0], [0, 0, 0]), ([0, 1], [0, 0, 1])], True),
+        "minor, no base point, dim 3": (
+            1, 2, [([1, 1], [0, 0, 0]), ([0, 0], [1, 0, 1]), ([2, 2], [-1, 0, -1])], True,
+        ),
+        # B' degree -1 spans at (0, 3): q is a constant
+        "B', dim 1, saturated": (0, 3, [([1], [1, 0, 0, 1])], True),
+        "B', dim 1, q = 0": (0, 3, [([0], [1, 0, 0, 1])], False),
+        "B', minor": (0, 3, [([1], [0, 0, 0, 0]), ([0], [1, 0, 0, 0])], True),
+        "B', minors zero, (0, r)": (
+            0, 3, [([0], [1, 0, 0, 0]), ([0], [0, 1, 0, 0]), ([0], [0, 0, 1, 0]), ([0], [0, 0, 0, 1])], False,
+        ),
+        "B', (0, r) with base point": (0, 3, [([0], [-1, 1, 0, 0]), ([0], [0, -1, 1, 0])], False),
+    }
+
+    @staticmethod
+    def _grid_has(ibasis, dq, dr):
+        return next(oracle_saturated_members(_scalar_rows(ibasis), dq, dr), None) is not None
+
+    @pytest.mark.parametrize("name", sorted(SPANS))
+    def test_constructed_spans(self, name):
+        dq, dr, pairs, want = self.SPANS[name]
+        basis = _span(pairs)
+        assert self._grid_has(basis, dq, dr) == want
+        assert has_saturated_member(basis, dq, dr) == want
+        # the grid search stopped by the certificate yields what the oracle does
+        _assert_same_members(basis, dq, dr)
+
+    def test_contact_kernels_of_every_class(self):
+        rng = random.Random(67)
+        found = {True: 0, False: 0}
+        for structures in _class_structures(rng, 3).values():
+            for s, cfg in structures:
+                for k in _candidate_degrees(s.bundle):
+                    dq, dr = _hom_degrees(s.bundle, k)
+                    if dq < 0 or (s.bundle == B and k == 0):
+                        continue
+                    zrows = contact_rows(s, cfg, dq, dr)
+                    kernels = unit_kernels(dq + dr + 2)
+                    for T in _subsets(list(zrows)):
+                        basis = contact_kernel(T, zrows, kernels)
+                        if not basis:
+                            continue
+                        want = self._grid_has(basis, dq, dr)
+                        assert has_saturated_member(basis, dq, dr) == want, (s, T)
+                        found[want] += 1
+        assert found[True] > 100 and found[False] > 30, found
+
+    def test_negative_formal_degree_rejected(self):
+        with pytest.raises(ExactError):
+            has_saturated_member(_span([([], [1])]), -1, 0)
+
+    def test_barren_span_costs_one_saturation_test(self, monkeypatch):
+        # per span the decision searches, the _is_saturated calls it made
+        # and whether it found a member: a span without one stops after the
+        # first grid point instead of exhausting the grid
+        real_is_saturated, real_members = stability._is_saturated, stability.saturated_members
+        spans = []
+
+        def is_saturated(vec, dq, dr):
+            spans[-1][0] += 1
+            return real_is_saturated(vec, dq, dr)
+
+        def members(basis, dq, dr):
+            spans.append([0, False])
+            for vec in real_members(basis, dq, dr):
+                spans[-1][1] = True
+                yield vec
+
+        monkeypatch.setattr(stability, "_is_saturated", is_saturated)
+        monkeypatch.setattr(stability, "saturated_members", members)
+        barren = {}
+        for name, structures in _class_structures(random.Random(71), 6).items():
+            spans.clear()
+            for s, cfg in structures:
+                destabilizing_candidates(s, cfg)
+            assert spans, name
+            costs = [calls for calls, hit in spans if not hit]
+            assert all(calls <= 1 for calls in costs), (name, costs)
+            barren[name] = len(costs)
+        assert barren["decomposable"] >= 6 * 8 and barren["two-inf"] >= 6 * 6, barren
 
 
 def _gaussian_rows(rng):
@@ -365,6 +536,7 @@ class TestCandidatesMatchOracle:
                     continue
                 (coeffs,), _ = clear_denominators([c.q.coeffs + c.r.coeffs])
                 assert formal_resultant(coeffs[: dq + 1], dq, coeffs[dq + 1 :], dr) != (0, 0)
+
 
 
 class TestCandidates:
