@@ -3,12 +3,11 @@
 Scalars are triples ``(a, b, d)`` of ints for ``(a + b*i)/d``, ``d > 0``,
 ``gcd(a, b, d) == 1``; every operation returns a triple in that normal form,
 so equal values are equal tuples.  The matrix routines take lists of lists of
-triples.  Determinant and rank are fraction-free: each row is scaled once by
-the lcm of its denominators, and one forward elimination, one-step Bareiss
-over the Gaussian integers ``(re, im)``, divides exactly by the previous
-pivot, so no gcd is taken inside the loop; the determinant is normalised to
-one triple at the end.  The reduced row echelon form behind the nullspace and
-the affine solver uses plain Gauss-Jordan, which is exact over a field.
+triples and share one elimination, Gauss-Jordan over the field of Gaussian
+rationals (``mat_rref``): the nullspace and the affine solver read its
+reduced rows, the rank its pivot count and the determinant the signed
+product of its pivots.  ``t_clear`` and ``zi_dot`` carry rows to Gaussian
+integers ``(re, im)`` for the contact lattice and the saturation search.
 """
 
 from math import gcd, lcm
@@ -93,85 +92,16 @@ def zi_dot(row, vec):
     return re, im
 
 
-def _zi_pivots(m, nrows, ncols):
-    """One-step Bareiss forward elimination of the Gaussian-integer rows ``m``
-    in place.  Yields ``(col, sign)`` as each pivot lands in the next row, with
-    ``sign`` the parity of the row swaps so far, before eliminating below it.
-    With ``p`` the previous pivot, each entry below becomes
-    ``(pivot*x - lead*y)/p``, an exact division in Z[i]: by Sylvester's
-    identity every entry is a minor of ``m``."""
-    pr, pi = 1, 0
-    sign = 1
-    row = 0
-    for col in range(ncols):
-        for i in range(row, nrows):
-            if _is_zero(m[i][col]):
-                continue
-            if i != row:
-                m[row], m[i] = m[i], m[row]
-                sign = -sign
-            break
-        else:
-            continue
-        yield col, sign
-        krow = m[row]
-        ar, ai = krow[col]
-        norm = pr * pr + pi * pi
-        for i in range(row + 1, nrows):
-            irow = m[i]
-            lr, li = irow[col]
-            for j in range(col + 1, ncols):
-                xr, xi = irow[j]
-                yr, yi = krow[j]
-                nr = ar * xr - ai * xi - lr * yr + li * yi
-                ni = ar * xi + ai * xr - lr * yi - li * yr
-                irow[j] = ((nr * pr + ni * pi) // norm, (ni * pr - nr * pi) // norm)
-            irow[col] = ZI_ZERO
-        pr, pi = ar, ai
-        row += 1
-        if row == nrows:
-            return
-
-
-def zi_det(m, n):
-    """Determinant ``(re, im)`` of the n-by-n Gaussian-integer rows ``m``,
-    which are overwritten."""
-    rank = 0
-    sign = 1
-    for col, sign in _zi_pivots(m, n, n):
-        if col != rank:
-            return ZI_ZERO
-        rank += 1
-    if rank < n:
-        return ZI_ZERO
-    re, im = m[n - 1][n - 1]
-    return (sign * re, sign * im)
-
-
-def mat_det(rows, n):
-    """Determinant of an n-by-n matrix of triples: each row is cleared of its
-    denominators once, the Gaussian-integer determinant is divided by their
-    product."""
-    m = []
-    den = 1
-    for row in rows:
-        zrow, scale = t_clear(row)
-        m.append(zrow)
-        den *= scale
-    re, im = zi_det(m, n)
-    return t_norm(re, im, den)
-
-
-def mat_rank(rows, nrows, ncols):
-    """Rank: the number of pivots of the Gaussian-integer forward elimination."""
-    m = [t_clear(row)[0] for row in rows]
-    return sum(1 for _ in _zi_pivots(m, nrows, ncols))
-
-
 def mat_rref(rows, nrows, ncols):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
+    """Reduced row echelon form by Gauss-Jordan elimination; returns
+    ``(new_rows, pivot_columns, pivot_product)``.  The product is taken over
+    the pivots as they are found, negated once per row swap, so for a square
+    matrix with a pivot in every row it is the determinant: scaling a row by
+    the inverse of its pivot divides the determinant by that pivot, a swap
+    negates it, and clearing a column leaves it unchanged."""
     m = [list(r) for r in rows]
     pivots = []
+    product = T_ONE
     row = 0
     for col in range(ncols):
         pivot_row = -1
@@ -181,8 +111,12 @@ def mat_rref(rows, nrows, ncols):
                 break
         if pivot_row < 0:
             continue
-        m[row], m[pivot_row] = m[pivot_row], m[row]
-        inv = t_inv(m[row][col])
+        if pivot_row != row:
+            m[row], m[pivot_row] = m[pivot_row], m[row]
+            product = t_neg(product)
+        pivot = m[row][col]
+        product = t_mul(product, pivot)
+        inv = t_inv(pivot)
         m[row] = [t_mul(inv, v) for v in m[row]]
         for i in range(nrows):
             if i != row and not _is_zero(m[i][col]):
@@ -192,7 +126,19 @@ def mat_rref(rows, nrows, ncols):
         row += 1
         if row == nrows:
             break
-    return m, pivots
+    return m, pivots, product
+
+
+def mat_det(rows, n):
+    """Determinant of an n-by-n matrix of triples: the signed product of the
+    Gauss-Jordan pivots, zero when fewer than n columns hold one."""
+    _, pivots, product = mat_rref(rows, n, n)
+    return product if len(pivots) == n else T_ZERO
+
+
+def mat_rank(rows, nrows, ncols):
+    """Rank: the number of Gauss-Jordan pivots."""
+    return len(mat_rref(rows, nrows, ncols)[1])
 
 
 def _free_basis(m, pivots, ncols):
@@ -212,14 +158,14 @@ def _free_basis(m, pivots, ncols):
 
 def mat_nullspace(rows, nrows, ncols):
     """Basis of the right kernel, one vector per free column."""
-    m, pivots = mat_rref(rows, nrows, ncols)
+    m, pivots, _ = mat_rref(rows, nrows, ncols)
     return _free_basis(m, pivots, ncols)
 
 
 def mat_solve_affine(rows, rhs, nrows, ncols):
     """Solve A x = b; returns (particular, nullspace_basis) or None."""
     aug = [list(rows[i]) + [rhs[i]] for i in range(nrows)]
-    m, pivots = mat_rref(aug, nrows, ncols + 1)
+    m, pivots, _ = mat_rref(aug, nrows, ncols + 1)
     if ncols in pivots:
         return None
     particular = [T_ZERO] * ncols

@@ -310,29 +310,36 @@ class ConnectionSpace:
     count appearing in the fiber-dimension proof), and ``dim_mod_gauge``
     subtracts the positive-dimensional part of the flag stabilizer from the
     honest dimension; for structures with scalar stabilizer the two gauge
-    numbers bracket the same two-dimensional fiber.  ``parts`` holds the
-    ``(C_i, D_i)`` of every point; a solution vector ``(x_0..x_4, tail)``
-    becomes the connection with residues ``C_i + x_i D_i``.
+    numbers bracket the same two-dimensional fiber.  Both are computed when
+    read.  ``parts`` holds the ``(C_i, D_i)`` of every point; a solution
+    vector ``(x_0..x_4, tail)`` becomes the connection with residues
+    ``C_i + x_i D_i``.
     """
 
-    def __init__(self, structure, cfg, nu, labels, particular, basis, dim_before_gauge, parts):
+    def __init__(self, structure, cfg, nu, labels, particular, basis, parts):
         self.structure = structure
         self.cfg = cfg
         self.nu = nu
         self.labels = labels
         self.particular = particular
         self.basis = basis
-        self.dim_before_gauge = dim_before_gauge
         self.parts = parts
-        self.stab_dim = stabilizer_dim(structure, cfg)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     @property
+    def dim_before_gauge(self) -> int:
+        # the diagonal sums are rows of the solved system, so they are
+        # consistent and leave the unknowns minus their rank
+        ntail = len(self.labels) - NPOINTS
+        diag = [[D[r][r] for _, D in self.parts] + [ZERO] * ntail for r in (0, 1)]
+        return len(self.labels) - Mat(diag).rank()
+
+    @property
     def dim_mod_gauge(self) -> int:
-        return self.dim - (self.stab_dim - 1)
+        return self.dim - (stabilizer_dim(self.structure, self.cfg) - 1)
 
     def free_tail_only(self) -> bool:
         """True when every free direction is supported on tail coordinates."""
@@ -397,8 +404,7 @@ def solve_connection_space(
     linear, are the two diagonal residue sums and the coefficients of the
     off-diagonal numerators above their degree bounds, highest first; the
     tail term ``G21 * prod (z - z_j)`` has degree at most ``3 + d1 - d0`` and
-    so enters none of them.  ``dim_before_gauge`` is the dimension left by
-    the diagonal sums alone.  Returns None when the system is infeasible
+    so enters none of them.  Returns None when the system is infeasible
     (decomposable structures with Kostov-generic spectra).
     """
     bundle = structure.bundle
@@ -423,16 +429,11 @@ def solve_connection_space(
         for k in range(NPOINTS - 1, bound, -1):
             rows.append(row(r, c, [p.coeff(k) for p in poles], ZERO))
 
-    def solve(rows):
-        return Mat([coeffs for coeffs, _ in rows]).solve_affine([rhs for _, rhs in rows])
-
-    before = solve(rows[:2])
-    full = solve(rows)
+    full = Mat([coeffs for coeffs, _ in rows]).solve_affine([rhs for _, rhs in rows])
     if full is None:
         return None
     particular, basis = full
-    dim_before = len(before[1]) if before is not None else -1
-    return ConnectionSpace(structure, cfg, nu, labels, particular, basis, dim_before, parts)
+    return ConnectionSpace(structure, cfg, nu, labels, particular, basis, parts)
 
 
 def irreducibility_screen(t: FlatTriple):
@@ -495,15 +496,7 @@ def _connection_from_entries(bundle, cfg, e) -> LogConnection:
                 (e[(1, 0)].residues[i], e[(1, 1)].residues[i]),
             )
         )
-    max_tail = bundle.d1 - bundle.d0 - 2
-    tail = e[(1, 0)].tail
-    if tail.degree() > max(max_tail, -1):
-        raise ConnectionError("tail degree exceeds the new bound")
-    if max_tail >= 0:
-        tail_poly = Poly(list(tail.coeffs[: max_tail + 1]), bound=max_tail)
-    else:
-        tail_poly = None
-    return LogConnection(bundle, mats, tail_poly)
+    return LogConnection(bundle, mats, e[(1, 0)].tail)
 
 
 def elm_triple(t: FlatTriple, j: int) -> FlatTriple:

@@ -25,7 +25,6 @@ from .exactnum import (
     Poly,
     ProjectivePoint,
     Scalar,
-    divided_difference_weights,
     monic_from_roots,
     sc,
 )
@@ -650,20 +649,20 @@ def fiber_dimension(
         return space.dim
     theta = p.theta_poly(cfg)
     choice = dict(p.flag_choice)
-    weights = []  # coefficient of each unknown in the trace-sum constraint
+    rank = 0  # of the trace-sum constraint on the surviving unknowns
     const = sc(0)
-    # the (12) residue pinned by theta is theta(z_i) / prod_{k != i}(z_i - z_k)
-    for i, w_i in enumerate(divided_difference_weights(cfg.z)):
-        a12 = theta(cfg.z[i]) * w_i
+    for i, zi in enumerate(cfg.z):
         if choice.get(i) == "upper":
             # infinite flag: the surviving unknown is the (21) residue,
             # absent from the trace sum
             const = const + nu.minus(i)
-            weights.append(sc(0))
         else:
             const = const + nu.plus(i)
-            weights.append(-a12)
-    rank = 1 if any(not c.is_zero() for c in weights) else 0
+            # the unknown enters with minus the (12) residue pinned by theta,
+            # theta(z_i) / prod_{k != i}(z_i - z_k); the points are distinct,
+            # so that residue vanishes exactly when theta(z_i) does
+            if not theta(zi).is_zero():
+                rank = 1
     if rank == 0 and not const.is_zero():
         raise HiggsError("empty fiber: trace constraint is inconsistent")
     gauge = 2  # automorphism directions acting effectively on the fiber

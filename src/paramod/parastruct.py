@@ -126,10 +126,6 @@ class BundleSplitType:
 B = BundleSplitType(0, 1)
 BPRIME = BundleSplitType(-1, 2)
 
-# degree bound of a section of the lower summand interpolating the flags:
-# Hom(O(d0), O(d1)) has sections of degree <= d1 - d0
-_SECTION_BOUND = {B: 1, BPRIME: 3}
-
 
 class ParabolicStructure:
     """A choice of flag at each of the five marked points of a split bundle."""
@@ -280,11 +276,12 @@ def is_decomposable(
     For B the witness is a polynomial of degree <= 1, for B' degree <= 3.
     Returns ``(True, witness)`` or ``(False, None)``.
     """
-    bound = _SECTION_BOUND.get(structure.bundle)
-    if bound is None:
+    bundle = structure.bundle
+    if bundle not in (B, BPRIME):
         raise StratumError("decomposability implemented for B and B' only")
+    # Hom(O(d0), O(d1)) has sections of degree <= d1 - d0
     pts = [(cfg.z[i], u) for i, u in structure.finite_values().items()]
-    witness = interpolate(pts, bound)
+    witness = interpolate(pts, bundle.d1 - bundle.d0)
     if witness is None:
         return False, None
     return True, witness
@@ -402,6 +399,24 @@ def uij_split_invariant(
     return (uk - ul) * (zm - zk) / (zk - zl) + (uk - um)
 
 
+def _action_solutions(structure: ParabolicStructure, cfg: MarkedConfiguration, rhs=None):
+    """All solutions ``(particular, basis)`` of the action equations
+    ``shift(z_i) - a*u_i = rhs_i`` at the finite flags ``u_i`` of
+    ``structure``, homogeneous when ``rhs`` is None, or None when there is
+    none.  The unknowns are the coefficients of the shift, a section of
+    degree at most ``d1 - d0``, from low to high, then ``a``; with no finite
+    flag every vector is a solution."""
+    ncols = structure.bundle.d1 - structure.bundle.d0 + 2
+    rows = [
+        [cfg.z[i] ** k for k in range(ncols - 1)] + [-u]
+        for i, u in structure.finite_values().items()
+    ]
+    if not rows:
+        unit = [[sc(1) if j == k else sc(0) for j in range(ncols)] for k in range(ncols)]
+        return [sc(0)] * ncols, unit
+    return Mat(rows).solve_affine(rhs if rhs is not None else [sc(0)] * len(rows))
+
+
 def find_automorphism(
     s1: ParabolicStructure, s2: ParabolicStructure, cfg: MarkedConfiguration
 ):
@@ -412,26 +427,15 @@ def find_automorphism(
     """
     if s1.bundle != s2.bundle:
         raise StratumError("structures live on different bundles")
-    bundle = s1.bundle
-    if bundle not in (B, BPRIME):
+    if s1.bundle not in (B, BPRIME):
         raise StratumError("orbit search defined for B and B' only")
     if s1.infinity_indices() != s2.infinity_indices():
         return None
-    shift_deg = _SECTION_BOUND[bundle]
-    v1, v2 = s1.finite_values(), s2.finite_values()
-    # unknowns: shift coefficients (low to high) then a
-    rows, rhs = [], []
-    for i in v1:
-        zi = cfg.z[i]
-        rows.append([zi**k for k in range(shift_deg + 1)] + [-v2[i]])
-        rhs.append(-v1[i])
-    if not rows:
-        return _identity_params(bundle)
-    sol = Mat(rows).solve_affine(rhs)
+    sol = _action_solutions(s2, cfg, [-u for u in s1.finite_values().values()])
     if sol is None:
         return None
     particular, basis = sol
-    a_col = shift_deg + 1
+    a_col = len(particular) - 1
     candidate = None
     if not particular[a_col].is_zero():
         candidate = particular
@@ -442,15 +446,7 @@ def find_automorphism(
                 break
     if candidate is None:
         return None
-    a = candidate[a_col]
-    shift = candidate[:a_col]
-    if bundle == B:
-        return (a, shift[1], shift[0])
-    return (a, shift[3], shift[2], shift[1], shift[0])
-
-
-def _identity_params(bundle: BundleSplitType):
-    return (sc(1), sc(0), sc(0)) if bundle == B else (sc(1), sc(0), sc(0), sc(0), sc(0))
+    return (candidate[a_col], *reversed(candidate[:a_col]))
 
 
 def orbit_equal(
@@ -481,18 +477,9 @@ def stabilizer_dim(structure: ParabolicStructure, cfg: MarkedConfiguration) -> i
     if bundle.d0 == bundle.d1:
         distinct = len(set(structure.flags))
         return 1 + max(0, 3 - distinct)
-    shift_deg = bundle.d1 - bundle.d0
-    vals = structure.finite_values()
     # fixed-flag equations: shift(z_i) = (a - 1) u_i, unknowns (shift, a - 1)
-    rows = []
-    for i in vals:
-        zi = cfg.z[i]
-        rows.append([zi**k for k in range(shift_deg + 1)] + [-vals[i]])
-    ncols = shift_deg + 2
-    if not rows:
-        return 1 + ncols  # every parameter direction fixes the flags
-    m = Mat(rows)
-    return 1 + (ncols - m.rank())
+    _, basis = _action_solutions(structure, cfg)
+    return 1 + len(basis)
 
 
 def is_simple(structure: ParabolicStructure, cfg: MarkedConfiguration) -> bool:
@@ -502,31 +489,15 @@ def is_simple(structure: ParabolicStructure, cfg: MarkedConfiguration) -> bool:
 
 def stabilizer_witness(structure: ParabolicStructure, cfg: MarkedConfiguration):
     """A non-scalar automorphism fixing the flags, or None if simple."""
-    bundle = structure.bundle
-    shift_deg = _SECTION_BOUND[bundle]
-    vals = structure.finite_values()
-    ncols = shift_deg + 2
-    rows = []
-    for i in vals:
-        zi = cfg.z[i]
-        rows.append([zi**k for k in range(shift_deg + 1)] + [-vals[i]])
-    if rows:
-        basis = Mat(rows).nullspace()
-    else:
-        basis = [
-            [sc(1) if j == k else sc(0) for j in range(ncols)] for k in range(ncols)
-        ]
+    if structure.bundle not in (B, BPRIME):
+        raise StratumError("stabilizer witness defined for B and B' only")
+    _, basis = _action_solutions(structure, cfg)
     for vec in basis:
-        alpha = vec[ncols - 1]
-        a = sc(1) + alpha
+        a = sc(1) + vec[-1]
         if a.is_zero():
             vec = [sc(2) * x for x in vec]
-            alpha = vec[ncols - 1]
-            a = sc(1) + alpha
-        shift = vec[: ncols - 1]
-        if bundle == B:
-            return (a, shift[1], shift[0])
-        return (a, shift[3], shift[2], shift[1], shift[0])
+            a = sc(1) + vec[-1]
+        return (a, *reversed(vec[:-1]))
     return None
 
 

@@ -210,10 +210,9 @@ def _hom_degrees(bundle: BundleSplitType, k: int) -> tuple[int, int]:
 
 def _is_saturated(vec, dq: int, dr: int) -> bool:
     # vec: the Gaussian-integer coefficients of q, then of r
-    nonzero = any(v != ZI_ZERO for v in vec)
-    if dq < 0 or dr < 0:
-        return nonzero and max(dq, dr) == 0
-    return nonzero and formal_resultant(vec[: dq + 1], dq, vec[dq + 1 :], dr) != ZI_ZERO
+    return any(v != ZI_ZERO for v in vec) and (
+        formal_resultant(vec[: dq + 1], dq, vec[dq + 1 :], dr) != ZI_ZERO
+    )
 
 
 def _zi_trim(p):
@@ -327,26 +326,28 @@ def has_saturated_member(basis, dq: int, dr: int) -> bool:
 
 def saturated_members(basis, dq: int, dr: int):
     """Yield the saturated members of the span of the Gaussian-integer
-    ``basis`` found on the grid of span coefficients {0..dq+dr}^m, in
-    ``product`` order: the Gaussian-integer coefficients of q, then of r, at
-    that grid point.
+    ``basis`` at formal degrees ``(dq, dr)``, both nonnegative, found on the
+    grid of span coefficients {0..max(dq+dr, 1)}^m, in ``product`` order:
+    the Gaussian-integer coefficients of q, then of r, at that grid point.
 
-    The saturation locus is cut out by the formal resultant, a homogeneous
-    polynomial of degree dq + dr in the span coordinates, so when
-    ``dq + dr >= 1`` the finite-grid Schwartz-Zippel lemma says the span has
-    a saturated member iff the grid holds one.  Which basis spans the space
-    changes which members are found, never whether one is.  When the first
-    grid point, the last basis vector, is not saturated,
-    ``has_saturated_member`` decides whether the span holds any: when it
-    holds none the generator stops there instead of exhausting the grid, and
-    otherwise the walk goes on, so the members yielded are the grid's either
-    way.
+    The saturation locus of the nonzero members is cut out by the formal
+    resultant, a homogeneous polynomial of degree dq + dr in the span
+    coordinates.  When ``dq + dr >= 1`` the finite-grid Schwartz-Zippel
+    lemma says the span has a saturated member iff the grid
+    {0..dq+dr}^m holds one; when ``dq + dr = 0`` the resultant is a
+    nonzero constant, every nonzero member is saturated, and {0, 1}^m
+    holds one.  Which basis spans the space changes which members are
+    found, never whether one is.  When the first grid point, the last basis
+    vector, is not saturated, ``has_saturated_member`` decides whether the
+    span holds any: when it holds none the generator stops there instead of
+    exhausting the grid, and otherwise the walk goes on, so the members
+    yielded are the grid's either way.
     """
     if not basis:
         return
     ncols = len(basis[0])
-    width = max(dq, 0) + max(dr, 0) + 1
-    certify = dq >= 0 and dr >= 0
+    width = max(dq + dr, 1) + 1
+    certify = True
     for coeffs in product(range(width), repeat=len(basis)):
         if not any(coeffs):
             continue

@@ -4,9 +4,9 @@ The closed-form stability oracle transcribes the case analysis for line
 subbundles of B and B' (full-contact determinant test at degree -1, the
 unique higher-degree factor, maximal collinear subsets at degree 0) and is
 kept independent of the enumeration-based decision path in paramod.stability.
-The rational Bareiss determinant and rank and the saturation grid search on
-Scalars are the slow references for the Gaussian-integer kernel and grid
-search in paramod.  The 2^5 sign-pattern loop on Scalars, with the four
+The rational Bareiss determinant and rank are the references for the ones
+read off the Gauss-Jordan pivots, and the saturation grid search on Scalars
+for the Gaussian-integer grid search in paramod.  The 2^5 sign-pattern loop on Scalars, with the four
 decisions built on it, is the reference for the integer sign-pattern sums,
 the per-call rebuild of the pole products the reference for the
 products a configuration keeps.  The enumeration of contact sets by rational
@@ -16,7 +16,9 @@ Gaussian-integer contact kernels; the C*-limit's degenerations by a rational
 nullspace and q, r evaluated at the marked point are the reference for the
 ones on the contact lattice.  The exhaustive saturation grid is the reference
 for the base-locus certificate that stops it early; the stability margin
-summed on Scalars is the reference for the one on the cleared weights.
+summed on Scalars is the reference for the one on the cleared weights.  A
+second solve of the two diagonal residue sums and the rank of the fixed-flag
+equations are the references for the gauge counts of a connection space.
 """
 
 from itertools import combinations, product
@@ -360,7 +362,7 @@ def oracle_saturated_members(basis, dq, dr):
     if not basis:
         return
     ncols = len(basis[0])
-    width = max(dq, 0) + max(dr, 0) + 1
+    width = max(max(dq, 0) + max(dr, 0), 1) + 1
     nq = dq + 1 if dq >= 0 else 0
     for coeffs in product(range(width), repeat=len(basis)):
         if not any(coeffs):
@@ -527,3 +529,30 @@ def oracle_s_value(d, deg_f, contact, w) -> Scalar:
     for i, wi in enumerate(w.w):
         total = total - wi if i in contact else total + wi
     return total
+
+
+def oracle_stabilizer_dim(structure, cfg) -> int:
+    """The dimension of the flag stabilizer, scalars included, from the rank
+    of the fixed-flag equations ``shift(z_i) = (a - 1) u_i``."""
+    bundle = structure.bundle
+    if bundle.d0 == bundle.d1:
+        return 1 + max(0, 3 - len(set(structure.flags)))
+    ncols = bundle.d1 - bundle.d0 + 2
+    vals = structure.finite_values()
+    rows = [[cfg.z[i] ** k for k in range(ncols - 1)] + [-u] for i, u in vals.items()]
+    return 1 + ncols - (Mat(rows).rank() if rows else 0)
+
+
+def oracle_gauge_dims(space):
+    """``(dim_before_gauge, dim_mod_gauge)`` of a connection space by a second
+    solve of the two diagonal residue sums alone, -1 when they are
+    inconsistent, and the rank of the fixed-flag equations."""
+    bundle = space.structure.bundle
+    ntail = len(space.labels) - NPOINTS
+    rows, rhs = [], []
+    for r, target in ((0, -bundle.d0), (1, -bundle.d1)):
+        rows.append([D[r][r] for _, D in space.parts] + [ZERO] * ntail)
+        rhs.append(sc(target) - sum((C[r][r] for C, _ in space.parts), ZERO))
+    before = Mat(rows).solve_affine(rhs)
+    dim_before = len(before[1]) if before is not None else -1
+    return dim_before, space.dim - (oracle_stabilizer_dim(space.structure, space.cfg) - 1)

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from helpers import oracle_cleared_numerator, rand_config, rand_nonspecial_spectrum, rand_rational
+from helpers import (
+    oracle_cleared_numerator,
+    oracle_gauge_dims,
+    rand_config,
+    rand_nonspecial_spectrum,
+    rand_nonspecial_weight,
+    rand_rational,
+)
+from paramod import connection, higgslimit
 from paramod.connection import (
     ConnectionError,
     FlatTriple,
@@ -15,7 +23,7 @@ from paramod.connection import (
     validate_triple,
     verify_invariant_line,
 )
-from paramod.exactnum import INF, ExactError, Poly, sc
+from paramod.exactnum import INF, ExactError, Mat, Poly, Scalar, sc
 from paramod.parastruct import (
     B,
     BundleSplitType,
@@ -253,6 +261,69 @@ def _raw_connection_system_dim(s, cfg, nu):
             rhs.append(sc(0))
     sol = Mat(rows).solve_affine(rhs)
     return None if sol is None else len(sol[1])
+
+
+class TestGaugeCounts:
+    """``dim_before_gauge`` and ``dim_mod_gauge``, computed when read from the
+    one solved space, against the second solve of the diagonal sums and the
+    stabilizer rank that were computed with every space."""
+
+    def test_every_split_matches_two_solve_oracle(self):
+        rng = random.Random(29)
+        solved = set()
+        for d in (-1, 0, 1, 2):
+            for bundle in degree_bounds(d).splits:
+                for n_inf in (0, 1, 2):
+                    flags = [INF] * n_inf + [rand_rational(rng, -30, 30, 6) for _ in range(5 - n_inf)]
+                    s = ParabolicStructure(bundle, flags)
+                    space = solve_connection_space(s, CFG, rand_nonspecial_spectrum(rng, d=d))
+                    if space is None:
+                        continue
+                    solved.add(bundle)
+                    assert (space.dim_before_gauge, space.dim_mod_gauge) == oracle_gauge_dims(space)
+        assert solved == {b for d in (-1, 0, 1, 2) for b in degree_bounds(d).splits}
+
+    def test_zero_diagonal_rows(self):
+        # every flag 0 leaves both diagonal-sum rows zero; this spectrum meets
+        # the sums, so the space exists and the diagonal rows have rank 0
+        third, fifth = Scalar.rational(1, 3), Scalar.rational(1, 5)
+        nu = SpectrumRank2([(p, -fifth) for p in (third, -third, fifth, -fifth, sc(0))], 1)
+        space = solve_connection_space(ParabolicStructure(B, [0] * 5), CFG, nu)
+        assert (space.dim, space.dim_before_gauge, space.dim_mod_gauge) == (3, 5, 2)
+        assert oracle_gauge_dims(space) == (5, 2)
+
+    def test_pipeline_solves_once_and_reads_no_rank(self, monkeypatch):
+        # solve -> triple -> validate -> limit -> fiber on one B and one B'
+        # input: one solve_affine per solved space, whose gauge counts are
+        # not read, and no rank
+        rng = random.Random(31)
+        inputs = [
+            (s, spectrum_deg1(rng), rand_nonspecial_weight(rng, total_below=1))
+            for s in (finite_nonzero_structure(rng), bprime_generic_representative(CFG))
+        ]
+        calls = {"solve_affine": 0, "rank": 0, "space": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Mat, "solve_affine", counted("solve_affine", Mat.solve_affine))
+        monkeypatch.setattr(Mat, "rank", counted("rank", Mat.rank))
+        solve = counted("space", connection.solve_connection_space)
+        monkeypatch.setattr(connection, "solve_connection_space", solve)
+        monkeypatch.setattr(higgslimit, "solve_connection_space", solve)
+        for s, nu, w in inputs:
+            space = connection.solve_connection_space(s, CFG, nu)
+            t = space.triple_at([1, 2])
+            assert validate_triple(t)[0]
+            res = higgslimit.cstar_limit(t, w)
+            assert higgslimit.fiber_dimension(res.point, CFG, nu) == 2
+        assert calls["rank"] == 0
+        assert calls["space"] == 3  # the F0 fiber solves its own space
+        assert calls["solve_affine"] == calls["space"]
 
 
 class TestSolverAgainstRawSystem:

@@ -302,6 +302,18 @@ class TestSaturatedMembers:
         assert 0 in spans and max(spans) > 0
 
 
+    def test_degree_zero_span(self):
+        # at (0, 0) the resultant is a nonzero constant: the one basis vector
+        # is saturated and lies on the grid {0, 1}
+        basis = [[(1, 0), (1, 0)]]
+        assert list(saturated_members(basis, 0, 0)) == basis
+        assert _assert_same_members(basis, 0, 0) == 1
+
+    def test_negative_degrees_rejected(self):
+        with pytest.raises(ExactError):
+            next(saturated_members([[(1, 0)]], -1, 0))
+
+
 def _span(pairs):
     # a Gaussian-integer basis from (q, r) coefficient lists, lowest degree
     # first, each coefficient an int or a pair (re, im)
