@@ -7,7 +7,8 @@ triples and share one elimination, Gauss-Jordan over the field of Gaussian
 rationals (``mat_rref``): the nullspace and the affine solver read its
 reduced rows, the rank its pivot count and the determinant the signed
 product of its pivots.  ``t_clear`` and ``zi_dot`` carry rows to Gaussian
-integers ``(re, im)`` for the contact lattice and the saturation search.
+integers ``(re, im)`` for the contact lattice and the saturation search, and
+``t_matvec`` applies a cleared matrix with them.
 """
 
 from math import gcd, lcm
@@ -90,6 +91,15 @@ def zi_dot(row, vec):
         re += a * x - b * y
         im += a * y + b * x
     return re, im
+
+
+def t_matvec(rows, den, vec):
+    """The triples ``sum_k rows[i][k] * vec[k] / den`` for Gaussian-integer
+    rows over one denominator and a vector of triples (shorter than a row
+    means zeros after it): one integer dot product and one normalization per
+    row."""
+    xs, d = t_clear(vec)
+    return [t_norm(*zi_dot(row, xs), den * d) for row in rows]
 
 
 def mat_rref(rows, nrows, ncols):

@@ -12,12 +12,20 @@ cleared off-diagonal numerators ``N12 = sum A12_i prod_{j != i}(z - z_j)``
 (by ``3 + d0 - d1``) and ``N21 + G21 * prod (z - z_j)`` (by ``3 + d1 - d0``),
 all linear in the ``x_i``.  Only the (21) entry of ``G`` can be nonzero, a
 polynomial tail of degree at most ``d1 - d0 - 2``.
+
+A transformation works on an entry as its cleared numerator
+``N = entry * prod_j (z - z_j)`` (``LogConnection.numerator``), a polynomial
+that holds the residues and the tail at once: a frame change is polynomial
+arithmetic on the four numerators, and ``residues_and_tail`` reads the
+residues ``N(z_i) / prod_{j != i} (z_i - z_j)`` and the tail
+``N div prod (z - z_j)`` back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._kernel import t_matvec
 from .exactnum import (
     ONE,
     ZERO,
@@ -33,6 +41,8 @@ from .parastruct import (
     BundleSplitType,
     MarkedConfiguration,
     ParabolicStructure,
+    act,
+    act_params_shift,
     point_index,
     stabilizer_dim,
 )
@@ -66,102 +76,6 @@ def degree_bounds(d: int) -> DegreeBounds:
     return DegreeBounds(lo, hi, tuple(splits))
 
 
-class RationalEntry:
-    """One matrix entry of a connection: simple poles at the marked points
-    plus a polynomial tail.  Supports the exact frame-change algebra used by
-    elementary transformations and gauge conjugation."""
-
-    __slots__ = ("cfg", "residues", "tail")
-
-    def __init__(self, cfg: MarkedConfiguration, residues, tail: Poly | None = None):
-        self.cfg = cfg
-        self.residues = tuple(sc(r) for r in residues)
-        if len(self.residues) != NPOINTS:
-            raise ExactError("one residue per marked point")
-        self.tail = tail if tail is not None else Poly.zero(-1)
-
-    def __add__(self, other: "RationalEntry") -> "RationalEntry":
-        return RationalEntry(
-            self.cfg,
-            [a + b for a, b in zip(self.residues, other.residues)],
-            self.tail + other.tail,
-        )
-
-    def __sub__(self, other: "RationalEntry") -> "RationalEntry":
-        return RationalEntry(
-            self.cfg,
-            [a - b for a, b in zip(self.residues, other.residues)],
-            self.tail - other.tail,
-        )
-
-    def __neg__(self) -> "RationalEntry":
-        return RationalEntry(self.cfg, [-a for a in self.residues], -self.tail)
-
-    def scale(self, c) -> "RationalEntry":
-        c = sc(c)
-        return RationalEntry(self.cfg, [c * a for a in self.residues], c * self.tail)
-
-    def add_pole(self, j: int, amount=1) -> "RationalEntry":
-        res = list(self.residues)
-        res[j] = res[j] + sc(amount)
-        return RationalEntry(self.cfg, res, self.tail)
-
-    def mul_poly(self, p: Poly) -> "RationalEntry":
-        """Multiply by a polynomial: residues scale by p(z_i) and the
-        regular part of ``r_i (p(z) - p(z_i))/(z - z_i)`` joins the tail."""
-        zs = self.cfg.z
-        res = [r * p(zi) for r, zi in zip(self.residues, zs)]
-        tail = self.tail * p
-        for r, zi in zip(self.residues, zs):
-            if r.is_zero():
-                continue
-            quot, rem = p.divide_linear(zi)
-            if not rem == p(zi):
-                raise ConnectionError("polynomial division inconsistency")
-            tail = tail + r * quot
-        return RationalEntry(self.cfg, res, tail)
-
-    def div_root(self, j: int) -> "RationalEntry":
-        """Divide by ``(z - z_j)``; requires the residue at z_j to vanish
-        (otherwise the quotient would carry a double pole)."""
-        zs = self.cfg.z
-        if not self.residues[j].is_zero():
-            raise ConnectionError("division would create a double pole")
-        res = [sc(0)] * NPOINTS
-        at_j = self.tail(zs[j])
-        for i in range(NPOINTS):
-            if i == j or self.residues[i].is_zero():
-                continue
-            res[i] = self.residues[i] / (zs[i] - zs[j])
-            at_j = at_j - res[i]
-        res[j] = at_j
-        quot, _ = self.tail.divide_linear(zs[j])
-        return RationalEntry(self.cfg, res, quot)
-
-    def residue_sum(self) -> Scalar:
-        return sum(self.residues, sc(0))
-
-    def cleared_numerator(self) -> Poly:
-        """``entry * prod (z - z_j)`` as a polynomial, from the configuration's
-        pole products."""
-        node, partials = self.cfg.pole_products()
-        total = self.tail * node
-        for r, partial in zip(self.residues, partials):
-            if r.is_zero():
-                continue
-            total = total + r * partial
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalEntry):
-            return NotImplemented
-        return (
-            self.cfg == other.cfg
-            and self.residues == other.residues
-            and self.tail == other.tail
-        )
-
-
 class LogConnection:
     """Residue matrices at the five marked points plus the (21) tail."""
 
@@ -187,21 +101,17 @@ class LogConnection:
             list(tail.coeffs[: max(max_tail + 1, 0)]), bound=max(max_tail, -1)
         )
 
-    def entry(self, r: int, c: int, cfg: MarkedConfiguration) -> RationalEntry:
-        res = [self.residues[i][r][c] for i in range(NPOINTS)]
-        tail = self.tail if (r, c) == (1, 0) else Poly.zero(-1)
-        return RationalEntry(cfg, res, tail)
-
     def a(self, i: int, r: int, c: int) -> Scalar:
         return self.residues[i][r][c]
 
-    def offdiag_upper(self, cfg) -> Poly:
-        """Cleared (12) numerator; degree <= 3 + d0 - d1 for a valid
-        connection."""
-        return self.entry(0, 1, cfg).cleared_numerator()
-
-    def offdiag_lower(self, cfg) -> Poly:
-        return self.entry(1, 0, cfg).cleared_numerator()
+    def numerator(self, r: int, c: int, cfg: MarkedConfiguration) -> Poly:
+        """The cleared entry ``N_rc = entry_rc * prod_j (z - z_j)``: the
+        residues summed against the pole products, plus the tail times the
+        node polynomial in the (21) entry."""
+        (rows, den), _ = cfg.numerator_maps()
+        coeffs = t_matvec(rows, den, [m[r][c]._t for m in self.residues])
+        num = Poly([Scalar._wrap(x) for x in coeffs])
+        return num + self.tail * cfg.pole_products()[0] if (r, c) == (1, 0) else num
 
     def to_json(self):
         return {
@@ -282,18 +192,16 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
         k, l = _flag_vector(t.structure.flags[i])
         if (a11 * k + a12 * l != p * k) or (a21 * k + a22 * l != p * l):
             v.append(f"flag at point {i + 1} is not a nu+ eigenline")
-    e11 = t.connection.entry(0, 0, t.cfg)
-    e22 = t.connection.entry(1, 1, t.cfg)
-    if e11.residue_sum() != sc(-d0):
-        v.append(f"sum of A11 residues is {e11.residue_sum()}, expected {-d0}")
-    if e22.residue_sum() != sc(-d1):
-        v.append(f"sum of A22 residues is {e22.residue_sum()}, expected {-d1}")
-    n12 = t.connection.offdiag_upper(t.cfg)
+    for r, d in ((0, d0), (1, d1)):
+        total = sum((m[r][r] for m in t.connection.residues), ZERO)
+        if total != sc(-d):
+            v.append(f"sum of A{r + 1}{r + 1} residues is {total}, expected {-d}")
+    n12 = t.connection.numerator(0, 1, t.cfg)
     if n12.degree() > 3 + d0 - d1:
         v.append(
             f"(12) numerator degree {n12.degree()} exceeds {3 + d0 - d1}"
         )
-    n21 = t.connection.offdiag_lower(t.cfg)
+    n21 = t.connection.numerator(1, 0, t.cfg)
     if n21.degree() > 3 + d1 - d0:
         v.append(
             f"(21) numerator degree {n21.degree()} exceeds {3 + d1 - d0}"
@@ -462,41 +370,63 @@ def verify_invariant_line(t: FlatTriple, q: Poly | None, r: Poly | None) -> bool
     line: the cleared ``(nabla s) wedge s`` vanishes identically."""
     if (q is None or q.is_zero()) and (r is None or r.is_zero()):
         raise ConnectionError("zero section is not a line")
-    cfg = t.cfg
     qp = q if q is not None else Poly.zero(-1)
     rp = r if r is not None else Poly.zero(-1)
-    prod_all, partials = cfg.pole_products()
-    w1 = prod_all * qp.derivative()
-    w2 = prod_all * rp.derivative()
-    for ((a11, a12), (a21, a22)), partial in zip(t.connection.residues, partials):
-        w1 = w1 + partial * (a11 * qp + a12 * rp)
-        w2 = w2 + partial * (a21 * qp + a22 * rp)
-    w2 = w2 + prod_all * (t.connection.tail * qp)
-    wedge = w1 * rp - w2 * qp
-    return wedge.is_zero()
+    node = t.cfg.pole_products()[0]
+    n11, n12, n21, n22 = _numerators(t)
+    w1 = node * qp.derivative() + n11 * qp + n12 * rp
+    w2 = node * rp.derivative() + n21 * qp + n22 * rp
+    return (w1 * rp - w2 * qp).is_zero()
 
 
-def _entries(t: FlatTriple) -> dict[tuple[int, int], RationalEntry]:
-    return {
-        (r, c): t.connection.entry(r, c, t.cfg)
-        for r in (0, 1)
-        for c in (0, 1)
-    }
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _connection_from_entries(bundle, cfg, e) -> LogConnection:
-    for key in ((0, 0), (0, 1), (1, 1)):
-        if not e[key].tail.is_zero():
+def _numerators(t: FlatTriple) -> list[Poly]:
+    return [t.connection.numerator(r, c, t.cfg) for r, c in _ENTRIES]
+
+
+def residues_and_tail(num: Poly, cfg: MarkedConfiguration) -> tuple[list[Scalar], Poly]:
+    """Inverse of ``LogConnection.numerator``: the residues
+    ``N(z_i) / prod_{j != i} (z_i - z_j)`` and the tail
+    ``N div prod (z - z_j)`` of the entry with cleared numerator ``N``."""
+    node, _ = cfg.pole_products()
+    _, (rows, den) = cfg.numerator_maps()
+    rem = list(num.coeffs)
+    quot = []
+    while len(rem) > NPOINTS:
+        q = rem.pop()
+        quot.append(q)
+        if not q.is_zero():
+            for k, c in enumerate(node.coeffs[:NPOINTS], len(rem) - NPOINTS):
+                rem[k] = rem[k] - q * c
+    residues = [Scalar._wrap(x) for x in t_matvec(rows, den, [c._t for c in rem])]
+    return residues, Poly(quot[::-1])
+
+
+def _divide_exact(num: Poly, zj: Scalar) -> Poly:
+    """``num / (z - z_j)``; a nonzero remainder is a double pole at z_j."""
+    quot, rem = num.divide_linear(zj)
+    if not rem.is_zero():
+        raise ConnectionError("division would create a double pole")
+    return quot
+
+
+def _from_numerators(bundle, cfg, nums) -> LogConnection:
+    """The connection on ``bundle`` with the cleared entries ``nums``, in the
+    order of ``_ENTRIES``; only the (21) entry may keep a polynomial part."""
+    cols = {}
+    for key, num in zip(_ENTRIES, nums):
+        cols[key], tail = residues_and_tail(num, cfg)
+        if key == (1, 0):
+            g21 = tail
+        elif not tail.is_zero():
             raise ConnectionError(f"entry {key} acquired a polynomial part")
-    mats = []
-    for i in range(NPOINTS):
-        mats.append(
-            (
-                (e[(0, 0)].residues[i], e[(0, 1)].residues[i]),
-                (e[(1, 0)].residues[i], e[(1, 1)].residues[i]),
-            )
-        )
-    return LogConnection(bundle, mats, e[(1, 0)].tail)
+    mats = [
+        ((cols[0, 0][i], cols[0, 1][i]), (cols[1, 0][i], cols[1, 1][i]))
+        for i in range(NPOINTS)
+    ]
+    return LogConnection(bundle, mats, g21)
 
 
 def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
@@ -504,23 +434,21 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
 
     The new frame is ``(e1, (z - z_j) e2)`` with ``e1`` spanning the flag;
     the degree drops by one, the flag at z_j moves to the complementary
-    summand fiber, and the spectrum transforms by ``elm_spectrum``.
+    summand fiber, and the spectrum transforms by ``elm_spectrum``.  On the
+    cleared numerators a new pole at z_j adds ``prod_{i != j} (z - z_i)``,
+    the frame factor multiplies or divides by ``z - z_j``.
     """
     cfg = t.cfg
     bundle = t.connection.bundle
     zj = cfg.z[point_index(j)]
     lin = Poly([-zj, 1])
-    e = _entries(t)
+    pole = cfg.pole_products()[1][j]
+    n11, n12, n21, n22 = _numerators(t)
     u = t.structure.flags[j]
     if u.is_infinity():
         # frame ((z - z_j) e, f): lower summand degree drops
         new_bundle = BundleSplitType(bundle.d0 - 1, bundle.d1)
-        ne = {
-            (0, 0): e[(0, 0)].add_pole(j),
-            (0, 1): e[(0, 1)].div_root(j),
-            (1, 0): e[(1, 0)].mul_poly(lin),
-            (1, 1): e[(1, 1)],
-        }
+        nums = [n11 + pole, _divide_exact(n12, zj), n21 * lin, n22]
         new_flags = []
         for i, ui in enumerate(t.structure.flags):
             if i == j:
@@ -529,17 +457,16 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
                 new_flags.append(ProjectivePoint.infinity())
             else:
                 new_flags.append(ProjectivePoint.finite(ui.value * (cfg.z[i] - zj)))
-        swap = False
     else:
         tval = u.value
         new_bundle_raw = (bundle.d0, bundle.d1 - 1)
-        o11, o12, o21, o22 = e[(0, 0)], e[(0, 1)], e[(1, 0)], e[(1, 1)]
-        ne = {
-            (0, 0): o11 + o12.scale(tval),
-            (0, 1): o12.mul_poly(lin),
-            (1, 0): (o21 + (o22 - o11).scale(tval) - o12.scale(tval * tval)).div_root(j),
-            (1, 1): (o22 - o12.scale(tval)).add_pole(j),
-        }
+        t12 = tval * n12
+        nums = [
+            n11 + t12,
+            n12 * lin,
+            _divide_exact(n21 + tval * (n22 - n11 - t12), zj),
+            n22 - t12 + pole,
+        ]
         new_flags = []
         for i, ui in enumerate(t.structure.flags):
             if i == j:
@@ -550,21 +477,15 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
                 new_flags.append(
                     ProjectivePoint.finite((ui.value - tval) / (cfg.z[i] - zj))
                 )
-        swap = new_bundle_raw[0] > new_bundle_raw[1]
-        if swap:
-            ne = {
-                (0, 0): ne[(1, 1)],
-                (0, 1): ne[(1, 0)],
-                (1, 0): ne[(0, 1)],
-                (1, 1): ne[(0, 0)],
-            }
+        if new_bundle_raw[0] > new_bundle_raw[1]:
+            nums.reverse()
             new_flags = [
                 ProjectivePoint(f.lam, f.kappa) for f in new_flags
             ]
             new_bundle = BundleSplitType(new_bundle_raw[1], new_bundle_raw[0])
         else:
             new_bundle = BundleSplitType(*new_bundle_raw)
-    conn = _connection_from_entries(new_bundle, cfg, ne)
+    conn = _from_numerators(new_bundle, cfg, nums)
     structure = ParabolicStructure(new_bundle, new_flags)
     return FlatTriple(structure, elm_spectrum(t.spectrum, j), conn, cfg)
 
@@ -577,24 +498,14 @@ def gauge_transform(t: FlatTriple, params) -> FlatTriple:
     connection by the matching conjugation, so the result is an isomorphic
     flat triple and validates.
     """
-    from .parastruct import act, act_params_shift
-
     bundle = t.connection.bundle
     a, shift = act_params_shift(bundle, params)
     cfg = t.cfg
-    e = _entries(t)
-    o11, o12, o21, o22 = e[(0, 0)], e[(0, 1)], e[(1, 0)], e[(1, 1)]
-    inv_a = a.inverse()
-    n11 = o11 - o12.mul_poly(shift)
-    n12 = o12.scale(a)
-    n21 = (
-        o21 + (o11 - o22).mul_poly(shift) - o12.mul_poly(shift * shift)
-    ).scale(inv_a)
-    # derivative of the shift joins the (21) polynomial part
-    n21 = RationalEntry(cfg, n21.residues, n21.tail - inv_a * shift.derivative())
-    n22 = o22 + o12.mul_poly(shift)
-    conn = _connection_from_entries(
-        bundle, cfg, {(0, 0): n11, (0, 1): n12, (1, 0): n21, (1, 1): n22}
-    )
+    n11, n12, n21, n22 = _numerators(t)
+    node = cfg.pole_products()[0]
+    s12 = shift * n12
+    # the derivative of the shift joins the (21) entry as a polynomial part
+    n21 = a.inverse() * (n21 + shift * (n11 - n22) - shift * s12 - node * shift.derivative())
+    conn = _from_numerators(bundle, cfg, [n11 - s12, a * n12, n21, n22 + s12])
     structure = act(bundle, params, t.structure, cfg)
     return FlatTriple(structure, t.spectrum, conn, cfg)

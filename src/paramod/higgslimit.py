@@ -54,48 +54,24 @@ class HiggsError(ValueError):
     """Raised on malformed Higgs data or failed limit preconditions."""
 
 
-def _sqrt_rational(num: int, den: int) -> tuple[int, int] | None:
-    if num < 0 or den <= 0:
-        return None
-    sn, sd = isqrt(num), isqrt(den)
-    if sn * sn == num and sd * sd == den:
-        return sn, sd
-    return None
-
-
 def gaussian_sqrt(s: Scalar) -> Scalar | None:
-    """An exact square root in the Gaussian rationals, or None."""
-    if s.is_zero():
-        return sc(0)
-    rn, rd = s.re_pair
-    imn, imd = s.im_pair
-    if imn == 0:
-        if rn > 0:
-            root = _sqrt_rational(rn, rd)
-            return Scalar.rational(*root) if root else None
-        root = _sqrt_rational(-rn, rd)
-        return Scalar.rational(*root) * Scalar(0, 1) if root else None
-    # |s| must be rational: common denominator form (a + b i)/d
-    a_num, a_den = rn, rd
-    b_num, b_den = imn, imd
-    d = a_den * b_den
-    a = a_num * b_den
-    b = b_num * a_den
-    n2 = a * a + b * b
-    m = isqrt(n2)
-    if m * m != n2:
+    """The principal square root in the Gaussian rationals (real part
+    positive, or zero with a nonnegative imaginary part), or None.
+
+    With ``s = (a + b*i)/d`` in normal form, ``s = (A + B*i)/d^2`` for
+    ``A, B = a*d, b*d``.  A Gaussian-rational root of ``s`` is ``(p + q*i)/d``
+    with ``(p + q*i)^2 = A + B*i``, so ``p + q*i`` is a Gaussian integer (Z[i]
+    is integrally closed), ``p^2 = (m + A)/2`` and ``q^2 = (m - A)/2`` for
+    ``m = |A + B*i|``, and ``pq`` has the sign of ``B``.
+    """
+    a, b, d = s._t
+    A, B = a * d, b * d
+    m = isqrt(A * A + B * B)
+    p = isqrt((m + A) // 2)
+    q = isqrt((m - A) // 2) * (-1 if B < 0 else 1)
+    if m * m != A * A + B * B or p * p - q * q != A or 2 * p * q != B:
         return None
-    half = Scalar.rational(a + m, 2 * d)
-    hn, hd = half.re_pair
-    root = _sqrt_rational(hn, hd)
-    if root is None:
-        return None
-    p = Scalar.rational(*root)
-    if p.is_zero():
-        return None
-    q = Scalar.rational(b, d) / (2 * p)
-    cand = p + q * Scalar(0, 1)
-    return cand if cand * cand == s else None
+    return Scalar(p, q) / d
 
 
 def quadratic_roots(theta: Poly) -> tuple[ProjectivePoint, ProjectivePoint] | None:
@@ -192,7 +168,7 @@ def theta_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly
     """The cleared (12) numerator of a connection, bounded by the Higgs
     degree of its bundle (2 on B, 0 on B'); holomorphy of the input makes the
     higher coefficients vanish."""
-    raw = conn.offdiag_upper(cfg)
+    raw = conn.numerator(0, 1, cfg)
     bound = 3 + conn.bundle.d0 - conn.bundle.d1
     return raw.shrink(max(bound, -1))
 

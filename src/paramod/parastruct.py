@@ -18,6 +18,7 @@ from .exactnum import (
     Poly,
     ProjectivePoint,
     Scalar,
+    clear_denominators,
     divided_difference_weights,
     interpolate,
     monic_from_roots,
@@ -42,13 +43,15 @@ def point_index(j) -> int:
 class MarkedConfiguration:
     """Five pairwise distinct finite real marked points on the affine line.
 
-    Instances are immutable, so the pole products of ``pole_products`` are
-    built once, on first use, and kept in the ``_poles`` slot for the life of
-    the configuration; the connection solver, ``RationalEntry.cleared_numerator``
-    and ``verify_invariant_line`` read them from there.
+    Instances are immutable, so the pole products of ``pole_products`` and
+    the maps of ``numerator_maps`` are built once, on first use, and kept in
+    the ``_poles`` and ``_maps`` slots for the life of the configuration; the
+    connection solver, ``verify_invariant_line`` and the passage between a
+    connection entry and its cleared numerator (``LogConnection.numerator``,
+    ``connection.residues_and_tail``) read them from there.
     """
 
-    __slots__ = ("z", "_poles")
+    __slots__ = ("z", "_poles", "_maps")
 
     def __init__(self, z):
         zs = tuple(sc(x) for x in z)
@@ -60,6 +63,7 @@ class MarkedConfiguration:
             raise ExactError("marked points must be pairwise distinct")
         self.z = zs
         self._poles = None
+        self._maps = None
 
     def pole_products(self) -> tuple[Poly, tuple[Poly, ...]]:
         """The node polynomial ``prod_j (z - z_j)`` and the five products
@@ -70,6 +74,25 @@ class MarkedConfiguration:
             node = monic_from_roots(self.z)
             self._poles = (node, tuple(node.divide_linear(zi)[0] for zi in self.z))
         return self._poles
+
+    def numerator_maps(self):
+        """The linear maps between the residues ``r_i`` of a connection entry
+        without tail and the coefficients ``N_k`` of its cleared numerator
+        (degree <= 4): ``N_k = sum_i r_i [z^k] prod_{j != i} (z - z_j)`` and
+        its inverse, Lagrange interpolation at the marked points,
+        ``r_i = sum_k N_k z_i^k / prod_{j != i} (z_i - z_j)``.  Each is a
+        pair (Gaussian-integer rows, denominator) of ``clear_denominators``,
+        for ``_kernel.t_matvec``."""
+        if self._maps is None:
+            _, partials = self.pole_products()
+            weights = divided_difference_weights(self.z)
+            self._maps = (
+                clear_denominators([[p.coeffs[k] for p in partials] for k in range(NPOINTS)]),
+                clear_denominators(
+                    [[w * zi**k for k in range(NPOINTS)] for zi, w in zip(self.z, weights)]
+                ),
+            )
+        return self._maps
 
     def to_json(self):
         return {"z": [str(x) for x in self.z]}

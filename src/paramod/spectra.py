@@ -147,10 +147,6 @@ class MCBranch:
     def to_json(self):
         return {"sigma": "".join(self.sigma), "betaV": [str(x) for x in self.beta_v]}
 
-    @classmethod
-    def from_json(cls, data, nu: SpectrumRank2) -> "MCBranch":
-        return cls(data["sigma"], [Scalar.parse(s) for s in data["betaV"]], nu)
-
 
 @dataclass(frozen=True)
 class MCSpectrumRank3:

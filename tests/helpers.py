@@ -423,15 +423,16 @@ def oracle_irreducibility_screen(nu):
     return ("unknown", patterns) if patterns else ("irreducible", [])
 
 
-def oracle_cleared_numerator(entry) -> Poly:
-    """``entry * prod (z - z_j)`` with every pole product rebuilt from the
-    roots by ``monic_from_roots``."""
-    zs = entry.cfg.z
-    total = entry.tail * monic_from_roots(zs)
-    for i, r in enumerate(entry.residues):
-        if r.is_zero():
+def oracle_cleared_numerator(conn, r, c, cfg) -> Poly:
+    """``entry_rc * prod (z - z_j)`` of the connection, with every pole
+    product rebuilt from the roots by ``monic_from_roots``."""
+    zs = cfg.z
+    tail = conn.tail if (r, c) == (1, 0) else Poly.zero(-1)
+    total = tail * monic_from_roots(zs)
+    for i, m in enumerate(conn.residues):
+        if m[r][c].is_zero():
             continue
-        total = total + r * monic_from_roots([zs[k] for k in range(NPOINTS) if k != i])
+        total = total + m[r][c] * monic_from_roots([zs[k] for k in range(NPOINTS) if k != i])
     return total
 
 

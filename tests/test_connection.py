@@ -19,11 +19,12 @@ from paramod.connection import (
     elm_triple,
     gauge_transform,
     irreducibility_screen,
+    residues_and_tail,
     solve_connection_space,
     validate_triple,
     verify_invariant_line,
 )
-from paramod.exactnum import INF, ExactError, Mat, Poly, Scalar, sc
+from paramod.exactnum import INF, ExactError, I, Mat, Poly, Scalar, sc
 from paramod.parastruct import (
     B,
     BundleSplitType,
@@ -169,12 +170,44 @@ class TestSolveConnectionSpace:
                         continue
                     for conn in space.basis_connections():
                         for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                            entry = conn.entry(r, c, cfg)
-                            got = entry.cleared_numerator()
-                            expected = oracle_cleared_numerator(entry)
+                            got = conn.numerator(r, c, cfg)
+                            expected = oracle_cleared_numerator(conn, r, c, cfg)
                             assert (got.coeffs, got.bound) == (expected.coeffs, expected.bound)
                             checked += 1
         assert checked > 100
+
+    def test_numerator_round_trip(self):
+        # residues and tail -> cleared numerator -> residues and tail on the
+        # splits of test_every_split_validates (the B' basis carries tails),
+        # and numerator -> residues and tail -> numerator for polynomials of
+        # every degree up to 7, on two configurations
+        rng = random.Random(29)
+        tails = 0
+        for cfg in (CFG, rand_config(rng)):
+            node, partials = cfg.pole_products()
+            for d in (-1, 0, 1, 2):
+                for bundle in degree_bounds(d).splits:
+                    flags = [INF] + [rand_rational(rng, -30, 30, 6) for _ in range(4)]
+                    s = ParabolicStructure(bundle, flags)
+                    space = solve_connection_space(s, cfg, rand_nonspecial_spectrum(rng, d=d))
+                    if space is None:
+                        continue
+                    for conn in space.basis_connections():
+                        for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                            residues, tail = residues_and_tail(conn.numerator(r, c, cfg), cfg)
+                            assert residues == [m[r][c] for m in conn.residues]
+                            assert tail == (conn.tail if (r, c) == (1, 0) else Poly.zero(-1))
+                            tails += not tail.is_zero()
+            for deg in range(-1, 8):
+                coeffs = [rand_rational(rng) + rand_rational(rng) * I for _ in range(deg + 1)]
+                num = Poly(coeffs, bound=max(deg, -1))
+                residues, tail = residues_and_tail(num, cfg)
+                assert tail.degree() == max(deg - 5, -1)
+                rebuilt = tail * node
+                for res, partial in zip(residues, partials):
+                    rebuilt = rebuilt + res * partial
+                assert rebuilt == num
+        assert tails > 0
 
     def test_infinity_flags_forced_a12_zero(self):
         rng = random.Random(17)
@@ -545,6 +578,16 @@ class TestElmTriple:
             if i != j:
                 assert out.spectrum.nu[i] == nu.nu[i]
 
+    def test_double_pole_rejected(self):
+        # a nonzero (12) residue at the infinite flag z_0: the frame
+        # ((z - z_0) e, f) divides the (12) entry by z - z_0
+        rng = random.Random(57)
+        s = ParabolicStructure(B, [INF, 3, 5, 7, 11])
+        conn = LogConnection(B, [((0, 1 if i == 0 else 0), (0, 0)) for i in range(5)])
+        t = FlatTriple(s, spectrum_deg1(rng), conn, CFG)
+        with pytest.raises(ConnectionError, match="double pole"):
+            elm_triple(t, 0)
+
     def test_point_index_outside_range_rejected(self):
         rng = random.Random(59)
         space = solve_connection_space(finite_nonzero_structure(rng), CFG, spectrum_deg1(rng))
@@ -646,6 +689,18 @@ class TestGaugeTransform:
         ok, violations = validate_triple(out)
         assert ok, violations
         assert out.spectrum == t.spectrum
+
+    def test_polynomial_part_rejected(self):
+        # the (12) residue 1 at z_1 alone gives N12 = prod_{j != 1} (z - z_j)
+        # of degree 4, above the bound 2 on B: the shift b*z + c with b != 0
+        # lifts N11 - shift * N12 to degree 5, a polynomial part in (11)
+        rng = random.Random(63)
+        conn = LogConnection(B, [((0, 1 if i == 1 else 0), (0, 0)) for i in range(5)])
+        t = FlatTriple(finite_nonzero_structure(rng), spectrum_deg1(rng), conn, CFG)
+        with pytest.raises(ConnectionError, match=r"entry \(0, 0\) acquired a polynomial part"):
+            gauge_transform(t, [1, 1, 0])
+        # a constant shift keeps every numerator below degree 5
+        gauge_transform(t, [1, 0, 2])
 
     def test_bprime_gauge(self):
         rng = random.Random(61)

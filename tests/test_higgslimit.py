@@ -11,7 +11,12 @@ from helpers import (
     rand_rational,
     rand_structure,
 )
-from paramod.connection import gauge_transform, solve_connection_space, validate_triple
+from paramod.connection import (
+    LogConnection,
+    gauge_transform,
+    solve_connection_space,
+    validate_triple,
+)
 from paramod.exactnum import INF, Mat, Poly, ProjectivePoint, Scalar, sc
 from paramod.higgslimit import (
     FixedLocusPoint,
@@ -52,6 +57,12 @@ def b_datum(theta, flags):
     return StronglyParabolicHiggs(B, ParabolicStructure(B, flags), theta, CFG)
 
 
+def _upper_entry(residues):
+    """A connection on B whose only nonzero residue entries are the (12)
+    entries ``residues``."""
+    return LogConnection(B, [((0, a12), (0, 0)) for a12 in residues])
+
+
 class TestGaussianSqrt:
     def test_rational_square(self):
         assert gaussian_sqrt(sc("9/4")) == sc("3/2")
@@ -82,6 +93,32 @@ class TestGaussianSqrt:
             sq = s * s
             r = gaussian_sqrt(sq)
             assert r is not None and r * r == sq
+
+
+    def test_principal_root_property(self):
+        # squares of random Gaussian rationals and random Gaussian rationals:
+        # every root found squares back and is the principal one
+        rng = random.Random(71)
+        found = 0
+        for k in range(400):
+            x = Scalar.gaussian(
+                rng.randrange(-40, 41), rng.randrange(1, 12),
+                rng.randrange(-40, 41) * (k % 5 != 0), rng.randrange(1, 12),
+            )
+            for s in (x * x, x, -x * x):
+                r = gaussian_sqrt(s)
+                if s == x * x or s == -x * x:
+                    assert r is not None
+                if r is None:
+                    continue
+                found += 1
+                assert r * r == s
+                re, _ = r.re_pair
+                im, _ = r.im_pair
+                assert re > 0 or (re == 0 and im >= 0), (s, r)
+        assert found > 800
+        for s in (sc(2), sc(-3), Scalar(0, 1), Scalar.parse("1/2"), Scalar.parse("-1/3*i")):
+            assert gaussian_sqrt(s) is None
 
 
 class TestQuadraticRoots:
@@ -159,11 +196,9 @@ class TestThetaFromConnection:
         # residues (1, -1, 0, 0, 0): the top coefficient cancels but the next
         # one survives, so the numerator has degree 3, not 2: such residue
         # data is not the upper entry of any holomorphic connection
-        from paramod.connection import RationalEntry
         from paramod.exactnum import monic_from_roots, ExactError
 
-        entry = RationalEntry(CFG, [1, -1, 0, 0, 0])
-        raw = entry.cleared_numerator()
+        raw = _upper_entry([1, -1, 0, 0, 0]).numerator(0, 1, CFG)
         expected = monic_from_roots([1, 2, 3, 4]) - monic_from_roots([0, 2, 3, 4])
         assert raw == expected
         assert raw.degree() == 3
@@ -171,10 +206,7 @@ class TestThetaFromConnection:
             raw.shrink(2)
 
     def test_balanced_numerator_degree_two(self):
-        from paramod.connection import RationalEntry
-
-        entry = RationalEntry(CFG, [1, -2, 1, 0, 0])
-        raw = entry.cleared_numerator()
+        raw = _upper_entry([1, -2, 1, 0, 0]).numerator(0, 1, CFG)
         assert raw.degree() <= 2
 
 
