@@ -17,6 +17,15 @@ because contact sets are visited by descending size (see
 ``_candidates_at_degree``), so no contact is evaluated back on the marked
 points.  This module is the only one that builds contact spans: the C*-limit's
 degenerations in ``higgslimit`` take theirs from ``contact_kernel``.
+
+Only the flats of the matroid of the contact rows are visited (Oxley,
+*Matroid Theory*, 2nd ed., 2011, ch. 1): a contact set that is not a flat has
+the kernel of its closure, a larger set visited earlier, so it can never be
+recorded, and no kernel is built for it.  Independent rows, the generic
+case, make every set a flat at no cost; dependent rows, as those of a
+decomposable structure, give their circuits once per degree.  B's
+degree-0 subbundles are lines through the finite flags, grouped by pair with
+no evaluation at the flags (``_b_degree_zero_candidates``).
 """
 
 from __future__ import annotations
@@ -391,7 +400,15 @@ def _b_degree_zero_candidates(structure, cfg) -> list[LineSubbundleWitness]:
     """Degree-0 subbundles of B: sections ``(1, r)`` with r of degree <= 1.
 
     The inclusion-maximal contact sets are the maximal collinear subsets of
-    the finite flags, each found from the line through one of its pairs.
+    the finite flags: the points ``(z_k, u_k)`` that one line ``r`` passes
+    through.  The pairs of finite flags are grouped by their line
+    ``r = intercept + slope z``, in pair order, so the lines come in the
+    order of their first pairs.  Two distinct lines share at most one
+    point, so the pairs on one line are exactly the pairs of its flags, and
+    the union of a group is the set of flags the line meets.  For the same
+    reason no set of two or more collinear flags lies inside another line's
+    set: the groups are exactly the maximal collinear sets, with no
+    evaluation of a line at the flags and no maximality filter.
     """
     fin = structure.finite_indices()
     vals = structure.finite_values()
@@ -400,20 +417,13 @@ def _b_degree_zero_candidates(structure, cfg) -> list[LineSubbundleWitness]:
         return [
             LineSubbundleWitness(0, Poly([1], bound=0), r, frozenset(fin))
         ]
-    contacts: dict[frozenset, Poly] = {}
+    lines: dict[tuple[Scalar, Scalar], set[int]] = {}
     for i, j in combinations(fin, 2):
-        zi, zj = cfg.z[i], cfg.z[j]
-        slope = (vals[j] - vals[i]) / (zj - zi)
-        r = Poly([vals[i] - slope * zi, slope], bound=1)
-        hit = frozenset(k for k in fin if r(cfg.z[k]) == vals[k])
-        contacts.setdefault(hit, r)
-    maximal = [
-        (hit, r)
-        for hit, r in contacts.items()
-        if not any(hit < other for other in contacts)
-    ]
+        slope = (vals[j] - vals[i]) / (cfg.z[j] - cfg.z[i])
+        lines.setdefault((vals[i] - slope * cfg.z[i], slope), set()).update((i, j))
     return [
-        LineSubbundleWitness(0, Poly([1], bound=0), r, hit) for hit, r in maximal
+        LineSubbundleWitness(0, Poly([1], bound=0), Poly(list(line), bound=1), frozenset(hit))
+        for line, hit in lines.items()
     ]
 
 
@@ -493,6 +503,39 @@ def contact_kernel(T, zrows, kernels):
     return basis
 
 
+def _circuits(zrows, kernel) -> list[frozenset[int]]:
+    """The circuits of the matroid of the Gaussian-integer contact rows
+    ``zrows``, the minimal dependent sets of rows (Oxley, *Matroid Theory*,
+    2nd ed., 2011, ch. 1), given the ``kernel`` of all of them.
+
+    When ``kernel`` has dimension ``n - |rows|`` the rows are independent
+    and there is none.  Otherwise they are the minimal supports of the
+    dependency space ``D``, the ``lam`` with ``sum lam_i row_i = 0``, which
+    is the kernel of the transposed rows.  With ``d = dim D``, a member of
+    ``D`` vanishing at ``d - 1`` coordinates where the basis of ``D`` has
+    rank ``d - 1`` spans the members that do and has minimal support, and
+    the member of each minimal support vanishes at such coordinates, so
+    restricting ``D`` by every ``d - 1`` coordinate forms finds them all.
+    """
+    keys = list(zrows)
+    n = len(zrows[keys[0]])
+    if len(kernel) == n - len(keys):
+        return []
+    units = unit_kernels(len(keys))[()]
+    deps = units
+    for c in range(n):
+        deps = _zi_restrict(deps, [zrows[i][c] for i in keys])
+    memo = {(): deps}
+    out = []
+    for zeros in combinations(range(len(keys)), len(deps) - 1):
+        basis = contact_kernel(zeros, units, memo)
+        if len(basis) == 1:
+            support = frozenset(keys[a] for a, x in enumerate(basis[0]) if x != ZI_ZERO)
+            if support not in out:
+                out.append(support)
+    return out
+
+
 def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
     """The inclusion-maximal contact sets at degree ``k`` with witnesses.
 
@@ -505,6 +548,17 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
     visited earlier, so ``C``, or a found set containing it, is recorded and
     ``T`` would have been skipped.  Whether ``N(T)`` holds a saturated member
     depends only on the span, so the recorded sets do not depend on the basis.
+
+    Only the flats of the matroid of the contact rows are visited (Oxley,
+    *Matroid Theory*, 2nd ed., 2011, ch. 1): the ``T`` with no row outside
+    ``T`` in the span of the rows of ``T``, which are those with no circuit
+    ``C`` that has exactly one element outside ``T``.  A non-flat ``T`` has
+    ``N(T) = N(cl T)``, since every row of its closure ``cl T`` vanishes on
+    ``N(T)``, so every member of ``N(T)`` meets ``cl T``, which is larger
+    and visited earlier: ``T`` can never be recorded.  When the rows are
+    independent, as the full set's kernel tells, every set is a flat and
+    nothing more is computed; otherwise the circuits are found once per
+    degree (``_circuits``), after the full set is visited.
 
     ``N(T)`` is restricted from ``N(T[:-1])`` by the fraction-free kernel of
     one Gaussian-integer contact row (``_zi_restrict``), the kernels memoised
@@ -524,12 +578,19 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
         return [LineSubbundleWitness(k, None, r, contact)]
     rows = contact_rows(structure, cfg, dq, dr)
     kernels = unit_kernels(dq + dr + 2)
+    full = tuple(rows)
+    circuits = None
     maximal: list[LineSubbundleWitness] = []
-    for size in range(len(rows), -1, -1):
-        for T in combinations(rows, size):
+    for size in range(len(full), -1, -1):
+        for T in combinations(full, size):
             tset = frozenset(T)
             if any(tset <= m.contact for m in maximal):
                 continue
+            if T != full:
+                if circuits is None:
+                    circuits = _circuits(rows, kernels[full])
+                if any(len(c - tset) == 1 for c in circuits):
+                    continue
             basis = contact_kernel(T, rows, kernels)
             vec = next(saturated_members(basis, dq, dr), None)
             if vec is not None:

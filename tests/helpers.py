@@ -14,9 +14,14 @@ nullspaces of the contact rows on Scalars, with each witness's contact
 evaluated back on the marked points, is the reference for the
 Gaussian-integer contact kernels; the C*-limit's degenerations by a rational
 nullspace and q, r evaluated at the marked point are the reference for the
-ones on the contact lattice.  The exhaustive saturation grid is the reference
-for the base-locus certificate that stops it early; the stability margin
-summed on Scalars is the reference for the one on the cleared weights.  A
+ones on the contact lattice.  Every contact set, flats of the matroid of the
+contact rows or not, is visited by the rational enumeration, which is the
+reference for the walk over flats; the line through each pair of finite
+flags evaluated at every flag, with a maximality filter, is the reference
+for B's degree-0 lines grouped by pair.  The exhaustive saturation grid is
+the reference for the base-locus certificate that stops it early; the
+stability margin summed on Scalars is the reference for the one on the
+cleared weights.  A
 second solve of the two diagonal residue sums and the rank of the fixed-flag
 equations are the references for the gauge counts of a connection space.
 """
@@ -39,7 +44,6 @@ from paramod.stability import (
     LineSubbundleWitness,
     OnWallError,
     WeightVector,
-    _b_degree_zero_candidates,
     _hom_degrees,
     sign_label,
     weight_is_non_special,
@@ -467,12 +471,37 @@ def oracle_contact_rows(structure, cfg, dq, dr) -> dict[int, list[Scalar]]:
     return out
 
 
+def oracle_b_degree_zero_candidates(structure, cfg) -> list[LineSubbundleWitness]:
+    """B's degree-0 candidates by evaluation: the line through each pair of
+    finite flags evaluated at every finite flag, the hit sets kept in pair
+    order with the first pair's line, then filtered to the inclusion-maximal
+    ones."""
+    fin = structure.finite_indices()
+    vals = structure.finite_values()
+    if len(fin) <= 1:
+        r = Poly([vals[fin[0]]], bound=1) if fin else Poly.zero(1)
+        return [LineSubbundleWitness(0, Poly([1], bound=0), r, frozenset(fin))]
+    contacts: dict[frozenset, Poly] = {}
+    for i, j in combinations(fin, 2):
+        zi, zj = cfg.z[i], cfg.z[j]
+        slope = (vals[j] - vals[i]) / (zj - zi)
+        r = Poly([vals[i] - slope * zi, slope], bound=1)
+        hit = frozenset(k for k in fin if r(cfg.z[k]) == vals[k])
+        contacts.setdefault(hit, r)
+    return [
+        LineSubbundleWitness(0, Poly([1], bound=0), r, hit)
+        for hit, r in contacts.items()
+        if not any(hit < other for other in contacts)
+    ]
+
+
 def oracle_candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
     """The degree-``k`` candidates by the rational enumeration: each contact
     set's kernel from ``Mat.nullspace``, the Scalar grid search, and the
-    contact of the found witness evaluated by ``oracle_contact_of``."""
+    contact of the found witness evaluated by ``oracle_contact_of``; B's
+    degree 0 by ``oracle_b_degree_zero_candidates``."""
     if structure.bundle == B and k == 0:
-        return _b_degree_zero_candidates(structure, cfg)
+        return oracle_b_degree_zero_candidates(structure, cfg)
     dq, dr = _hom_degrees(structure.bundle, k)
     if dq < 0:
         if dr != 0:

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     _oracle_resultant,
+    oracle_b_degree_zero_candidates,
     oracle_candidates_at_degree,
     oracle_chamber_inequalities,
     oracle_contact_of,
@@ -14,6 +15,7 @@ from helpers import (
     oracle_is_stable,
     oracle_kostov_generic,
     oracle_predicates,
+    oracle_rank,
     oracle_s_value,
     oracle_saturated_members,
     rand_config,
@@ -39,6 +41,7 @@ from paramod.spectra import SpectrumRank2
 from paramod.stability import (
     ChamberDescriptor,
     OnWallError,
+    StabilityReport,
     WeightVector,
     _candidate_degrees,
     _hom_degrees,
@@ -57,6 +60,7 @@ from paramod.stability import (
     stabilizing_weight,
     unit_kernels,
     weight_is_kostov_generic,
+    weight_is_non_special,
 )
 
 CFG = MarkedConfiguration([0, 1, 2, 3, 4])
@@ -335,6 +339,17 @@ def _class_structures(rng, count):
     return out
 
 
+def _rank(rows, T):
+    # the rank of the Scalar rows ``T`` by the rational Bareiss elimination
+    return oracle_rank([[x._t for x in rows[i]] for i in T], len(T), len(rows[T[0]])) if T else 0
+
+
+def _is_flat(rows, T):
+    # no row outside T is in the span of the rows of T
+    rank = _rank(rows, T)
+    return all(_rank(rows, T + (j,)) > rank for j in rows if j not in T)
+
+
 class TestSpanCertificate:
     """``has_saturated_member`` says whether the exhaustive Scalar grid
     search finds a saturated member, on constructed spans that reach each
@@ -429,7 +444,8 @@ class TestSpanCertificate:
         monkeypatch.setattr(stability, "_is_saturated", is_saturated)
         monkeypatch.setattr(stability, "saturated_members", members)
         barren = {}
-        for name, structures in _class_structures(random.Random(71), 6).items():
+        classes = _class_structures(random.Random(71), 6)
+        for name, structures in classes.items():
             spans.clear()
             for s, cfg in structures:
                 destabilizing_candidates(s, cfg)
@@ -437,7 +453,20 @@ class TestSpanCertificate:
             costs = [calls for calls, hit in spans if not hit]
             assert all(calls <= 1 for calls in costs), (name, costs)
             barren[name] = len(costs)
-        assert barren["decomposable"] >= 6 * 8 and barren["two-inf"] >= 6 * 6, barren
+        # a decomposable decision's one barren flat is the full contact set
+        assert barren["decomposable"] >= 6 and barren["two-inf"] >= 6 * 6, barren
+        # the non-flat kernels the walk skips, each the kernel of a barren
+        # closure, searched straight from contact_kernel
+        spans.clear()
+        for s, cfg in classes["decomposable"]:
+            rows = oracle_contact_rows(s, cfg, 1, 2)
+            zrows = contact_rows(s, cfg, 1, 2)
+            kernels = unit_kernels(5)
+            for T in _subsets(list(zrows)):
+                if not _is_flat(rows, T):
+                    next(stability.saturated_members(contact_kernel(T, zrows, kernels), 1, 2), None)
+        costs = [calls for calls, hit in spans if not hit]
+        assert len(costs) == len(spans) >= 6 * 8 and all(calls <= 1 for calls in costs), spans
 
 
 def _gaussian_rows(rng):
@@ -531,24 +560,220 @@ class TestCandidatesMatchOracle:
 
     def test_same_contacts_in_same_order(self):
         for s, cfg in self._structures():
-            got = destabilizing_candidates(s, cfg)
-            want = [
-                c
-                for k in _candidate_degrees(s.bundle)
-                for c in oracle_candidates_at_degree(s, cfg, k)
-            ]
-            assert [(c.degree, c.contact) for c in got] == [
-                (c.degree, c.contact) for c in want
-            ], s
+            _assert_matches_oracle(s, cfg)
+
+
+def _oracle_candidates(s, cfg):
+    return [c for k in _candidate_degrees(s.bundle) for c in oracle_candidates_at_degree(s, cfg, k)]
+
+
+def _assert_matches_oracle(s, cfg):
+    # the same contact sets in the same order as the rational enumeration,
+    # with saturated witnesses whose contact is exactly the recorded set
+    got = destabilizing_candidates(s, cfg)
+    assert [(c.degree, c.contact) for c in got] == [
+        (c.degree, c.contact) for c in _oracle_candidates(s, cfg)
+    ], s
+    for c in got:
+        assert oracle_contact_of(c.q, c.r, s, cfg) == c.contact
+        dq, dr = _hom_degrees(s.bundle, c.degree)
+        if dq < 0:
+            assert c.q is None and not c.r.is_zero()
+            continue
+        (coeffs,), _ = clear_denominators([c.q.coeffs + c.r.coeffs])
+        assert formal_resultant(coeffs[: dq + 1], dq, coeffs[dq + 1 :], dr) != (0, 0)
+
+
+def _line_structures():
+    # B structures for the degree-0 lines: random flags; three, four and
+    # five flags on one line; two collinear triples sharing a flag; 0, 1
+    # and 2 finite flags; repeated flag values
+    rng = random.Random(97)
+    out = []
+    for _ in range(6):
+        cfg = rand_config(rng)
+        a, b = rand_rational(rng), rand_rational(rng, -10, 10, 4)
+        line = [a + b * z for z in cfg.z]
+        out.append((rand_structure(rng, B, n_inf=0), cfg))
+        for ncol in (3, 4, 5):
+            on = rng.sample(range(5), ncol)
+            flags = [u if i in on else u + rng.randint(1, 9) for i, u in enumerate(line)]
+            out.append((ParabolicStructure(B, flags), cfg))
+        # flags 0, 1, 2 on the line, flags 2, 3, 4 on another through flag 2
+        c = rand_rational(rng, -10, 10, 4) + 1
+        flags = line[:3] + [line[2] + (b + c) * (cfg.z[i] - cfg.z[2]) for i in (3, 4)]
+        out.append((ParabolicStructure(B, flags), cfg))
+        for n_inf in (5, 4, 3):
+            out.append((rand_structure(rng, B, n_inf=n_inf), cfg))
+        v, u = rand_rational(rng), rand_rational(rng)
+        out.append((ParabolicStructure(B, rng.sample([v, v, v, u, u], 5)), cfg))
+        out.append((ParabolicStructure(B, rng.sample([v, v, u, INF, INF], 5)), cfg))
+    return out
+
+
+class TestDegreeZeroLines:
+    """B's degree-0 lines grouped by pair give the witnesses, lines included,
+    in the order of the line through every pair evaluated at every flag."""
+
+    def test_grouped_lines_match_evaluated_lines(self):
+        sizes, nfin = set(), set()
+        for s, cfg in _line_structures():
+            got = stability._b_degree_zero_candidates(s, cfg)
+            assert got == oracle_b_degree_zero_candidates(s, cfg), s
             for c in got:
                 assert oracle_contact_of(c.q, c.r, s, cfg) == c.contact
-                dq, dr = _hom_degrees(s.bundle, c.degree)
-                if dq < 0:
-                    assert c.q is None and not c.r.is_zero()
-                    continue
-                (coeffs,), _ = clear_denominators([c.q.coeffs + c.r.coeffs])
-                assert formal_resultant(coeffs[: dq + 1], dq, coeffs[dq + 1 :], dr) != (0, 0)
+            sizes |= {len(c.contact) for c in got}
+            nfin.add(len(s.finite_indices()))
+        assert sizes == {0, 1, 2, 3, 4, 5} and nfin == {0, 1, 2, 3, 5}
 
+
+def _dependent_structures():
+    # structures whose degree -1 contact rows are dependent.  B at (1, 2):
+    # three or more infinite flags (any three of their rows are dependent),
+    # four collinear flags, the fifth off the line or infinite; B' at
+    # (0, 3): five flags on a cubic or a quadratic, where any four rows are
+    # independent, so the full set is the one circuit
+    rng = random.Random(101)
+    out = []
+    for _ in range(4):
+        cfg = rand_config(rng)
+        a, b = rand_rational(rng), rand_rational(rng, -10, 10, 4)
+        line = [a + b * z for z in cfg.z]
+        for n_inf in (3, 4, 5):
+            out.append((rand_structure(rng, B, n_inf=n_inf), cfg))
+        off = rng.randrange(5)
+        out.append((ParabolicStructure(B, [u + 3 if i == off else u for i, u in enumerate(line)]), cfg))
+        out.append((ParabolicStructure(B, [INF if i == off else u for i, u in enumerate(line)]), cfg))
+        cubic = [rand_rational(rng, -6, 6, 3) for _ in range(4)]
+        for deg in (3, 2):
+            flags = [sum((cubic[e] * z ** e for e in range(deg + 1)), sc(0)) for z in cfg.z]
+            out.append((ParabolicStructure(BPRIME, flags), cfg))
+    return out
+
+
+def _oracle_report(cands, d, w):
+    # the first candidate of least margin in the rational enumeration's
+    # order, and every candidate's margin
+    margins = [oracle_s_value(d, c.degree, c.contact, w) for c in cands]
+    least = min(margins)
+    return StabilityReport(least > sc(0), cands[margins.index(least)], least), margins
+
+
+class TestDependentContactRows:
+    """Dependent contact rows, on B with proper dependent subsets: the walk
+    over flats records what the rational enumeration over every contact set
+    does, and a decision reports the same witness on margin ties."""
+
+    def test_rows_are_partly_dependent(self):
+        proper = {B: 0, BPRIME: 0}
+        for s, cfg in _dependent_structures():
+            dq, dr = _hom_degrees(s.bundle, -1)
+            rows = oracle_contact_rows(s, cfg, dq, dr)
+            full = tuple(rows)
+            assert _rank(rows, full) < len(full), s
+            proper[s.bundle] += any(_rank(rows, T) < len(T) for T in _subsets(full)[1:])
+        assert proper == {B: 4 * 5, BPRIME: 0}, proper
+
+    def test_same_contacts_in_same_order(self):
+        for s, cfg in _dependent_structures():
+            _assert_matches_oracle(s, cfg)
+
+    def test_same_report_on_margin_ties(self):
+        # weights in eighths, two of them equal so that margins can tie, off
+        # the walls: per structure up to two whose least margin is a tie and
+        # one whose is not
+        rng = random.Random(103)
+        ties = 0
+        for s, cfg in _dependent_structures():
+            cands = _oracle_candidates(s, cfg)
+            d = s.bundle.degree
+            picked = {True: 0, False: 0}
+            for _ in range(100):
+                a = [rng.randint(1, 7) for _ in range(5)]
+                x, y = rng.sample(range(5), 2)
+                a[y] = a[x]
+                w = WeightVector([Scalar.rational(n, 8) for n in a])
+                if not weight_is_non_special(w, d):
+                    continue
+                want, margins = _oracle_report(cands, d, w)
+                tie = margins.count(want.margin) > 1
+                if any(m.is_zero() for m in margins) or picked[tie] == (2 if tie else 1):
+                    continue
+                picked[tie] += 1
+                assert is_stable(s, cfg, w).to_json() == want.to_json(), (s, w)
+            ties += picked[True]
+        # least margins tie on the four-collinear structures, two same-degree
+        # contacts sharing the off-line flag
+        assert ties >= 6, ties
+
+
+class TestFlatWalk:
+    """The decision builds kernels only for flats of the matroid of the
+    contact rows, and its work per decision stays within bounds.  Over every
+    contact set, a decomposable decision searched 26 spans and made 30
+    restrictions."""
+
+    # searched spans per decision of the four classes with independent rows
+    SPANS = {"generic": 6, "one-inf": 6, "two-inf": 10, "bprime": 6}
+
+    @staticmethod
+    def _recorder(monkeypatch):
+        # a function deciding one structure and returning its one-row
+        # restrictions, searched spans and visited contact sets with their
+        # formal degrees
+        real_rows, real_kernel = stability.contact_rows, stability.contact_kernel
+        real_restrict, real_members = stability._zi_restrict, stability.saturated_members
+        seen = {}
+
+        def rows(structure, cfg, dq, dr):
+            seen["rows"] = real_rows(structure, cfg, dq, dr)
+            seen["degrees"] = (dq, dr)
+            return seen["rows"]
+
+        def kernel(T, zrows, kernels):
+            if zrows is seen["rows"]:
+                seen["visited"].append((seen["degrees"], T))
+            return real_kernel(T, zrows, kernels)
+
+        def restrict(basis, row):
+            seen["restrict"] += 1
+            return real_restrict(basis, row)
+
+        def members(basis, dq, dr):
+            seen["spans"] += 1
+            return real_members(basis, dq, dr)
+
+        for name, fn in (("contact_rows", rows), ("contact_kernel", kernel),
+                         ("_zi_restrict", restrict), ("saturated_members", members)):
+            monkeypatch.setattr(stability, name, fn)
+
+        def decide(s, cfg):
+            seen.update(rows=None, restrict=0, spans=0, visited=[])
+            destabilizing_candidates(s, cfg)
+            return dict(seen)
+
+        return decide
+
+    def test_work_per_decision(self, monkeypatch):
+        decide = self._recorder(monkeypatch)
+        for name, structures in _class_structures(random.Random(73), 8).items():
+            for s, cfg in structures:
+                seen = decide(s, cfg)
+                if name == "decomposable":
+                    assert seen["spans"] <= 11 and seen["restrict"] < 30, seen
+                else:
+                    assert seen["spans"] == self.SPANS[name], (name, seen["spans"])
+                assert len(seen["visited"]) == seen["spans"]
+
+    def test_only_flats_visited(self, monkeypatch):
+        decide = self._recorder(monkeypatch)
+        structures = [x for xs in _class_structures(random.Random(79), 3).values() for x in xs]
+        visited = 0
+        for s, cfg in structures + _dependent_structures():
+            for (dq, dr), T in decide(s, cfg)["visited"]:
+                assert _is_flat(oracle_contact_rows(s, cfg, dq, dr), T), (s, T)
+                visited += 1
+        assert visited > 100, visited
 
 
 class TestCandidates:
