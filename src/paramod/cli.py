@@ -8,92 +8,51 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
-import logging
 import os
 import sys
 
-from .connection import (
-    ConnectionError,
-    FlatTriple,
-    LogConnection,
-    degree_bounds,
-    irreducibility_screen,
-    solve_connection_space,
-    validate_triple,
-)
-from .exactnum import ExactError, ProjectivePoint, Scalar, sc
-from .higgslimit import (
-    FixedLocusPoint,
-    HiggsError,
-    cstar_limit,
-    fiber_dimension,
-    fixedpoint_canonicalize,
-    in_removed_locus,
-    special_loci,
-)
-from .parastruct import (
-    B,
-    BPRIME,
-    NPOINTS,
-    BundleSplitType,
-    MarkedConfiguration,
-    ParabolicStructure,
-    StratumError,
-    all_bprime_orbit_labels,
-    bprime_generic_representative,
-    bprime_orbit_representatives,
-    classify,
-    stratum_from_label,
-)
-from .spectra import (
-    MCBranch,
-    SpectrumError,
-    SpectrumRank2,
-    character_poly,
-    elm_spectrum,
-    elm_weight,
-    mc_spectrum,
-    spectrum_predicates,
-)
-from .stability import (
-    OnWallError,
-    WeightVector,
-    chamber_classify,
-    is_stable,
-    no_stable_structure,
-    stabilizing_weight,
-    weight_is_kostov_generic,
-)
-
-log = logging.getLogger("paramod")
+from .exactnum import ExactError, PreconditionError, ProjectivePoint, Scalar, sc
 
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
-SCHEMA_ERRORS = (ExactError, StratumError, ConnectionError, KeyError, ValueError)
-PRECONDITION_ERRORS = (OnWallError, HiggsError, SpectrumError)
+# ExactError, StratumError and ConnectionError are ValueErrors; the subclass
+# PreconditionError is caught first and exits 3
+SCHEMA_ERRORS = (KeyError, ValueError)
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+# Each command imports the modules it runs, when it runs: a process that
+# classifies a structure does not compile the connection and limit layers.
 
 
-def _parse_cfg(args) -> MarkedConfiguration:
+def _parse_cfg(args):
+    from .parastruct import MarkedConfiguration
+
     return MarkedConfiguration([Scalar.parse(t) for t in args.z.split(",")])
 
 
-def _parse_structure(args) -> ParabolicStructure:
+def _parse_structure(args):
+    from .parastruct import BundleSplitType, ParabolicStructure
+
     bundle = BundleSplitType.parse(args.bundle)
     return ParabolicStructure(
         bundle, [ProjectivePoint.parse(t) for t in args.u.split(",")]
     )
 
 
-def _parse_weight(text: str) -> WeightVector:
+def _parse_weight(text: str):
+    from .stability import WeightVector
+
     return WeightVector([Scalar.parse(t) for t in text.split(",")])
 
 
-def _parse_spectrum(text: str, d: int) -> SpectrumRank2:
+def _parse_spectrum(text: str, d: int):
+    from .spectra import SpectrumRank2
+
     pairs = []
     for chunk in text.split(";"):
         p, m = chunk.split(",")
@@ -128,6 +87,8 @@ def _emit(args, payload):
 
 
 def cmd_classify(args):
+    from .parastruct import classify
+
     cfg = _parse_cfg(args)
     s = _parse_structure(args)
     stratum = classify(s, cfg)
@@ -138,6 +99,8 @@ def cmd_classify(args):
 
 
 def cmd_stability(args):
+    from .stability import is_stable
+
     cfg = _parse_cfg(args)
     s = _parse_structure(args)
     w = _parse_weight(args.w)
@@ -145,6 +108,8 @@ def cmd_stability(args):
 
 
 def cmd_counts(args):
+    from .parastruct import BPRIME, BundleSplitType, StratumError, all_bprime_orbit_labels
+
     cfg = _parse_cfg(args)
     bundle = BundleSplitType.parse(args.bundle)
     if bundle == BPRIME:
@@ -157,6 +122,9 @@ def cmd_counts(args):
 
 
 def cmd_weights(args):
+    from .parastruct import stratum_from_label
+    from .stability import stabilizing_weight
+
     if args.json:
         stratum = _load_json(args, "stratum", stratum_from_label)
     elif args.stratum is None:
@@ -167,6 +135,8 @@ def cmd_weights(args):
 
 
 def cmd_chamber(args):
+    from .stability import chamber_classify, weight_is_kostov_generic
+
     w = _parse_weight(args.w)
     desc = chamber_classify(w, args.d)
     out = desc.to_json()
@@ -175,27 +145,38 @@ def cmd_chamber(args):
 
 
 def cmd_empty(args):
+    from .parastruct import BundleSplitType
+    from .stability import no_stable_structure
+
     w = _parse_weight(args.w)
     bundle = BundleSplitType.parse(args.bundle)
     return {"no_stable_structure": no_stable_structure(w, bundle)}
 
 
 def cmd_spectrum(args):
+    from .spectra import spectrum_predicates
+
     nu = _parse_spectrum(args.nu, args.d)
     return spectrum_predicates(nu)
 
 
 def cmd_elm_weight(args):
+    from .spectra import elm_weight
+
     w = _parse_weight(args.w)
     return elm_weight(w, args.j - 1).to_json()
 
 
 def cmd_elm_spectrum(args):
+    from .spectra import elm_spectrum
+
     nu = _parse_spectrum(args.nu, args.d)
     return elm_spectrum(nu, args.j - 1).to_json()
 
 
 def cmd_mc(args):
+    from .spectra import MCBranch, mc_spectrum
+
     nu = _parse_spectrum(args.nu, args.d)
     beta_v = [Scalar.parse(t) for t in args.beta_v.split(",")]
     branch = MCBranch(args.sigma, beta_v, nu)
@@ -203,6 +184,8 @@ def cmd_mc(args):
 
 
 def cmd_charpoly(args):
+    from .spectra import character_poly
+
     vals = [Scalar.parse(t) for t in args.vals.split(",")]
     if len(vals) != 5:
         raise ExactError("charpoly takes five values")
@@ -210,6 +193,8 @@ def cmd_charpoly(args):
 
 
 def cmd_degree_bounds(args):
+    from .connection import degree_bounds
+
     b = degree_bounds(args.d)
     return {
         "lo": b.lo,
@@ -219,6 +204,8 @@ def cmd_degree_bounds(args):
 
 
 def cmd_solve(args):
+    from .connection import irreducibility_screen, solve_connection_space
+
     cfg = _parse_cfg(args)
     s = _parse_structure(args)
     nu = _parse_spectrum(args.nu, s.bundle.degree)
@@ -240,7 +227,11 @@ def cmd_solve(args):
     return out
 
 
-def _triple_from_json(data) -> FlatTriple:
+def _triple_from_json(data):
+    from .connection import FlatTriple, LogConnection
+    from .parastruct import MarkedConfiguration, ParabolicStructure
+    from .spectra import SpectrumRank2
+
     return FlatTriple(
         ParabolicStructure.from_json(data["structure"]),
         SpectrumRank2.from_json(data["spectrum"]),
@@ -250,12 +241,16 @@ def _triple_from_json(data) -> FlatTriple:
 
 
 def cmd_validate(args):
+    from .connection import validate_triple
+
     triple = _load_json(args, "triple", _triple_from_json)
     ok, violations = validate_triple(triple)
     return {"valid": ok, "violations": violations}
 
 
 def cmd_limit(args):
+    from .higgslimit import cstar_limit
+
     triple = _load_json(args, "triple", _triple_from_json)
     w = _parse_weight(args.w)
     res = cstar_limit(triple, w)
@@ -270,6 +265,8 @@ def cmd_limit(args):
 
 
 def cmd_fiber(args):
+    from .higgslimit import FixedLocusPoint, fiber_dimension
+
     cfg = _parse_cfg(args)
     nu = _parse_spectrum(args.nu, args.d)
     point = _load_json(args, "point", FixedLocusPoint.from_json)
@@ -277,6 +274,8 @@ def cmd_fiber(args):
 
 
 def cmd_canonicalize(args):
+    from .higgslimit import FixedLocusPoint, fixedpoint_canonicalize, in_removed_locus
+
     cfg = _parse_cfg(args)
     point = _load_json(args, "point", FixedLocusPoint.from_json)
     canon = fixedpoint_canonicalize(point, cfg)
@@ -287,6 +286,8 @@ def cmd_canonicalize(args):
 
 
 def _csv(rows) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
@@ -308,12 +309,16 @@ def cmd_tables(args):
 
 
 def _orbit_rows(cfg):
+    from .parastruct import bprime_orbit_representatives, classify
+
     yield ["label", "representative"]
     for s in bprime_orbit_representatives(cfg):
         yield [classify(s, cfg).label(), ",".join(str(u) for u in s.flags)]
 
 
 def _loci_rows(cfg):
+    from .higgslimit import special_loci
+
     yield ["kind", "label", "coordinates"]
     loci = special_loci(cfg)
     for (i, j), pt in sorted(loci.points.items()):
@@ -332,6 +337,12 @@ def _chamber_rows():
 
 
 def _fiber_rows(cfg):
+    from .connection import solve_connection_space
+    from .higgslimit import cstar_limit, fiber_dimension
+    from .parastruct import B, ParabolicStructure, bprime_generic_representative
+    from .spectra import SpectrumRank2
+    from .stability import WeightVector
+
     yield ["case", "component", "dim"]
     nu = SpectrumRank2(
         [(sc("1/4"), sc("-1/4"))] * 4 + [(sc("1/4"), sc("-5/4"))], 1
@@ -354,6 +365,8 @@ def _fiber_rows(cfg):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .parastruct import NPOINTS
+
     ap = argparse.ArgumentParser(
         prog="paramod",
         description="exact computations for rank-2 parabolic structures on the "
@@ -425,9 +438,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _debug_logger():
+    """``logging.getLogger("paramod").debug`` on stderr when PARAMOD_LOG is
+    set, at that level (one of LOG_LEVELS, any case; WARNING otherwise), and
+    otherwise a no-op that leaves ``logging`` unimported."""
+    level = os.environ.get("PARAMOD_LOG", "").upper()
+    if not level:
+        return lambda *args, **kwargs: None
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, level=level if level in LOG_LEVELS else "WARNING")
+    return logging.getLogger("paramod").debug
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("PARAMOD_LOG", "warning").upper()
-    logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
+    debug = _debug_logger()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -435,19 +460,19 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA if e.code not in (0, None) else 0
     try:
         payload = args.fn(args)
-    except PRECONDITION_ERRORS as e:
-        log.debug("precondition failure", exc_info=True)
+    except PreconditionError as e:
+        debug("precondition failure", exc_info=True)
         sys.stderr.write(f"error: {e}\n")
         return EXIT_PRECONDITION
     except SCHEMA_ERRORS as e:
-        log.debug("schema failure", exc_info=True)
+        debug("schema failure", exc_info=True)
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SCHEMA
     except OSError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_SCHEMA
     except Exception as e:  # invariant violation: never expected
-        log.debug("internal failure", exc_info=True)
+        debug("internal failure", exc_info=True)
         sys.stderr.write(f"internal error: {e}\n")
         return EXIT_INTERNAL
     _emit(args, payload)

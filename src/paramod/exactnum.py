@@ -31,6 +31,12 @@ class ExactError(ValueError):
     """Domain error raised by exact-arithmetic operations."""
 
 
+class PreconditionError(ValueError):
+    """Well-formed input that fails a mathematical precondition: a weight on a
+    wall, a failed limit precondition, inadmissible spectral data.  The
+    command line exits 3 on it and 2 on any other ValueError."""
+
+
 class Scalar:
     """A Gaussian rational ``(a + b*i)/d`` stored in lowest terms, ``d > 0``.
 

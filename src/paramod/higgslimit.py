@@ -23,6 +23,7 @@ from .exactnum import (
     INF,
     ExactError,
     Poly,
+    PreconditionError,
     ProjectivePoint,
     Scalar,
     monic_from_roots,
@@ -50,7 +51,7 @@ from .stability import (
 )
 
 
-class HiggsError(ValueError):
+class HiggsError(PreconditionError):
     """Raised on malformed Higgs data or failed limit preconditions."""
 
 

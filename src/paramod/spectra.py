@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import ExactError, Scalar, sc
+from .exactnum import ExactError, PreconditionError, Scalar, sc
 from .parastruct import NPOINTS, point_index
 from .stability import WeightVector, sign_pattern_sums
 
 
-class SpectrumError(ValueError):
+class SpectrumError(PreconditionError):
     """Raised on Fuchs violations and inadmissible transformation data."""
 
 

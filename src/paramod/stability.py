@@ -35,7 +35,16 @@ from itertools import combinations, product
 from math import gcd
 
 from ._kernel import ZI_ZERO, t_clear, t_norm, zi_dot
-from .exactnum import ONE, ZERO, ExactError, Poly, Scalar, clear_denominators, sc
+from .exactnum import (
+    ONE,
+    ZERO,
+    ExactError,
+    Poly,
+    PreconditionError,
+    Scalar,
+    clear_denominators,
+    sc,
+)
 from .parastruct import (
     B,
     BPRIME,
@@ -48,7 +57,7 @@ from .parastruct import (
 )
 
 
-class OnWallError(ValueError):
+class OnWallError(PreconditionError):
     """A stability margin vanished: the weight sits on a wall."""
 
 

@@ -7,9 +7,15 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 import paramod
-from paramod.cli import main
+from paramod.cli import build_parser, main
+from paramod.exactnum import PreconditionError
+from paramod.higgslimit import HiggsError
 from paramod.parastruct import stratum_from_label
+from paramod.spectra import SpectrumError
+from paramod.stability import OnWallError
 
 Z = "0,1,2,3,4"
 NU1 = "1/4,-1/4;1/4,-1/4;1/4,-1/4;1/4,-1/4;1/4,-5/4"
@@ -489,3 +495,119 @@ class TestTables:
     def test_unknown_suite_rejected(self, capsys):
         code, _ = run(capsys, "tables", "--suite", "bogus")
         assert code == 2
+
+
+def _child(code, *args, cwd, **env):
+    """Run ``python -c code *args`` in ``cwd`` with the source tree on the
+    path, PARAMOD_LOG unset and the variables ``env`` set; returns the
+    finished process."""
+    src = str(Path(paramod.__file__).resolve().parents[1])
+    full = dict(os.environ)
+    full["PYTHONPATH"] = os.pathsep.join(p for p in (src, full.get("PYTHONPATH")) if p)
+    full.pop("PARAMOD_LOG", None)
+    full.update(env)
+    return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=full,
+                          capture_output=True, text=True, timeout=300)
+
+
+_CLI_CHILD = "import sys\nfrom paramod.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+class TestLogging:
+    """PARAMOD_LOG adds the traceback of a failure on stderr at level debug
+    and changes nothing else; any other value prints no more than unset."""
+
+    BAD = ["classify", "--bundle", "B", "--z", "0,0,2,3,4", "--u", "1,0,0,0,0"]
+
+    def test_debug_adds_the_traceback(self, tmp_path):
+        quiet = _child(_CLI_CHILD, *self.BAD, cwd=tmp_path)
+        assert quiet.returncode == 2
+        assert quiet.stderr.startswith("error: ") and quiet.stderr.count("\n") == 1
+        for level in ("debug", "DeBuG"):
+            loud = _child(_CLI_CHILD, *self.BAD, cwd=tmp_path, PARAMOD_LOG=level)
+            assert loud.returncode == 2
+            assert loud.stdout == quiet.stdout
+            assert loud.stderr.startswith("DEBUG:paramod:schema failure\nTraceback (most recent call last):\n")
+            assert loud.stderr.endswith("\n" + quiet.stderr)
+
+    def test_other_levels_print_nothing_more(self, tmp_path):
+        # BASIC_FORMAT is an attribute of the logging module, not a level
+        good = ["classify", "--bundle", "B", "--z", Z, "--u", "1,0,0,0,0"]
+        quiet = [_child(_CLI_CHILD, *argv, cwd=tmp_path) for argv in (good, self.BAD)]
+        for level in ("basic_format", "info", "Critical", "notalevel", ""):
+            for argv, expected in zip((good, self.BAD), quiet):
+                proc = _child(_CLI_CHILD, *argv, cwd=tmp_path, PARAMOD_LOG=level)
+                assert (proc.returncode, proc.stdout, proc.stderr) == (
+                    expected.returncode, expected.stdout, expected.stderr), level
+
+
+class TestPreconditionErrors:
+    def test_each_exits_3_through_main(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(json.dumps(
+            {"component": "F1", "chart": "bottom", "theta": ["0", "-9/2", "1"],
+             "flagChoice": {"1": "lower"}}))
+        cases = [
+            (OnWallError, ["stability", "--bundle", "B", "--z", Z, "--u", "0,0,0,0,1",
+                           "--w", "1/5,1/5,1/5,1/5,1/5"]),
+            (SpectrumError, ["spectrum", "--nu", NU1, "--d", "0"]),
+            (HiggsError, ["fiber", "--json", "p.json", "--z", Z, "--nu", NU0, "--d", "0"]),
+        ]
+        for cls, argv in cases:
+            assert issubclass(cls, PreconditionError) and issubclass(cls, ValueError)
+            args = build_parser().parse_args(argv)
+            with pytest.raises(cls):
+                args.fn(args)
+            assert run(capsys, *argv)[0] == 3, argv
+
+
+# modules that a README command must not import: the module layers it does not run
+_NOT_IMPORTED = {
+    "classify": {"stability", "spectra", "connection", "higgslimit"},
+    "counts": {"stability", "spectra", "connection", "higgslimit"},
+    "tables-orbits": {"stability", "spectra", "connection", "higgslimit"},
+    "stability": {"connection", "higgslimit"},
+    "weights": {"connection", "higgslimit"},
+    "tables-chambers": {"connection", "higgslimit"},
+}
+
+_MODULES_CHILD = """
+import contextlib, io, json, sys
+from paramod.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+# in a fresh process: importing the package imports no submodule, and every
+# exported name is the object of the module that defines it
+_SURFACE_CHILD = """
+import sys
+import paramod
+assert not [m for m in sys.modules if m.startswith("paramod.")], sorted(sys.modules)
+from paramod import stability
+assert stability is sys.modules["paramod.stability"]
+assert set(paramod.__all__) <= set(dir(paramod))
+assert not hasattr(paramod, "no_such_name")
+for name in paramod.__all__:
+    ns = {}
+    exec(f"from paramod import {name}", ns)
+    obj = ns[name]
+    home = sys.modules["paramod"] if name in ("KERNEL_BACKEND", "__version__") else sys.modules[obj.__module__]
+    assert vars(home)[name] is obj, name
+"""
+
+
+class TestImports:
+    def test_commands_import_only_what_they_run(self, tmp_path):
+        for name, argv in README_EXAMPLES:
+            proc = _child(_MODULES_CHILD, *argv, cwd=tmp_path)
+            code, modules = json.loads(proc.stdout)
+            assert code == 0, (name, proc.stderr)
+            assert "logging" not in modules, name
+            loaded = {m.removeprefix("paramod.") for m in modules if m.startswith("paramod.")}
+            assert not loaded & _NOT_IMPORTED.get(name, set()), (name, sorted(loaded))
+
+    def test_package_exports(self, tmp_path):
+        proc = _child(_SURFACE_CHILD, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
