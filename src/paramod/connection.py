@@ -6,27 +6,30 @@ as its ``nu+`` eigenline; these conditions leave one unknown ``x_i`` per
 point, so ``A_i = C_i + x_i D_i`` with constant 2x2 matrices: for a finite
 flag ``t``, ``C = [[nu+, 0], [t(nu+ - nu-), nu-]]`` and
 ``D = [[-t, 1], [-t^2, t]]``; for the infinite flag, ``C = [[nu-, 0], [0, nu+]]``
-and ``D = [[0, 0], [1, 0]]``.  Holomorphy at infinity pins the diagonal
-residue sums to minus the summand degrees and bounds the degrees of the
-cleared off-diagonal numerators ``N12 = sum A12_i prod_{j != i}(z - z_j)``
-(by ``3 + d0 - d1``) and ``N21 + G21 * prod (z - z_j)`` (by ``3 + d1 - d0``),
-all linear in the ``x_i``.  Only the (21) entry of ``G`` can be nonzero, a
+and ``D = [[0, 0], [1, 0]]``.  Only the (21) entry of ``G`` can be nonzero, a
 polynomial tail of degree at most ``d1 - d0 - 2``.
 
-A transformation works on an entry as its cleared numerator
-``N = entry * prod_j (z - z_j)`` (``LogConnection.numerator``), a polynomial
-that holds the residues and the tail at once: a frame change is polynomial
-arithmetic on the four numerators, and ``residues_and_tail`` reads the
-residues ``N(z_i) / prod_{j != i} (z_i - z_j)`` and the tail
-``N div prod (z - z_j)`` back.
+An entry is held as its cleared numerator ``N = entry * prod_j (z - z_j)``
+(``LogConnection.numerator``), a polynomial that holds the residues and the
+tail at once.  One map, ``MarkedConfiguration.numerator_maps``, passes
+between the two: its forward half gives the numerator coefficients of the
+residues, its inverse (``residues_and_tail``) reads the residues
+``N(z_i) / prod_{j != i} (z_i - z_j)`` and the tail ``N div prod (z - z_j)``
+back.  Holomorphy at infinity is a set of prescribed numerator
+coefficients, all linear in the ``x_i``: the ``z^4`` coefficients of
+``N11`` and ``N22`` are minus the summand degrees (each pole product is monic
+of degree 4), and the coefficients of ``N12`` and ``N21`` above the bounds of
+``offdiag_bounds`` vanish.  A frame change is polynomial arithmetic on the
+four numerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernel import t_matvec
+from ._kernel import t_matvec, t_mul, t_sub
 from .exactnum import (
+    INF,
     ONE,
     ZERO,
     ExactError,
@@ -34,6 +37,7 @@ from .exactnum import (
     Poly,
     ProjectivePoint,
     Scalar,
+    json_list,
     sc,
 )
 from .parastruct import (
@@ -127,14 +131,11 @@ class LogConnection:
     def from_json(cls, data) -> "LogConnection":
         bundle = BundleSplitType.parse(data["bundle"])
         residues = [
-            ((Scalar.parse(m[0][0]), Scalar.parse(m[0][1])),
-             (Scalar.parse(m[1][0]), Scalar.parse(m[1][1])))
-            for m in data["A"]
+            [[Scalar.parse(x) for x in json_list(row, "a residue row")]
+             for row in json_list(m, "a residue matrix")]
+            for m in json_list(data["A"], "A")
         ]
-        g21 = data.get("G21", [])
-        if not isinstance(g21, list):
-            raise ExactError("G21 must be a list of coefficients")
-        coeffs = [Scalar.parse(s) for s in g21]
+        coeffs = [Scalar.parse(s) for s in json_list(data.get("G21", []), "G21")]
         tail = Poly(coeffs, bound=max(bundle.d1 - bundle.d0 - 2, -1)) if coeffs else None
         return cls(bundle, residues, tail)
 
@@ -167,6 +168,14 @@ class FlatTriple:
         }
 
 
+def offdiag_bounds(bundle: BundleSplitType):
+    """The degree bounds of the cleared off-diagonal numerators that make a
+    connection on ``bundle`` holomorphic at infinity, as ``((r, c), bound)``:
+    ``3 + d0 - d1`` for (12) and ``3 + d1 - d0`` for (21), tail included."""
+    d0, d1 = bundle.d0, bundle.d1
+    return (((0, 1), 3 + d0 - d1), ((1, 0), 3 + d1 - d0))
+
+
 def _flag_vector(u: ProjectivePoint) -> tuple[Scalar, Scalar]:
     return (u.kappa, u.lam)
 
@@ -196,16 +205,10 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
         total = sum((m[r][r] for m in t.connection.residues), ZERO)
         if total != sc(-d):
             v.append(f"sum of A{r + 1}{r + 1} residues is {total}, expected {-d}")
-    n12 = t.connection.numerator(0, 1, t.cfg)
-    if n12.degree() > 3 + d0 - d1:
-        v.append(
-            f"(12) numerator degree {n12.degree()} exceeds {3 + d0 - d1}"
-        )
-    n21 = t.connection.numerator(1, 0, t.cfg)
-    if n21.degree() > 3 + d1 - d0:
-        v.append(
-            f"(21) numerator degree {n21.degree()} exceeds {3 + d1 - d0}"
-        )
+    for (r, c), bound in offdiag_bounds(bundle):
+        deg = t.connection.numerator(r, c, t.cfg).degree()
+        if deg > bound:
+            v.append(f"({r + 1}{c + 1}) numerator degree {deg} exceeds {bound}")
     return (not v, v)
 
 
@@ -308,12 +311,17 @@ def solve_connection_space(
     """Solve the full residue-constraint system exactly.
 
     The unknowns are the ``x_i`` of ``A_i = C_i + x_i D_i`` (see
-    ``_residue_parts``) and the tail coefficients.  The constraints, all
-    linear, are the two diagonal residue sums and the coefficients of the
-    off-diagonal numerators above their degree bounds, highest first; the
-    tail term ``G21 * prod (z - z_j)`` has degree at most ``3 + d1 - d0`` and
-    so enters none of them.  Returns None when the system is infeasible
-    (decomposable structures with Kostov-generic spectra).
+    ``_residue_parts``) and the tail coefficients.  Every constraint is a
+    prescribed coefficient ``[z^k] N_rc`` of a cleared numerator: ``z^4`` of
+    ``N11`` and ``N22`` at minus the summand degrees (the diagonal residue
+    sums), and zero for ``N12`` and ``N21`` above their ``offdiag_bounds``,
+    highest first.  Row ``k`` of the forward map of ``cfg.numerator_maps``,
+    cleared to Gaussian integers, gives the constraint scaled by the map's
+    denominator: applied entrywise to the ``D_i`` it is the row of the
+    system, applied to the ``C_i`` the constant.  The tail term
+    ``G21 * prod (z - z_j)`` has degree at most ``3 + d1 - d0`` and so enters
+    none of them.  Returns None when the system is infeasible (decomposable
+    structures with Kostov-generic spectra).
     """
     bundle = structure.bundle
     d0, d1 = bundle.d0, bundle.d1
@@ -324,20 +332,22 @@ def solve_connection_space(
     ntail = max(d1 - d0 - 1, 0)
     labels = [("x", i) for i in range(NPOINTS)] + [("g", k) for k in range(ntail)]
     parts = [_residue_parts(*nu.nu[i], structure.flags[i]) for i in range(NPOINTS)]
-
-    def row(r, c, weights, target):
-        """``sum_i w_i (A_i)_rc = target`` as (coefficients, right-hand side)."""
-        const = sum((w * C[r][c] for w, (C, _) in zip(weights, parts)), ZERO)
-        return [w * D[r][c] for w, (_, D) in zip(weights, parts)] + [ZERO] * ntail, target - const
-
-    ones = [ONE] * NPOINTS
-    rows = [row(0, 0, ones, sc(-d0)), row(1, 1, ones, sc(-d1))]
-    _, poles = cfg.pole_products()
-    for (r, c), bound in (((0, 1), 3 + d0 - d1), ((1, 0), 3 + d1 - d0)):
-        for k in range(NPOINTS - 1, bound, -1):
-            rows.append(row(r, c, [p.coeff(k) for p in poles], ZERO))
-
-    full = Mat([coeffs for coeffs, _ in rows]).solve_affine([rhs for _, rhs in rows])
+    (fwd, den), _ = cfg.numerator_maps()
+    top = NPOINTS - 1
+    prescribed = [((0, 0), top, -d0), ((1, 1), top, -d1)] + [
+        (rc, k, 0)
+        for rc, bound in offdiag_bounds(bundle)
+        for k in range(top, max(bound, -1), -1)
+    ]
+    rows, rhs = [], []
+    for (r, c), k, value in prescribed:
+        (const,) = t_matvec([fwd[k]], 1, [C[r][c]._t for C, _ in parts])
+        rows.append(
+            [Scalar._wrap(t_mul((a, b, 1), D[r][c]._t)) for (a, b), (_, D) in zip(fwd[k], parts)]
+            + [ZERO] * ntail
+        )
+        rhs.append(Scalar._wrap(t_sub((den * value, 0, 1), const)))
+    full = Mat(rows).solve_affine(rhs)
     if full is None:
         return None
     particular, basis = full
@@ -447,19 +457,12 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
     u = t.structure.flags[j]
     if u.is_infinity():
         # frame ((z - z_j) e, f): lower summand degree drops
-        new_bundle = BundleSplitType(bundle.d0 - 1, bundle.d1)
+        new_d = (bundle.d0 - 1, bundle.d1)
         nums = [n11 + pole, _divide_exact(n12, zj), n21 * lin, n22]
-        new_flags = []
-        for i, ui in enumerate(t.structure.flags):
-            if i == j:
-                new_flags.append(ProjectivePoint.finite(0))
-            elif ui.is_infinity():
-                new_flags.append(ProjectivePoint.infinity())
-            else:
-                new_flags.append(ProjectivePoint.finite(ui.value * (cfg.z[i] - zj)))
+        at_j, move = ProjectivePoint.finite(0), lambda v, zi: v * (zi - zj)
     else:
         tval = u.value
-        new_bundle_raw = (bundle.d0, bundle.d1 - 1)
+        new_d = (bundle.d0, bundle.d1 - 1)
         t12 = tval * n12
         nums = [
             n11 + t12,
@@ -467,24 +470,17 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
             _divide_exact(n21 + tval * (n22 - n11 - t12), zj),
             n22 - t12 + pole,
         ]
-        new_flags = []
-        for i, ui in enumerate(t.structure.flags):
-            if i == j:
-                new_flags.append(ProjectivePoint.infinity())
-            elif ui.is_infinity():
-                new_flags.append(ProjectivePoint.infinity())
-            else:
-                new_flags.append(
-                    ProjectivePoint.finite((ui.value - tval) / (cfg.z[i] - zj))
-                )
-        if new_bundle_raw[0] > new_bundle_raw[1]:
-            nums.reverse()
-            new_flags = [
-                ProjectivePoint(f.lam, f.kappa) for f in new_flags
-            ]
-            new_bundle = BundleSplitType(new_bundle_raw[1], new_bundle_raw[0])
-        else:
-            new_bundle = BundleSplitType(*new_bundle_raw)
+        at_j, move = INF, lambda v, zi: (v - tval) / (zi - zj)
+    new_flags = [
+        at_j if i == j else ui if ui.is_infinity() else ProjectivePoint.finite(move(ui.value, zi))
+        for i, (ui, zi) in enumerate(zip(t.structure.flags, cfg.z))
+    ]
+    if new_d[0] > new_d[1]:
+        # only after a finite flag on an even split: swap the summands
+        nums.reverse()
+        new_flags = [ProjectivePoint(f.lam, f.kappa) for f in new_flags]
+        new_d = new_d[::-1]
+    new_bundle = BundleSplitType(*new_d)
     conn = _from_numerators(new_bundle, cfg, nums)
     structure = ParabolicStructure(new_bundle, new_flags)
     return FlatTriple(structure, elm_spectrum(t.spectrum, j), conn, cfg)

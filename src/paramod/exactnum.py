@@ -8,6 +8,7 @@ is no floating-point mode and no tolerance parameter anywhere downstream.
 from __future__ import annotations
 
 import re as _re
+from itertools import zip_longest
 from math import gcd
 
 from ._kernel import (
@@ -35,6 +36,15 @@ class PreconditionError(ValueError):
     """Well-formed input that fails a mathematical precondition: a weight on a
     wall, a failed limit precondition, inadmissible spectral data.  The
     command line exits 3 on it and 2 on any other ValueError."""
+
+
+def json_list(value, what: str) -> list:
+    """``value`` when it is a JSON list; a string or any other value is
+    malformed input, so a string of the right length is not read character
+    by character."""
+    if not isinstance(value, list):
+        raise ExactError(f"{what} must be a list, not {type(value).__name__}")
+    return value
 
 
 class Scalar:
@@ -387,15 +397,15 @@ class Poly:
         return acc
 
     def __add__(self, other: "Poly") -> "Poly":
-        b = max(self.bound, other.bound)
         return Poly(
-            [self.coeff(k) + other.coeff(k) for k in range(b + 1)], bound=b
+            [x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=ZERO)],
+            bound=max(self.bound, other.bound),
         )
 
     def __sub__(self, other: "Poly") -> "Poly":
-        b = max(self.bound, other.bound)
         return Poly(
-            [self.coeff(k) - other.coeff(k) for k in range(b + 1)], bound=b
+            [x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=ZERO)],
+            bound=max(self.bound, other.bound),
         )
 
     def __neg__(self) -> "Poly":
@@ -413,7 +423,8 @@ class Poly:
                 for j, cj in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + ci * cj
             return Poly(out, bound=b)
-        return Poly([sc(other) * c for c in self.coeffs], bound=self.bound)
+        s = sc(other)
+        return Poly([s * c for c in self.coeffs], bound=self.bound)
 
     __rmul__ = __mul__
 

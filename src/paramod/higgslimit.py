@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from ._kernel import ZI_ZERO, zi_dot
-from .connection import FlatTriple, LogConnection, solve_connection_space
+from .connection import FlatTriple, LogConnection, offdiag_bounds, solve_connection_space
 from .exactnum import (
     INF,
     ExactError,
@@ -26,6 +26,7 @@ from .exactnum import (
     PreconditionError,
     ProjectivePoint,
     Scalar,
+    json_list,
     monic_from_roots,
     sc,
 )
@@ -35,6 +36,7 @@ from .parastruct import (
     NPOINTS,
     MarkedConfiguration,
     ParabolicStructure,
+    _normalize_projective,
     bprime_generic_representative,
 )
 from .spectra import SpectrumRank2
@@ -169,9 +171,8 @@ def theta_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly
     """The cleared (12) numerator of a connection, bounded by the Higgs
     degree of its bundle (2 on B, 0 on B'); holomorphy of the input makes the
     higher coefficients vanish."""
-    raw = conn.numerator(0, 1, cfg)
-    bound = 3 + conn.bundle.d0 - conn.bundle.d1
-    return raw.shrink(max(bound, -1))
+    ((_, bound), _) = offdiag_bounds(conn.bundle)
+    return conn.numerator(0, 1, cfg).shrink(max(bound, -1))
 
 
 @dataclass(frozen=True)
@@ -252,9 +253,11 @@ class FixedLocusPoint:
             raise ExactError(f"component must be F0 or F1, not {component!r}")
         choices = []
         for k, v in data.get("flagChoice", {}).items():
+            if k not in _POINT_KEYS:
+                raise ExactError(f"flag choice key {k!r} is not a marked point 1..{NPOINTS}")
             if v not in ("lower", "upper"):
                 raise ExactError(f"flag choice must be lower or upper, not {v!r}")
-            choices.append((_json_point_index(int(k)), v))
+            choices.append((_POINT_KEYS[k], v))
         choices = tuple(sorted(choices))
         chart = data["chart"]
         if chart not in ("top", "bottom"):
@@ -268,12 +271,16 @@ class FixedLocusPoint:
                 ProjectivePoint.parse(data["tangent"]),
                 choices,
             )
-        theta = tuple(Scalar.parse(s) for s in data["theta"])
+        theta = tuple(Scalar.parse(s) for s in json_list(data["theta"], "theta"))
         if len(theta) != 3:
             raise ExactError("theta takes three coefficients")
         if all(c.is_zero() for c in theta):
             raise ExactError("theta must not vanish")
         return cls("F1", chart, theta, None, None, choices)
+
+
+# the keys of a flag choice: "1".."5", one spelling per marked point
+_POINT_KEYS = {str(i + 1): i for i in range(NPOINTS)}
 
 
 def _json_point_index(k) -> int:
@@ -282,15 +289,6 @@ def _json_point_index(k) -> int:
     if type(k) is not int or not 1 <= k <= NPOINTS:
         raise ExactError(f"marked point index {k!r} outside 1..{NPOINTS}")
     return k - 1
-
-
-def _normalize_theta(theta: Poly) -> tuple[Scalar, ...]:
-    coeffs = [theta.coeff(k) for k in range(3)]
-    for c in coeffs:
-        if not c.is_zero():
-            inv = c.inverse()
-            return tuple(x * inv for x in coeffs)
-    raise HiggsError("zero quadratic")
 
 
 def fixedpoint_from_higgs(h: StronglyParabolicHiggs) -> FixedLocusPoint:
@@ -330,7 +328,7 @@ def fixedpoint_from_higgs(h: StronglyParabolicHiggs) -> FixedLocusPoint:
             "F1", "top", None, i, other, tuple(sorted(choices))
         )
     return FixedLocusPoint(
-        "F1", "top", _normalize_theta(theta), None, None, tuple(sorted(choices))
+        "F1", "top", _normalize_projective(theta.coeffs), None, None, tuple(sorted(choices))
     )
 
 
@@ -390,7 +388,7 @@ def fixedpoint_canonicalize(p: FixedLocusPoint, cfg: MarkedConfiguration) -> Fix
     marked = [i for i in range(NPOINTS) if theta(cfg.z[i]).is_zero()]
     if not marked:
         return FixedLocusPoint(
-            "F1", "top", _normalize_theta(theta), None, None, p.flag_choice
+            "F1", "top", _normalize_projective(theta.coeffs), None, None, p.flag_choice
         )
     if _double_marked_zero(theta, cfg, marked) is not None:
         raise HiggsError(
@@ -407,7 +405,7 @@ def fixedpoint_canonicalize(p: FixedLocusPoint, cfg: MarkedConfiguration) -> Fix
             "F1", "top", None, i, _other_zero(theta, cfg.z[i]), p.flag_choice
         )
     return FixedLocusPoint(
-        "F1", "bottom", _normalize_theta(theta), None, None, p.flag_choice
+        "F1", "bottom", _normalize_projective(theta.coeffs), None, None, p.flag_choice
     )
 
 
@@ -449,7 +447,7 @@ def tau_point(p: ProjectivePoint, q: ProjectivePoint) -> tuple[Scalar, ...]:
         theta = Poly([-val, 1], bound=2)
     else:
         theta = monic_from_roots([p.value, q.value]).shrink(2)
-    return _normalize_theta(theta)
+    return _normalize_projective(theta.coeffs)
 
 
 def special_loci(cfg: MarkedConfiguration) -> SpecialLoci:

@@ -21,6 +21,7 @@ from .exactnum import (
     clear_denominators,
     divided_difference_weights,
     interpolate,
+    json_list,
     monic_from_roots,
     sc,
 )
@@ -45,10 +46,14 @@ class MarkedConfiguration:
 
     Instances are immutable, so the pole products of ``pole_products`` and
     the maps of ``numerator_maps`` are built once, on first use, and kept in
-    the ``_poles`` and ``_maps`` slots for the life of the configuration; the
-    connection solver, ``verify_invariant_line`` and the passage between a
-    connection entry and its cleared numerator (``LogConnection.numerator``,
-    ``connection.residues_and_tail``) read them from there.
+    the ``_poles`` and ``_maps`` slots for the life of the configuration.
+    ``numerator_maps`` is the one passage between the residues of a
+    connection entry and its cleared numerator: the connection solver reads
+    its constraint rows off the forward map, and ``LogConnection.numerator``
+    and ``connection.residues_and_tail`` apply the two maps.  The node
+    polynomial of ``pole_products`` serves the tail and the frame changes
+    (``verify_invariant_line``, ``gauge_transform``), and ``elm_triple``
+    adds one pole product as a new pole.
     """
 
     __slots__ = ("z", "_poles", "_maps")
@@ -99,7 +104,7 @@ class MarkedConfiguration:
 
     @classmethod
     def from_json(cls, data) -> "MarkedConfiguration":
-        return cls([Scalar.parse(s) for s in data["z"]])
+        return cls([Scalar.parse(s) for s in json_list(data["z"], "z")])
 
     def __eq__(self, other):
         if not isinstance(other, MarkedConfiguration):
@@ -185,7 +190,7 @@ class ParabolicStructure:
     def from_json(cls, data) -> "ParabolicStructure":
         return cls(
             BundleSplitType.parse(data["bundle"]),
-            [ProjectivePoint.parse(s) for s in data["u"]],
+            [ProjectivePoint.parse(s) for s in json_list(data["u"], "u")],
         )
 
     def __eq__(self, other):

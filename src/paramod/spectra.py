@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import ExactError, PreconditionError, Scalar, sc
+from .exactnum import ExactError, PreconditionError, Scalar, json_list, sc
 from .parastruct import NPOINTS, point_index
 from .stability import WeightVector, sign_pattern_sums
 
@@ -59,7 +59,8 @@ class SpectrumRank2:
         d = data["d"]
         if type(d) is not int:
             raise ExactError(f"spectrum degree must be an integer, not {d!r}")
-        return cls([(Scalar.parse(p), Scalar.parse(m)) for p, m in data["nu"]], d)
+        pairs = [json_list(pair, "an eigenvalue pair") for pair in json_list(data["nu"], "nu")]
+        return cls([(Scalar.parse(p), Scalar.parse(m)) for p, m in pairs], d)
 
     def __eq__(self, other):
         if not isinstance(other, SpectrumRank2):

@@ -43,6 +43,7 @@ from .exactnum import (
     PreconditionError,
     Scalar,
     clear_denominators,
+    json_list,
     sc,
 )
 from .parastruct import (
@@ -92,7 +93,7 @@ class WeightVector:
 
     @classmethod
     def from_json(cls, data) -> "WeightVector":
-        return cls([Scalar.parse(s) for s in data["w"]])
+        return cls([Scalar.parse(s) for s in json_list(data["w"], "w")])
 
     def __eq__(self, other):
         if not isinstance(other, WeightVector):

@@ -23,13 +23,15 @@ the reference for the base-locus certificate that stops it early; the
 stability margin summed on Scalars is the reference for the one on the
 cleared weights.  A
 second solve of the two diagonal residue sums and the rank of the fixed-flag
-equations are the references for the gauge counts of a connection space.
+equations are the references for the gauge counts of a connection space,
+and the constraint rows built entry by entry against the pole products the
+reference for the ones read off the forward numerator map.
 """
 
 from itertools import combinations, product
 
 from paramod._kernel import T_ONE, T_ZERO, t_div, t_mul, t_neg, t_sub
-from paramod.connection import degree_bounds
+from paramod.connection import _residue_parts, degree_bounds
 from paramod.exactnum import INF, ONE, ZERO, Mat, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
 from paramod.higgslimit import LimitCandidate
 from paramod.parastruct import (
@@ -586,3 +588,32 @@ def oracle_gauge_dims(space):
     before = Mat(rows).solve_affine(rhs)
     dim_before = len(before[1]) if before is not None else -1
     return dim_before, space.dim - (oracle_stabilizer_dim(space.structure, space.cfg) - 1)
+
+
+def oracle_solve_connection_space(structure, cfg, nu):
+    """``(particular, basis, dim_before_gauge)`` of the connection space, or
+    None when it is empty, from constraint rows built one entry at a time:
+    ``sum_i w_i (A_i)_rc = target`` with unit weights for the diagonal sums
+    and the weights ``[z^k] prod_{j != i} (z - z_j)`` of the pole products,
+    rebuilt from the roots, for the off-diagonal coefficients from ``k = 4``
+    down to one above the bound, below zero too, where every weight is zero."""
+    bundle = structure.bundle
+    d0, d1 = bundle.d0, bundle.d1
+    ntail = max(d1 - d0 - 1, 0)
+    parts = [_residue_parts(*nu.nu[i], structure.flags[i]) for i in range(NPOINTS)]
+
+    def row(r, c, weights, target):
+        const = sum((w * C[r][c] for w, (C, _) in zip(weights, parts)), ZERO)
+        return [w * D[r][c] for w, (_, D) in zip(weights, parts)] + [ZERO] * ntail, target - const
+
+    ones = [ONE] * NPOINTS
+    rows = [row(0, 0, ones, sc(-d0)), row(1, 1, ones, sc(-d1))]
+    poles = [monic_from_roots([z for k, z in enumerate(cfg.z) if k != i]) for i in range(NPOINTS)]
+    for (r, c), bound in (((0, 1), 3 + d0 - d1), ((1, 0), 3 + d1 - d0)):
+        for k in range(NPOINTS - 1, bound, -1):
+            rows.append(row(r, c, [p.coeff(k) for p in poles], ZERO))
+    full = Mat([coeffs for coeffs, _ in rows]).solve_affine([rhs for _, rhs in rows])
+    if full is None:
+        return None
+    diag = [[x._t for x in coeffs] for coeffs, _ in rows[:2]]
+    return full[0], full[1], NPOINTS + ntail - oracle_rank(diag, 2, NPOINTS + ntail)

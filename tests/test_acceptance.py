@@ -474,11 +474,11 @@ def _theta_of_pair(a, b):
 
 
 def _to_point(item):
-    from paramod.higgslimit import _normalize_theta
+    from paramod.parastruct import _normalize_projective
 
     if item[0] == "line":
         _, chart, theta, _, _, _ = item
-        return FixedLocusPoint("F1", chart, _normalize_theta(theta), None, None, ())
+        return FixedLocusPoint("F1", chart, _normalize_projective(theta.coeffs), None, None, ())
     _, chart, i, tg = item
     return FixedLocusPoint("F1", chart, None, i, tg, ())
 

@@ -309,11 +309,14 @@ _WRONG_TYPES = [5, 1.5, True, None, "x", [], {}]
 
 def _json_mutations(obj, path=()):
     """``(path, value, codes)``: every key of ``obj`` with a value of a wrong
-    JSON type or a list with its last element dropped, which must exit 2, and
-    a string with a zero denominator or a 5,000-digit numeral or an integer
-    out of the range of marked point indices, which may exit 2 or 3."""
+    JSON type, a list with its last element dropped or a list replaced by a
+    string of as many characters, which must exit 2, and a string with a zero
+    denominator or a 5,000-digit numeral or an integer out of the range of
+    marked point indices, which may exit 2 or 3."""
     if path:
         yield from ((path, w, (2,)) for w in _WRONG_TYPES if type(w) is not type(obj))
+        if isinstance(obj, list):
+            yield path, "1" * len(obj), (2,)
         if isinstance(obj, list) and obj:
             yield path, obj[:-1], (2,)
         if isinstance(obj, str):
@@ -339,7 +342,8 @@ def _with_value(obj, path, value):
 class TestExitCodes:
     """Malformed input exits 2 and a failed precondition 3, never 4 (an
     invariant violation) or 0, for every subcommand; a JSON value of the
-    wrong type or a truncated list is malformed and exits exactly 2."""
+    wrong type, a truncated list or a string in place of a list is malformed
+    and exits exactly 2."""
 
     def test_malformed_inputs_exit_2_or_3(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     oracle_cleared_numerator,
     oracle_gauge_dims,
+    oracle_solve_connection_space,
     rand_config,
     rand_nonspecial_spectrum,
     rand_nonspecial_weight,
@@ -378,6 +379,49 @@ class TestSolverAgainstRawSystem:
                 assert raw is None
             else:
                 assert raw == space.dim
+
+
+    def test_rows_match_pole_product_oracle(self):
+        # every split of degrees -1..2 and the splits with d1 - d0 = 5, 6,
+        # whose (12) loop in the oracle reaches below z^0; 0-3 infinite flags
+        # and all flags at 0, where the diagonal rows vanish and no other row
+        # stands in for the z^0 row of N12, on two configurations
+        rng = random.Random(97)
+        splits = [b for d in (-1, 0, 1, 2) for b in degree_bounds(d).splits]
+        wide = [BundleSplitType(-2, 3), BundleSplitType(-3, 3)]
+        solved = set()
+        for cfg in (CFG, rand_config(rng)):
+            for bundle in splits + wide:
+                flag_sets = [
+                    [INF] * n_inf + [rand_rational(rng, -30, 30, 6) for _ in range(5 - n_inf)]
+                    for n_inf in (0, 1, 2, 3)
+                ]
+                for flags in flag_sets + [[0] * 5]:
+                    s = ParabolicStructure(bundle, flags)
+                    if bundle in wide:
+                        nu = _spectrum_without_n12(rng, s)
+                    else:
+                        nu = rand_nonspecial_spectrum(rng, d=bundle.degree)
+                    space = solve_connection_space(s, cfg, nu)
+                    got = None if space is None else (space.particular, space.basis, space.dim_before_gauge)
+                    assert got == oracle_solve_connection_space(s, cfg, nu), (bundle, flags)
+                    if space is not None:
+                        solved.add(bundle)
+        assert solved == set(splits + wide)
+
+
+def _spectrum_without_n12(rng, s):
+    """A spectrum of degree ``d0 + d1`` whose residues with vanishing (12)
+    entries meet the diagonal sums: the only solutions on a split with
+    ``d1 - d0 >= 5``, where every coefficient of ``N12`` must vanish."""
+    d0, d = s.bundle.d0, s.bundle.degree
+    nu = [(rand_rational(rng, -6, 6, 9), rand_rational(rng, -6, 6, 9)) for _ in range(4)]
+    # A11 is nu+ at a finite flag and nu- at the infinite one
+    a11 = sum((m if u.is_infinity() else p for (p, m), u in zip(nu, s.flags)), sc(0))
+    first = -sc(d0) - a11
+    second = -sc(d) - sum((p + m for p, m in nu), first)
+    nu.append((second, first) if s.flags[4].is_infinity() else (first, second))
+    return SpectrumRank2(nu, d)
 
 
 class TestValidateTriple:

@@ -210,6 +210,21 @@ class TestThetaFromConnection:
         assert raw.degree() <= 2
 
 
+class TestFixedLocusPointJson:
+    def test_flag_choice_keys_are_the_point_numerals(self):
+        from paramod.exactnum import ExactError
+
+        base = {"component": "F1", "chart": "bottom", "theta": ["0", "-9/2", "1"]}
+        for k in range(1, 6):
+            p = FixedLocusPoint.from_json({**base, "flagChoice": {str(k): "upper"}})
+            assert p.flag_choice == ((k - 1, "upper"),)
+        # another spelling of point 1 would collapse two choices into one
+        for choice in ({"01": "upper"}, {"+1": "upper"}, {" 1": "upper"}, {"1 ": "upper"},
+                       {"0": "lower"}, {"6": "lower"}, {"1": "lower", "01": "upper"}):
+            with pytest.raises(ExactError):
+                FixedLocusPoint.from_json({**base, "flagChoice": choice})
+
+
 class TestSpecialLoci:
     def test_counts(self):
         loci = special_loci(CFG)
@@ -238,9 +253,9 @@ def interior_point(flag_choice=()):
     theta = Poly([sc("7/2"), 1, 1], bound=2)  # no marked zeros on 0..4
     for z in CFG.z:
         assert not theta(z).is_zero()
-    from paramod.higgslimit import _normalize_theta
+    from paramod.parastruct import _normalize_projective
 
-    return FixedLocusPoint("F1", "bottom", _normalize_theta(theta), None, None, flag_choice)
+    return FixedLocusPoint("F1", "bottom", _normalize_projective(theta.coeffs), None, None, flag_choice)
 
 
 class TestCanonicalize:
@@ -251,11 +266,11 @@ class TestCanonicalize:
         assert fixedpoint_canonicalize(q, CFG) == q
 
     def test_marked_line_swaps_to_exceptional(self):
-        from paramod.higgslimit import _normalize_theta
+        from paramod.parastruct import _normalize_projective
         from paramod.exactnum import monic_from_roots
 
         theta = monic_from_roots([CFG.z[0], sc("9/2")]).shrink(2)
-        p = FixedLocusPoint("F1", "bottom", _normalize_theta(theta), None, None, ((0, "lower"),))
+        p = FixedLocusPoint("F1", "bottom", _normalize_projective(theta.coeffs), None, None, ((0, "lower"),))
         q = fixedpoint_canonicalize(p, CFG)
         assert q.chart == "top"
         assert q.exceptional_index == 0
@@ -280,11 +295,11 @@ class TestCanonicalize:
         assert top != bottom
 
     def test_two_marked_zero_class(self):
-        from paramod.higgslimit import _normalize_theta
+        from paramod.parastruct import _normalize_projective
         from paramod.exactnum import monic_from_roots
 
         theta = monic_from_roots([CFG.z[1], CFG.z[3]]).shrink(2)
-        line_top = FixedLocusPoint("F1", "top", _normalize_theta(theta), None, None)
+        line_top = FixedLocusPoint("F1", "top", _normalize_projective(theta.coeffs), None, None)
         exc_hi = FixedLocusPoint(
             "F1", "bottom", None, 3, ProjectivePoint.finite(CFG.z[1])
         )
