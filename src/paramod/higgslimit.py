@@ -10,6 +10,13 @@ rows and their saturated grid members.  The fixed locus for ``sum(w) < 1`` has
 two components: the single point F0 on the (-1, 2) split and the family F1 of
 nilpotent Higgs fields on the (0, 1) split, modeled as two glued blown-up
 planes.
+
+The marked zeros of a Higgs field's theta are found once, by the
+strong-parabolicity check of ``StronglyParabolicHiggs``, and the limit point
+is read off them in canonical form.  Strong parabolicity lets the flag leave
+the lower summand only at a marked zero of theta, so a fixed point's flag
+choices are checked against the marked zeros of its own theta; with that
+check the F1 fiber dimension needs no evaluation.
 """
 
 from __future__ import annotations
@@ -101,34 +108,32 @@ def quadratic_roots(theta: Poly) -> tuple[ProjectivePoint, ProjectivePoint] | No
 class StronglyParabolicHiggs:
     """Nilpotent upper-triangular Higgs datum on B or B'.
 
-    ``theta`` is the cleared (12) numerator, degree <= 2 on B and constant on
-    B'.  Strong parabolicity pins the flag to the lower summand fiber wherever
-    theta does not vanish.
+    ``theta`` is the cleared (12) numerator, within the (12) bound of
+    ``offdiag_bounds``: degree <= 2 on B and constant on B'.  Strong
+    parabolicity pins the flag to the lower summand fiber wherever theta does
+    not vanish; ``marked_zeros`` are the indices of the marked points where
+    it does, found by the one evaluation pass of that check.
     """
 
-    __slots__ = ("bundle", "structure", "theta", "cfg")
+    __slots__ = ("bundle", "structure", "theta", "cfg", "marked_zeros")
 
     def __init__(self, bundle, structure, theta: Poly, cfg: MarkedConfiguration):
         if bundle not in (B, BPRIME):
             raise HiggsError("Higgs data supported on B and B' only")
         if structure.bundle != bundle:
             raise HiggsError("structure lives on a different bundle")
-        bound = 2 if bundle == B else 0
+        ((_, bound), _) = offdiag_bounds(bundle)
         self.theta = theta.shrink(bound)
         self.bundle = bundle
         self.structure = structure
         self.cfg = cfg
-        for i in range(NPOINTS):
-            if not self.theta(cfg.z[i]).is_zero():
-                u = structure.flags[i]
-                if u.is_infinity() or not u.value.is_zero():
-                    raise HiggsError(
-                        f"flag at point {i + 1} must lie on the lower summand "
-                        "where theta is nonzero"
-                    )
-
-    def marked_zero_indices(self) -> list[int]:
-        return [i for i in range(NPOINTS) if self.theta(self.cfg.z[i]).is_zero()]
+        self.marked_zeros = tuple(i for i, z in enumerate(cfg.z) if self.theta(z).is_zero())
+        for i, u in enumerate(structure.flags):
+            if i not in self.marked_zeros and (u.is_infinity() or not u.value.is_zero()):
+                raise HiggsError(
+                    f"flag at point {i + 1} must lie on the lower summand "
+                    "where theta is nonzero"
+                )
 
     def is_nilpotent_nonzero(self) -> bool:
         return not self.theta.is_zero()
@@ -206,6 +211,8 @@ class FixedLocusPoint:
                 )
             if self.exceptional_index is not None and self.tangent is None:
                 raise HiggsError("exceptional points carry a tangent coordinate")
+            if self.theta is not None and all(c.is_zero() for c in self.theta):
+                raise HiggsError("a line datum needs a nonzero theta")
 
     def zeros(self, cfg: MarkedConfiguration):
         """The unordered zero pair, or None when it does not split over the
@@ -216,16 +223,6 @@ class FixedLocusPoint:
             zi = ProjectivePoint.finite(cfg.z[self.exceptional_index])
             return (zi, self.tangent)
         return quadratic_roots(Poly(list(self.theta), bound=2))
-
-    def theta_poly(self, cfg: MarkedConfiguration) -> Poly:
-        if self.component != "F1":
-            raise HiggsError("F0 carries no Higgs coordinates")
-        if self.exceptional_index is None:
-            return Poly(list(self.theta), bound=2)
-        zi = cfg.z[self.exceptional_index]
-        if self.tangent.is_infinity():
-            return Poly([-zi, 1], bound=2)
-        return monic_from_roots([zi, self.tangent.value]).shrink(2)
 
     def to_json(self, cfg: MarkedConfiguration | None = None):
         out = {"component": self.component}
@@ -263,6 +260,8 @@ class FixedLocusPoint:
         if chart not in ("top", "bottom"):
             raise ExactError(f"chart must be top or bottom, not {chart!r}")
         if "exceptional_at" in data:
+            if "theta" in data:
+                raise ExactError("an F1 point carries theta or exceptional_at, not both")
             return cls(
                 "F1",
                 chart,
@@ -292,44 +291,35 @@ def _json_point_index(k) -> int:
 
 
 def fixedpoint_from_higgs(h: StronglyParabolicHiggs) -> FixedLocusPoint:
-    """Chart datum of a Higgs fixed point, before canonicalization.
+    """The canonical point of a Higgs fixed point, as
+    ``fixedpoint_canonicalize`` gives it, read off the marked zeros that
+    ``h`` already holds.
 
     Convention: the top chart carries the all-lower flag choices; an upper
     choice at a marked zero is recorded through the exceptional datum at that
-    index (the bottom chart for a double marked zero).
+    index (the bottom chart for a double marked zero).  An all-lower line
+    through a marked zero is glued to its bottom-chart exceptional datum.
     """
     if h.bundle == BPRIME:
         return FixedLocusPoint("F0")
     theta = h.theta
     if theta.is_zero():
         raise HiggsError("zero Higgs field is not an F1 datum")
-    marked = h.marked_zero_indices()
-    choices = []
-    for i in marked:
-        u = h.structure.flags[i]
-        choices.append((i, "upper" if u.is_infinity() else "lower"))
-    choice_map = dict(choices)
-    uppers = [i for i in marked if choice_map[i] == "upper"]
+    marked = h.marked_zeros
+    choices = tuple(
+        (i, "upper" if h.structure.flags[i].is_infinity() else "lower") for i in marked
+    )
+    uppers = [i for i, choice in choices if choice == "upper"]
     zi_double = _double_marked_zero(theta, h.cfg, marked)
     if zi_double is not None:
-        chart = "bottom" if choice_map[zi_double] == "upper" else "top"
+        chart = "bottom" if zi_double in uppers else "top"
         return FixedLocusPoint(
-            "F1",
-            chart,
-            None,
-            zi_double,
-            ProjectivePoint.finite(h.cfg.z[zi_double]),
-            tuple(sorted(choices)),
+            "F1", chart, None, zi_double, ProjectivePoint.finite(h.cfg.z[zi_double]), choices
         )
     if uppers:
-        i = min(uppers)
-        other = _other_zero(theta, h.cfg.z[i])
-        return FixedLocusPoint(
-            "F1", "top", None, i, other, tuple(sorted(choices))
-        )
-    return FixedLocusPoint(
-        "F1", "top", _normalize_projective(theta.coeffs), None, None, tuple(sorted(choices))
-    )
+        i = uppers[0]
+        return FixedLocusPoint("F1", "top", None, i, _other_zero(theta, h.cfg.z[i]), choices)
+    return _line_point(theta, "top", marked, choices, h.cfg)
 
 
 def _double_marked_zero(theta: Poly, cfg, marked) -> int | None:
@@ -349,64 +339,75 @@ def _other_zero(theta: Poly, zi: Scalar) -> ProjectivePoint:
     return INF
 
 
+def _line_point(theta: Poly, chart: str, marked, flag_choice, cfg) -> FixedLocusPoint:
+    """The canonical point of a line datum on ``chart`` whose marked zeros
+    ``marked`` are simple.
+
+    A line without marked zeros lives on the top chart.  A top-chart line
+    through a marked zero is glued to the bottom-chart exceptional curve at
+    its first marked zero, whatever the second zero is; a bottom-chart line
+    is glued to the top-chart exceptional curve only when its second zero is
+    unmarked.
+    """
+    if marked and (chart == "top" or len(marked) == 1):
+        i = marked[0]
+        glued = "bottom" if chart == "top" else "top"
+        return FixedLocusPoint("F1", glued, None, i, _other_zero(theta, cfg.z[i]), flag_choice)
+    # no marked zero, or a bottom-chart line whose second zero is marked
+    chart = "bottom" if marked else "top"
+    return FixedLocusPoint(
+        "F1", chart, _normalize_projective(theta.coeffs), None, None, flag_choice
+    )
+
+
+def _marked_zeros(p: FixedLocusPoint, cfg: MarkedConfiguration) -> tuple[int, ...]:
+    """The marked zeros of an F1 point's own theta, in increasing order: the
+    evaluated zeros of a line datum, and the center with a marked tangent of
+    an exceptional datum.
+
+    Strong parabolicity pins the flag to the lower summand wherever theta
+    does not vanish, so a flag choice at any other point raises.
+    """
+    if p.exceptional_index is None:
+        theta = Poly(list(p.theta), bound=2)
+        marked = tuple(i for i, z in enumerate(cfg.z) if theta(z).is_zero())
+    else:
+        marked = tuple(sorted({p.exceptional_index, _marked_index(p.tangent, cfg)} - {None}))
+    for i, _ in p.flag_choice:
+        if i not in marked:
+            raise HiggsError(f"flag choice at point {i + 1}, where theta does not vanish")
+    return marked
+
+
 def fixedpoint_canonicalize(p: FixedLocusPoint, cfg: MarkedConfiguration) -> FixedLocusPoint:
     """Canonical representative under the three gluing identifications.
 
-    The rules are chart-asymmetric.  Top-chart lines through a marked zero
-    are glued to bottom-chart exceptional curves whatever the second zero is;
-    bottom-chart lines are glued to top-chart exceptional data only when the
-    second zero avoids every marked point.  Exceptional points whose tangent
-    is the center (the strict-transform intersection) or, on the top chart, a
-    marked point, match no rule and stay as they are; the bottom-chart
-    exceptional points with marked tangents are merged with their
-    smaller-index partner through the top-chart line they both glue to.
+    The rules are chart-asymmetric; ``_line_point`` states them for line
+    data.  Exceptional points whose tangent is the center (the
+    strict-transform intersection) or, on the top chart, a marked point,
+    match no rule and stay as they are; the bottom-chart exceptional points
+    with marked tangents are merged with their smaller-index partner through
+    the top-chart line they both glue to.  Raises ``HiggsError`` on a flag
+    choice away from the marked zeros of theta.
     """
     if p.component == "F0":
         return p
+    marked = _marked_zeros(p, cfg)
     if p.exceptional_index is not None:
-        i = p.exceptional_index
-        zi = cfg.z[i]
-        if not p.tangent.is_infinity() and p.tangent.value == zi:
-            return p  # the excluded intersection point
-        tangent_marked = _marked_index(p.tangent, cfg)
-        if (
-            p.chart == "bottom"
-            and tangent_marked is not None
-            and tangent_marked < i
-        ):
+        # the smallest marked zero is the center unless a marked tangent
+        # precedes it
+        i, j = p.exceptional_index, marked[0]
+        if p.chart == "bottom" and j < i:
             return FixedLocusPoint(
-                "F1",
-                "bottom",
-                None,
-                tangent_marked,
-                ProjectivePoint.finite(zi),
-                p.flag_choice,
+                "F1", "bottom", None, j, ProjectivePoint.finite(cfg.z[i]), p.flag_choice
             )
         return p
-    # line form: hunt for marked zeros
     theta = Poly(list(p.theta), bound=2)
-    marked = [i for i in range(NPOINTS) if theta(cfg.z[i]).is_zero()]
-    if not marked:
-        return FixedLocusPoint(
-            "F1", "top", _normalize_projective(theta.coeffs), None, None, p.flag_choice
-        )
     if _double_marked_zero(theta, cfg, marked) is not None:
         raise HiggsError(
             "a double marked zero must be presented by its exceptional datum"
         )
-    i = min(marked)
-    if p.chart == "top":
-        return FixedLocusPoint(
-            "F1", "bottom", None, i, _other_zero(theta, cfg.z[i]), p.flag_choice
-        )
-    # bottom-chart line: glued only when the second zero is unmarked
-    if len(marked) == 1:
-        return FixedLocusPoint(
-            "F1", "top", None, i, _other_zero(theta, cfg.z[i]), p.flag_choice
-        )
-    return FixedLocusPoint(
-        "F1", "bottom", _normalize_projective(theta.coeffs), None, None, p.flag_choice
-    )
+    return _line_point(theta, p.chart, marked, p.flag_choice, cfg)
 
 
 def _marked_index(pt: ProjectivePoint, cfg) -> int | None:
@@ -507,7 +508,6 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
         raise HiggsError("limit requires a non-special spectrum")
 
     candidates = []
-    winner = None
 
     theta = theta_from_connection(t.connection, cfg)
     if theta.is_zero():
@@ -553,8 +553,7 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     winner = stable_ones[0]
     if winner.higgs is None:
         raise HiggsError(f"candidate {winner.name} has no normal-form datum")
-    point = fixedpoint_canonicalize(fixedpoint_from_higgs(winner.higgs), cfg)
-    return LimitResult(point, winner.higgs, tuple(candidates))
+    return LimitResult(fixedpoint_from_higgs(winner.higgs), winner.higgs, tuple(candidates))
 
 
 def _degenerate_candidate(w: WeightVector, j: int, rows: dict, kernels: dict):
@@ -614,6 +613,13 @@ def fiber_dimension(
     coefficients).  For F1 the flags vary with the upper residue data pinned
     by the Higgs field: per marked point one parameter survives, the diagonal
     trace-sum cuts one dimension and the effective gauge group two more.
+
+    The trace-sum constraint always has rank one.  At a point with a lower
+    flag the surviving unknown enters it with minus the (12) residue
+    ``theta(z_i) / prod_{k != i}(z_i - z_k)``, nonzero exactly where theta
+    is.  Theta is nonzero of degree <= 2, so it misses at least three of the
+    five distinct marked points, and the flag choices, checked to lie at its
+    marked zeros, leave the flag lower there.
     """
     if nu.d != 1:
         raise HiggsError("fiber dimensions are computed at degree 1")
@@ -622,23 +628,7 @@ def fiber_dimension(
         if space is None:
             raise HiggsError("empty connection space over the F0 structure")
         return space.dim
-    theta = p.theta_poly(cfg)
-    choice = dict(p.flag_choice)
-    rank = 0  # of the trace-sum constraint on the surviving unknowns
-    const = sc(0)
-    for i, zi in enumerate(cfg.z):
-        if choice.get(i) == "upper":
-            # infinite flag: the surviving unknown is the (21) residue,
-            # absent from the trace sum
-            const = const + nu.minus(i)
-        else:
-            const = const + nu.plus(i)
-            # the unknown enters with minus the (12) residue pinned by theta,
-            # theta(z_i) / prod_{k != i}(z_i - z_k); the points are distinct,
-            # so that residue vanishes exactly when theta(z_i) does
-            if not theta(zi).is_zero():
-                rank = 1
-    if rank == 0 and not const.is_zero():
-        raise HiggsError("empty fiber: trace constraint is inconsistent")
+    if p.flag_choice:
+        _marked_zeros(p, cfg)
     gauge = 2  # automorphism directions acting effectively on the fiber
-    return NPOINTS - rank - gauge
+    return NPOINTS - 1 - gauge

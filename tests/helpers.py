@@ -25,7 +25,12 @@ cleared weights.  A
 second solve of the two diagonal residue sums and the rank of the fixed-flag
 equations are the references for the gauge counts of a connection space,
 and the constraint rows built entry by entry against the pole products the
-reference for the ones read off the forward numerator map.
+reference for the ones read off the forward numerator map.  The F1 fiber
+dimension from the rank of the trace-sum constraint, with theta evaluated at
+every marked point, is the reference for the one read off the checked flag
+choices; the chart datum of a Higgs fixed point with its marked zeros
+evaluated afresh, then canonicalized, is the reference for the canonical
+limit point read off the zeros the Higgs datum holds.
 """
 
 from itertools import combinations, product
@@ -33,13 +38,22 @@ from itertools import combinations, product
 from paramod._kernel import T_ONE, T_ZERO, t_div, t_mul, t_neg, t_sub
 from paramod.connection import _residue_parts, degree_bounds
 from paramod.exactnum import INF, ONE, ZERO, Mat, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
-from paramod.higgslimit import LimitCandidate
+from paramod.higgslimit import (
+    FixedLocusPoint,
+    HiggsError,
+    LimitCandidate,
+    StronglyParabolicHiggs,
+    _double_marked_zero,
+    _other_zero,
+    fixedpoint_canonicalize,
+)
 from paramod.parastruct import (
     B,
     BPRIME,
     MarkedConfiguration,
     NPOINTS,
     ParabolicStructure,
+    _normalize_projective,
 )
 from paramod.spectra import SpectrumRank2
 from paramod.stability import (
@@ -617,3 +631,109 @@ def oracle_solve_connection_space(structure, cfg, nu):
         return None
     diag = [[x._t for x in coeffs] for coeffs, _ in rows[:2]]
     return full[0], full[1], NPOINTS + ntail - oracle_rank(diag, 2, NPOINTS + ntail)
+
+
+def sample_universe(cfg, generic):
+    """All line and exceptional chart data with zeros drawn from the marked
+    points and three generic ones: ``("line", chart, theta, a, b, marked)``
+    and ``("exc", chart, i, tangent)``."""
+    marked_pts = [ProjectivePoint.finite(z) for z in cfg.z]
+    pool = marked_pts + [ProjectivePoint.finite(g) for g in generic]
+    universe = []
+    for a, b in combinations(pool, 2):
+        theta = _theta_of_pair(a, b)
+        marked = [i for i, zp in enumerate(marked_pts) if zp in (a, b)]
+        for chart in ("top", "bottom"):
+            universe.append(("line", chart, theta, a, b, tuple(marked)))
+    for g in generic:
+        theta = _theta_of_pair(ProjectivePoint.finite(g), ProjectivePoint.finite(g))
+        for chart in ("top", "bottom"):
+            universe.append(
+                ("line", chart, theta, ProjectivePoint.finite(g), ProjectivePoint.finite(g), ())
+            )
+    tangents = pool + [INF]
+    for i in range(5):
+        for tg in tangents:
+            for chart in ("top", "bottom"):
+                universe.append(("exc", chart, i, tg))
+    return universe
+
+
+def _theta_of_pair(a, b):
+    if a.is_infinity() and b.is_infinity():
+        return Poly([1], bound=2)
+    if a.is_infinity() or b.is_infinity():
+        v = b.value if a.is_infinity() else a.value
+        return Poly([-v, 1], bound=2)
+    return monic_from_roots([a.value, b.value]).shrink(2)
+
+
+def universe_point(item, flag_choice=()):
+    """The fixed point of a ``sample_universe`` item."""
+    if item[0] == "line":
+        _, chart, theta, _, _, _ = item
+        return FixedLocusPoint(
+            "F1", chart, _normalize_projective(theta.coeffs), None, None, flag_choice
+        )
+    _, chart, i, tg = item
+    return FixedLocusPoint("F1", chart, None, i, tg, flag_choice)
+
+
+def oracle_theta_poly(p, cfg) -> Poly:
+    """The Higgs field of an F1 point: its line datum, or the quadratic
+    vanishing at the center and the tangent of its exceptional datum."""
+    if p.exceptional_index is None:
+        return Poly(list(p.theta), bound=2)
+    zi = cfg.z[p.exceptional_index]
+    if p.tangent.is_infinity():
+        return Poly([-zi, 1], bound=2)
+    return monic_from_roots([zi, p.tangent.value]).shrink(2)
+
+
+def oracle_fiber_dimension(p, cfg, nu) -> int:
+    """The F1 fiber dimension from the rank of the trace-sum constraint,
+    found point by point from theta evaluated at every marked point; an
+    inconsistent constraint raises."""
+    if nu.d != 1 or p.component != "F1":
+        raise HiggsError("the oracle covers F1 points at degree 1")
+    theta = oracle_theta_poly(p, cfg)
+    choice = dict(p.flag_choice)
+    rank = 0  # of the trace-sum constraint on the surviving unknowns
+    const = sc(0)
+    for i, zi in enumerate(cfg.z):
+        if choice.get(i) == "upper":
+            # infinite flag: the surviving unknown is the (21) residue,
+            # absent from the trace sum
+            const = const + nu.minus(i)
+        else:
+            const = const + nu.plus(i)
+            # the unknown enters with minus the (12) residue pinned by theta,
+            # which vanishes exactly when theta(z_i) does
+            if not theta(zi).is_zero():
+                rank = 1
+    if rank == 0 and not const.is_zero():
+        raise HiggsError("empty fiber: trace constraint is inconsistent")
+    return NPOINTS - rank - 2
+
+
+def oracle_limit_point(h: StronglyParabolicHiggs) -> FixedLocusPoint:
+    """The canonical form of the chart datum of a Higgs fixed point, with its
+    marked zeros evaluated afresh."""
+    if h.bundle == BPRIME:
+        return FixedLocusPoint("F0")
+    theta, cfg = h.theta, h.cfg
+    marked = [i for i in range(NPOINTS) if theta(cfg.z[i]).is_zero()]
+    choices = tuple((i, "upper" if h.structure.flags[i].is_infinity() else "lower") for i in marked)
+    uppers = [i for i, choice in choices if choice == "upper"]
+    zi_double = _double_marked_zero(theta, cfg, marked)
+    if zi_double is not None:
+        chart = "bottom" if zi_double in uppers else "top"
+        p = FixedLocusPoint(
+            "F1", chart, None, zi_double, ProjectivePoint.finite(cfg.z[zi_double]), choices
+        )
+    elif uppers:
+        i = min(uppers)
+        p = FixedLocusPoint("F1", "top", None, i, _other_zero(theta, cfg.z[i]), choices)
+    else:
+        p = FixedLocusPoint("F1", "top", _normalize_projective(theta.coeffs), None, None, choices)
+    return fixedpoint_canonicalize(p, cfg)

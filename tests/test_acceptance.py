@@ -19,6 +19,8 @@ from helpers import (
     rand_u2_indecomposable,
     rand_ui_indecomposable,
     rand_uij_indecomposable,
+    sample_universe,
+    universe_point,
 )
 from paramod.connection import (
     degree_bounds,
@@ -28,7 +30,6 @@ from paramod.connection import (
 )
 from paramod.exactnum import INF, Mat, Poly, ProjectivePoint, sc
 from paramod.higgslimit import (
-    FixedLocusPoint,
     cstar_limit,
     fiber_dimension,
     fixed_component,
@@ -437,52 +438,6 @@ def test_criterion_09_cstar_limit_dichotomy():
     _report(9, "10^2 limits: stable, unique, gauge-constant, dichotomy, fibers of dim 2")
 
 
-def _sample_universe(cfg, generic):
-    """All line and exceptional chart data with zeros drawn from the marked
-    points and three generic ones."""
-    marked_pts = [ProjectivePoint.finite(z) for z in cfg.z]
-    pool = marked_pts + [ProjectivePoint.finite(g) for g in generic]
-    universe = []
-    for a, b in combinations(pool, 2):
-        theta = _theta_of_pair(a, b)
-        marked = [i for i, zp in enumerate(marked_pts) if zp in (a, b)]
-        for chart in ("top", "bottom"):
-            universe.append(("line", chart, theta, a, b, tuple(marked)))
-    for g in generic:
-        theta = _theta_of_pair(ProjectivePoint.finite(g), ProjectivePoint.finite(g))
-        for chart in ("top", "bottom"):
-            universe.append(
-                ("line", chart, theta, ProjectivePoint.finite(g), ProjectivePoint.finite(g), ())
-            )
-    tangents = pool + [INF]
-    for i in range(5):
-        for tg in tangents:
-            for chart in ("top", "bottom"):
-                universe.append(("exc", chart, i, tg))
-    return universe
-
-
-def _theta_of_pair(a, b):
-    from paramod.exactnum import monic_from_roots
-
-    if a.is_infinity() and b.is_infinity():
-        return Poly([1], bound=2)
-    if a.is_infinity() or b.is_infinity():
-        v = b.value if a.is_infinity() else a.value
-        return Poly([-v, 1], bound=2)
-    return monic_from_roots([a.value, b.value]).shrink(2)
-
-
-def _to_point(item):
-    from paramod.parastruct import _normalize_projective
-
-    if item[0] == "line":
-        _, chart, theta, _, _, _ = item
-        return FixedLocusPoint("F1", chart, _normalize_projective(theta.coeffs), None, None, ())
-    _, chart, i, tg = item
-    return FixedLocusPoint("F1", chart, None, i, tg, ())
-
-
 def _directly_related(x, y, cfg):
     """Literal transcription of the three gluing rules."""
     if x[0] == y[0] == "line":
@@ -534,8 +489,8 @@ def test_criterion_10_fixed_locus_combinatorics():
                 assert sum((a * b for a, b in zip(pt, dual)), sc(0)).is_zero()
 
         generic = [sc("11/2"), sc("-13/3"), sc(7)]
-        universe = _sample_universe(cfg, generic)
-        points = [_to_point(item) for item in universe]
+        universe = sample_universe(cfg, generic)
+        points = [universe_point(item) for item in universe]
         canon = [fixedpoint_canonicalize(p, cfg) for p in points]
         for c in canon:
             assert fixedpoint_canonicalize(c, cfg) == c

@@ -381,6 +381,24 @@ class TestExitCodes:
         assert not failures, failures
         assert n_argv > 100 and n_json > 1000
 
+    def test_contradictory_fixed_points(self, capsys, tmp_path, monkeypatch):
+        # both chart data on one point is malformed (2); a flag choice where
+        # theta does not vanish contradicts strong parabolicity (3)
+        monkeypatch.chdir(tmp_path)
+        cases = [
+            ({"component": "F1", "chart": "bottom", "exceptional_at": 2, "tangent": "7/2",
+              "theta": ["1", "1", "1"]}, 2),
+            ({"component": "F1", "chart": "bottom", "theta": ["1", "1", "0"],
+              "flagChoice": {"2": "upper"}}, 3),
+            ({"component": "F1", "chart": "bottom", "theta": ["1", "0", "0"],
+              "flagChoice": {str(k): "upper" for k in range(1, 6)}}, 3),
+        ]
+        for point, want in cases:
+            (tmp_path / "p.json").write_text(json.dumps(point))
+            for argv in (["canonicalize", "--z", Z], ["fiber", "--z", Z, "--nu", NU1, "--d", "1"]):
+                code, out = run(capsys, argv[0], "--json", "p.json", *argv[1:])
+                assert (code, out) == (want, ""), (point, argv[0], code, out)
+
 
 class TestPipelines:
     def test_classify_weights_stability(self, capsys):

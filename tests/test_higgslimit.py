@@ -1,15 +1,20 @@
 import random
+from itertools import product
 
 import pytest
 
 from helpers import (
     oracle_contact_rows,
     oracle_degenerate_candidate,
+    oracle_fiber_dimension,
+    oracle_limit_point,
     rand_config,
     rand_nonspecial_spectrum,
     rand_nonspecial_weight,
     rand_rational,
     rand_structure,
+    sample_universe,
+    universe_point,
 )
 from paramod.connection import (
     LogConnection,
@@ -17,7 +22,7 @@ from paramod.connection import (
     solve_connection_space,
     validate_triple,
 )
-from paramod.exactnum import INF, Mat, Poly, ProjectivePoint, Scalar, sc
+from paramod.exactnum import INF, ExactError, Mat, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
 from paramod.higgslimit import (
     FixedLocusPoint,
     HiggsError,
@@ -26,6 +31,7 @@ from paramod.higgslimit import (
     cstar_limit,
     fixed_component,
     fixedpoint_canonicalize,
+    fixedpoint_from_higgs,
     fiber_dimension,
     gaussian_sqrt,
     higgs_is_stable,
@@ -145,7 +151,7 @@ class TestHiggsData:
     def test_upper_choice_at_zero_allowed(self):
         theta = Poly([0, 1], bound=2)  # vanishes at z_1 = 0
         h = b_datum(theta, [INF, 0, 0, 0, 0])
-        assert h.marked_zero_indices() == [0]
+        assert h.marked_zeros == (0,)
 
     def test_f0_stability(self):
         h = f0_datum()
@@ -212,8 +218,6 @@ class TestThetaFromConnection:
 
 class TestFixedLocusPointJson:
     def test_flag_choice_keys_are_the_point_numerals(self):
-        from paramod.exactnum import ExactError
-
         base = {"component": "F1", "chart": "bottom", "theta": ["0", "-9/2", "1"]}
         for k in range(1, 6):
             p = FixedLocusPoint.from_json({**base, "flagChoice": {str(k): "upper"}})
@@ -223,6 +227,21 @@ class TestFixedLocusPointJson:
                        {"0": "lower"}, {"6": "lower"}, {"1": "lower", "01": "upper"}):
             with pytest.raises(ExactError):
                 FixedLocusPoint.from_json({**base, "flagChoice": choice})
+
+    def test_one_datum_per_point(self):
+        # theta would be dropped silently beside the exceptional datum
+        both = {"component": "F1", "chart": "bottom", "exceptional_at": 2, "tangent": "7/2",
+                "theta": ["1", "1", "1"]}
+        with pytest.raises(ExactError):
+            FixedLocusPoint.from_json(both)
+        exceptional = {k: v for k, v in both.items() if k != "theta"}
+        assert FixedLocusPoint.from_json(exceptional).exceptional_index == 1
+        line = {k: v for k, v in both.items() if k not in ("exceptional_at", "tangent")}
+        assert FixedLocusPoint.from_json(line).theta == (sc(1), sc(1), sc(1))
+
+    def test_zero_line_theta_rejected(self):
+        with pytest.raises(HiggsError):
+            FixedLocusPoint("F1", "top", (sc(0), sc(0), sc(0)))
 
 
 class TestSpecialLoci:
@@ -524,3 +543,163 @@ class TestDegreeSplitBound:
             res = cstar_limit(t, w)
             b = res.higgs.bundle
             assert (b.d0, b.d1) in allowed
+
+
+def _universe_marked(item, cfg):
+    # the marked zeros of a sample_universe item's theta, in increasing order
+    if item[0] == "line":
+        return item[5]
+    _, _, i, tg = item
+    return tuple(sorted({i} | {k for k, z in enumerate(cfg.z) if tg == ProjectivePoint.finite(z)}))
+
+
+class TestFlagChoiceCheck:
+    """A flag choice away from the marked zeros of theta contradicts strong
+    parabolicity: canonicalization and the fiber dimension raise on it."""
+
+    # theta 1 + z vanishes at -1, off the marked points 0..4, and theta 1
+    # nowhere
+    CASES = [
+        ((sc(1), sc(1), sc(0)), ((1, "upper"),)),
+        ((sc(1), sc(0), sc(0)), tuple((i, "upper") for i in range(5))),
+    ]
+
+    @pytest.mark.parametrize("theta, choice", CASES)
+    def test_off_marked_choice_raises(self, theta, choice):
+        nu = rand_nonspecial_spectrum(random.Random(53), d=1)
+        p = FixedLocusPoint("F1", "bottom", theta, None, None, choice)
+        with pytest.raises(HiggsError):
+            fixedpoint_canonicalize(p, CFG)
+        with pytest.raises(HiggsError):
+            fiber_dimension(p, CFG, nu)
+
+    def test_every_off_marked_choice_raises(self):
+        # on every universe point, each lower or upper choice at an unmarked
+        # point raises, alone or beside a valid choice
+        nu = rand_nonspecial_spectrum(random.Random(59), d=1)
+        for item in sample_universe(CFG, [sc("11/2"), sc("-13/3"), sc(7)]):
+            marked = _universe_marked(item, CFG)
+            valid = ((marked[0], "upper"),) if marked else ()
+            for k in set(range(5)) - set(marked):
+                for choice in ("lower", "upper"):
+                    p = universe_point(item, tuple(sorted(valid + ((k, choice),))))
+                    with pytest.raises(HiggsError):
+                        fixedpoint_canonicalize(p, CFG)
+                    with pytest.raises(HiggsError):
+                        fiber_dimension(p, CFG, nu)
+
+
+class TestLimitOracles:
+    """The fiber dimension read off the checked flag choices and the limit
+    point read off the Higgs datum's marked zeros match the trace-sum rank
+    and the canonicalized chart datum of the helpers."""
+
+    CFGS = [CFG, MarkedConfiguration([-2, -1, 0, 1, 3])]
+
+    def test_fiber_matches_trace_rank_on_the_universe(self):
+        rng = random.Random(61)
+        spectra = [rand_nonspecial_spectrum(rng, d=1) for _ in range(3)]
+        compared = 0
+        for cfg in self.CFGS:
+            for item in sample_universe(cfg, [sc("11/2"), sc("-13/3"), sc(7)]):
+                marked = _universe_marked(item, cfg)
+                # every lower/upper assignment, a marked zero left unchosen too
+                for picks in product((None, "lower", "upper"), repeat=len(marked)):
+                    choice = tuple((i, c) for i, c in zip(marked, picks) if c)
+                    p = universe_point(item, choice)
+                    canon = fixedpoint_canonicalize(p, cfg)
+                    assert canon.flag_choice == choice
+                    for nu in spectra:
+                        assert fiber_dimension(p, cfg, nu) == oracle_fiber_dimension(p, cfg, nu)
+                        assert fiber_dimension(canon, cfg, nu) == 2
+                        compared += 1
+        assert compared > 2000, compared
+
+    # theta by its roots: none, one and two marked zeros and a double one on
+    # the marked points 0..4 of CFG, and on -2, -1, 0, 1, 3
+    ROOTS = [
+        [sc("11/2"), sc("-13/3")],
+        [sc("11/2")],
+        [],
+        [0, sc("9/2")],
+        [3],
+        [1, 3],
+        [0, 1],
+        [1, 1],
+        [3, 3],
+    ]
+
+    def test_limit_point_matches_canonical_chart_datum(self):
+        seen = set()
+        for cfg in self.CFGS:
+            for roots in self.ROOTS:
+                theta = monic_from_roots(roots).shrink(2)
+                marked = [i for i, z in enumerate(cfg.z) if theta(z).is_zero()]
+                double = len(roots) == 2 and roots[0] == roots[1] and len(marked) == 1
+                seen.add("double" if double else len(marked))
+                for picks in product((0, INF), repeat=len(marked)):
+                    flags = [0] * 5
+                    for i, u in zip(marked, picks):
+                        flags[i] = u
+                    h = StronglyParabolicHiggs(B, ParabolicStructure(B, flags), theta, cfg)
+                    assert h.marked_zeros == tuple(marked)
+                    got = fixedpoint_from_higgs(h)
+                    assert got == oracle_limit_point(h), (roots, picks)
+                    assert fixedpoint_canonicalize(got, cfg) == got
+        assert seen == {0, 1, 2, "double"}, seen
+        assert fixedpoint_from_higgs(f0_datum()) == oracle_limit_point(f0_datum())
+
+    def test_limits_of_solved_triples(self):
+        rng = random.Random(67)
+        for flags in (None, [INF, 1, 2, 3, 5], [INF, INF, 1, 2, 5], [0, 2, 3, 5, 7]):
+            t = solved_b_triple(rng, flags)
+            res = cstar_limit(t, rand_nonspecial_weight(rng, total_below=1))
+            assert res.point == oracle_limit_point(res.higgs)
+
+
+class TestThetaEvaluations:
+    """Theta is evaluated once per marked point by a limit, and not at all by
+    the fiber dimension of a point without flag choices; evaluating the
+    marked zeros afresh in each step took up to four passes."""
+
+    @staticmethod
+    def _recorder(monkeypatch):
+        calls = []
+        real = Poly.__call__
+
+        def call(poly, x):
+            calls.append((poly.coeffs, x))
+            return real(poly, x)
+
+        monkeypatch.setattr(Poly, "__call__", call)
+        return calls
+
+    def test_limit_evaluates_each_marked_point_once(self, monkeypatch):
+        rng = random.Random(71)
+        triples = [solved_b_triple(rng, flags)
+                   for flags in (None, None, [INF, 1, 2, 3, 5], [INF, INF, 1, 2, 5])]
+        calls = self._recorder(monkeypatch)
+        with_zeros = 0
+        for t in triples:
+            calls.clear()
+            h = cstar_limit(t, rand_nonspecial_weight(rng, total_below=1)).higgs
+            at_zeros = [CFG.z[i] for i in h.marked_zeros]
+            with_zeros += bool(at_zeros)
+            theta, slope = h.theta.coeffs, h.theta.derivative().coeffs
+            assert [x for c, x in calls if c == theta] == list(CFG.z), calls
+            derivative = [x for c, x in calls if c == slope]
+            assert all(x in at_zeros for x in derivative) and len(derivative) <= len(at_zeros)
+            assert len(calls) <= len(CFG.z) + len(at_zeros), calls
+        assert with_zeros >= 2
+
+    def test_fiber_without_choices_evaluates_nothing(self, monkeypatch):
+        nu = rand_nonspecial_spectrum(random.Random(73), d=1)
+        points = [
+            interior_point(),
+            FixedLocusPoint("F1", "top", None, 1, ProjectivePoint.finite(sc("17/5"))),
+            universe_point(("line", "bottom", monic_from_roots([1, 3]).shrink(2), None, None, ())),
+        ]
+        calls = self._recorder(monkeypatch)
+        for p in points:
+            assert fiber_dimension(p, CFG, nu) == 2
+        assert calls == []
