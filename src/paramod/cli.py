@@ -274,14 +274,14 @@ def cmd_fiber(args):
 
 
 def cmd_canonicalize(args):
-    from .higgslimit import FixedLocusPoint, fixedpoint_canonicalize, in_removed_locus
+    from .higgslimit import FixedLocusPoint, _canonical_in_removed_locus, fixedpoint_canonicalize
 
     cfg = _parse_cfg(args)
     point = _load_json(args, "point", FixedLocusPoint.from_json)
     canon = fixedpoint_canonicalize(point, cfg)
     return {
         "point": canon.to_json(cfg),
-        "in_removed_locus": in_removed_locus(canon, cfg),
+        "in_removed_locus": _canonical_in_removed_locus(canon, cfg),
     }
 
 

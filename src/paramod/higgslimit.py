@@ -270,6 +270,8 @@ class FixedLocusPoint:
                 ProjectivePoint.parse(data["tangent"]),
                 choices,
             )
+        if "tangent" in data:
+            raise ExactError("an F1 line point carries theta, not a tangent")
         theta = tuple(Scalar.parse(s) for s in json_list(data["theta"], "theta"))
         if len(theta) != 3:
             raise ExactError("theta takes three coefficients")
@@ -423,7 +425,11 @@ def in_removed_locus(p: FixedLocusPoint, cfg: MarkedConfiguration) -> bool:
     """Membership in the removed curve classes: the glued images of the
     strict transforms minus their special points, canonically the bottom-chart
     exceptional data with non-marked tangent distinct from the center."""
-    q = fixedpoint_canonicalize(p, cfg)
+    return _canonical_in_removed_locus(fixedpoint_canonicalize(p, cfg), cfg)
+
+
+def _canonical_in_removed_locus(q: FixedLocusPoint, cfg: MarkedConfiguration) -> bool:
+    # ``in_removed_locus`` of a point ``fixedpoint_canonicalize`` returned
     if q.component != "F1" or q.exceptional_index is None or q.chart != "bottom":
         return False
     if not q.tangent.is_infinity() and q.tangent.value == cfg.z[q.exceptional_index]:

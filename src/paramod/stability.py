@@ -26,18 +26,24 @@ case, make every set a flat at no cost; dependent rows, as those of a
 decomposable structure, give their circuits once per degree.  B's
 degree-0 subbundles are lines through the finite flags, grouped by pair with
 no evaluation at the flags (``_b_degree_zero_candidates``).
+
+A decision runs on integers from the weight check to the report.  The
+weights are cleared to numerators over one common denominator, which the
+non-special check and every margin are asked of; the contact rows and the
+degree-0 lines are computed on ``_kernel`` triples, and a candidate carries
+an integer payload (a grid vector or a line's two triples) in place of its
+witness.  Scalars appear only in the report: the margin, and the one
+witness ``_witness`` builds for the least margin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd
 
-from ._kernel import ZI_ZERO, t_clear, t_norm, zi_dot
+from ._kernel import T_ONE, T_ZERO, ZI_ZERO, t_clear, t_div, t_mul, t_neg, t_sub, zi_dot
 from .exactnum import (
-    ONE,
-    ZERO,
     ExactError,
     Poly,
     PreconditionError,
@@ -117,30 +123,26 @@ def sign_pattern_sums(pairs):
     Every caller asks an integrality or sign question of a sum ``s``, and
     answers it with one integer test on ``D*s``: ``s`` is an integer iff
     ``im == 0 and re % D == 0``, and ``s - m`` has the sign of ``re - m*D``.
-    Its callers are ``weight_is_kostov_generic``, ``chamber_classify``,
-    ``SpectrumRank2.predicates`` and ``connection.irreducibility_screen``.
+    Its callers are ``chamber_classify``, ``SpectrumRank2.predicates`` and
+    ``connection.irreducibility_screen``; the weights' Kostov check runs the
+    same loop (``_sign_sums``) on the weights already cleared.
     """
     ipairs, den = clear_denominators(pairs)
+    return den, _sign_sums(ipairs)
+
+
+def _sign_sums(ipairs):
+    # the 2^5 sums of Gaussian-integer pairs, as ``sign_pattern_sums`` lists them
     sums = [(0, 0)]
     for pair in ipairs:
         # one more sign, varying fastest, as in ``product``
         sums = [(re + a, im + b) for re, im in sums for a, b in pair]
-    return den, list(zip(product((0, 1), repeat=NPOINTS), sums))
+    return list(zip(product((0, 1), repeat=NPOINTS), sums))
 
 
 def sign_label(sigma) -> str:
     """``sigma`` written with '+' for 0 and '-' for 1."""
     return "".join("+" if s == 0 else "-" for s in sigma)
-
-
-def weight_is_kostov_generic(w: WeightVector, d: int) -> bool:
-    """No sign pattern makes ``(d + sum eps_i w_i) / 2`` an integer."""
-    den, sums = sign_pattern_sums([(x, -x) for x in w.w])
-    return all((re + d * den) % (2 * den) for _, (re, _) in sums)
-
-
-def weight_is_non_special(w: WeightVector, d: int) -> bool:
-    return w.is_non_resonant() and weight_is_kostov_generic(w, d)
 
 
 def _cleared_weights(w: WeightVector) -> tuple[list[int], int]:
@@ -149,17 +151,38 @@ def _cleared_weights(w: WeightVector) -> tuple[list[int], int]:
     return [a for a, _ in nums], den
 
 
-def _margin(d: int, deg_f: int, contact, nums, den: int) -> Scalar:
+def _kostov_generic(nums, den: int, d: int) -> bool:
+    # no sign pattern makes (d + sum eps_i w_i) / 2 an integer, asked of the
+    # weights' numerators ``nums`` over their common denominator ``den``
+    sums = _sign_sums([((a, 0), (-a, 0)) for a in nums])
+    return all((re + d * den) % (2 * den) for _, (re, _) in sums)
+
+
+def weight_is_kostov_generic(w: WeightVector, d: int) -> bool:
+    """No sign pattern makes ``(d + sum eps_i w_i) / 2`` an integer."""
+    return _kostov_generic(*_cleared_weights(w), d)
+
+
+def weight_is_non_special(w: WeightVector, d: int) -> bool:
+    """Non-resonant (every weight positive) and Kostov-generic, both asked
+    of the weights' numerators over their common denominator."""
+    nums, den = _cleared_weights(w)
+    return all(a > 0 for a in nums) and _kostov_generic(nums, den, d)
+
+
+def _margin(d: int, deg_f: int, contact, nums, den: int) -> int:
+    # the margin times the weights' common denominator ``den``
     total = (d - 2 * deg_f) * den
     for i, a in enumerate(nums):
         total = total - a if i in contact else total + a
-    return Scalar._wrap(t_norm(total, 0, den))
+    return total
 
 
 def s_value(d: int, deg_f: int, contact, w: WeightVector) -> Scalar:
     """Stability margin ``d - 2 deg F + sum_{off} w_i - sum_{on} w_i``,
     summed on the weights' numerators over their common denominator."""
-    return _margin(d, deg_f, contact, *_cleared_weights(w))
+    nums, den = _cleared_weights(w)
+    return Scalar.rational(_margin(d, deg_f, contact, nums, den), den)
 
 
 @dataclass(frozen=True)
@@ -256,7 +279,7 @@ def _zi_mul(p, q):
 
 def _zi_primitive(vec):
     # the Gaussian-integer vector divided by the gcd of all its parts
-    g = gcd(*(t for z in vec for t in z))
+    g = gcd(*chain.from_iterable(vec))
     return [(x // g, y // g) for x, y in vec] if g > 1 else vec
 
 
@@ -400,14 +423,35 @@ def destabilizing_candidates(
     Witnesses found by the kernel enumeration have Gaussian-integer
     coefficients: any nonzero multiple of ``(q, r)`` is the same subbundle.
     """
-    out = []
-    for k in _candidate_degrees(structure.bundle):
-        out.extend(_candidates_at_degree(structure, cfg, k))
-    return out
+    bundle = structure.bundle
+    return [
+        _witness(bundle, k, contact, payload)
+        for k in _candidate_degrees(bundle)
+        for contact, payload in _candidates_at_degree(structure, cfg, k)
+    ]
 
 
-def _b_degree_zero_candidates(structure, cfg) -> list[LineSubbundleWitness]:
-    """Degree-0 subbundles of B: sections ``(1, r)`` with r of degree <= 1.
+def _witness(bundle, k: int, contact, payload) -> LineSubbundleWitness:
+    """The witness of a degree-``k`` candidate ``(contact, payload)`` of
+    ``_candidates_at_degree``: ``payload`` is None for the canonical factor
+    (``dq < 0``), the triples ``(intercept, slope)`` of a line for B's degree
+    0, and otherwise the Gaussian-integer grid vector, q's coefficients then
+    r's."""
+    if payload is None:
+        return LineSubbundleWitness(k, None, Poly([1], bound=0), contact)
+    if bundle == B and k == 0:
+        line = [Scalar._wrap(t) for t in payload]
+        return LineSubbundleWitness(k, Poly([1], bound=0), Poly(line, bound=1), contact)
+    dq, dr = _hom_degrees(bundle, k)
+    vals = [Scalar.gaussian(a, 1, b, 1) for a, b in payload]
+    q = Poly(vals[: dq + 1], bound=dq)
+    r = Poly(vals[dq + 1 :], bound=dr)
+    return LineSubbundleWitness(k, q, r, contact)
+
+
+def _b_degree_zero_candidates(structure, cfg):
+    """Degree-0 subbundles of B: sections ``(1, r)`` with r of degree <= 1,
+    as ``(contact, (intercept, slope))``, the line ``r`` as two triples.
 
     The inclusion-maximal contact sets are the maximal collinear subsets of
     the finite flags: the points ``(z_k, u_k)`` that one line ``r`` passes
@@ -418,23 +462,19 @@ def _b_degree_zero_candidates(structure, cfg) -> list[LineSubbundleWitness]:
     the union of a group is the set of flags the line meets.  For the same
     reason no set of two or more collinear flags lies inside another line's
     set: the groups are exactly the maximal collinear sets, with no
-    evaluation of a line at the flags and no maximality filter.
+    evaluation of a line at the flags and no maximality filter.  Triples are
+    in normal form, so equal lines have equal triples.
     """
-    fin = structure.finite_indices()
-    vals = structure.finite_values()
+    z = [x._t for x in cfg.z]
+    vals = {i: v._t for i, v in structure.finite_values().items()}
+    fin = tuple(vals)
     if len(fin) <= 1:
-        r = Poly([vals[fin[0]]], bound=1) if fin else Poly.zero(1)
-        return [
-            LineSubbundleWitness(0, Poly([1], bound=0), r, frozenset(fin))
-        ]
-    lines: dict[tuple[Scalar, Scalar], set[int]] = {}
+        return [(frozenset(fin), (vals[fin[0]] if fin else T_ZERO, T_ZERO))]
+    lines: dict[tuple, set[int]] = {}
     for i, j in combinations(fin, 2):
-        slope = (vals[j] - vals[i]) / (cfg.z[j] - cfg.z[i])
-        lines.setdefault((vals[i] - slope * cfg.z[i], slope), set()).update((i, j))
-    return [
-        LineSubbundleWitness(0, Poly([1], bound=0), Poly(list(line), bound=1), frozenset(hit))
-        for line, hit in lines.items()
-    ]
+        slope = t_div(t_sub(vals[j], vals[i]), t_sub(z[j], z[i]))
+        lines.setdefault((t_sub(vals[i], t_mul(slope, z[i])), slope), set()).update((i, j))
+    return [(frozenset(hit), line) for line, hit in lines.items()]
 
 
 def contact_rows(structure, cfg, dq: int, dr: int) -> dict[int, list[tuple[int, int]]]:
@@ -443,19 +483,22 @@ def contact_rows(structure, cfg, dq: int, dr: int) -> dict[int, list[tuple[int, 
     condition that it does, on the coefficients of q then r, cleared of its
     denominators to Gaussian integers ``(re, im)``.  An infinite flag asks
     q(z_i) = 0; for ``dq = 0`` that forces q = 0, and no such section is
-    saturated."""
+    saturated.  The powers of ``z_i`` and their products with ``-u_i`` are
+    taken on triples."""
     out = {}
     for i, (zi, u) in enumerate(zip(cfg.z, structure.flags)):
-        powers = [ONE]
+        z = zi._t
+        powers = [T_ONE]
         for _ in range(max(dq, dr)):
-            powers.append(powers[-1] * zi)
+            powers.append(t_mul(powers[-1], z))
         if u.is_infinity():
             if dq < 1:
                 continue
-            row = powers[: dq + 1] + [ZERO] * (dr + 1)
+            row = powers[: dq + 1] + [T_ZERO] * (dr + 1)
         else:
-            row = [-u.value * x for x in powers[: dq + 1]] + powers[: dr + 1]
-        out[i] = t_clear([x._t for x in row])[0]
+            nu = t_neg(u.value._t)
+            row = [t_mul(nu, x) for x in powers[: dq + 1]] + powers[: dr + 1]
+        out[i] = t_clear(row)[0]
     return out
 
 
@@ -546,8 +589,10 @@ def _circuits(zrows, kernel) -> list[frozenset[int]]:
     return out
 
 
-def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
-    """The inclusion-maximal contact sets at degree ``k`` with witnesses.
+def _candidates_at_degree(structure, cfg, k) -> list[tuple[frozenset[int], object]]:
+    """The inclusion-maximal contact sets at degree ``k``, each as
+    ``(contact, payload)`` with the payload ``_witness`` turns into its
+    witness.
 
     Contact sets ``T`` of the contactable points are visited by descending
     size, skipping those inside a set already found, and ``T`` is recorded
@@ -572,8 +617,8 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
 
     ``N(T)`` is restricted from ``N(T[:-1])`` by the fraction-free kernel of
     one Gaussian-integer contact row (``_zi_restrict``), the kernels memoised
-    per call by prefix; only the grid vector kept as the witness becomes
-    ``(q, r)``.
+    per call by prefix; the payload is the Gaussian-integer grid vector
+    found in ``N(T)``.
     """
     if structure.bundle == B and k == 0:
         return _b_degree_zero_candidates(structure, cfg)
@@ -581,20 +626,16 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
     if dq < 0:
         # the section lives in the higher summand: its saturation is the
         # canonical factor, contacting exactly the infinite flags
-        if dr != 0:
-            return []
-        r = Poly([1], bound=0)
-        contact = frozenset(structure.infinity_indices())
-        return [LineSubbundleWitness(k, None, r, contact)]
+        return [(frozenset(structure.infinity_indices()), None)] if dr == 0 else []
     rows = contact_rows(structure, cfg, dq, dr)
     kernels = unit_kernels(dq + dr + 2)
     full = tuple(rows)
     circuits = None
-    maximal: list[LineSubbundleWitness] = []
+    maximal = []
     for size in range(len(full), -1, -1):
         for T in combinations(full, size):
             tset = frozenset(T)
-            if any(tset <= m.contact for m in maximal):
+            if any(tset <= m for m, _ in maximal):
                 continue
             if T != full:
                 if circuits is None:
@@ -604,10 +645,7 @@ def _candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]:
             basis = contact_kernel(T, rows, kernels)
             vec = next(saturated_members(basis, dq, dr), None)
             if vec is not None:
-                vals = [Scalar.gaussian(a, 1, b, 1) for a, b in vec]
-                q = Poly(vals[: dq + 1], bound=dq)
-                r = Poly(vals[dq + 1 :], bound=dr)
-                maximal.append(LineSubbundleWitness(k, q, r, tset))
+                maximal.append((tset, vec))
     return maximal
 
 
@@ -640,27 +678,30 @@ def is_stable(
     special for this structure).  With ``quick`` the first negative margin
     short-circuits the remaining degrees: the verdict is unchanged but the
     reported witness need not be the global minimizer.
+
+    The decision runs on integers: every margin is compared as its
+    numerator over the weights' common denominator (``_margin``), and the
+    candidates carry the integer payloads of ``_candidates_at_degree``.
+    Scalars appear only in the report: its margin, and the witness of the
+    least margin, the one candidate ``_witness`` builds.
     """
-    if not weight_is_non_special(w, structure.bundle.degree):
+    bundle = structure.bundle
+    if not weight_is_non_special(w, bundle.degree):
         raise OnWallError("weight is not non-special")
     nums, den = _cleared_weights(w)
-    worst = None
-    worst_s = None
-    for k in _candidate_degrees(structure.bundle):
-        for cand in _candidates_at_degree(structure, cfg, k):
-            s = _margin(structure.bundle.degree, cand.degree, cand.contact, nums, den)
-            if s.is_zero():
-                raise OnWallError(
-                    f"margin vanishes on degree {cand.degree} "
-                    f"contact {sorted(cand.contact)}"
-                )
+    worst = worst_s = None
+    for k in _candidate_degrees(bundle):
+        for contact, payload in _candidates_at_degree(structure, cfg, k):
+            s = _margin(bundle.degree, k, contact, nums, den)
+            if s == 0:
+                raise OnWallError(f"margin vanishes on degree {k} contact {sorted(contact)}")
             if worst_s is None or s < worst_s:
-                worst, worst_s = cand, s
-        if quick and worst_s is not None and worst_s < sc(0):
-            return StabilityReport(False, worst, worst_s)
+                worst, worst_s = (k, contact, payload), s
+        if quick and worst_s is not None and worst_s < 0:
+            break
     if worst is None:
         raise StratumError("no candidates found; bundle unsupported")
-    return StabilityReport(worst_s > sc(0), worst, worst_s)
+    return StabilityReport(worst_s > 0, _witness(bundle, *worst), Scalar.rational(worst_s, den))
 
 
 def stabilizing_weight(stratum: StratumId) -> WeightVector:

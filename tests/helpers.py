@@ -21,7 +21,9 @@ flags evaluated at every flag, with a maximality filter, is the reference
 for B's degree-0 lines grouped by pair.  The exhaustive saturation grid is
 the reference for the base-locus certificate that stops it early; the
 stability margin summed on Scalars is the reference for the one on the
-cleared weights.  A
+cleared weights, and the decision on Scalars, with every candidate's
+witness built and the margins compared as Scalars, the reference for the
+decision on integers that builds the reported witness alone.  A
 second solve of the two diagonal residue sums and the rank of the fixed-flag
 equations are the references for the gauge counts of a connection space,
 and the constraint rows built entry by entry against the pole products the
@@ -59,9 +61,13 @@ from paramod.spectra import SpectrumRank2
 from paramod.stability import (
     LineSubbundleWitness,
     OnWallError,
+    StabilityReport,
     WeightVector,
+    _candidate_degrees,
     _hom_degrees,
+    destabilizing_candidates,
     sign_label,
+    weight_is_kostov_generic,
     weight_is_non_special,
 )
 
@@ -575,6 +581,31 @@ def oracle_s_value(d, deg_f, contact, w) -> Scalar:
     for i, wi in enumerate(w.w):
         total = total - wi if i in contact else total + wi
     return total
+
+
+def oracle_is_stable_report(structure, cfg, w, quick=False) -> StabilityReport:
+    """``is_stable`` on Scalars: the weight checked by ``is_non_resonant`` and
+    ``weight_is_kostov_generic``, every candidate's witness built, and the
+    margins summed (``oracle_s_value``) and compared as Scalars, degree by
+    degree; with ``quick`` the first degree that leaves a negative least
+    margin ends the decision."""
+    d = structure.bundle.degree
+    if not (w.is_non_resonant() and weight_is_kostov_generic(w, d)):
+        raise OnWallError("weight is not non-special")
+    cands = destabilizing_candidates(structure, cfg)
+    worst = worst_s = None
+    for k in _candidate_degrees(structure.bundle):
+        for cand in (c for c in cands if c.degree == k):
+            s = oracle_s_value(d, cand.degree, cand.contact, w)
+            if s.is_zero():
+                raise OnWallError(
+                    f"margin vanishes on degree {cand.degree} contact {sorted(cand.contact)}"
+                )
+            if worst_s is None or s < worst_s:
+                worst, worst_s = cand, s
+        if quick and worst_s is not None and worst_s < sc(0):
+            return StabilityReport(False, worst, worst_s)
+    return StabilityReport(worst_s > sc(0), worst, worst_s)
 
 
 def oracle_stabilizer_dim(structure, cfg) -> int:

@@ -11,7 +11,7 @@ import pytest
 
 import paramod
 from paramod.cli import build_parser, main
-from paramod.exactnum import PreconditionError
+from paramod.exactnum import Poly, PreconditionError
 from paramod.higgslimit import HiggsError
 from paramod.parastruct import stratum_from_label
 from paramod.spectra import SpectrumError
@@ -382,12 +382,14 @@ class TestExitCodes:
         assert n_argv > 100 and n_json > 1000
 
     def test_contradictory_fixed_points(self, capsys, tmp_path, monkeypatch):
-        # both chart data on one point is malformed (2); a flag choice where
-        # theta does not vanish contradicts strong parabolicity (3)
+        # both chart data on one point, or a tangent on a line point, is
+        # malformed (2); a flag choice where theta does not vanish contradicts
+        # strong parabolicity (3)
         monkeypatch.chdir(tmp_path)
         cases = [
             ({"component": "F1", "chart": "bottom", "exceptional_at": 2, "tangent": "7/2",
               "theta": ["1", "1", "1"]}, 2),
+            ({"component": "F1", "chart": "top", "theta": ["1", "1", "1"], "tangent": "7/2"}, 2),
             ({"component": "F1", "chart": "bottom", "theta": ["1", "1", "0"],
               "flagChoice": {"2": "upper"}}, 3),
             ({"component": "F1", "chart": "bottom", "theta": ["1", "0", "0"],
@@ -457,6 +459,26 @@ class TestPipelines:
         f.write_text(json.dumps(data["point"]))
         again = run_json(capsys, "canonicalize", "--json", str(f), "--z", Z)
         assert again["point"] == data["point"]
+
+    def test_canonicalize_evaluates_theta_once(self, capsys, tmp_path, monkeypatch):
+        # a line point is canonicalized once: theta at the five marked points,
+        # where checking the removed locus canonicalized it a second time
+        calls = []
+        real = Poly.__call__
+
+        def call(poly, x):
+            calls.append(x)
+            return real(poly, x)
+
+        monkeypatch.setattr(Poly, "__call__", call)
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps({"component": "F1", "chart": "top", "theta": ["1", "1", "1"]}))
+        code, out = run(capsys, "canonicalize", "--json", str(f), "--z", Z)
+        assert (code, len(calls)) == (0, 5), calls
+        assert out == (
+            '{"in_removed_locus": false, "point": {"chart": "top", "component": "F1", '
+            '"flagChoice": {}, "theta": ["1", "1", "1"], "zeros": null}}\n'
+        )
 
 
 class TestSpectrumCli:

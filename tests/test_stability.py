@@ -13,6 +13,7 @@ from helpers import (
     oracle_contact_rows,
     oracle_irreducibility_screen,
     oracle_is_stable,
+    oracle_is_stable_report,
     oracle_kostov_generic,
     oracle_predicates,
     oracle_rank,
@@ -25,6 +26,7 @@ from helpers import (
     rand_u2_indecomposable,
     rand_ui_indecomposable,
     rand_uij_indecomposable,
+    rand_weight,
 )
 from paramod._kernel import t_clear
 from paramod.connection import irreducibility_screen
@@ -40,6 +42,7 @@ from paramod.parastruct import (
 from paramod.spectra import SpectrumRank2
 from paramod.stability import (
     ChamberDescriptor,
+    LineSubbundleWitness,
     OnWallError,
     StabilityReport,
     WeightVector,
@@ -123,7 +126,7 @@ class TestSignPatternSums:
         # small denominators put many weights on a wall; the walls of
         # chamber_classify depend only on the parity of d
         rng = random.Random(2101)
-        walls = non_generic = 0
+        walls = non_generic = resonant = 0
         for k in range(2000):
             max_den = (4, 6, 16)[k % 3]
             w = WeightVector(
@@ -134,11 +137,15 @@ class TestSignPatternSums:
                 generic = weight_is_kostov_generic(w, d)
                 assert generic == oracle_kostov_generic(w, d), (w, d)
                 non_generic += not generic
+                # the Scalar definition of a non-special weight
+                want = generic and all(x > sc(0) for x in w.w)
+                assert weight_is_non_special(w, d) == want, (w, d)
+                resonant += generic and not want
             d = k % 2
             got = _chamber_or_wall(lambda w, d: chamber_classify(w, d).inequalities, w, d)
             assert got == _chamber_or_wall(oracle_chamber_inequalities, w, d), (w, d)
             walls += got[0] == "wall"
-        assert walls > 100 and non_generic > 500
+        assert walls > 100 and non_generic > 500 and resonant > 100, (walls, non_generic, resonant)
 
     def test_spectra_match_scalar_loop(self):
         rng = random.Random(2102)
@@ -618,7 +625,7 @@ class TestDegreeZeroLines:
     def test_grouped_lines_match_evaluated_lines(self):
         sizes, nfin = set(), set()
         for s, cfg in _line_structures():
-            got = stability._b_degree_zero_candidates(s, cfg)
+            got = [c for c in destabilizing_candidates(s, cfg) if c.degree == 0]
             assert got == oracle_b_degree_zero_candidates(s, cfg), s
             for c in got:
                 assert oracle_contact_of(c.q, c.r, s, cfg) == c.contact
@@ -863,6 +870,89 @@ class TestIsStable:
         s = ParabolicStructure(B, [0, 0, 0, 0, 1])
         with pytest.raises(OnWallError):
             is_stable(s, CFG, WeightVector.uniform(sc("1/5")))
+
+
+def _decision(decide, s, cfg, w, quick):
+    # what a decision reports, down to the worst witness's polynomials, or
+    # the text of its OnWallError
+    try:
+        report = decide(s, cfg, w, quick=quick)
+    except OnWallError as exc:
+        return ("wall", str(exc))
+    c = report.worst
+    return (report.to_json(), report.margin, c.degree, c.contact, c.q, c.r)
+
+
+class TestIntegerDecision:
+    """The decision on integers reports what the decision on Scalars does,
+    witness and error text included, and wraps Scalars only for its report."""
+
+    def test_matches_scalar_decision(self):
+        # 200 structures of each stability-random class; one weight in four
+        # has denominators up to 4, so most of those lie on a wall (a
+        # vanishing margin is a Kostov wall, which the weight check finds)
+        rng = random.Random(113)
+        seen = {"wall": 0, "stable": 0, "unstable": 0, "quick-unstable": 0}
+        for name, structures in _class_structures(rng, 200).items():
+            for s, cfg in structures:
+                d = s.bundle.degree
+                w = rand_weight(rng, max_den=4) if rng.random() < 0.25 else rand_nonspecial_weight(rng, d)
+                for quick in (False, True):
+                    got = _decision(is_stable, s, cfg, w, quick)
+                    assert got == _decision(oracle_is_stable_report, s, cfg, w, quick), (name, s, w, quick)
+                    if got[0] == "wall":
+                        seen["wall"] += 1
+                    elif got[0]["stable"]:
+                        seen["stable"] += 1
+                    else:
+                        seen["quick-unstable" if quick else "unstable"] += 1
+        assert min(seen.values()) > 100, seen
+
+    @staticmethod
+    def _wraps(monkeypatch):
+        # the triples wrapped as Scalars from now on
+        wrapped = []
+        real = Scalar._wrap.__func__
+
+        def wrap(cls, triple):
+            wrapped.append(triple)
+            return real(cls, triple)
+
+        monkeypatch.setattr(Scalar, "_wrap", classmethod(wrap))
+        return wrapped
+
+    def test_rows_lines_and_weight_check_wrap_no_scalar(self, monkeypatch):
+        structures = [x for xs in _class_structures(random.Random(127), 4).values() for x in xs]
+        structures += _line_structures()
+        w = rand_nonspecial_weight(random.Random(131))
+        wrapped = self._wraps(monkeypatch)
+        for s, cfg in structures:
+            for k in _candidate_degrees(s.bundle):
+                dq, dr = _hom_degrees(s.bundle, k)
+                if dq >= 0:
+                    contact_rows(s, cfg, dq, dr)
+            if s.bundle == B:
+                stability._b_degree_zero_candidates(s, cfg)
+            weight_is_non_special(w, s.bundle.degree)
+        assert wrapped == []
+
+    def test_one_witness_per_decision(self, monkeypatch):
+        built = []
+        real = LineSubbundleWitness.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(LineSubbundleWitness, "__init__", init)
+        rng = random.Random(137)
+        for name, structures in _class_structures(rng, 4).items():
+            for s, cfg in structures:
+                w = rand_nonspecial_weight(rng, s.bundle.degree)
+                for quick in (False, True):
+                    built.clear()
+                    report = is_stable(s, cfg, w, quick=quick)
+                    assert len(built) == 1 and built[0][0] == report.worst.degree, (name, built)
 
 
 class TestOracleAgreement:
