@@ -548,6 +548,9 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
             if cand is not None:
                 candidates.append(cand)
 
+    # an invariant check: every margin is ``d - 2k + sum eps_i w_i``, so a
+    # zero one makes ``(d + sum eps_i w_i) / 2`` an integer, which the
+    # Kostov genericity of the non-special weight checked above excludes
     for cand in candidates:
         if cand.margin.is_zero():
             raise OnWallError(f"candidate {cand.name} margin vanishes")

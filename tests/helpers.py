@@ -22,8 +22,9 @@ for B's degree-0 lines grouped by pair.  The exhaustive saturation grid is
 the reference for the base-locus certificate that stops it early; the
 stability margin summed on Scalars is the reference for the one on the
 cleared weights, and the decision on Scalars, with every candidate's
-witness built and the margins compared as Scalars, the reference for the
-decision on integers that builds the reported witness alone.  A
+witness built, the margins compared as Scalars and every degree visited, the
+reference for the decision on integers that builds the reported witness
+alone and stops at the first degree a margin bound rules out.  A
 second solve of the two diagonal residue sums and the rank of the fixed-flag
 equations are the references for the gauge counts of a connection space,
 and the constraint rows built entry by entry against the pole products the
@@ -573,6 +574,19 @@ def oracle_degenerate_candidate(structure, cfg, w, j):
     return LimitCandidate(f"E-1({j + 1})", margin, margin > sc(0), None)
 
 
+def is_non_resonant(w) -> bool:
+    """Every weight positive, asked of the Scalars."""
+    return all(x > sc(0) for x in w.w)
+
+
+def fiber_at(witness, z) -> tuple[Scalar, Scalar]:
+    """The values of a witness's ``q`` and ``r`` at ``z``, zero for a
+    missing polynomial."""
+    qv = witness.q(z) if witness.q is not None else sc(0)
+    rv = witness.r(z) if witness.r is not None else sc(0)
+    return qv, rv
+
+
 def oracle_s_value(d, deg_f, contact, w) -> Scalar:
     """The stability margin ``d - 2 deg F + sum_{off} w_i - sum_{on} w_i``
     summed on Scalars."""
@@ -587,10 +601,11 @@ def oracle_is_stable_report(structure, cfg, w, quick=False) -> StabilityReport:
     """``is_stable`` on Scalars: the weight checked by ``is_non_resonant`` and
     ``weight_is_kostov_generic``, every candidate's witness built, and the
     margins summed (``oracle_s_value``) and compared as Scalars, degree by
-    degree; with ``quick`` the first degree that leaves a negative least
-    margin ends the decision."""
+    degree.  Without ``quick`` every degree is visited, with no margin bound;
+    with ``quick`` the first degree that leaves a negative least margin ends
+    the decision."""
     d = structure.bundle.degree
-    if not (w.is_non_resonant() and weight_is_kostov_generic(w, d)):
+    if not (is_non_resonant(w) and weight_is_kostov_generic(w, d)):
         raise OnWallError("weight is not non-special")
     cands = destabilizing_candidates(structure, cfg)
     worst = worst_s = None

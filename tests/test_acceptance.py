@@ -240,7 +240,7 @@ def test_criterion_04_chamber_propositions():
         assert no_stable_structure(w, bundle), name
         for _ in range(10_000):
             s = rand_structure(rng, bundle)
-            report = is_stable(s, CFG, w, quick=True)
+            report = is_stable(s, CFG, w)
             assert not report.stable, (name, s)
     _report(4, "witness chambers stabilize strata; emptiness conditions hold on 5x10^4 samples")
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -6,6 +7,7 @@ import pytest
 
 from helpers import (
     _oracle_resultant,
+    fiber_at,
     oracle_b_degree_zero_candidates,
     oracle_candidates_at_degree,
     oracle_chamber_inequalities,
@@ -832,7 +834,7 @@ class TestCandidates:
             s = rand_structure(rng, B)
             for cand in destabilizing_candidates(s, CFG):
                 for i in cand.contact:
-                    qv, rv = cand.fiber_at(CFG.z[i])
+                    qv, rv = fiber_at(cand, CFG.z[i])
                     u = s.flags[i]
                     if u.is_infinity():
                         assert qv.is_zero() and not rv.is_zero()
@@ -872,11 +874,11 @@ class TestIsStable:
             is_stable(s, CFG, WeightVector.uniform(sc("1/5")))
 
 
-def _decision(decide, s, cfg, w, quick):
+def _decision(decide, s, cfg, w, **kwargs):
     # what a decision reports, down to the worst witness's polynomials, or
     # the text of its OnWallError
     try:
-        report = decide(s, cfg, w, quick=quick)
+        report = decide(s, cfg, w, **kwargs)
     except OnWallError as exc:
         return ("wall", str(exc))
     c = report.worst
@@ -892,20 +894,20 @@ class TestIntegerDecision:
         # has denominators up to 4, so most of those lie on a wall (a
         # vanishing margin is a Kostov wall, which the weight check finds)
         rng = random.Random(113)
-        seen = {"wall": 0, "stable": 0, "unstable": 0, "quick-unstable": 0}
+        seen = {"wall": 0, "stable": 0, "unstable": 0}
         for name, structures in _class_structures(rng, 200).items():
             for s, cfg in structures:
                 d = s.bundle.degree
                 w = rand_weight(rng, max_den=4) if rng.random() < 0.25 else rand_nonspecial_weight(rng, d)
+                got = _decision(is_stable, s, cfg, w)
                 for quick in (False, True):
-                    got = _decision(is_stable, s, cfg, w, quick)
-                    assert got == _decision(oracle_is_stable_report, s, cfg, w, quick), (name, s, w, quick)
-                    if got[0] == "wall":
-                        seen["wall"] += 1
-                    elif got[0]["stable"]:
-                        seen["stable"] += 1
-                    else:
-                        seen["quick-unstable" if quick else "unstable"] += 1
+                    assert got == _decision(oracle_is_stable_report, s, cfg, w, quick=quick), (name, s, w, quick)
+                if got[0] == "wall":
+                    seen["wall"] += 1
+                elif got[0]["stable"]:
+                    seen["stable"] += 1
+                else:
+                    seen["unstable"] += 1
         assert min(seen.values()) > 100, seen
 
     @staticmethod
@@ -949,10 +951,100 @@ class TestIntegerDecision:
         for name, structures in _class_structures(rng, 4).items():
             for s, cfg in structures:
                 w = rand_nonspecial_weight(rng, s.bundle.degree)
-                for quick in (False, True):
-                    built.clear()
-                    report = is_stable(s, cfg, w, quick=quick)
-                    assert len(built) == 1 and built[0][0] == report.worst.degree, (name, built)
+                built.clear()
+                report = is_stable(s, cfg, w)
+                assert len(built) == 1 and built[0][0] == report.worst.degree, (name, built)
+
+
+def _bounded_weight(rng, d, heavy=False, below=None):
+    # a non-special weight with every w_i in [1/2, 1) and sum(w) > 3 when
+    # ``heavy``, and sum(w) < ``below`` when given
+    while True:
+        dens = [rng.randrange(3, 17) for _ in range(5)]
+        w = WeightVector([Scalar.rational(rng.randrange((n + 1) // 2 if heavy else 1, n), n) for n in dens])
+        if heavy and not w.total() > sc(3):
+            continue
+        if below is not None and not w.total() < sc(below):
+            continue
+        if weight_is_non_special(w, d):
+            return w
+
+
+class TestDegreeStop:
+    """``is_stable`` stops before degree ``k`` once the least margin is
+    negative or at most ``b_k = d - 2k - sum(w)``, and reports what the full
+    decision over every degree does."""
+
+    @staticmethod
+    def _structures(rng, count):
+        # the five stability-random classes, and B' with infinite flags
+        out = [x for xs in _class_structures(rng, count).values() for x in xs]
+        return out + [(rand_structure(rng, BPRIME), rand_config(rng)) for _ in range(count)]
+
+    @staticmethod
+    def _kernel_calls(monkeypatch):
+        # the contact sets whose kernels ``contact_kernel`` is asked for from now on
+        calls = []
+        real = stability.contact_kernel
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(stability, "contact_kernel", counted)
+        return calls
+
+    def test_heavy_weights_match_full_decision(self, monkeypatch):
+        # every w_i >= 1/2 and sum(w) > 3: a negative least margin is often
+        # above the next degree's b_k, and then the negative rule alone ends
+        # the decision before degree -1, the only one that builds kernels
+        calls = self._kernel_calls(monkeypatch)
+        rng = random.Random(139)
+        seen = {"stable": 0, "unstable": 0, "negative-stop": 0}
+        for s, cfg in self._structures(rng, 100):
+            d = s.bundle.degree
+            w = _bounded_weight(rng, d, heavy=True)
+            calls.clear()
+            got = _decision(is_stable, s, cfg, w)
+            built = len(calls)
+            for quick in (False, True):
+                assert got == _decision(oracle_is_stable_report, s, cfg, w, quick=quick), (s, w, quick)
+            report, margin, k = got[:3]
+            seen["stable" if report["stable"] else "unstable"] += 1
+            degrees = _candidate_degrees(s.bundle)
+            if report["stable"] or k == degrees[-1]:
+                continue
+            if margin > sc(d - 2 * degrees[degrees.index(k) + 1]) - w.total():
+                seen["negative-stop"] += 1
+                assert built == 0, (s, w)
+        assert min(seen.values()) > 60, seen
+
+    def test_light_weights_build_no_kernel(self, monkeypatch):
+        calls = self._kernel_calls(monkeypatch)
+        rng = random.Random(149)
+        structures = self._structures(rng, 12)
+        for s, cfg in structures:
+            w = _bounded_weight(rng, s.bundle.degree, below=2 if s.bundle == B else 3)
+            is_stable(s, cfg, w)
+        assert calls == []
+        # the counter sees the kernels a heavy weight's decision builds
+        for s, cfg in structures:
+            is_stable(s, cfg, _bounded_weight(rng, s.bundle.degree, heavy=True))
+        assert len(calls) > 100, len(calls)
+
+    def test_candidates_list_every_degree(self):
+        # the stop is the decision's alone: every degree keeps its candidates
+        per_structure = {
+            "generic": {1: 1, 0: 10, -1: 5},
+            "one-inf": {1: 1, 0: 6, -1: 5},
+            "two-inf": {1: 1, 0: 3, -1: 2},
+            "decomposable": {1: 1, 0: 1, -1: 10},
+            "bprime": {2: 1, -1: 5},
+        }
+        for name, structures in _class_structures(random.Random(151), 10).items():
+            for s, cfg in structures:
+                counts = Counter(c.degree for c in destabilizing_candidates(s, cfg))
+                assert counts == per_structure[name], (name, s, counts)
 
 
 class TestOracleAgreement:
