@@ -58,7 +58,6 @@ _EXPORTS = {
         "elm_spectrum",
         "elm_weight",
         "mc_spectrum",
-        "spectrum_predicates",
     ),
     "stability": (
         "WeightVector",

@@ -154,10 +154,7 @@ def cmd_empty(args):
 
 
 def cmd_spectrum(args):
-    from .spectra import spectrum_predicates
-
-    nu = _parse_spectrum(args.nu, args.d)
-    return spectrum_predicates(nu)
+    return _parse_spectrum(args.nu, args.d).predicates()
 
 
 def cmd_elm_weight(args):
@@ -274,14 +271,14 @@ def cmd_fiber(args):
 
 
 def cmd_canonicalize(args):
-    from .higgslimit import FixedLocusPoint, _canonical_in_removed_locus, fixedpoint_canonicalize
+    from .higgslimit import FixedLocusPoint, fixedpoint_canonicalize, in_removed_locus
 
     cfg = _parse_cfg(args)
     point = _load_json(args, "point", FixedLocusPoint.from_json)
     canon = fixedpoint_canonicalize(point, cfg)
     return {
         "point": canon.to_json(cfg),
-        "in_removed_locus": _canonical_in_removed_locus(canon, cfg),
+        "in_removed_locus": in_removed_locus(canon, cfg),
     }
 
 

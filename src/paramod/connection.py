@@ -105,9 +105,6 @@ class LogConnection:
             list(tail.coeffs[: max(max_tail + 1, 0)]), bound=max(max_tail, -1)
         )
 
-    def a(self, i: int, r: int, c: int) -> Scalar:
-        return self.residues[i][r][c]
-
     def numerator(self, r: int, c: int, cfg: MarkedConfiguration) -> Poly:
         """The cleared entry ``N_rc = entry_rc * prod_j (z - z_j)``: the
         residues summed against the pole products, plus the tail times the
@@ -252,15 +249,6 @@ class ConnectionSpace:
     def dim_mod_gauge(self) -> int:
         return self.dim - (stabilizer_dim(self.structure, self.cfg) - 1)
 
-    def free_tail_only(self) -> bool:
-        """True when every free direction is supported on tail coordinates."""
-        tail_idx = {k for k, lab in enumerate(self.labels) if lab[0] == "g"}
-        for vec in self.basis:
-            for k, val in enumerate(vec):
-                if not val.is_zero() and k not in tail_idx:
-                    return False
-        return True
-
     def vector_at(self, params) -> list[Scalar]:
         params = [sc(p) for p in params]
         if len(params) != self.dim:
@@ -272,12 +260,6 @@ class ConnectionSpace:
 
     def connection_at(self, params) -> LogConnection:
         return self._build(self.vector_at(params))
-
-    def basis_connections(self) -> list[LogConnection]:
-        out = [self._build(list(self.particular))]
-        for bvec in self.basis:
-            out.append(self._build([p + b for p, b in zip(self.particular, bvec)]))
-        return out
 
     def triple_at(self, params) -> FlatTriple:
         return FlatTriple(self.structure, self.nu, self.connection_at(params), self.cfg)
@@ -373,20 +355,6 @@ def irreducibility_screen(t: FlatTriple):
     if patterns:
         return "unknown", patterns
     return "irreducible", []
-
-
-def verify_invariant_line(t: FlatTriple, q: Poly | None, r: Poly | None) -> bool:
-    """Exact check that the section ``s = (q, r)`` spans a connection-invariant
-    line: the cleared ``(nabla s) wedge s`` vanishes identically."""
-    if (q is None or q.is_zero()) and (r is None or r.is_zero()):
-        raise ConnectionError("zero section is not a line")
-    qp = q if q is not None else Poly.zero(-1)
-    rp = r if r is not None else Poly.zero(-1)
-    node = t.cfg.pole_products()[0]
-    n11, n12, n21, n22 = _numerators(t)
-    w1 = node * qp.derivative() + n11 * qp + n12 * rp
-    w2 = node * rp.derivative() + n21 * qp + n22 * rp
-    return (w1 * rp - w2 * qp).is_zero()
 
 
 _ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))

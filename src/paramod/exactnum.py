@@ -113,18 +113,6 @@ class Scalar:
                 rn, rd = _parse_rat(term)
         return cls.gaussian(rn, rd, inum, iden)
 
-    @property
-    def re_pair(self) -> tuple[int, int]:
-        a, b, d = self._t
-        g = gcd(a, d)
-        return (a // g, d // g)
-
-    @property
-    def im_pair(self) -> tuple[int, int]:
-        a, b, d = self._t
-        g = gcd(b, d)
-        return (b // g, d // g)
-
     def is_zero(self) -> bool:
         return self._t[0] == 0 and self._t[1] == 0
 
@@ -272,7 +260,6 @@ def _rat_str(a: int, d: int) -> str:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-I = Scalar(0, 1)
 
 
 def sc(x) -> Scalar:
@@ -372,10 +359,6 @@ class Poly:
     @classmethod
     def zero(cls, bound: int = -1) -> "Poly":
         return cls([], bound=bound)
-
-    @classmethod
-    def constant(cls, c, bound: int = 0) -> "Poly":
-        return cls([sc(c)], bound=bound)
 
     def degree(self) -> int:
         for k in range(len(self.coeffs) - 1, -1, -1):
@@ -507,10 +490,6 @@ class Mat:
         self.cols = width
         self.entries = tuple(tuple(r) for r in rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def _triples(self):
         return [[x._t for x in row] for row in self.entries]
 
@@ -521,11 +500,6 @@ class Mat:
 
     def rank(self) -> int:
         return mat_rank(self._triples(), self.rows, self.cols)
-
-    def transpose(self) -> "Mat":
-        return Mat(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def nullspace(self) -> list[list[Scalar]]:
         basis = mat_nullspace(self._triples(), self.rows, self.cols)
@@ -544,30 +518,6 @@ class Mat:
             [Scalar._wrap(t) for t in part],
             [[Scalar._wrap(t) for t in vec] for vec in basis],
         )
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        if self.cols != other.rows:
-            raise ExactError("dimension mismatch")
-        return Mat(
-            [
-                [
-                    sum(
-                        (self.entries[i][k] * other.entries[k][j] for k in range(self.cols)),
-                        ZERO,
-                    )
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)

@@ -50,13 +50,15 @@ from .spectra import SpectrumRank2
 from .stability import (
     OnWallError,
     WeightVector,
+    _cleared_weights,
+    _margin,
+    _non_special,
     contact_kernel,
     contact_rows,
     has_saturated_member,
     is_stable,
     s_value,
     unit_kernels,
-    weight_is_non_special,
 )
 
 
@@ -135,9 +137,6 @@ class StronglyParabolicHiggs:
                     "where theta is nonzero"
                 )
 
-    def is_nilpotent_nonzero(self) -> bool:
-        return not self.theta.is_zero()
-
     def to_json(self):
         return {
             "bundle": self.bundle.name,
@@ -157,19 +156,15 @@ def higgs_is_stable(
     """
     if h.theta.is_zero():
         return is_stable(h.structure, cfg, w).stable
-    margin = _lower_factor_margin(h.bundle, h.structure, w)
+    margin = s_value(h.bundle.degree, h.bundle.d0, _lower_contact(h.structure), w)
     if margin.is_zero():
         raise OnWallError("invariant-subbundle margin vanishes")
     return margin > sc(0)
 
 
-def _lower_factor_margin(bundle, structure, w) -> Scalar:
-    contact = {
-        i
-        for i, u in enumerate(structure.flags)
-        if not u.is_infinity() and u.value.is_zero()
-    }
-    return s_value(bundle.degree, bundle.d0, contact, w)
+def _lower_contact(structure) -> set[int]:
+    # the marked points where the lower summand meets the flag
+    return {i for i, u in enumerate(structure.flags) if not u.is_infinity() and u.value.is_zero()}
 
 
 def theta_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly:
@@ -201,18 +196,23 @@ class FixedLocusPoint:
 
     def __post_init__(self):
         if self.component not in ("F0", "F1"):
-            raise HiggsError("component must be F0 or F1")
+            raise ExactError(f"component must be F0 or F1, not {self.component!r}")
         if self.component == "F1":
             if self.chart not in ("top", "bottom"):
-                raise HiggsError("chart must be top or bottom")
+                raise ExactError(f"chart must be top or bottom, not {self.chart!r}")
             if (self.exceptional_index is None) == (self.theta is None):
-                raise HiggsError(
+                raise ExactError(
                     "an F1 point carries either a quadratic or an exceptional datum"
                 )
-            if self.exceptional_index is not None and self.tangent is None:
-                raise HiggsError("exceptional points carry a tangent coordinate")
-            if self.theta is not None and all(c.is_zero() for c in self.theta):
-                raise HiggsError("a line datum needs a nonzero theta")
+            if self.theta is None:
+                if self.tangent is None:
+                    raise ExactError("exceptional points carry a tangent coordinate")
+            elif self.tangent is not None:
+                raise ExactError("an F1 line point carries theta, not a tangent")
+            elif len(self.theta) != 3:
+                raise ExactError("theta takes three coefficients")
+            elif all(c.is_zero() for c in self.theta):
+                raise ExactError("a line datum needs a nonzero theta")
 
     def zeros(self, cfg: MarkedConfiguration):
         """The unordered zero pair, or None when it does not split over the
@@ -243,11 +243,9 @@ class FixedLocusPoint:
 
     @classmethod
     def from_json(cls, data) -> "FixedLocusPoint":
-        component = data["component"]
-        if component == "F0":
+        """The point of a JSON payload; the constructor checks its shape."""
+        if data["component"] == "F0":
             return cls("F0")
-        if component != "F1":
-            raise ExactError(f"component must be F0 or F1, not {component!r}")
         choices = []
         for k, v in data.get("flagChoice", {}).items():
             if k not in _POINT_KEYS:
@@ -255,29 +253,18 @@ class FixedLocusPoint:
             if v not in ("lower", "upper"):
                 raise ExactError(f"flag choice must be lower or upper, not {v!r}")
             choices.append((_POINT_KEYS[k], v))
-        choices = tuple(sorted(choices))
-        chart = data["chart"]
-        if chart not in ("top", "bottom"):
-            raise ExactError(f"chart must be top or bottom, not {chart!r}")
-        if "exceptional_at" in data:
-            if "theta" in data:
-                raise ExactError("an F1 point carries theta or exceptional_at, not both")
-            return cls(
-                "F1",
-                chart,
-                None,
-                _json_point_index(data["exceptional_at"]),
-                ProjectivePoint.parse(data["tangent"]),
-                choices,
-            )
-        if "tangent" in data:
-            raise ExactError("an F1 line point carries theta, not a tangent")
-        theta = tuple(Scalar.parse(s) for s in json_list(data["theta"], "theta"))
-        if len(theta) != 3:
-            raise ExactError("theta takes three coefficients")
-        if all(c.is_zero() for c in theta):
-            raise ExactError("theta must not vanish")
-        return cls("F1", chart, theta, None, None, choices)
+
+        def field(key, parse):
+            return parse(data[key]) if key in data else None
+
+        return cls(
+            data["component"],
+            data["chart"],
+            field("theta", lambda v: tuple(Scalar.parse(s) for s in json_list(v, "theta"))),
+            field("exceptional_at", _json_point_index),
+            field("tangent", ProjectivePoint.parse),
+            tuple(sorted(choices)),
+        )
 
 
 # the keys of a flag choice: "1".."5", one spelling per marked point
@@ -421,15 +408,11 @@ def _marked_index(pt: ProjectivePoint, cfg) -> int | None:
     return None
 
 
-def in_removed_locus(p: FixedLocusPoint, cfg: MarkedConfiguration) -> bool:
-    """Membership in the removed curve classes: the glued images of the
-    strict transforms minus their special points, canonically the bottom-chart
+def in_removed_locus(q: FixedLocusPoint, cfg: MarkedConfiguration) -> bool:
+    """Membership of a canonical point, as ``fixedpoint_canonicalize``
+    returns it, in the removed curve classes: the glued images of the strict
+    transforms minus their special points, canonically the bottom-chart
     exceptional data with non-marked tangent distinct from the center."""
-    return _canonical_in_removed_locus(fixedpoint_canonicalize(p, cfg), cfg)
-
-
-def _canonical_in_removed_locus(q: FixedLocusPoint, cfg: MarkedConfiguration) -> bool:
-    # ``in_removed_locus`` of a point ``fixedpoint_canonicalize`` returned
     if q.component != "F1" or q.exceptional_index is None or q.chart != "bottom":
         return False
     if not q.tangent.is_infinity() and q.tangent.value == cfg.z[q.exceptional_index]:
@@ -506,14 +489,14 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     bundle = t.connection.bundle
     if bundle not in (B, BPRIME):
         raise HiggsError("limits are taken on B and B' triples")
-    if not weight_is_non_special(w, bundle.degree):
+    weights = _cleared_weights(w)
+    nums, den = weights
+    if not _non_special(nums, den, bundle.degree):
         raise OnWallError("weight is not non-special")
-    if not (w.total() < sc(1)):
+    if not sum(nums) < den:
         raise HiggsError("the two-component regime requires sum(w) < 1")
     if not t.spectrum.predicates()["non_special"]:
         raise HiggsError("limit requires a non-special spectrum")
-
-    candidates = []
 
     theta = theta_from_connection(t.connection, cfg)
     if theta.is_zero():
@@ -527,9 +510,6 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     e0 = StronglyParabolicHiggs(
         bundle, ParabolicStructure(bundle, drop_flags), theta, cfg
     )
-    m0 = _lower_factor_margin(bundle, e0.structure, w)
-    candidates.append(LimitCandidate("E0", m0, m0 > sc(0), e0))
-
     # E1 keeps the lower off-diagonal data; its only invariant subbundle is
     # the higher-degree factor, contacting the flags away from zero
     contact_e1 = {
@@ -537,14 +517,16 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
         for i, u in enumerate(t.structure.flags)
         if u.is_infinity() or not u.value.is_zero()
     }
-    m1 = s_value(bundle.degree, bundle.d1, contact_e1, w)
-    candidates.append(LimitCandidate("E1", m1, m1 > sc(0), None))
+    candidates = [
+        _candidate("E0", bundle.degree, bundle.d0, _lower_contact(e0.structure), weights, e0),
+        _candidate("E1", bundle.degree, bundle.d1, contact_e1, weights),
+    ]
 
     if bundle == B:
         rows = contact_rows(t.structure, cfg, 1, 2)
         kernels = unit_kernels(5)
         for j in range(NPOINTS):
-            cand = _degenerate_candidate(w, j, rows, kernels)
+            cand = _degenerate_candidate(weights, j, rows, kernels)
             if cand is not None:
                 candidates.append(cand)
 
@@ -565,9 +547,18 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     return LimitResult(fixedpoint_from_higgs(winner.higgs), winner.higgs, tuple(candidates))
 
 
-def _degenerate_candidate(w: WeightVector, j: int, rows: dict, kernels: dict):
+def _candidate(name: str, d: int, deg_f: int, contact, weights, higgs=None) -> LimitCandidate:
+    # the candidate whose invariant subbundle of degree ``deg_f`` meets the
+    # flags ``contact``, its margin summed on the cleared ``weights``
+    nums, den = weights
+    s = _margin(d, deg_f, contact, nums, den)
+    return LimitCandidate(name, Scalar.rational(s, den), s > 0, higgs)
+
+
+def _degenerate_candidate(weights, j: int, rows: dict, kernels: dict):
     """The degeneration onto a degree -1 inclusion whose non-contact set is
     exactly the j-th marked point; None when no such inclusion exists.
+    ``weights`` are the weights' numerators and common denominator.
 
     ``rows`` are the structure's Gaussian-integer ``contact_rows`` at the
     formal degrees (1, 2) of a degree -1 inclusion ``(q, r)`` into B, and
@@ -590,13 +581,10 @@ def _degenerate_candidate(w: WeightVector, j: int, rows: dict, kernels: dict):
         has_saturated_member(basis, 1, 2)
     ):
         return None
-    margin = s_value(1, 2, {j}, w)
-    return LimitCandidate(f"E-1({j + 1})", margin, margin > sc(0), None)
+    return _candidate(f"E-1({j + 1})", 1, 2, {j}, weights)
 
 
-def fixed_component(
-    h: StronglyParabolicHiggs, cfg: MarkedConfiguration, w: WeightVector
-) -> str:
+def fixed_component(h: StronglyParabolicHiggs) -> str:
     """Component classification in the ``sum(w) < 1`` regime: F0 for the
     B' datum, F1 for a B datum with nonzero field and summand flags,
     NotFixed otherwise."""

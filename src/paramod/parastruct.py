@@ -51,9 +51,9 @@ class MarkedConfiguration:
     connection entry and its cleared numerator: the connection solver reads
     its constraint rows off the forward map, and ``LogConnection.numerator``
     and ``connection.residues_and_tail`` apply the two maps.  The node
-    polynomial of ``pole_products`` serves the tail and the frame changes
-    (``verify_invariant_line``, ``gauge_transform``), and ``elm_triple``
-    adds one pole product as a new pole.
+    polynomial of ``pole_products`` serves the tail and the frame change of
+    ``gauge_transform``, and ``elm_triple`` adds one pole product as a new
+    pole.
     """
 
     __slots__ = ("z", "_poles", "_maps")
@@ -176,9 +176,6 @@ class ParabolicStructure:
 
     def infinity_indices(self) -> tuple[int, ...]:
         return tuple(i for i, u in enumerate(self.flags) if u.is_infinity())
-
-    def finite_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, u in enumerate(self.flags) if not u.is_infinity())
 
     def finite_values(self) -> dict[int, Scalar]:
         return {i: u.value for i, u in enumerate(self.flags) if not u.is_infinity()}
@@ -409,24 +406,6 @@ def stratum_from_label(label) -> StratumId:
     raise ExactError(f"no stratum is labelled {label!r}")
 
 
-def uij_split_invariant(
-    structure: ParabolicStructure, cfg: MarkedConfiguration
-) -> Scalar:
-    """The U'/U'' separating quantity for a two-infinity B-structure.
-
-    With finite indices k < l < m this is
-    ``(u_k - u_l)(z_m - z_k)/(z_k - z_l) + (u_k - u_m)``; it vanishes exactly
-    on the degenerate (collinear, hence decomposable) half U'.
-    """
-    if len(structure.infinity_indices()) != 2:
-        raise StratumError("invariant defined for two infinite flags")
-    k, l, m = structure.finite_indices()
-    vals = structure.finite_values()
-    uk, ul, um = vals[k], vals[l], vals[m]
-    zk, zl, zm = cfg.z[k], cfg.z[l], cfg.z[m]
-    return (uk - ul) * (zm - zk) / (zk - zl) + (uk - um)
-
-
 def _action_solutions(structure: ParabolicStructure, cfg: MarkedConfiguration, rhs=None):
     """All solutions ``(particular, basis)`` of the action equations
     ``shift(z_i) - a*u_i = rhs_i`` at the finite flags ``u_i`` of
@@ -513,20 +492,6 @@ def stabilizer_dim(structure: ParabolicStructure, cfg: MarkedConfiguration) -> i
 def is_simple(structure: ParabolicStructure, cfg: MarkedConfiguration) -> bool:
     """True when only scalar automorphisms preserve every flag."""
     return stabilizer_dim(structure, cfg) == 1
-
-
-def stabilizer_witness(structure: ParabolicStructure, cfg: MarkedConfiguration):
-    """A non-scalar automorphism fixing the flags, or None if simple."""
-    if structure.bundle not in (B, BPRIME):
-        raise StratumError("stabilizer witness defined for B and B' only")
-    _, basis = _action_solutions(structure, cfg)
-    for vec in basis:
-        a = sc(1) + vec[-1]
-        if a.is_zero():
-            vec = [sc(2) * x for x in vec]
-            a = sc(1) + vec[-1]
-        return (a, *reversed(vec[:-1]))
-    return None
 
 
 def bprime_generic_representative(cfg: MarkedConfiguration) -> ParabolicStructure:

@@ -75,10 +75,6 @@ class SpectrumRank2:
         return f"SpectrumRank2(d={self.d}, {body})"
 
 
-def spectrum_predicates(nu: SpectrumRank2) -> dict[str, bool]:
-    return nu.predicates()
-
-
 def elm_weight(w: WeightVector, j: int) -> WeightVector:
     """Weight transform of the elementary transformation: ``w_j -> 1 - w_j``.
 
@@ -134,17 +130,6 @@ class MCBranch:
         self.beta_k = bk
         self.beta_u = tuple(bk - bh[i] - bv[i] for i in range(NPOINTS))
 
-    @classmethod
-    def balanced(cls, sigma, nu: SpectrumRank2) -> "MCBranch":
-        """The branch with all five vertical residues equal."""
-        if isinstance(sigma, str):
-            sigma = tuple(sigma)
-        bh = [
-            -(nu.plus(i) if s == "+" else nu.minus(i)) for i, s in enumerate(sigma)
-        ]
-        bk = -sum(bh, sc(0))
-        return cls(sigma, [-bk / 5] * NPOINTS, nu)
-
     def to_json(self):
         return {"sigma": "".join(self.sigma), "betaV": [str(x) for x in self.beta_v]}
 
@@ -156,10 +141,6 @@ class MCSpectrumRank3:
 
     triples: tuple[tuple[Scalar, Scalar, Scalar], ...]
     d: int
-
-    @property
-    def rank(self) -> int:
-        return 3
 
     def fuchs_sum(self) -> Scalar:
         return sum((a + b + c for a, b, c in self.triples), sc(0))

@@ -57,7 +57,6 @@ from .exactnum import (
     PreconditionError,
     Scalar,
     clear_denominators,
-    json_list,
     sc,
 )
 from .parastruct import (
@@ -101,10 +100,6 @@ class WeightVector:
 
     def to_json(self):
         return {"w": [str(x) for x in self.w]}
-
-    @classmethod
-    def from_json(cls, data) -> "WeightVector":
-        return cls([Scalar.parse(s) for s in json_list(data["w"], "w")])
 
     def __eq__(self, other):
         if not isinstance(other, WeightVector):
@@ -168,11 +163,16 @@ def weight_is_kostov_generic(w: WeightVector, d: int) -> bool:
     return _kostov_generic(*_cleared_weights(w), d)
 
 
+def _non_special(nums, den: int, d: int) -> bool:
+    # non-resonant (every weight positive) and Kostov-generic, asked of the
+    # weights' numerators ``nums`` over their common denominator ``den``
+    return all(a > 0 for a in nums) and _kostov_generic(nums, den, d)
+
+
 def weight_is_non_special(w: WeightVector, d: int) -> bool:
     """Non-resonant (every weight positive) and Kostov-generic, both asked
     of the weights' numerators over their common denominator."""
-    nums, den = _cleared_weights(w)
-    return all(a > 0 for a in nums) and _kostov_generic(nums, den, d)
+    return _non_special(*_cleared_weights(w), d)
 
 
 def _margin(d: int, deg_f: int, contact, nums, den: int) -> int:
@@ -716,9 +716,9 @@ def is_stable(
     """
     bundle = structure.bundle
     d = bundle.degree
-    if not weight_is_non_special(w, d):
-        raise OnWallError("weight is not non-special")
     nums, den = _cleared_weights(w)
+    if not _non_special(nums, den, d):
+        raise OnWallError("weight is not non-special")
     total = sum(nums)
     worst = worst_s = None
     for k in _candidate_degrees(bundle):

@@ -33,13 +33,18 @@ dimension from the rank of the trace-sum constraint, with theta evaluated at
 every marked point, is the reference for the one read off the checked flag
 choices; the chart datum of a Higgs fixed point with its marked zeros
 evaluated afresh, then canonicalized, is the reference for the canonical
-limit point read off the zeros the Higgs datum holds.
+limit point read off the zeros the Higgs datum holds.  The cleared
+``(nabla s) wedge s`` of a section is the check that a line is
+connection-invariant, against which the irreducibility screen is tested.
+The last helpers build test inputs the package itself does not need: the
+identity rows, a matrix product, the connections at a space's basis points
+and the balanced middle-convolution branch.
 """
 
 from itertools import combinations, product
 
 from paramod._kernel import T_ONE, T_ZERO, t_div, t_mul, t_neg, t_sub
-from paramod.connection import _residue_parts, degree_bounds
+from paramod.connection import ConnectionError, _numerators, _residue_parts, degree_bounds
 from paramod.exactnum import INF, ONE, ZERO, Mat, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
 from paramod.higgslimit import (
     FixedLocusPoint,
@@ -58,7 +63,7 @@ from paramod.parastruct import (
     ParabolicStructure,
     _normalize_projective,
 )
-from paramod.spectra import SpectrumRank2
+from paramod.spectra import MCBranch, SpectrumRank2
 from paramod.stability import (
     LineSubbundleWitness,
     OnWallError,
@@ -444,7 +449,7 @@ def oracle_irreducibility_screen(nu):
     for sigma, total in oracle_sign_pattern_sums(nu.nu):
         if not total.is_integer():
             continue
-        deg = -total.re_pair[0]
+        deg = -total._t[0]  # an integer Scalar is the triple (n, 0, 1)
         if bounds.lo <= deg <= bounds.hi:
             patterns.append((sign_label(sigma), deg))
     return ("unknown", patterns) if patterns else ("irreducible", [])
@@ -499,8 +504,8 @@ def oracle_b_degree_zero_candidates(structure, cfg) -> list[LineSubbundleWitness
     finite flags evaluated at every finite flag, the hit sets kept in pair
     order with the first pair's line, then filtered to the inclusion-maximal
     ones."""
-    fin = structure.finite_indices()
     vals = structure.finite_values()
+    fin = tuple(vals)
     if len(fin) <= 1:
         r = Poly([vals[fin[0]]], bound=1) if fin else Poly.zero(1)
         return [LineSubbundleWitness(0, Poly([1], bound=0), r, frozenset(fin))]
@@ -543,7 +548,7 @@ def oracle_candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]
             basis = (
                 Mat([rows[i] for i in T]).nullspace()
                 if T
-                else Mat.identity(dq + dr + 2).entries
+                else unit_vectors(dq + dr + 2)
             )
             found = next(oracle_saturated_members(basis, dq, dr), None)
             if found is None:
@@ -783,3 +788,53 @@ def oracle_limit_point(h: StronglyParabolicHiggs) -> FixedLocusPoint:
     else:
         p = FixedLocusPoint("F1", "top", _normalize_projective(theta.coeffs), None, None, choices)
     return fixedpoint_canonicalize(p, cfg)
+
+
+def unit_vectors(n) -> list[list[Scalar]]:
+    """The rows of the n x n identity matrix."""
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def mat_product(a: Mat, b: Mat) -> Mat:
+    """The matrix product ``a b``, entry by entry on Scalars."""
+    return Mat([[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b.entries)]
+                for row in a.entries])
+
+
+def basis_connections(space) -> list:
+    """The connection at the particular solution of a connection space, then
+    the one at the particular solution plus each basis vector."""
+    units = unit_vectors(space.dim)
+    return [space.connection_at([ZERO] * space.dim)] + [space.connection_at(e) for e in units]
+
+
+def free_tail_only(space) -> bool:
+    """Whether every free direction of a connection space is supported on
+    its tail coordinates."""
+    return all(
+        val.is_zero() or label[0] == "g"
+        for vec in space.basis
+        for val, label in zip(vec, space.labels)
+    )
+
+
+def balanced_branch(sigma, nu) -> MCBranch:
+    """The middle-convolution branch with all five vertical residues equal:
+    each is ``-beta_k / 5``, with ``beta_k`` the sum of the eigenvalues that
+    ``sigma`` picks."""
+    bk = sum((nu.plus(i) if s == "+" else nu.minus(i) for i, s in enumerate(sigma)), ZERO)
+    return MCBranch(sigma, [-bk / 5] * NPOINTS, nu)
+
+
+def verify_invariant_line(t, q, r) -> bool:
+    """Exact check that the section ``s = (q, r)`` spans a connection-invariant
+    line: the cleared ``(nabla s) wedge s`` vanishes identically."""
+    if (q is None or q.is_zero()) and (r is None or r.is_zero()):
+        raise ConnectionError("zero section is not a line")
+    qp = q if q is not None else Poly.zero(-1)
+    rp = r if r is not None else Poly.zero(-1)
+    node = t.cfg.pole_products()[0]
+    n11, n12, n21, n22 = _numerators(t)
+    w1 = node * qp.derivative() + n11 * qp + n12 * rp
+    w2 = node * rp.derivative() + n21 * qp + n22 * rp
+    return (w1 * rp - w2 * qp).is_zero()

@@ -641,6 +641,40 @@ for name in paramod.__all__:
     assert vars(home)[name] is obj, name
 """
 
+# the public names of the package: a name joins or leaves ``__all__`` only
+# with this list
+_ALL = """
+B BPRIME BundleSplitType FixedLocusPoint FlatTriple INF KERNEL_BACKEND LogConnection MCBranch
+MarkedConfiguration Mat ParabolicStructure Poly ProjectivePoint Scalar SpectrumRank2 StratumId
+StronglyParabolicHiggs WeightVector __version__ act chamber_classify character_poly classify
+cstar_limit degree_bounds destabilizing_candidates elm_spectrum elm_triple elm_weight
+fiber_dimension fixed_component fixedpoint_canonicalize gauge_transform higgs_is_stable
+interpolate is_decomposable is_simple is_stable mc_spectrum no_stable_structure orbit_equal
+quotient_coords s_value sc solve_connection_space special_loci stabilizing_weight
+theta_from_connection validate_triple weight_is_kostov_generic
+""".split()
+
+# in a fresh process with every paramod module imported, as the benchmark's
+# traced run has them: ``Tracer.install`` finds every name of ``TRACED``, a
+# function on its module and a method in its class's ``__dict__``, and wraps
+# it; a missing one raises there
+_TRACER_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import paramod.cli, paramod.connection, paramod.exactnum, paramod.higgslimit
+import paramod.parastruct, paramod.spectra, paramod.stability
+from tracer import TRACED, Tracer
+tracer = Tracer()
+tracer.install()
+for mod_name, path in TRACED:
+    owner = sys.modules[f"paramod.{mod_name}"]
+    *cls, attr = path.split(".")
+    if cls:
+        owner = vars(owner)[cls[0]]
+    assert hasattr(vars(owner)[attr], "__wrapped__"), path
+tracer.uninstall()
+"""
+
 
 class TestImports:
     def test_commands_import_only_what_they_run(self, tmp_path):
@@ -654,4 +688,10 @@ class TestImports:
 
     def test_package_exports(self, tmp_path):
         proc = _child(_SURFACE_CHILD, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert paramod.__all__ == sorted(_ALL)
+
+    def test_benchmark_traced_names_resolve(self, tmp_path):
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        proc = _child(_TRACER_CHILD, str(perfbench), cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr

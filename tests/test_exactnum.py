@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import oracle_det, oracle_rank, rand_triple_matrix
+from helpers import mat_product, oracle_det, oracle_rank, rand_triple_matrix, unit_vectors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,7 +114,7 @@ class TestDet:
         assert m.det() == Scalar(2)
 
     def test_identity(self):
-        assert Mat.identity(5).det() == Scalar(1)
+        assert Mat(unit_vectors(5)).det() == Scalar(1)
 
     def test_repeated_row(self):
         m = Mat([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
@@ -129,7 +129,7 @@ class TestDet:
     def test_det_multiplicative(self, xs, ys):
         a = Mat([xs[0:3], xs[3:6], xs[6:9]])
         b = Mat([ys[0:3], ys[3:6], ys[6:9]])
-        assert (a * b).det() == a.det() * b.det()
+        assert mat_product(a, b).det() == a.det() * b.det()
 
     @given(st.lists(gaussians, min_size=9, max_size=9), gaussians)
     @settings(max_examples=25)
@@ -179,7 +179,7 @@ class TestRank:
     @settings(max_examples=25)
     def test_rank_transpose(self, xs):
         m = Mat([xs[0:4], xs[4:8], xs[8:12]])
-        assert m.rank() == m.transpose().rank()
+        assert m.rank() == Mat(list(zip(*m.entries))).rank()
 
     def test_matches_rational_bareiss(self):
         rng = random.Random(2025)
@@ -254,7 +254,7 @@ class TestPoly:
         d = Poly([5, 1, -2, 3]).derivative()
         assert d == Poly([1, -4, 9]) and d.bound == 2
         assert Poly([0, 1, 0], bound=2).derivative().coeffs == (sc(1), sc(0))
-        for p in (Poly.constant(7), Poly.zero(-1)):
+        for p in (Poly([7], bound=0), Poly.zero(-1)):
             assert p.derivative().is_zero() and p.derivative().bound == -1
 
     def test_monic_from_roots(self):

@@ -632,7 +632,7 @@ class TestDegreeZeroLines:
             for c in got:
                 assert oracle_contact_of(c.q, c.r, s, cfg) == c.contact
             sizes |= {len(c.contact) for c in got}
-            nfin.add(len(s.finite_indices()))
+            nfin.add(len(s.finite_values()))
         assert sizes == {0, 1, 2, 3, 4, 5} and nfin == {0, 1, 2, 3, 5}
 
 
