@@ -246,10 +246,14 @@ def cmd_validate(args):
 
 
 def cmd_limit(args):
-    from .higgslimit import cstar_limit
+    from .connection import validate_triple
+    from .higgslimit import HiggsError, cstar_limit
 
     triple = _load_json(args, "triple", _triple_from_json)
     w = _parse_weight(args.w)
+    ok, violations = validate_triple(triple)
+    if not ok:
+        raise HiggsError(f"not a flat triple: {violations[0]}")
     res = cstar_limit(triple, w)
     return {
         "point": res.point.to_json(triple.cfg),

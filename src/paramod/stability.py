@@ -18,14 +18,13 @@ because contact sets are visited by descending size (see
 points.  This module is the only one that builds contact spans: the C*-limit's
 degenerations in ``higgslimit`` take theirs from ``contact_kernel``.
 
-Only the flats of the matroid of the contact rows are visited (Oxley,
-*Matroid Theory*, 2nd ed., 2011, ch. 1): a contact set that is not a flat has
-the kernel of its closure, a larger set visited earlier, so it can never be
-recorded, and no kernel is built for it.  Independent rows, the generic
-case, make every set a flat at no cost; dependent rows, as those of a
-decomposable structure, give their circuits once per degree.  B's
-degree-0 subbundles are lines through the finite flags, grouped by pair with
-no evaluation at the flags (``_b_degree_zero_candidates``).
+Every contact set not inside a recorded one is visited.  A set whose
+kernel is that of a larger set is never recorded, so it costs a kernel and
+a span search and changes nothing.  ``is_stable`` never builds one: such a
+set arises only on B at degree -1, and the margin stop ends the decision
+before it (the proof is in ``_candidates_at_degree``).  B's degree-0
+subbundles are lines through the finite flags, grouped by pair with no
+evaluation at the flags (``_b_degree_zero_candidates``).
 
 A decision runs on integers from the weight check to the report.  The
 weights are cleared to numerators over one common denominator, which the
@@ -557,39 +556,6 @@ def contact_kernel(T, zrows, kernels):
     return basis
 
 
-def _circuits(zrows, kernel) -> list[frozenset[int]]:
-    """The circuits of the matroid of the Gaussian-integer contact rows
-    ``zrows``, the minimal dependent sets of rows (Oxley, *Matroid Theory*,
-    2nd ed., 2011, ch. 1), given the ``kernel`` of all of them.
-
-    When ``kernel`` has dimension ``n - |rows|`` the rows are independent
-    and there is none.  Otherwise they are the minimal supports of the
-    dependency space ``D``, the ``lam`` with ``sum lam_i row_i = 0``, which
-    is the kernel of the transposed rows.  With ``d = dim D``, a member of
-    ``D`` vanishing at ``d - 1`` coordinates where the basis of ``D`` has
-    rank ``d - 1`` spans the members that do and has minimal support, and
-    the member of each minimal support vanishes at such coordinates, so
-    restricting ``D`` by every ``d - 1`` coordinate forms finds them all.
-    """
-    keys = list(zrows)
-    n = len(zrows[keys[0]])
-    if len(kernel) == n - len(keys):
-        return []
-    units = unit_kernels(len(keys))[()]
-    deps = units
-    for c in range(n):
-        deps = _zi_restrict(deps, [zrows[i][c] for i in keys])
-    memo = {(): deps}
-    out = []
-    for zeros in combinations(range(len(keys)), len(deps) - 1):
-        basis = contact_kernel(zeros, units, memo)
-        if len(basis) == 1:
-            support = frozenset(keys[a] for a, x in enumerate(basis[0]) if x != ZI_ZERO)
-            if support not in out:
-                out.append(support)
-    return out
-
-
 def _candidates_at_degree(structure, cfg, k) -> list[tuple[frozenset[int], object]]:
     """The inclusion-maximal contact sets at degree ``k``, each as
     ``(contact, payload)`` with the payload ``_witness`` turns into its
@@ -605,16 +571,27 @@ def _candidates_at_degree(structure, cfg, k) -> list[tuple[frozenset[int], objec
     ``T`` would have been skipped.  Whether ``N(T)`` holds a saturated member
     depends only on the span, so the recorded sets do not depend on the basis.
 
-    Only the flats of the matroid of the contact rows are visited (Oxley,
-    *Matroid Theory*, 2nd ed., 2011, ch. 1): the ``T`` with no row outside
-    ``T`` in the span of the rows of ``T``, which are those with no circuit
-    ``C`` that has exactly one element outside ``T``.  A non-flat ``T`` has
-    ``N(T) = N(cl T)``, since every row of its closure ``cl T`` vanishes on
-    ``N(T)``, so every member of ``N(T)`` meets ``cl T``, which is larger
-    and visited earlier: ``T`` can never be recorded.  When the rows are
-    independent, as the full set's kernel tells, every set is a flat and
-    nothing more is computed; otherwise the circuits are found once per
-    degree (``_circuits``), after the full set is visited.
+    A ``T`` with a row outside it in the span of its rows has the kernel
+    of a larger set, visited earlier, so it is never recorded.  Such a set
+    is visited only when the rows are dependent and the full set is not
+    recorded, which happens on B alone, and there the margin stop of
+    ``is_stable`` ends the decision before degree -1.  With ``m`` the least
+    margin of the higher degrees, ``F`` the finite flags and ``w_i < 1``:
+
+    - B at ``(dq, dr) = (1, 2)``: five rows on five coefficients, so
+      dependent rows give a nonzero ``(q, r)`` meeting all five flags,
+      which is not saturated when the full set is not recorded.  If
+      ``q = 0``, ``r`` vanishes at the finite flags, so at most two are
+      finite; the degree-0 line through them has contact ``F``, its margin
+      and the degree-1 margin sum to 0, and ``m < 0``.  Otherwise ``q``
+      and ``r`` share a root ``a``, which may be infinity, and every flag
+      away from ``a`` is finite and on the line ``r / q``: at most one
+      flag ``j`` is off it, and ``m <= 1 + 2 w_j - sum(w) < 3 - sum(w) =
+      b_{-1}``.
+    - B' at ``(0, 3)``: only the finite flags have rows, and any four are
+      independent, their Vandermonde part having distinct ``z_i``.  Five
+      dependent rows have a kernel member ``(c, r)`` with ``c != 0``, which
+      is saturated: the full set is recorded and every other set skipped.
 
     ``N(T)`` is restricted from ``N(T[:-1])`` by the fraction-free kernel of
     one Gaussian-integer contact row (``_zi_restrict``), the kernels memoised
@@ -630,19 +607,12 @@ def _candidates_at_degree(structure, cfg, k) -> list[tuple[frozenset[int], objec
         return [(frozenset(structure.infinity_indices()), None)] if dr == 0 else []
     rows = contact_rows(structure, cfg, dq, dr)
     kernels = unit_kernels(dq + dr + 2)
-    full = tuple(rows)
-    circuits = None
     maximal = []
-    for size in range(len(full), -1, -1):
-        for T in combinations(full, size):
+    for size in range(len(rows), -1, -1):
+        for T in combinations(rows, size):
             tset = frozenset(T)
             if any(tset <= m for m, _ in maximal):
                 continue
-            if T != full:
-                if circuits is None:
-                    circuits = _circuits(rows, kernels[full])
-                if any(len(c - tset) == 1 for c in circuits):
-                    continue
             basis = contact_kernel(T, rows, kernels)
             vec = next(saturated_members(basis, dq, dr), None)
             if vec is not None:

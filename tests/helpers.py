@@ -14,11 +14,9 @@ nullspaces of the contact rows on Scalars, with each witness's contact
 evaluated back on the marked points, is the reference for the
 Gaussian-integer contact kernels; the C*-limit's degenerations by a rational
 nullspace and q, r evaluated at the marked point are the reference for the
-ones on the contact lattice.  Every contact set, flats of the matroid of the
-contact rows or not, is visited by the rational enumeration, which is the
-reference for the walk over flats; the line through each pair of finite
-flags evaluated at every flag, with a maximality filter, is the reference
-for B's degree-0 lines grouped by pair.  The exhaustive saturation grid is
+ones on the contact lattice.  The line through each pair of finite flags
+evaluated at every flag, with a maximality filter, is the reference for B's
+degree-0 lines grouped by pair.  The exhaustive saturation grid is
 the reference for the base-locus certificate that stops it early; the
 stability margin summed on Scalars is the reference for the one on the
 cleared weights, and the decision on Scalars, with every candidate's

@@ -401,6 +401,22 @@ class TestExitCodes:
                 code, out = run(capsys, argv[0], "--json", "p.json", *argv[1:])
                 assert (code, out) == (want, ""), (point, argv[0], code, out)
 
+    def test_limit_rejects_what_validate_rejects(self, capsys, tmp_path, monkeypatch):
+        # a flag off the nu+ eigenline, and a residue whose (12) numerator
+        # exceeds its degree bound: validate lists the violations, and limit
+        # exits 3 with the first instead of taking a limit
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, *next(a for a in HASH_SEED_COMMANDS if a[0] == "solve"))[0] == 0
+        triple = json.loads((tmp_path / "triple.json").read_text())["triple"]
+        for path, value in ((("structure", "u", 4), "9"), (("connection", "A", 0, 0, 1), "5")):
+            (tmp_path / "bad.json").write_text(json.dumps({"triple": _with_value(triple, path, value)}))
+            violations = run_json(capsys, "validate", "--json", "bad.json")["violations"]
+            assert violations, path
+            code = main(["limit", "--json", "bad.json", "--w", W_SMALL])
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, ""), (path, code, out)
+            assert violations[0] in err, (path, err)
+
 
 class TestPipelines:
     def test_classify_weights_stability(self, capsys):

@@ -353,12 +353,6 @@ def _rank(rows, T):
     return oracle_rank([[x._t for x in rows[i]] for i in T], len(T), len(rows[T[0]])) if T else 0
 
 
-def _is_flat(rows, T):
-    # no row outside T is in the span of the rows of T
-    rank = _rank(rows, T)
-    return all(_rank(rows, T + (j,)) > rank for j in rows if j not in T)
-
-
 class TestSpanCertificate:
     """``has_saturated_member`` says whether the exhaustive Scalar grid
     search finds a saturated member, on constructed spans that reach each
@@ -453,8 +447,7 @@ class TestSpanCertificate:
         monkeypatch.setattr(stability, "_is_saturated", is_saturated)
         monkeypatch.setattr(stability, "saturated_members", members)
         barren = {}
-        classes = _class_structures(random.Random(71), 6)
-        for name, structures in classes.items():
+        for name, structures in _class_structures(random.Random(71), 6).items():
             spans.clear()
             for s, cfg in structures:
                 destabilizing_candidates(s, cfg)
@@ -462,20 +455,9 @@ class TestSpanCertificate:
             costs = [calls for calls, hit in spans if not hit]
             assert all(calls <= 1 for calls in costs), (name, costs)
             barren[name] = len(costs)
-        # a decomposable decision's one barren flat is the full contact set
-        assert barren["decomposable"] >= 6 and barren["two-inf"] >= 6 * 6, barren
-        # the non-flat kernels the walk skips, each the kernel of a barren
-        # closure, searched straight from contact_kernel
-        spans.clear()
-        for s, cfg in classes["decomposable"]:
-            rows = oracle_contact_rows(s, cfg, 1, 2)
-            zrows = contact_rows(s, cfg, 1, 2)
-            kernels = unit_kernels(5)
-            for T in _subsets(list(zrows)):
-                if not _is_flat(rows, T):
-                    next(stability.saturated_members(contact_kernel(T, zrows, kernels), 1, 2), None)
-        costs = [calls for calls, hit in spans if not hit]
-        assert len(costs) == len(spans) >= 6 * 8 and all(calls <= 1 for calls in costs), spans
+        # a decomposable decision's barren spans: the full contact set, and
+        # the 15 sets of four and three flags that share its kernel
+        assert barren["decomposable"] >= 6 * 8 and barren["two-inf"] >= 6 * 6, barren
 
 
 def _gaussian_rows(rng):
@@ -669,8 +651,8 @@ def _oracle_report(cands, d, w):
 
 
 class TestDependentContactRows:
-    """Dependent contact rows, on B with proper dependent subsets: the walk
-    over flats records what the rational enumeration over every contact set
+    """Dependent contact rows, on B with proper dependent subsets: the
+    kernel walk records what the rational enumeration over every contact set
     does, and a decision reports the same witness on margin ties."""
 
     def test_rows_are_partly_dependent(self):
@@ -717,10 +699,9 @@ class TestDependentContactRows:
 
 
 class TestFlatWalk:
-    """The decision builds kernels only for flats of the matroid of the
-    contact rows, and its work per decision stays within bounds.  Over every
-    contact set, a decomposable decision searched 26 spans and made 30
-    restrictions."""
+    """The kernel walk's work per decision: a decomposable structure, whose
+    degree -1 rows are dependent, has every set of two to five flags
+    searched, 26 spans from 30 restrictions."""
 
     # searched spans per decision of the four classes with independent rows
     SPANS = {"generic": 6, "one-inf": 6, "two-inf": 10, "bprime": 6}
@@ -769,20 +750,10 @@ class TestFlatWalk:
             for s, cfg in structures:
                 seen = decide(s, cfg)
                 if name == "decomposable":
-                    assert seen["spans"] <= 11 and seen["restrict"] < 30, seen
+                    assert (seen["spans"], seen["restrict"]) == (26, 30), seen
                 else:
                     assert seen["spans"] == self.SPANS[name], (name, seen["spans"])
                 assert len(seen["visited"]) == seen["spans"]
-
-    def test_only_flats_visited(self, monkeypatch):
-        decide = self._recorder(monkeypatch)
-        structures = [x for xs in _class_structures(random.Random(79), 3).values() for x in xs]
-        visited = 0
-        for s, cfg in structures + _dependent_structures():
-            for (dq, dr), T in decide(s, cfg)["visited"]:
-                assert _is_flat(oracle_contact_rows(s, cfg, dq, dr), T), (s, T)
-                visited += 1
-        assert visited > 100, visited
 
 
 class TestCandidates:
@@ -1031,6 +1002,29 @@ class TestDegreeStop:
         for s, cfg in structures:
             is_stable(s, cfg, _bounded_weight(rng, s.bundle.degree, heavy=True))
         assert len(calls) > 100, len(calls)
+
+    def test_dependent_rows_build_no_shared_kernel(self, monkeypatch):
+        # the structures whose degree -1 rows are dependent, and decomposable
+        # ones, at 50 weights each, every other one with each w_i in [1/2, 1):
+        # a decision on B stops before degree -1, and one on B' records the
+        # full contact set first, so no decision builds the kernel of a set
+        # that a larger set shares
+        calls = self._kernel_calls(monkeypatch)
+        rng = random.Random(157)
+        structures = _dependent_structures() + _class_structures(rng, 8)["decomposable"]
+        full = tuple(range(5))
+        full_built = 0
+        for s, cfg in structures:
+            d = s.bundle.degree
+            for n in range(50):
+                w = _bounded_weight(rng, d, heavy=n % 2 == 1)
+                calls.clear()
+                got = is_stable(s, cfg, w).to_json()
+                assert calls == ([] if s.bundle == B else [full] * len(calls)), (s, w, calls)
+                full_built += len(calls)
+                assert got == oracle_is_stable_report(s, cfg, w).to_json(), (s, w)
+        # heavy weights take B' decisions to degree -1
+        assert full_built > 100, full_built
 
     def test_candidates_list_every_degree(self):
         # the stop is the decision's alone: every degree keeps its candidates
