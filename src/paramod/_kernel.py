@@ -9,6 +9,12 @@ reduced rows, the rank its pivot count and the determinant the signed
 product of its pivots.  ``t_clear`` and ``zi_dot`` carry rows to Gaussian
 integers ``(re, im)`` for the contact lattice and the saturation search, and
 ``t_matvec`` applies a cleared matrix with them.
+
+The stability decision and the connection layer compute on these triples
+and integers throughout: the contact rows, margins and witness search of
+``stability``, and the solve, the residues, the triple and its validation in
+``connection``.  ``exactnum.Scalar`` wraps a triple (``Scalar._t``) and is
+what the public accessors, the JSON output and the error messages show.
 """
 
 from math import gcd, lcm
@@ -108,7 +114,11 @@ def mat_rref(rows, nrows, ncols):
     the pivots as they are found, negated once per row swap, so for a square
     matrix with a pivot in every row it is the determinant: scaling a row by
     the inverse of its pivot divides the determinant by that pivot, a swap
-    negates it, and clearing a column leaves it unchanged."""
+    negates it, and clearing a column leaves it unchanged.
+
+    Clearing a column updates ``m[i][j] - f * p[j]`` only where the scaled
+    pivot row ``p`` is nonzero, with the product left unreduced and one
+    normalization of the difference."""
     m = [list(r) for r in rows]
     pivots = []
     product = T_ONE
@@ -128,10 +138,18 @@ def mat_rref(rows, nrows, ncols):
         product = t_mul(product, pivot)
         inv = t_inv(pivot)
         m[row] = [t_mul(inv, v) for v in m[row]]
+        support = [(j, pa, pb, pd) for j, (pa, pb, pd) in enumerate(m[row]) if pa or pb]
         for i in range(nrows):
-            if i != row and not _is_zero(m[i][col]):
-                f = m[i][col]
-                m[i] = [t_sub(m[i][j], t_mul(f, m[row][j])) for j in range(ncols)]
+            fa, fb, fd = m[i][col]
+            if i == row or not (fa or fb):
+                continue
+            r = m[i]
+            for j, pa, pb, pd in support:
+                xa, xb, xd = r[j]
+                yd = fd * pd
+                r[j] = t_norm(
+                    xa * yd - (fa * pa - fb * pb) * xd, xb * yd - (fa * pb + fb * pa) * xd, xd * yd
+                )
         pivots.append(col)
         row += 1
         if row == nrows:

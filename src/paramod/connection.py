@@ -21,25 +21,24 @@ coefficients, all linear in the ``x_i``: the ``z^4`` coefficients of
 of degree 4), and the coefficients of ``N12`` and ``N21`` above the bounds of
 ``offdiag_bounds`` vanish.  A frame change is polynomial arithmetic on the
 four numerators.
+
+The residues, the ``(C_i, D_i)`` parts, the constraint rows and the solved
+vectors are ``_kernel`` triples from the solve to the validation: the
+system goes to ``_kernel.mat_solve_affine`` as it is built, a triple's
+residues are ``C_i + x_i D_i`` summed on triples, and ``validate_triple``
+checks them on triples.  Scalars begin at the public accessors
+(``LogConnection.residues``, the tail and ``numerator`` polynomials), at
+``to_json`` and in the violation messages.  The frame changes of
+``elm_triple`` and ``gauge_transform`` are Scalar polynomial arithmetic on
+the numerators, whose residues ``residues_and_tail`` reads back as triples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernel import t_matvec, t_mul, t_sub
-from .exactnum import (
-    INF,
-    ONE,
-    ZERO,
-    ExactError,
-    Mat,
-    Poly,
-    ProjectivePoint,
-    Scalar,
-    json_list,
-    sc,
-)
+from ._kernel import T_ONE, T_ZERO, mat_rank, mat_solve_affine, t_add, t_matvec, t_mul, t_neg, t_sub
+from .exactnum import INF, ExactError, Poly, ProjectivePoint, Scalar, json_list, sc
 from .parastruct import (
     NPOINTS,
     BundleSplitType,
@@ -81,45 +80,61 @@ def degree_bounds(d: int) -> DegreeBounds:
 
 
 class LogConnection:
-    """Residue matrices at the five marked points plus the (21) tail."""
+    """Residue matrices at the five marked points plus the (21) tail.
 
-    __slots__ = ("bundle", "residues", "tail")
+    The residues are kept as ``_kernel`` triples in ``_res``; ``residues``
+    gives them as Scalars."""
+
+    __slots__ = ("bundle", "_res", "tail")
 
     def __init__(self, bundle: BundleSplitType, residues, tail: Poly | None = None):
+        mats = [
+            ((sc(a11)._t, sc(a12)._t), (sc(a21)._t, sc(a22)._t))
+            for ((a11, a12), (a21, a22)) in residues
+        ]
+        self._set(bundle, mats, tail)
+
+    @classmethod
+    def _of(cls, bundle: BundleSplitType, mats, tail: Poly | None = None) -> "LogConnection":
+        """The connection with the residue triples ``mats``, taken as they are."""
+        conn = object.__new__(cls)
+        conn._set(bundle, mats, tail)
+        return conn
+
+    def _set(self, bundle, mats, tail):
         self.bundle = bundle
-        mats = []
-        for m in residues:
-            ((a11, a12), (a21, a22)) = m
-            mats.append(((sc(a11), sc(a12)), (sc(a21), sc(a22))))
         if len(mats) != NPOINTS:
             raise ExactError("one residue matrix per marked point")
-        self.residues = tuple(mats)
+        self._res = tuple(mats)
         max_tail = bundle.d1 - bundle.d0 - 2
+        bound = max(max_tail, -1)
         if tail is None:
-            tail = Poly.zero(max(max_tail, -1))
-        if tail.degree() > max(max_tail, -1):
-            raise ConnectionError(
-                f"tail degree {tail.degree()} exceeds bound {max_tail}"
-            )
-        self.tail = Poly(
-            list(tail.coeffs[: max(max_tail + 1, 0)]), bound=max(max_tail, -1)
-        )
+            tail = Poly.zero(bound)
+        if tail.degree() > bound:
+            raise ConnectionError(f"tail degree {tail.degree()} exceeds bound {max_tail}")
+        self.tail = tail.shrink(bound)
+
+    @property
+    def residues(self):
+        """The residue matrices as Scalars."""
+        return tuple(tuple(tuple(Scalar._wrap(x) for x in row) for row in m) for m in self._res)
+
+    def _residue_numerator(self, r: int, c: int, cfg: MarkedConfiguration):
+        # the coefficient triples of the residues summed against the pole
+        # products, the cleared entry without its tail
+        (rows, den), _ = cfg.numerator_maps()
+        return t_matvec(rows, den, [m[r][c] for m in self._res])
 
     def numerator(self, r: int, c: int, cfg: MarkedConfiguration) -> Poly:
         """The cleared entry ``N_rc = entry_rc * prod_j (z - z_j)``: the
         residues summed against the pole products, plus the tail times the
         node polynomial in the (21) entry."""
-        (rows, den), _ = cfg.numerator_maps()
-        coeffs = t_matvec(rows, den, [m[r][c]._t for m in self.residues])
-        num = Poly([Scalar._wrap(x) for x in coeffs])
+        num = Poly([Scalar._wrap(x) for x in self._residue_numerator(r, c, cfg)])
         return num + self.tail * cfg.pole_products()[0] if (r, c) == (1, 0) else num
 
     def to_json(self):
         return {
-            "A": [
-                [[str(m[0][0]), str(m[0][1])], [str(m[1][0]), str(m[1][1])]]
-                for m in self.residues
-            ],
+            "A": [[[str(Scalar._wrap(x)) for x in row] for row in m] for m in self._res],
             "G21": [str(c) for c in self.tail.coeffs],
             "bundle": self.bundle.name,
         }
@@ -141,7 +156,7 @@ class LogConnection:
             return NotImplemented
         return (
             self.bundle == other.bundle
-            and self.residues == other.residues
+            and self._res == other._res
             and self.tail == other.tail
         )
 
@@ -173,10 +188,6 @@ def offdiag_bounds(bundle: BundleSplitType):
     return (((0, 1), 3 + d0 - d1), ((1, 0), 3 + d1 - d0))
 
 
-def _flag_vector(u: ProjectivePoint) -> tuple[Scalar, Scalar]:
-    return (u.kappa, u.lam)
-
-
 def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
     """Exact check of every invariant: residue characteristic polynomials,
     flag eigenlines, diagonal sums, off-diagonal numerator degree bounds and
@@ -184,26 +195,34 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
     v: list[str] = []
     bundle = t.connection.bundle
     d0, d1 = bundle.d0, bundle.d1
+    res = t.connection._res
     if t.structure.bundle != bundle:
         v.append("structure and connection bundles differ")
     if t.spectrum.d != d0 + d1:
         v.append(f"spectrum degree {t.spectrum.d} != bundle degree {d0 + d1}")
-    for i in range(NPOINTS):
-        ((a11, a12), (a21, a22)) = t.connection.residues[i]
-        p, m = t.spectrum.nu[i]
-        if a11 + a22 != p + m:
+    for i, (((a11, a12), (a21, a22)), (p, m), u) in enumerate(
+        zip(res, t.spectrum.nu, t.structure.flags)
+    ):
+        p, m, k, l = p._t, m._t, u.kappa._t, u.lam._t
+        if t_add(a11, a22) != t_add(p, m):
             v.append(f"trace at point {i + 1} is not nu+ + nu-")
-        if a11 * a22 - a12 * a21 != p * m:
+        if t_sub(t_mul(a11, a22), t_mul(a12, a21)) != t_mul(p, m):
             v.append(f"determinant at point {i + 1} is not nu+ * nu-")
-        k, l = _flag_vector(t.structure.flags[i])
-        if (a11 * k + a12 * l != p * k) or (a21 * k + a22 * l != p * l):
+        if t_add(t_mul(a11, k), t_mul(a12, l)) != t_mul(p, k) or (
+            t_add(t_mul(a21, k), t_mul(a22, l)) != t_mul(p, l)
+        ):
             v.append(f"flag at point {i + 1} is not a nu+ eigenline")
     for r, d in ((0, d0), (1, d1)):
-        total = sum((m[r][r] for m in t.connection.residues), ZERO)
-        if total != sc(-d):
-            v.append(f"sum of A{r + 1}{r + 1} residues is {total}, expected {-d}")
+        total = T_ZERO
+        for m in res:
+            total = t_add(total, m[r][r])
+        if total != (-d, 0, 1):
+            v.append(f"sum of A{r + 1}{r + 1} residues is {Scalar._wrap(total)}, expected {-d}")
+    # the (21) tail adds ``G21 * prod (z - z_j)``, of degree at most the (21)
+    # bound, so the residue part alone decides a degree above the bound
     for (r, c), bound in offdiag_bounds(bundle):
-        deg = t.connection.numerator(r, c, t.cfg).degree()
+        num = t.connection._residue_numerator(r, c, t.cfg)
+        deg = max((k for k, (a, b, _) in enumerate(num) if a or b), default=-1)
         if deg > bound:
             v.append(f"({r + 1}{c + 1}) numerator degree {deg} exceeds {bound}")
     return (not v, v)
@@ -221,7 +240,8 @@ class ConnectionSpace:
     numbers bracket the same two-dimensional fiber.  Both are computed when
     read.  ``parts`` holds the ``(C_i, D_i)`` of every point; a solution
     vector ``(x_0..x_4, tail)`` becomes the connection with residues
-    ``C_i + x_i D_i``.
+    ``C_i + x_i D_i``.  ``particular``, ``basis`` and ``parts`` are
+    ``_kernel`` triples.
     """
 
     def __init__(self, structure, cfg, nu, labels, particular, basis, parts):
@@ -242,20 +262,20 @@ class ConnectionSpace:
         # the diagonal sums are rows of the solved system, so they are
         # consistent and leave the unknowns minus their rank
         ntail = len(self.labels) - NPOINTS
-        diag = [[D[r][r] for _, D in self.parts] + [ZERO] * ntail for r in (0, 1)]
-        return len(self.labels) - Mat(diag).rank()
+        diag = [[D[r][r] for _, D in self.parts] + [T_ZERO] * ntail for r in (0, 1)]
+        return len(self.labels) - mat_rank(diag, 2, len(self.labels))
 
     @property
     def dim_mod_gauge(self) -> int:
         return self.dim - (stabilizer_dim(self.structure, self.cfg) - 1)
 
-    def vector_at(self, params) -> list[Scalar]:
-        params = [sc(p) for p in params]
+    def vector_at(self, params) -> list:
+        params = [sc(p)._t for p in params]
         if len(params) != self.dim:
             raise ExactError(f"expected {self.dim} free parameters")
         vec = list(self.particular)
         for p, bvec in zip(params, self.basis):
-            vec = [v + p * b for v, b in zip(vec, bvec)]
+            vec = [t_add(v, t_mul(p, b)) for v, b in zip(vec, bvec)]
         return vec
 
     def connection_at(self, params) -> LogConnection:
@@ -266,23 +286,27 @@ class ConnectionSpace:
 
     def _build(self, values) -> LogConnection:
         mats = [
-            tuple(tuple(c + x * d for c, d in zip(crow, drow)) for crow, drow in zip(C, D))
+            tuple(
+                tuple(t_add(c, t_mul(x, d)) for c, d in zip(crow, drow))
+                for crow, drow in zip(C, D)
+            )
             for (C, D), x in zip(self.parts, values)
         ]
-        tail = values[NPOINTS:]
-        return LogConnection(
+        tail = [Scalar._wrap(x) for x in values[NPOINTS:]]
+        return LogConnection._of(
             self.structure.bundle, mats, Poly(tail, bound=len(tail) - 1) if tail else None
         )
 
 
-def _residue_parts(p: Scalar, m: Scalar, u: ProjectivePoint):
+def _residue_parts(p, m, u: ProjectivePoint):
     """``(C, D)`` such that the residues with eigenvalues ``(p, m)`` and the
     flag ``u`` as ``p``-eigenline are exactly ``C + x*D``, ``x`` free: the
-    (12) entry at a finite flag ``t``, the (21) entry at an infinite one."""
+    (12) entry at a finite flag ``t``, the (21) entry at an infinite one.
+    The eigenvalues and the parts are triples."""
     if u.is_infinity():
-        return ((m, ZERO), (ZERO, p)), ((ZERO, ZERO), (ONE, ZERO))
-    t = u.value
-    return ((p, ZERO), (t * (p - m), m)), ((-t, ONE), (-t * t, t))
+        return ((m, T_ZERO), (T_ZERO, p)), ((T_ZERO, T_ZERO), (T_ONE, T_ZERO))
+    t = u.value._t
+    return ((p, T_ZERO), (t_mul(t, t_sub(p, m)), m)), ((t_neg(t), T_ONE), (t_neg(t_mul(t, t)), t))
 
 
 def solve_connection_space(
@@ -313,7 +337,7 @@ def solve_connection_space(
         )
     ntail = max(d1 - d0 - 1, 0)
     labels = [("x", i) for i in range(NPOINTS)] + [("g", k) for k in range(ntail)]
-    parts = [_residue_parts(*nu.nu[i], structure.flags[i]) for i in range(NPOINTS)]
+    parts = [_residue_parts(p._t, m._t, u) for (p, m), u in zip(nu.nu, structure.flags)]
     (fwd, den), _ = cfg.numerator_maps()
     top = NPOINTS - 1
     prescribed = [((0, 0), top, -d0), ((1, 1), top, -d1)] + [
@@ -323,13 +347,12 @@ def solve_connection_space(
     ]
     rows, rhs = [], []
     for (r, c), k, value in prescribed:
-        (const,) = t_matvec([fwd[k]], 1, [C[r][c]._t for C, _ in parts])
+        (const,) = t_matvec([fwd[k]], 1, [C[r][c] for C, _ in parts])
         rows.append(
-            [Scalar._wrap(t_mul((a, b, 1), D[r][c]._t)) for (a, b), (_, D) in zip(fwd[k], parts)]
-            + [ZERO] * ntail
+            [t_mul((a, b, 1), D[r][c]) for (a, b), (_, D) in zip(fwd[k], parts)] + [T_ZERO] * ntail
         )
-        rhs.append(Scalar._wrap(t_sub((den * value, 0, 1), const)))
-    full = Mat(rows).solve_affine(rhs)
+        rhs.append(t_sub((den * value, 0, 1), const))
+    full = mat_solve_affine(rows, rhs, len(rows), len(labels))
     if full is None:
         return None
     particular, basis = full
@@ -364,9 +387,9 @@ def _numerators(t: FlatTriple) -> list[Poly]:
     return [t.connection.numerator(r, c, t.cfg) for r, c in _ENTRIES]
 
 
-def residues_and_tail(num: Poly, cfg: MarkedConfiguration) -> tuple[list[Scalar], Poly]:
+def residues_and_tail(num: Poly, cfg: MarkedConfiguration) -> tuple[list, Poly]:
     """Inverse of ``LogConnection.numerator``: the residues
-    ``N(z_i) / prod_{j != i} (z_i - z_j)`` and the tail
+    ``N(z_i) / prod_{j != i} (z_i - z_j)``, as triples, and the tail
     ``N div prod (z - z_j)`` of the entry with cleared numerator ``N``."""
     node, _ = cfg.pole_products()
     _, (rows, den) = cfg.numerator_maps()
@@ -378,8 +401,7 @@ def residues_and_tail(num: Poly, cfg: MarkedConfiguration) -> tuple[list[Scalar]
         if not q.is_zero():
             for k, c in enumerate(node.coeffs[:NPOINTS], len(rem) - NPOINTS):
                 rem[k] = rem[k] - q * c
-    residues = [Scalar._wrap(x) for x in t_matvec(rows, den, [c._t for c in rem])]
-    return residues, Poly(quot[::-1])
+    return t_matvec(rows, den, [c._t for c in rem]), Poly(quot[::-1])
 
 
 def _divide_exact(num: Poly, zj: Scalar) -> Poly:
@@ -404,7 +426,7 @@ def _from_numerators(bundle, cfg, nums) -> LogConnection:
         ((cols[0, 0][i], cols[0, 1][i]), (cols[1, 0][i], cols[1, 1][i]))
         for i in range(NPOINTS)
     ]
-    return LogConnection(bundle, mats, g21)
+    return LogConnection._of(bundle, mats, g21)
 
 
 def elm_triple(t: FlatTriple, j: int) -> FlatTriple:

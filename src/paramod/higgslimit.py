@@ -12,11 +12,13 @@ nilpotent Higgs fields on the (0, 1) split, modeled as two glued blown-up
 planes.
 
 The marked zeros of a Higgs field's theta are found once, by the
-strong-parabolicity check of ``StronglyParabolicHiggs``, and the limit point
-is read off them in canonical form.  Strong parabolicity lets the flag leave
-the lower summand only at a marked zero of theta, so a fixed point's flag
-choices are checked against the marked zeros of its own theta; with that
-check the F1 fiber dimension needs no evaluation.
+strong-parabolicity check of ``StronglyParabolicHiggs``, as the zero residues
+of one product with the configuration's inverse numerator map, and the limit
+point is read off them in canonical form.  Strong parabolicity lets the flag
+leave the lower summand only at a marked zero of theta, so a fixed point's
+flag choices are checked against the marked zeros of its own theta; with
+that check the F1 fiber dimension needs no evaluation, and the F0 fiber
+dimension is two by a divided-difference identity, with no solve.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from ._kernel import ZI_ZERO, zi_dot
-from .connection import FlatTriple, LogConnection, offdiag_bounds, solve_connection_space
+from ._kernel import ZI_ZERO, t_matvec, zi_dot
+from .connection import FlatTriple, LogConnection, offdiag_bounds
 from .exactnum import (
     INF,
     ExactError,
@@ -44,7 +46,6 @@ from .parastruct import (
     MarkedConfiguration,
     ParabolicStructure,
     _normalize_projective,
-    bprime_generic_representative,
 )
 from .spectra import SpectrumRank2
 from .stability import (
@@ -129,7 +130,7 @@ class StronglyParabolicHiggs:
         self.bundle = bundle
         self.structure = structure
         self.cfg = cfg
-        self.marked_zeros = tuple(i for i, z in enumerate(cfg.z) if self.theta(z).is_zero())
+        self.marked_zeros = _zeros_at_marked_points(self.theta.coeffs, cfg)
         for i, u in enumerate(structure.flags):
             if i not in self.marked_zeros and (u.is_infinity() or not u.value.is_zero()):
                 raise HiggsError(
@@ -143,6 +144,16 @@ class StronglyParabolicHiggs:
             "structure": self.structure.to_json(),
             "theta": [str(c) for c in self.theta.coeffs],
         }
+
+
+def _zeros_at_marked_points(coeffs, cfg: MarkedConfiguration) -> tuple[int, ...]:
+    """The indices ``i`` with ``theta(z_i) = 0`` for the polynomial theta of
+    degree <= 4 with Scalar coefficients ``coeffs``, by one product with the
+    inverse numerator map: its ``r_i = theta(z_i) / prod_{j != i} (z_i - z_j)``
+    is zero exactly where ``theta(z_i)`` is."""
+    _, (rows, den) = cfg.numerator_maps()
+    r = t_matvec(rows, den, [c._t for c in coeffs])
+    return tuple(i for i, (a, b, _) in enumerate(r) if a == 0 and b == 0)
 
 
 def higgs_is_stable(
@@ -358,8 +369,7 @@ def _marked_zeros(p: FixedLocusPoint, cfg: MarkedConfiguration) -> tuple[int, ..
     does not vanish, so a flag choice at any other point raises.
     """
     if p.exceptional_index is None:
-        theta = Poly(list(p.theta), bound=2)
-        marked = tuple(i for i, z in enumerate(cfg.z) if theta(z).is_zero())
+        marked = _zeros_at_marked_points(p.theta, cfg)
     else:
         marked = tuple(sorted({p.exceptional_index, _marked_index(p.tangent, cfg)} - {None}))
     for i, _ in p.flag_choice:
@@ -606,10 +616,19 @@ def fiber_dimension(
     """Dimension of the fiber of the limit map over a fixed point.
 
     For F0 this is the dimension of the connection space on the unique
-    indecomposable structure of the (-1, 2) split (the two tail
-    coefficients).  For F1 the flags vary with the upper residue data pinned
-    by the Higgs field: per marked point one parameter survives, the diagonal
-    trace-sum cuts one dimension and the effective gauge group two more.
+    indecomposable structure ``u_i = z_i^4`` of the (-1, 2) split, which is
+    two, the two tail coefficients, with no solve.  ``N12`` has degree
+    <= 0, a constant ``c``, so the (12) residues are
+    ``x_i = c / prod_{j != i} (z_i - z_j)``.  The (11) diagonal row then reads
+    ``sum nu+_i - c * sum z_i^4 / prod_{j != i} (z_i - z_j) = 1``, and that
+    sum is the top divided difference of ``z^4``, which is 1, so ``c`` is
+    fixed; the (22) row agrees with it by the Fuchs relation
+    ``sum (nu+_i + nu-_i) = -1``, and ``N21``, bounded by 6, gives no row.
+    The five unknowns are pinned and the tail is free.
+
+    For F1 the flags vary with the upper residue data pinned by the Higgs
+    field: per marked point one parameter survives, the diagonal trace-sum
+    cuts one dimension and the effective gauge group two more.
 
     The trace-sum constraint always has rank one.  At a point with a lower
     flag the surviving unknown enters it with minus the (12) residue
@@ -621,10 +640,7 @@ def fiber_dimension(
     if nu.d != 1:
         raise HiggsError("fiber dimensions are computed at degree 1")
     if p.component == "F0":
-        space = solve_connection_space(bprime_generic_representative(cfg), cfg, nu)
-        if space is None:
-            raise HiggsError("empty connection space over the F0 structure")
-        return space.dim
+        return 2
     if p.flag_choice:
         _marked_zeros(p, cfg)
     gauge = 2  # automorphism directions acting effectively on the fiber

@@ -34,6 +34,14 @@ evaluated afresh, then canonicalized, is the reference for the canonical
 limit point read off the zeros the Higgs datum holds.  The cleared
 ``(nabla s) wedge s`` of a section is the check that a line is
 connection-invariant, against which the irreducibility screen is tested.
+Gauss-Jordan elimination with a normalized product and a normalized
+difference in every column is the reference for the kernel's one
+normalization per update over the pivot row's nonzero columns; the
+connection solve through ``Mat.solve_affine`` with every row entry a Scalar,
+the triple summed on Scalars and the validation on Scalars are the
+references for the connection pipeline on triples, and the solved connection
+space on the generic B' structure the reference for the F0 fiber dimension
+read off without a solve.
 The last helpers build test inputs the package itself does not need: the
 identity rows, a matrix product, the connections at a space's basis points
 and the balanced middle-convolution branch.
@@ -41,8 +49,16 @@ and the balanced middle-convolution branch.
 
 from itertools import combinations, product
 
-from paramod._kernel import T_ONE, T_ZERO, t_div, t_mul, t_neg, t_sub
-from paramod.connection import ConnectionError, _numerators, _residue_parts, degree_bounds
+from paramod._kernel import T_ONE, T_ZERO, t_div, t_inv, t_mul, t_neg, t_sub
+from paramod.connection import (
+    ConnectionError,
+    FlatTriple,
+    LogConnection,
+    _numerators,
+    degree_bounds,
+    offdiag_bounds,
+    solve_connection_space,
+)
 from paramod.exactnum import INF, ONE, ZERO, Mat, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
 from paramod.higgslimit import (
     FixedLocusPoint,
@@ -60,6 +76,7 @@ from paramod.parastruct import (
     NPOINTS,
     ParabolicStructure,
     _normalize_projective,
+    bprime_generic_representative,
 )
 from paramod.spectra import MCBranch, SpectrumRank2
 from paramod.stability import (
@@ -329,6 +346,41 @@ def oracle_rank(rows, nrows, ncols):
         if row == nrows:
             break
     return rank
+
+
+def oracle_rref(rows, nrows, ncols):
+    """Gauss-Jordan elimination as ``_kernel.mat_rref`` returns it,
+    ``(rows, pivots, product)``, with every update ``m[i][j] - f * p[j]``
+    taken as a normalized product and a normalized difference over every
+    column."""
+    m = [list(r) for r in rows]
+    pivots = []
+    product = T_ONE
+    row = 0
+    for col in range(ncols):
+        pivot_row = -1
+        for i in range(row, nrows):
+            if not _t_is_zero(m[i][col]):
+                pivot_row = i
+                break
+        if pivot_row < 0:
+            continue
+        if pivot_row != row:
+            m[row], m[pivot_row] = m[pivot_row], m[row]
+            product = t_neg(product)
+        pivot = m[row][col]
+        product = t_mul(product, pivot)
+        inv = t_inv(pivot)
+        m[row] = [t_mul(inv, v) for v in m[row]]
+        for i in range(nrows):
+            if i != row and not _t_is_zero(m[i][col]):
+                f = m[i][col]
+                m[i] = [t_sub(m[i][j], t_mul(f, m[row][j])) for j in range(ncols)]
+        pivots.append(col)
+        row += 1
+        if row == nrows:
+            break
+    return m, pivots, product
 
 
 def rand_triple_matrix(rng, nrows, ncols):
@@ -646,16 +698,17 @@ def oracle_gauge_dims(space):
     ntail = len(space.labels) - NPOINTS
     rows, rhs = [], []
     for r, target in ((0, -bundle.d0), (1, -bundle.d1)):
-        rows.append([D[r][r] for _, D in space.parts] + [ZERO] * ntail)
-        rhs.append(sc(target) - sum((C[r][r] for C, _ in space.parts), ZERO))
+        rows.append([Scalar._wrap(D[r][r]) for _, D in space.parts] + [ZERO] * ntail)
+        rhs.append(sc(target) - sum((Scalar._wrap(C[r][r]) for C, _ in space.parts), ZERO))
     before = Mat(rows).solve_affine(rhs)
     dim_before = len(before[1]) if before is not None else -1
     return dim_before, space.dim - (oracle_stabilizer_dim(space.structure, space.cfg) - 1)
 
 
 def oracle_solve_connection_space(structure, cfg, nu):
-    """``(particular, basis, dim_before_gauge)`` of the connection space, or
-    None when it is empty, from constraint rows built one entry at a time:
+    """``(particular, basis, dim_before_gauge)`` of the connection space, the
+    vectors as triples, or None when it is empty, from constraint rows built
+    one entry at a time:
     ``sum_i w_i (A_i)_rc = target`` with unit weights for the diagonal sums
     and the weights ``[z^k] prod_{j != i} (z - z_j)`` of the pole products,
     rebuilt from the roots, for the off-diagonal coefficients from ``k = 4``
@@ -663,7 +716,7 @@ def oracle_solve_connection_space(structure, cfg, nu):
     bundle = structure.bundle
     d0, d1 = bundle.d0, bundle.d1
     ntail = max(d1 - d0 - 1, 0)
-    parts = [_residue_parts(*nu.nu[i], structure.flags[i]) for i in range(NPOINTS)]
+    parts = [oracle_residue_parts(*nu.nu[i], structure.flags[i]) for i in range(NPOINTS)]
 
     def row(r, c, weights, target):
         const = sum((w * C[r][c] for w, (C, _) in zip(weights, parts)), ZERO)
@@ -679,7 +732,88 @@ def oracle_solve_connection_space(structure, cfg, nu):
     if full is None:
         return None
     diag = [[x._t for x in coeffs] for coeffs, _ in rows[:2]]
-    return full[0], full[1], NPOINTS + ntail - oracle_rank(diag, 2, NPOINTS + ntail)
+    particular = [x._t for x in full[0]]
+    basis = [[x._t for x in vec] for vec in full[1]]
+    return particular, basis, NPOINTS + ntail - oracle_rank(diag, 2, NPOINTS + ntail)
+
+
+def oracle_residue_parts(p, m, u):
+    """``(C, D)`` on Scalars: the residues with eigenvalues ``(p, m)`` and
+    the flag ``u`` as ``p``-eigenline are ``C + x*D``."""
+    if u.is_infinity():
+        return ((m, ZERO), (ZERO, p)), ((ZERO, ZERO), (ONE, ZERO))
+    t = u.value
+    return ((p, ZERO), (t * (p - m), m)), ((-t, ONE), (-t * t, t))
+
+
+def oracle_connection_solve(structure, cfg, nu):
+    """``(particular, basis, parts)`` of the connection space on Scalars, or
+    None when it is empty: the rows read off the forward numerator map, every
+    entry a Scalar, solved by ``Mat.solve_affine``."""
+    bundle = structure.bundle
+    ntail = max(bundle.d1 - bundle.d0 - 1, 0)
+    parts = [oracle_residue_parts(*nu.nu[i], structure.flags[i]) for i in range(NPOINTS)]
+    (fwd, den), _ = cfg.numerator_maps()
+    top = NPOINTS - 1
+    prescribed = [((0, 0), top, -bundle.d0), ((1, 1), top, -bundle.d1)] + [
+        (rc, k, 0) for rc, bound in offdiag_bounds(bundle) for k in range(top, max(bound, -1), -1)
+    ]
+    rows, rhs = [], []
+    for (r, c), k, value in prescribed:
+        weights = [Scalar(a, b) for a, b in fwd[k]]
+        const = sum((w * C[r][c] for w, (C, _) in zip(weights, parts)), ZERO)
+        rows.append([w * D[r][c] for w, (_, D) in zip(weights, parts)] + [ZERO] * ntail)
+        rhs.append(sc(den * value) - const)
+    full = Mat(rows).solve_affine(rhs)
+    return None if full is None else (*full, parts)
+
+
+def oracle_triple_at(structure, cfg, nu, solved, params) -> FlatTriple:
+    """The flat triple at ``params`` of an ``oracle_connection_solve``
+    result, the solution vector and every residue ``C_i + x_i D_i`` summed on
+    Scalars and the connection built by the public constructor."""
+    particular, basis, parts = solved
+    vec = list(particular)
+    for p, bvec in zip(params, basis):
+        vec = [v + sc(p) * b for v, b in zip(vec, bvec)]
+    mats = [
+        [[c + x * d for c, d in zip(crow, drow)] for crow, drow in zip(C, D)]
+        for (C, D), x in zip(parts, vec)
+    ]
+    tail = vec[NPOINTS:]
+    conn = LogConnection(structure.bundle, mats, Poly(tail, bound=len(tail) - 1) if tail else None)
+    return FlatTriple(structure, nu, conn, cfg)
+
+
+def oracle_validate_triple(t) -> tuple[bool, list[str]]:
+    """``validate_triple`` on Scalars: the residues as the public accessor
+    gives them and the degrees of the cleared numerator polynomials."""
+    v = []
+    bundle = t.connection.bundle
+    d0, d1 = bundle.d0, bundle.d1
+    if t.structure.bundle != bundle:
+        v.append("structure and connection bundles differ")
+    if t.spectrum.d != d0 + d1:
+        v.append(f"spectrum degree {t.spectrum.d} != bundle degree {d0 + d1}")
+    for i in range(NPOINTS):
+        ((a11, a12), (a21, a22)) = t.connection.residues[i]
+        p, m = t.spectrum.nu[i]
+        if a11 + a22 != p + m:
+            v.append(f"trace at point {i + 1} is not nu+ + nu-")
+        if a11 * a22 - a12 * a21 != p * m:
+            v.append(f"determinant at point {i + 1} is not nu+ * nu-")
+        k, l = t.structure.flags[i].kappa, t.structure.flags[i].lam
+        if (a11 * k + a12 * l != p * k) or (a21 * k + a22 * l != p * l):
+            v.append(f"flag at point {i + 1} is not a nu+ eigenline")
+    for r, d in ((0, d0), (1, d1)):
+        total = sum((m[r][r] for m in t.connection.residues), ZERO)
+        if total != sc(-d):
+            v.append(f"sum of A{r + 1}{r + 1} residues is {total}, expected {-d}")
+    for (r, c), bound in offdiag_bounds(bundle):
+        deg = t.connection.numerator(r, c, t.cfg).degree()
+        if deg > bound:
+            v.append(f"({r + 1}{c + 1}) numerator degree {deg} exceeds {bound}")
+    return (not v, v)
 
 
 def sample_universe(cfg, generic):
@@ -740,11 +874,17 @@ def oracle_theta_poly(p, cfg) -> Poly:
 
 
 def oracle_fiber_dimension(p, cfg, nu) -> int:
-    """The F1 fiber dimension from the rank of the trace-sum constraint,
-    found point by point from theta evaluated at every marked point; an
-    inconsistent constraint raises."""
-    if nu.d != 1 or p.component != "F1":
-        raise HiggsError("the oracle covers F1 points at degree 1")
+    """The fiber dimension at degree 1: over F0 the dimension of the solved
+    connection space on the generic B' structure, over F1 the rank of the
+    trace-sum constraint, found point by point from theta evaluated at every
+    marked point; an empty space or an inconsistent constraint raises."""
+    if nu.d != 1:
+        raise HiggsError("the oracle covers degree 1")
+    if p.component == "F0":
+        space = solve_connection_space(bprime_generic_representative(cfg), cfg, nu)
+        if space is None:
+            raise HiggsError("empty connection space over the F0 structure")
+        return space.dim
     theta = oracle_theta_poly(p, cfg)
     choice = dict(p.flag_choice)
     rank = 0  # of the trace-sum constraint on the surviving unknowns
@@ -810,7 +950,7 @@ def free_tail_only(space) -> bool:
     """Whether every free direction of a connection space is supported on
     its tail coordinates."""
     return all(
-        val.is_zero() or label[0] == "g"
+        _t_is_zero(val) or label[0] == "g"
         for vec in space.basis
         for val, label in zip(vec, space.labels)
     )

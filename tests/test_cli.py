@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import paramod
+from paramod import higgslimit
 from paramod.cli import build_parser, main
 from paramod.exactnum import Poly, PreconditionError
 from paramod.higgslimit import HiggsError
@@ -477,20 +478,24 @@ class TestPipelines:
         assert again["point"] == data["point"]
 
     def test_canonicalize_evaluates_theta_once(self, capsys, tmp_path, monkeypatch):
-        # a line point is canonicalized once: theta at the five marked points,
-        # where checking the removed locus canonicalized it a second time
-        calls = []
-        real = Poly.__call__
+        # a line point is canonicalized once: one search for theta's marked
+        # zeros, where checking the removed locus canonicalized it a second
+        # time, and no evaluation of theta
+        calls, searches = [], []
+        real, real_zeros = Poly.__call__, higgslimit._zeros_at_marked_points
 
         def call(poly, x):
             calls.append(x)
             return real(poly, x)
 
         monkeypatch.setattr(Poly, "__call__", call)
+        monkeypatch.setattr(
+            higgslimit, "_zeros_at_marked_points", lambda c, cfg: searches.append(c) or real_zeros(c, cfg)
+        )
         f = tmp_path / "p.json"
         f.write_text(json.dumps({"component": "F1", "chart": "top", "theta": ["1", "1", "1"]}))
         code, out = run(capsys, "canonicalize", "--json", str(f), "--z", Z)
-        assert (code, len(calls)) == (0, 5), calls
+        assert (code, len(searches), len(calls)) == (0, 1, 0), calls
         assert out == (
             '{"in_removed_locus": false, "point": {"chart": "top", "component": "F1", '
             '"flagChoice": {}, "theta": ["1", "1", "1"], "zeros": null}}\n'

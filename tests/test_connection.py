@@ -6,15 +6,20 @@ from helpers import (
     basis_connections,
     free_tail_only,
     oracle_cleared_numerator,
+    oracle_connection_solve,
     oracle_gauge_dims,
     oracle_solve_connection_space,
+    oracle_triple_at,
+    oracle_validate_triple,
     rand_config,
     rand_nonspecial_spectrum,
     rand_nonspecial_weight,
     rand_rational,
+    rand_u2_indecomposable,
+    rand_ui_indecomposable,
     verify_invariant_line,
 )
-from paramod import connection, higgslimit
+from paramod import _kernel, connection, exactnum, higgslimit
 from paramod.connection import (
     ConnectionError,
     FlatTriple,
@@ -27,7 +32,7 @@ from paramod.connection import (
     solve_connection_space,
     validate_triple,
 )
-from paramod.exactnum import INF, ExactError, Mat, Poly, Scalar, sc
+from paramod.exactnum import INF, ExactError, Poly, Scalar, sc
 from paramod.parastruct import (
     B,
     BundleSplitType,
@@ -198,7 +203,7 @@ class TestSolveConnectionSpace:
                     for conn in basis_connections(space):
                         for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
                             residues, tail = residues_and_tail(conn.numerator(r, c, cfg), cfg)
-                            assert residues == [m[r][c] for m in conn.residues]
+                            assert residues == [m[r][c]._t for m in conn.residues]
                             assert tail == (conn.tail if (r, c) == (1, 0) else Poly.zero(-1))
                             tails += not tail.is_zero()
             for deg in range(-1, 8):
@@ -211,7 +216,7 @@ class TestSolveConnectionSpace:
                 assert tail.degree() == max(deg - 5, -1)
                 rebuilt = tail * node
                 for res, partial in zip(residues, partials):
-                    rebuilt = rebuilt + res * partial
+                    rebuilt = rebuilt + Scalar._wrap(res) * partial
                 assert rebuilt == num
         assert tails > 0
 
@@ -333,8 +338,8 @@ class TestGaugeCounts:
 
     def test_pipeline_solves_once_and_reads_no_rank(self, monkeypatch):
         # solve -> triple -> validate -> limit -> fiber on one B and one B'
-        # input: one solve_affine per solved space, whose gauge counts are
-        # not read, and no rank
+        # input: one elimination per solved space, whose gauge counts are not
+        # read, no rank, and no second solve for the F0 fiber
         rng = random.Random(31)
         inputs = [
             (s, spectrum_deg1(rng), rand_nonspecial_weight(rng, total_below=1))
@@ -349,11 +354,15 @@ class TestGaugeCounts:
 
             return wrapper
 
-        monkeypatch.setattr(Mat, "solve_affine", counted("solve_affine", Mat.solve_affine))
-        monkeypatch.setattr(Mat, "rank", counted("rank", Mat.rank))
-        solve = counted("space", connection.solve_connection_space)
-        monkeypatch.setattr(connection, "solve_connection_space", solve)
-        monkeypatch.setattr(higgslimit, "solve_connection_space", solve)
+        # every module that binds the kernel's solver or rank by name
+        solve_affine = counted("solve_affine", _kernel.mat_solve_affine)
+        rank = counted("rank", _kernel.mat_rank)
+        for mod in (_kernel, connection, exactnum):
+            monkeypatch.setattr(mod, "mat_solve_affine", solve_affine)
+            monkeypatch.setattr(mod, "mat_rank", rank)
+        monkeypatch.setattr(
+            connection, "solve_connection_space", counted("space", connection.solve_connection_space)
+        )
         for s, nu, w in inputs:
             space = connection.solve_connection_space(s, CFG, nu)
             t = space.triple_at([1, 2])
@@ -361,7 +370,7 @@ class TestGaugeCounts:
             res = higgslimit.cstar_limit(t, w)
             assert higgslimit.fiber_dimension(res.point, CFG, nu) == 2
         assert calls["rank"] == 0
-        assert calls["space"] == 3  # the F0 fiber solves its own space
+        assert calls["space"] == 2
         assert calls["solve_affine"] == calls["space"]
 
 
@@ -460,6 +469,127 @@ class TestValidateTriple:
         ok, violations = validate_triple(FlatTriple(s, swapped, conn, CFG))
         assert not ok
         assert any("eigenline" in msg for msg in violations)
+
+
+def _triples(vec):
+    return [x._t for x in vec]
+
+
+def _check_against_scalar_oracles(s, cfg, nu, params):
+    """The solved space, the triple at ``params`` and its validation against
+    the Scalar solve, triple and validation; the triple, or None when the
+    space is empty."""
+    space = solve_connection_space(s, cfg, nu)
+    solved = oracle_connection_solve(s, cfg, nu)
+    if space is None:
+        assert solved is None
+        return None
+    particular, basis, parts = solved
+    assert space.particular == _triples(particular)
+    assert space.basis == [_triples(vec) for vec in basis]
+    assert space.parts == [
+        tuple(tuple(tuple(x._t for x in row) for row in mat) for mat in part) for part in parts
+    ]
+    t = space.triple_at(params)
+    expected = oracle_triple_at(s, cfg, nu, solved, params)
+    assert t.connection == expected.connection
+    assert t.to_json() == expected.to_json()
+    assert validate_triple(t) == oracle_validate_triple(t) == oracle_validate_triple(expected)
+    return t
+
+
+class TestScalarOracles:
+    """The connection pipeline on triples against the Scalar solve through
+    ``Mat.solve_affine``, the Scalar triple and the Scalar validation."""
+
+    def test_every_split(self):
+        # the splits and flags of TestGaugeCounts, at the particular solution,
+        # each unit vector and a random point
+        rng = random.Random(29)
+        solved = set()
+        for d in (-1, 0, 1, 2):
+            for bundle in degree_bounds(d).splits:
+                for n_inf in (0, 1, 2):
+                    flags = [INF] * n_inf + [rand_rational(rng, -30, 30, 6) for _ in range(5 - n_inf)]
+                    s = ParabolicStructure(bundle, flags)
+                    nu = rand_nonspecial_spectrum(rng, d=d)
+                    space = solve_connection_space(s, CFG, nu)
+                    if space is None:
+                        assert _check_against_scalar_oracles(s, CFG, nu, []) is None
+                        continue
+                    solved.add(bundle)
+                    points = [[0] * space.dim] + [
+                        [int(i == k) for i in range(space.dim)] for k in range(space.dim)
+                    ]
+                    points.append([rand_rational(rng, -4, 4, 3) for _ in range(space.dim)])
+                    for params in points:
+                        assert validate_triple(_check_against_scalar_oracles(s, CFG, nu, params))[0]
+        assert solved == {b for d in (-1, 0, 1, 2) for b in degree_bounds(d).splits}
+
+    def test_criterion_09_sample(self):
+        # the inputs of acceptance criterion 09, drawn in its order
+        rng = random.Random(9009)
+        for done in range(100):
+            if done % 4 == 3:
+                s = bprime_generic_representative(CFG)
+            elif done % 5 == 1:
+                s = rand_ui_indecomposable(rng, CFG, done % 5)
+            else:
+                s = rand_u2_indecomposable(rng, CFG)
+            nu = rand_nonspecial_spectrum(rng, d=1)
+            params = [rand_rational(rng, -4, 4, 2) for _ in range(2)]
+            assert validate_triple(_check_against_scalar_oracles(s, CFG, nu, params))[0]
+            # the weight and gauge parameters the criterion draws next
+            rand_nonspecial_weight(rng, total_below=1)
+            if done % 10 == 0:
+                for _ in range(2 if done % 4 != 3 else 4):
+                    rand_rational(rng, -3, 3, 2)
+
+    def test_every_violation_message(self):
+        # solved triples on every split of degrees -1..2, each residue entry
+        # moved at each point (moving the free entry at the infinite flag
+        # can leave the triple valid), the eigenvalues swapped, the bundle of the
+        # structure changed and the spectrum degree shifted: the violations
+        # and their order equal the Scalar validation's, and every message
+        # fires
+        rng = random.Random(37)
+        fired = set()
+        for d in (-1, 0, 1, 2):
+            for bundle in degree_bounds(d).splits:
+                s = ParabolicStructure(bundle, [INF] + [rand_rational(rng, -30, 30, 6) for _ in range(4)])
+                nu = rand_nonspecial_spectrum(rng, d=d)
+                space = solve_connection_space(s, CFG, nu)
+                if space is None:
+                    continue
+                t = space.triple_at([rand_rational(rng, -4, 4, 3) for _ in range(space.dim)])
+                conn = t.connection
+                bad = []
+                for i in range(5):
+                    for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                        mats = [list(map(list, m)) for m in conn.residues]
+                        mats[i][r][c] = mats[i][r][c] + rand_rational(rng, 1, 9, 4)
+                        moved = LogConnection(conn.bundle, mats, conn.tail)
+                        bad.append(FlatTriple(s, nu, moved, CFG))
+                bad.append(FlatTriple(s, SpectrumRank2([(m, p) for p, m in nu.nu], d), conn, CFG))
+                other = BundleSplitType(bundle.d0 - 1, bundle.d1 + 1)
+                bad.append(FlatTriple(ParabolicStructure(other, s.flags), nu, conn, CFG))
+                shifted = [*nu.nu[:4], (nu.nu[4][0], nu.nu[4][1] - 1)]
+                bad.append(FlatTriple(s, SpectrumRank2(shifted, d + 1), conn, CFG))
+                for b in bad:
+                    ok, violations = validate_triple(b)
+                    assert (ok, violations) == oracle_validate_triple(b)
+                    fired.update(msg.split(" at point")[0].split(" residues")[0] for msg in violations)
+        assert {
+            "structure and connection bundles differ",
+            "trace",
+            "determinant",
+            "flag",
+            "sum of A11",
+            "sum of A22",
+        } <= fired, fired
+        assert any(m.startswith("spectrum degree") for m in fired), fired
+        assert any(m.startswith("(12) numerator degree") for m in fired), fired
+        assert any(m.startswith("(21) numerator degree") for m in fired), fired
 
 
 class TestIrreducibilityScreen:

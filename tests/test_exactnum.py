@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from helpers import mat_product, oracle_det, oracle_rank, rand_triple_matrix, unit_vectors
+from helpers import mat_product, oracle_det, oracle_rank, oracle_rref, rand_triple_matrix, unit_vectors
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paramod._kernel import T_ZERO, mat_rref
 from paramod.exactnum import (
     INF,
     ExactError,
@@ -188,6 +189,26 @@ class TestRank:
             rows = rand_triple_matrix(rng, nrows, ncols)
             m = Mat([[Scalar._wrap(t) for t in row] for row in rows])
             assert m.rank() == oracle_rank(rows, nrows, ncols), rows
+
+
+class TestRref:
+    def test_matches_two_normalization_oracle(self):
+        # the reduced rows, pivots and signed pivot product of the kernel's
+        # elimination, one normalization per update over the pivot row's
+        # nonzero columns, against the elimination that normalizes the
+        # product and the difference over every column: real and Gaussian,
+        # sparse, with zero rows and forced swaps
+        rng = random.Random(2026)
+        zero_rows = swaps = 0
+        for _ in range(2000):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+            rows = rand_triple_matrix(rng, nrows, ncols)
+            if rng.random() < 0.2:
+                rows[rng.randrange(nrows)] = [T_ZERO] * ncols
+                zero_rows += 1
+            swaps += nrows > 1 and rows[0][0] == T_ZERO and any(r[0] != T_ZERO for r in rows)
+            assert mat_rref(rows, nrows, ncols) == oracle_rref(rows, nrows, ncols), rows
+        assert zero_rows > 300 and swaps > 300, (zero_rows, swaps)
 
 
 class TestInterpolate:

@@ -16,6 +16,7 @@ from helpers import (
     sample_universe,
     universe_point,
 )
+from paramod import higgslimit
 from paramod.connection import (
     LogConnection,
     gauge_transform,
@@ -48,6 +49,7 @@ from paramod.parastruct import (
     bprime_generic_representative,
     is_decomposable,
 )
+from paramod.spectra import SpectrumRank2
 from paramod.stability import WeightVector, _cleared_weights, contact_rows, is_stable, unit_kernels
 
 CFG = MarkedConfiguration([0, 1, 2, 3, 4])
@@ -498,6 +500,22 @@ class TestFiberDimension:
         nu = rand_nonspecial_spectrum(rng, d=1)
         assert fiber_dimension(FixedLocusPoint("F0"), CFG, nu) == 2
 
+    def test_f0_matches_solved_space(self):
+        # the F0 fiber needs no solve: the solved space on u_i = z_i^4 has
+        # dimension 2 on random real configurations with Gaussian spectra
+        rng = random.Random(47)
+        for trial in range(200):
+            cfg = CFG if trial == 0 else rand_config(rng)
+            nu = [
+                tuple(Scalar.gaussian(rng.randint(-9, 9), rng.randint(1, 7), rng.randint(-9, 9),
+                                      rng.randint(1, 7)) for _ in range(2))
+                for _ in range(5)
+            ]
+            nu[4] = (nu[4][0], -sc(1) - sum((p + m for p, m in nu[:4]), nu[4][0]))
+            spectrum = SpectrumRank2(nu, 1)
+            assert fiber_dimension(FixedLocusPoint("F0"), cfg, spectrum) == 2
+            assert oracle_fiber_dimension(FixedLocusPoint("F0"), cfg, spectrum) == 2
+
     def test_f1_generic(self):
         rng = random.Random(37)
         nu = rand_nonspecial_spectrum(rng, d=1)
@@ -656,10 +674,40 @@ class TestLimitOracles:
             assert res.point == oracle_limit_point(res.higgs)
 
 
+class TestMarkedZeros:
+    def test_product_matches_evaluation(self):
+        # thetas with no, one, two and a double marked zero, and linear ones,
+        # scaled by real, Gaussian and purely imaginary factors, on random
+        # configurations: the strong-parabolicity check of the Higgs datum
+        # and the marked zeros of a line point, both read off the inverse
+        # numerator map, against theta evaluated at every marked point
+        rng = random.Random(79)
+        seen = set()
+        for trial in range(500):
+            cfg = rand_config(rng)
+            z = list(cfg.z)
+            roots = [
+                [rand_rational(rng), rand_rational(rng)],
+                [rng.choice(z), rand_rational(rng)],
+                rng.sample(z, 2),
+                [rng.choice(z)] * 2,
+                [rng.choice(z + [rand_rational(rng)])],
+            ][trial % 5]
+            scale = Scalar(*rng.choice([(1, 0), (-3, 2), (0, 1), (0, -5), (2, 7)])) / rng.randint(1, 6)
+            theta = scale * monic_from_roots(roots).shrink(2)
+            expected = tuple(i for i, zi in enumerate(z) if theta(zi).is_zero())
+            h = StronglyParabolicHiggs(B, ParabolicStructure(B, [0] * 5), theta, cfg)
+            assert h.marked_zeros == expected, (roots, z)
+            assert higgslimit._marked_zeros(FixedLocusPoint("F1", "top", theta.coeffs), cfg) == expected
+            seen.add((len(expected), len(roots) == 2 and roots[0] == roots[1]))
+        assert {(0, False), (1, False), (2, False), (1, True)} <= seen, seen
+
+
 class TestThetaEvaluations:
-    """Theta is evaluated once per marked point by a limit, and not at all by
-    the fiber dimension of a point without flag choices; evaluating the
-    marked zeros afresh in each step took up to four passes."""
+    """A limit finds theta's marked zeros once, by one product with the
+    inverse numerator map and no evaluation of theta, and the fiber dimension
+    of a point without flag choices evaluates nothing; evaluating the marked
+    zeros afresh in each step took up to four passes."""
 
     @staticmethod
     def _recorder(monkeypatch):
@@ -678,17 +726,24 @@ class TestThetaEvaluations:
         triples = [solved_b_triple(rng, flags)
                    for flags in (None, None, [INF, 1, 2, 3, 5], [INF, INF, 1, 2, 5])]
         calls = self._recorder(monkeypatch)
+        found = []
+        real_zeros = higgslimit._zeros_at_marked_points
+        monkeypatch.setattr(
+            higgslimit, "_zeros_at_marked_points", lambda c, cfg: found.append(c) or real_zeros(c, cfg)
+        )
         with_zeros = 0
         for t in triples:
             calls.clear()
+            found.clear()
             h = cstar_limit(t, rand_nonspecial_weight(rng, total_below=1)).higgs
             at_zeros = [CFG.z[i] for i in h.marked_zeros]
             with_zeros += bool(at_zeros)
             theta, slope = h.theta.coeffs, h.theta.derivative().coeffs
-            assert [x for c, x in calls if c == theta] == list(CFG.z), calls
+            assert found == [theta]
+            assert [x for c, x in calls if c == theta] == [], calls
             derivative = [x for c, x in calls if c == slope]
             assert all(x in at_zeros for x in derivative) and len(derivative) <= len(at_zeros)
-            assert len(calls) <= len(CFG.z) + len(at_zeros), calls
+            assert len(calls) <= len(at_zeros), calls
         assert with_zeros >= 2
 
     def test_fiber_without_choices_evaluates_nothing(self, monkeypatch):
