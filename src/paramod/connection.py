@@ -35,7 +35,7 @@ the numerators, whose residues ``residues_and_tail`` reads back as triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._kernel import T_ONE, T_ZERO, mat_rank, mat_solve_affine, t_add, t_matvec, t_mul, t_neg, t_sub
 from .exactnum import INF, ExactError, Poly, ProjectivePoint, Scalar, json_list, sc
@@ -57,8 +57,7 @@ class ConnectionError(ValueError):
     """Raised on malformed connection data."""
 
 
-@dataclass(frozen=True)
-class DegreeBounds:
+class DegreeBounds(NamedTuple):
     """Subbundle-degree window and admissible splits of an irreducible
     degree-d logarithmic flat bundle: ``lo <= deg F <= hi`` and the splits
     ``(d0, d1)`` with ``d1 - d0 <= 3``."""
@@ -161,8 +160,7 @@ class LogConnection:
         )
 
 
-@dataclass(frozen=True)
-class FlatTriple:
+class FlatTriple(NamedTuple):
     """A parabolic structure, a residue spectrum and a compatible connection
     over a fixed marked configuration."""
 

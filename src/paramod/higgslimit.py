@@ -23,8 +23,8 @@ dimension is two by a divided-difference identity, with no solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from ._kernel import ZI_ZERO, t_matvec, zi_dot
 from .connection import FlatTriple, LogConnection, offdiag_bounds
@@ -186,8 +186,16 @@ def theta_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly
     return conn.numerator(0, 1, cfg).shrink(max(bound, -1))
 
 
-@dataclass(frozen=True)
-class FixedLocusPoint:
+class _FixedPointFields(NamedTuple):
+    component: str
+    chart: str = "top"
+    theta: tuple[Scalar, ...] | None = None
+    exceptional_index: int | None = None
+    tangent: ProjectivePoint | None = None
+    flag_choice: tuple[tuple[int, str], ...] = ()
+
+
+class FixedLocusPoint(_FixedPointFields):
     """A point of the two-component fixed locus.
 
     F0 carries no coordinates.  F1 points live on one of two charts (two
@@ -198,14 +206,10 @@ class FixedLocusPoint:
     lower/upper choice at every marked zero of theta.
     """
 
-    component: str
-    chart: str = "top"
-    theta: tuple[Scalar, ...] | None = None
-    exceptional_index: int | None = None
-    tangent: ProjectivePoint | None = None
-    flag_choice: tuple[tuple[int, str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.component not in ("F0", "F1"):
             raise ExactError(f"component must be F0 or F1, not {self.component!r}")
         if self.component == "F1":
@@ -224,6 +228,7 @@ class FixedLocusPoint:
                 raise ExactError("theta takes three coefficients")
             elif all(c.is_zero() for c in self.theta):
                 raise ExactError("a line datum needs a nonzero theta")
+        return self
 
     def zeros(self, cfg: MarkedConfiguration):
         """The unordered zero pair, or None when it does not split over the
@@ -430,8 +435,7 @@ def in_removed_locus(q: FixedLocusPoint, cfg: MarkedConfiguration) -> bool:
     return _marked_index(q.tangent, cfg) is None
 
 
-@dataclass(frozen=True)
-class SpecialLoci:
+class SpecialLoci(NamedTuple):
     points: dict
     lines: dict
 
@@ -472,16 +476,14 @@ def special_loci(cfg: MarkedConfiguration) -> SpecialLoci:
     return SpecialLoci(points, lines)
 
 
-@dataclass(frozen=True)
-class LimitCandidate:
+class LimitCandidate(NamedTuple):
     name: str
     margin: Scalar
     stable: bool
     higgs: StronglyParabolicHiggs | None
 
 
-@dataclass(frozen=True)
-class LimitResult:
+class LimitResult(NamedTuple):
     point: FixedLocusPoint
     higgs: StronglyParabolicHiggs
     candidates: tuple[LimitCandidate, ...]
@@ -522,11 +524,7 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     )
     # E1 keeps the lower off-diagonal data; its only invariant subbundle is
     # the higher-degree factor, contacting the flags away from zero
-    contact_e1 = {
-        i
-        for i, u in enumerate(t.structure.flags)
-        if u.is_infinity() or not u.value.is_zero()
-    }
+    contact_e1 = set(range(NPOINTS)) - _lower_contact(t.structure)
     candidates = [
         _candidate("E0", bundle.degree, bundle.d0, _lower_contact(e0.structure), weights, e0),
         _candidate("E1", bundle.degree, bundle.d1, contact_e1, weights),

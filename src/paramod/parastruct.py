@@ -8,8 +8,8 @@ higher-degree summand itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .exactnum import (
     INF,
@@ -119,16 +119,20 @@ class MarkedConfiguration:
         return f"MarkedConfiguration({[str(x) for x in self.z]})"
 
 
-@dataclass(frozen=True)
-class BundleSplitType:
-    """Split type O(d0) + O(d1) with d0 <= d1."""
-
+class _SplitFields(NamedTuple):
     d0: int
     d1: int
 
-    def __post_init__(self):
-        if self.d0 > self.d1:
+
+class BundleSplitType(_SplitFields):
+    """Split type O(d0) + O(d1) with d0 <= d1."""
+
+    __slots__ = ()
+
+    def __new__(cls, d0: int, d1: int):
+        if d0 > d1:
             raise ExactError("split type requires d0 <= d1")
+        return super().__new__(cls, d0, d1)
 
     @property
     def degree(self) -> int:
@@ -203,8 +207,7 @@ class ParabolicStructure:
         return f"ParabolicStructure({self.bundle.name}, {[str(u) for u in self.flags]})"
 
 
-@dataclass(frozen=True)
-class StratumId:
+class StratumId(NamedTuple):
     """Label of an automorphism-orbit stratum, with quotient coordinates where
     the stratum has moduli.
 

@@ -4,7 +4,7 @@ spectrum map, and the trace-coordinate hypersurface polynomial."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactnum import ExactError, PreconditionError, Scalar, json_list, sc
 from .parastruct import NPOINTS, point_index
@@ -130,12 +130,8 @@ class MCBranch:
         self.beta_k = bk
         self.beta_u = tuple(bk - bh[i] - bv[i] for i in range(NPOINTS))
 
-    def to_json(self):
-        return {"sigma": "".join(self.sigma), "betaV": [str(x) for x in self.beta_v]}
 
-
-@dataclass(frozen=True)
-class MCSpectrumRank3:
+class MCSpectrumRank3(NamedTuple):
     """Spectrum of the rank-3 middle convolution: per pole a repeated
     eigenvalue plus a simple one; degree is preserved."""
 

@@ -45,9 +45,9 @@ still lists every degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, product
 from math import gcd
+from typing import NamedTuple
 
 from ._kernel import T_ONE, T_ZERO, ZI_ZERO, t_clear, t_div, t_mul, t_neg, t_sub, zi_dot
 from .exactnum import (
@@ -189,8 +189,7 @@ def s_value(d: int, deg_f: int, contact, w: WeightVector) -> Scalar:
     return Scalar.rational(_margin(d, deg_f, contact, nums, den), den)
 
 
-@dataclass(frozen=True)
-class LineSubbundleWitness:
+class LineSubbundleWitness(NamedTuple):
     """A saturated line subbundle of the split bundle.
 
     The embedding is ``(q, r)`` with formal degree bounds determined by the
@@ -620,8 +619,7 @@ def _candidates_at_degree(structure, cfg, k) -> list[tuple[frozenset[int], objec
     return maximal
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     stable: bool
     worst: LineSubbundleWitness
     margin: Scalar
@@ -747,8 +745,7 @@ def no_stable_structure(w: WeightVector, bundle: BundleSplitType) -> bool:
     raise StratumError("emptiness conditions defined for B and B' only")
 
 
-@dataclass(frozen=True)
-class ChamberDescriptor:
+class ChamberDescriptor(NamedTuple):
     """The strict side of every integrality wall, recorded as readable
     inequalities ``eps1..eps5 : sum eps*w <s> M``."""
 

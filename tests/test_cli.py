@@ -704,6 +704,7 @@ class TestImports:
             code, modules = json.loads(proc.stdout)
             assert code == 0, (name, proc.stderr)
             assert "logging" not in modules, name
+            assert "dataclasses" not in modules, name
             loaded = {m.removeprefix("paramod.") for m in modules if m.startswith("paramod.")}
             assert not loaded & _NOT_IMPORTED.get(name, set()), (name, sorted(loaded))
 

@@ -241,8 +241,21 @@ class TestFixedLocusPointJson:
         assert FixedLocusPoint.from_json(line).theta == (sc(1), sc(1), sc(1))
 
     def test_zero_line_theta_rejected(self):
-        with pytest.raises(ExactError):
-            FixedLocusPoint("F1", "top", (sc(0), sc(0), sc(0)))
+        # one direct construction per check of the constructor, in its order
+        theta = (sc(1), sc(0), sc(1))
+        cases = [
+            (("F2",), {}, "component must be F0 or F1, not 'F2'"),
+            (("F1", "side", theta), {}, "chart must be top or bottom, not 'side'"),
+            (("F1", "top"), {}, "an F1 point carries either a quadratic or an exceptional datum"),
+            (("F1", "bottom"), {"exceptional_index": 0}, "exceptional points carry a tangent coordinate"),
+            (("F1", "top", theta), {"tangent": INF}, "an F1 line point carries theta, not a tangent"),
+            (("F1", "top", theta[:2]), {}, "theta takes three coefficients"),
+            (("F1", "top", (sc(0), sc(0), sc(0))), {}, "a line datum needs a nonzero theta"),
+        ]
+        for args, kwargs, message in cases:
+            with pytest.raises(ExactError) as err:
+                FixedLocusPoint(*args, **kwargs)
+            assert str(err.value) == message
 
 
 class TestSpecialLoci:

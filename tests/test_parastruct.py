@@ -3,10 +3,11 @@ import random
 import pytest
 
 from helpers import rand_config
-from paramod.exactnum import INF, Scalar, monic_from_roots, sc
+from paramod.exactnum import INF, ExactError, Scalar, monic_from_roots, sc
 from paramod.parastruct import (
     B,
     BPRIME,
+    BundleSplitType,
     MarkedConfiguration,
     ParabolicStructure,
     StratumError,
@@ -83,6 +84,8 @@ class TestAction:
         s = struct(B, [0, 0, 0, 0, 0])
         with pytest.raises(Exception):
             act(B, [0, 1, 1], s, CFG)
+        with pytest.raises(ExactError, match=r"^split type requires d0 <= d1$"):
+            BundleSplitType(1, 0)
 
     def test_group_law(self):
         rng = random.Random(3)

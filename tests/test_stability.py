@@ -911,13 +911,13 @@ class TestIntegerDecision:
 
     def test_one_witness_per_decision(self, monkeypatch):
         built = []
-        real = LineSubbundleWitness.__init__
+        real = LineSubbundleWitness.__new__
 
-        def init(self, *args, **kwargs):
+        def new(cls, *args, **kwargs):
             built.append(args)
-            real(self, *args, **kwargs)
+            return real(cls, *args, **kwargs)
 
-        monkeypatch.setattr(LineSubbundleWitness, "__init__", init)
+        monkeypatch.setattr(LineSubbundleWitness, "__new__", new)
         rng = random.Random(137)
         for name, structures in _class_structures(rng, 4).items():
             for s, cfg in structures:
