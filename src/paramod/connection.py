@@ -9,18 +9,17 @@ flag ``t``, ``C = [[nu+, 0], [t(nu+ - nu-), nu-]]`` and
 and ``D = [[0, 0], [1, 0]]``.  Only the (21) entry of ``G`` can be nonzero, a
 polynomial tail of degree at most ``d1 - d0 - 2``.
 
-An entry is held as its cleared numerator ``N = entry * prod_j (z - z_j)``
-(``LogConnection.numerator``), a polynomial that holds the residues and the
-tail at once.  One map, ``MarkedConfiguration.numerator_maps``, passes
-between the two: its forward half gives the numerator coefficients of the
-residues, its inverse (``residues_and_tail``) reads the residues
-``N(z_i) / prod_{j != i} (z_i - z_j)`` and the tail ``N div prod (z - z_j)``
-back.  Holomorphy at infinity is a set of prescribed numerator
-coefficients, all linear in the ``x_i``: the ``z^4`` coefficients of
-``N11`` and ``N22`` are minus the summand degrees (each pole product is monic
-of degree 4), and the coefficients of ``N12`` and ``N21`` above the bounds of
-``offdiag_bounds`` vanish.  A frame change is polynomial arithmetic on the
-four numerators.
+An entry's cleared numerator ``N = entry * prod_j (z - z_j)``
+(``LogConnection.numerator``) is a polynomial that holds the residues and
+the tail at once; the forward half of ``MarkedConfiguration.numerator_maps``
+gives its coefficients from the residues.  Holomorphy at infinity is a set
+of prescribed numerator coefficients, all linear in the ``x_i``: the
+``z^4`` coefficients of ``N11`` and ``N22`` are minus the summand degrees
+(each pole product is monic of degree 4), and the coefficients of ``N12``
+and ``N21`` above the bounds of ``offdiag_bounds`` vanish.  A frame change
+moves the residues pointwise; the polynomial parts it creates are
+divided-difference sums of the residues (``_polynomial_part``), and only
+the (21) entry may keep one, as its tail.
 
 The residues, the ``(C_i, D_i)`` parts, the constraint rows and the solved
 vectors are ``_kernel`` triples from the solve to the validation: the
@@ -28,16 +27,31 @@ system goes to ``_kernel.mat_solve_affine`` as it is built, a triple's
 residues are ``C_i + x_i D_i`` summed on triples, and ``validate_triple``
 checks them on triples.  Scalars begin at the public accessors
 (``LogConnection.residues``, the tail and ``numerator`` polynomials), at
-``to_json`` and in the violation messages.  The frame changes of
-``elm_triple`` and ``gauge_transform`` are Scalar polynomial arithmetic on
-the numerators, whose residues ``residues_and_tail`` reads back as triples.
+``to_json`` and in the violation messages.  The frame changes
+``elm_triple`` and ``gauge_transform`` act on the residue and tail triples
+as well.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import NamedTuple
 
-from ._kernel import T_ONE, T_ZERO, mat_rank, mat_solve_affine, t_add, t_matvec, t_mul, t_neg, t_sub
+from ._kernel import (
+    T_ONE,
+    T_ZERO,
+    mat_rank,
+    mat_solve_affine,
+    t_add,
+    t_clear,
+    t_div,
+    t_inv,
+    t_matvec,
+    t_mul,
+    t_neg,
+    t_norm,
+    t_sub,
+)
 from .exactnum import INF, ExactError, Poly, ProjectivePoint, Scalar, json_list, sc
 from .parastruct import (
     NPOINTS,
@@ -378,53 +392,48 @@ def irreducibility_screen(t: FlatTriple):
     return "irreducible", []
 
 
-_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+def _t_sum(xs):
+    # the sum of the triples xs, with one normalization
+    cleared, den = t_clear(xs)
+    return t_norm(sum(x for x, _ in cleared), sum(y for _, y in cleared), den)
 
 
-def _numerators(t: FlatTriple) -> list[Poly]:
-    return [t.connection.numerator(r, c, t.cfg) for r, c in _ENTRIES]
+def _divide_linear(coeffs, a):
+    """Synthetic division by ``z - a`` of the polynomial with the triple
+    coefficients ``coeffs``, lowest first: the quotient's coefficients and
+    the remainder, which is the value at ``a``."""
+    quot = [T_ZERO] * max(len(coeffs) - 1, 0)
+    carry = T_ZERO
+    for k in range(len(coeffs) - 1, -1, -1):
+        carry = t_add(coeffs[k], t_mul(carry, a))
+        if k:
+            quot[k - 1] = carry
+    return quot, carry
 
 
-def residues_and_tail(num: Poly, cfg: MarkedConfiguration) -> tuple[list, Poly]:
-    """Inverse of ``LogConnection.numerator``: the residues
-    ``N(z_i) / prod_{j != i} (z_i - z_j)``, as triples, and the tail
-    ``N div prod (z - z_j)`` of the entry with cleared numerator ``N``."""
-    node, _ = cfg.pole_products()
-    _, (rows, den) = cfg.numerator_maps()
-    rem = list(num.coeffs)
-    quot = []
-    while len(rem) > NPOINTS:
-        q = rem.pop()
-        quot.append(q)
-        if not q.is_zero():
-            for k, c in enumerate(node.coeffs[:NPOINTS], len(rem) - NPOINTS):
-                rem[k] = rem[k] - q * c
-    return t_matvec(rows, den, [c._t for c in rem]), Poly(quot[::-1])
+def _polynomial_part(f, res, zs):
+    """The coefficients, lowest first, of the polynomial part of
+    ``f(z) * sum_i res_i / (z - z_i)``, which is
+    ``sum_i res_i (f(z) - f(z_i)) / (z - z_i)``: its ``z^m`` coefficient is
+    the divided-difference sum ``sum_{k > m} f_k p_{k-1-m}`` over the power
+    sums ``p_e = sum_i res_i z_i^e``.  Everything is triples."""
+    n = len(f) - 1
+    sums = [_t_sum(res)]
+    while len(sums) < n:
+        res = [t_mul(r, z) for r, z in zip(res, zs)]
+        sums.append(_t_sum(res))
+    return [_t_sum([t_mul(f[k], sums[k - 1 - m]) for k in range(m + 1, n + 1)]) for m in range(n)]
 
 
-def _divide_exact(num: Poly, zj: Scalar) -> Poly:
-    """``num / (z - z_j)``; a nonzero remainder is a double pole at z_j."""
-    quot, rem = num.divide_linear(zj)
-    if not rem.is_zero():
-        raise ConnectionError("division would create a double pole")
-    return quot
-
-
-def _from_numerators(bundle, cfg, nums) -> LogConnection:
-    """The connection on ``bundle`` with the cleared entries ``nums``, in the
-    order of ``_ENTRIES``; only the (21) entry may keep a polynomial part."""
-    cols = {}
-    for key, num in zip(_ENTRIES, nums):
-        cols[key], tail = residues_and_tail(num, cfg)
-        if key == (1, 0):
-            g21 = tail
-        elif not tail.is_zero():
-            raise ConnectionError(f"entry {key} acquired a polynomial part")
-    mats = [
-        ((cols[0, 0][i], cols[0, 1][i]), (cols[1, 0][i], cols[1, 1][i]))
-        for i in range(NPOINTS)
-    ]
-    return LogConnection._of(bundle, mats, g21)
+def _divided_residues(vals, zs, j, at_j):
+    """The residues of an entry with the residues ``vals``, zero at ``z_j``,
+    divided by ``z - z_j``: ``vals_i / (z_i - z_j)`` at ``i != j``, and
+    ``sum_{i != j} vals_i / (z_j - z_i)`` plus ``at_j``, the value at ``z_j``
+    of its polynomial part, at ``z_j``."""
+    zj = zs[j]
+    out = [T_ZERO if i == j else t_div(v, t_sub(z, zj)) for i, (v, z) in enumerate(zip(vals, zs))]
+    out[j] = t_sub(at_j, _t_sum(out))
+    return out
 
 
 def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
@@ -432,44 +441,76 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
 
     The new frame is ``(e1, (z - z_j) e2)`` with ``e1`` spanning the flag;
     the degree drops by one, the flag at z_j moves to the complementary
-    summand fiber, and the spectrum transforms by ``elm_spectrum``.  On the
-    cleared numerators a new pole at z_j adds ``prod_{i != j} (z - z_i)``,
-    the frame factor multiplies or divides by ``z - z_j``.
+    summand fiber, and the spectrum transforms by ``elm_spectrum``.
+
+    The residue triples move pointwise.  The frame factor multiplies or
+    divides an entry by ``z - z_j``, and so its residue at ``z_i``, ``i != j``,
+    by ``z_i - z_j``; the new pole adds 1 to one diagonal residue at ``z_j``.
+    Multiplied, an entry gains the sum of its residues as a constant
+    polynomial part, and its own polynomial part is multiplied by
+    ``z - z_j``.  Divided, it needs a zero residue at ``z_j`` (else a double
+    pole), its polynomial part is divided by ``z - z_j`` and leaves the
+    remainder in the residue at ``z_j`` (``_divided_residues``).  Only the
+    (21) entry may keep a polynomial part, the tail.
     """
     cfg = t.cfg
     bundle = t.connection.bundle
-    zj = cfg.z[point_index(j)]
-    lin = Poly([-zj, 1])
-    pole = cfg.pole_products()[1][j]
-    n11, n12, n21, n22 = _numerators(t)
+    zs = [z._t for z in cfg.z]
+    zj = zs[point_index(j)]
+    res = t.connection._res
+    tail = [c._t for c in t.connection.tail.coeffs]
     u = t.structure.flags[j]
     if u.is_infinity():
-        # frame ((z - z_j) e, f): lower summand degree drops
+        # frame ((z - z_j) e, f): lower summand degree drops; (12) is
+        # divided, (21) multiplied
+        if res[j][0][1] != T_ZERO:
+            raise ConnectionError("division would create a double pole")
         new_d = (bundle.d0 - 1, bundle.d1)
-        nums = [n11 + pole, _divide_exact(n12, zj), n21 * lin, n22]
-        at_j, move = ProjectivePoint.finite(0), lambda v, zi: v * (zi - zj)
+        c11 = [m[0][0] for m in res]
+        c11[j] = t_add(c11[j], T_ONE)
+        c12 = _divided_residues([m[0][1] for m in res], zs, j, T_ZERO)
+        c21 = [t_mul(m[1][0], t_sub(z, zj)) for m, z in zip(res, zs)]
+        c22 = [m[1][1] for m in res]
+        part12 = []
+        part21 = [_t_sum([m[1][0] for m in res])] + tail
+        for k, c in enumerate(tail):
+            part21[k] = t_sub(part21[k], t_mul(zj, c))
+        at_j, move = ProjectivePoint.finite(0), lambda v, zi: v * (zi - cfg.z[j])
     else:
-        tval = u.value
-        new_d = (bundle.d0, bundle.d1 - 1)
-        t12 = tval * n12
-        nums = [
-            n11 + t12,
-            n12 * lin,
-            _divide_exact(n21 + tval * (n22 - n11 - t12), zj),
-            n22 - t12 + pole,
+        # frame (e + t f, (z - z_j) f): (12) is multiplied, and the (21)
+        # entry A21 + t (A22 - A11) - t^2 A12 divided
+        tv = u.value._t
+        mixed = [
+            t_sub(t_add(a21, t_mul(tv, t_sub(a22, a11))), t_mul(t_mul(tv, tv), a12))
+            for ((a11, a12), (a21, a22)) in res
         ]
-        at_j, move = INF, lambda v, zi: (v - tval) / (zi - zj)
+        if mixed[j] != T_ZERO:
+            raise ConnectionError("division would create a double pole")
+        new_d = (bundle.d0, bundle.d1 - 1)
+        part21, tail_at_j = _divide_linear(tail, zj)
+        c11 = [t_add(m[0][0], t_mul(tv, m[0][1])) for m in res]
+        c12 = [t_mul(m[0][1], t_sub(z, zj)) for m, z in zip(res, zs)]
+        c21 = _divided_residues(mixed, zs, j, tail_at_j)
+        c22 = [t_sub(m[1][1], t_mul(tv, m[0][1])) for m in res]
+        c22[j] = t_add(c22[j], T_ONE)
+        part12 = [_t_sum([m[0][1] for m in res])]
+        tval = u.value
+        at_j, move = INF, lambda v, zi: (v - tval) / (zi - cfg.z[j])
+    mats = [((a, b), (c, d)) for a, b, c, d in zip(c11, c12, c21, c22)]
     new_flags = [
         at_j if i == j else ui if ui.is_infinity() else ProjectivePoint.finite(move(ui.value, zi))
         for i, (ui, zi) in enumerate(zip(t.structure.flags, cfg.z))
     ]
     if new_d[0] > new_d[1]:
         # only after a finite flag on an even split: swap the summands
-        nums.reverse()
+        mats = [((d, c), (b, a)) for ((a, b), (c, d)) in mats]
+        part12, part21 = part21, part12
         new_flags = [ProjectivePoint(f.lam, f.kappa) for f in new_flags]
         new_d = new_d[::-1]
     new_bundle = BundleSplitType(*new_d)
-    conn = _from_numerators(new_bundle, cfg, nums)
+    if any(c != T_ZERO for c in part12):
+        raise ConnectionError("entry (0, 1) acquired a polynomial part")
+    conn = LogConnection._of(new_bundle, mats, Poly([Scalar._wrap(x) for x in part21]))
     structure = ParabolicStructure(new_bundle, new_flags)
     return FlatTriple(structure, elm_spectrum(t.spectrum, j), conn, cfg)
 
@@ -481,15 +522,40 @@ def gauge_transform(t: FlatTriple, params) -> FlatTriple:
     Flags move by ``u -> (shift(z) + u)/a`` (the parastruct action) and the
     connection by the matching conjugation, so the result is an isomorphic
     flat triple and validates.
+
+    The residues are conjugated pointwise, with ``s_i = shift(z_i)``:
+    ``A11 - s_i A12``, ``a A12``, ``(A21 + s_i (A11 - A22) - s_i^2 A12) / a``
+    and ``A22 + s_i A12``.  The shift multiplies the (12) residue terms into
+    the diagonal, whose polynomial part ``_polynomial_part`` must then
+    vanish.  The (21) entry keeps one, the new tail: the old tail, the
+    polynomial part of the shift times the diagonal difference and of its
+    square times (12), and minus the derivative of the shift, over ``a``.
     """
     bundle = t.connection.bundle
     a, shift = act_params_shift(bundle, params)
     cfg = t.cfg
-    n11, n12, n21, n22 = _numerators(t)
-    node = cfg.pole_products()[0]
-    s12 = shift * n12
-    # the derivative of the shift joins the (21) entry as a polynomial part
-    n21 = a.inverse() * (n21 + shift * (n11 - n22) - shift * s12 - node * shift.derivative())
-    conn = _from_numerators(bundle, cfg, [n11 - s12, a * n12, n21, n22 + s12])
+    zs = [z._t for z in cfg.z]
+    s = [c._t for c in shift.coeffs]
+    res = t.connection._res
+    # shift * sum_i A12_i / (z - z_i) joins the (11) entry
+    if any(c != T_ZERO for c in _polynomial_part(s, [m[0][1] for m in res], zs)):
+        raise ConnectionError("entry (0, 0) acquired a polynomial part")
+    a, inv = a._t, t_inv(a._t)
+    mats, diff = [], []
+    for ((a11, a12), (a21, a22)), z in zip(res, zs):
+        si = _divide_linear(s, z)[1]
+        s12 = t_mul(si, a12)
+        b22 = t_add(a22, s12)
+        b21 = t_mul(inv, t_sub(t_add(a21, t_mul(si, t_sub(a11, a22))), t_mul(si, s12)))
+        mats.append(((t_sub(a11, s12), t_mul(a, a12)), (b21, b22)))
+        diff.append(t_sub(a11, b22))
+    # with the (11) part zero, the part of shift^2 * A12 is that of shift * s_i A12_i
+    part = [
+        t_sub(c, t_mul((k + 1, 0, 1), s[k + 1]))
+        for k, c in enumerate(_polynomial_part(s, diff, zs))
+    ]
+    tail = [c._t for c in t.connection.tail.coeffs]
+    g21 = [t_mul(inv, t_add(x, y)) for x, y in zip_longest(tail, part, fillvalue=T_ZERO)]
+    conn = LogConnection._of(bundle, mats, Poly([Scalar._wrap(x) for x in g21]))
     structure = act(bundle, params, t.structure, cfg)
     return FlatTriple(structure, t.spectrum, conn, cfg)

@@ -385,15 +385,6 @@ class Poly:
             bound=max(self.bound, other.bound),
         )
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return Poly(
-            [x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=ZERO)],
-            bound=max(self.bound, other.bound),
-        )
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs], bound=self.bound)
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             if self.is_zero() or other.is_zero():

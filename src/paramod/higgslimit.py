@@ -4,9 +4,10 @@ The limit of ``(E, L, c * nabla)`` as ``c -> 0`` is computed by the
 gauge-family construction: finitely many candidate degenerations are built
 from the off-diagonal residue data (keep the upper part, keep the lower part,
 or degenerate onto a degree -1 inclusion) and the unique Higgs-stable
-candidate is returned.  The degree -1 inclusions are looked up on the
-Gaussian-integer contact lattice of ``stability``: the kernels of four contact
-rows and their saturated grid members.  The fixed locus for ``sum(w) < 1`` has
+candidate is returned.  The degree -1 inclusions come from one inverse of
+the five contact rows of ``stability``: each column spans the kernel of four
+rows, and one formal resultant says whether it is saturated; singular rows
+fall back to the contact-kernel walk.  The fixed locus for ``sum(w) < 1`` has
 two components: the single point F0 on the (-1, 2) split and the family F1 of
 nilpotent Higgs fields on the (0, 1) split, modeled as two glued blown-up
 planes.
@@ -26,7 +27,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from ._kernel import ZI_ZERO, t_matvec, zi_dot
+from ._kernel import T_ONE, T_ZERO, ZI_ZERO, mat_rref, t_clear, t_matvec, zi_dot
 from .connection import FlatTriple, LogConnection, offdiag_bounds
 from .exactnum import (
     INF,
@@ -52,6 +53,7 @@ from .stability import (
     OnWallError,
     WeightVector,
     _cleared_weights,
+    _is_saturated,
     _margin,
     _non_special,
     contact_kernel,
@@ -476,6 +478,10 @@ def special_loci(cfg: MarkedConfiguration) -> SpecialLoci:
     return SpecialLoci(points, lines)
 
 
+# the flag on the lower summand, shared by the dropped structures of E0
+_ZERO_FLAG = ProjectivePoint.finite(0)
+
+
 class LimitCandidate(NamedTuple):
     name: str
     margin: Scalar
@@ -496,6 +502,8 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     The gauge-family candidates (keep the upper off-diagonal data, keep the
     lower, or degenerate onto one of the five degree -1 inclusions) are all
     constructed and ranked by Higgs stability; exactly one must survive.
+    On B, which degenerations exist is decided from one elimination of the
+    five contact rows (``_degenerate_candidates``).
     """
     cfg = t.cfg
     bundle = t.connection.bundle
@@ -515,10 +523,7 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
         raise HiggsError(
             "upper off-diagonal data vanishes: the triple is reducible"
         )
-    drop_flags = [
-        INF if u.is_infinity() else ProjectivePoint.finite(0)
-        for u in t.structure.flags
-    ]
+    drop_flags = [INF if u.is_infinity() else _ZERO_FLAG for u in t.structure.flags]
     e0 = StronglyParabolicHiggs(
         bundle, ParabolicStructure(bundle, drop_flags), theta, cfg
     )
@@ -531,12 +536,7 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     ]
 
     if bundle == B:
-        rows = contact_rows(t.structure, cfg, 1, 2)
-        kernels = unit_kernels(5)
-        for j in range(NPOINTS):
-            cand = _degenerate_candidate(weights, j, rows, kernels)
-            if cand is not None:
-                candidates.append(cand)
+        candidates += _degenerate_candidates(weights, contact_rows(t.structure, cfg, 1, 2))
 
     # an invariant check: every margin is ``d - 2k + sum eps_i w_i``, so a
     # zero one makes ``(d + sum eps_i w_i) / 2`` an integer, which the
@@ -563,33 +563,51 @@ def _candidate(name: str, d: int, deg_f: int, contact, weights, higgs=None) -> L
     return LimitCandidate(name, Scalar.rational(s, den), s > 0, higgs)
 
 
-def _degenerate_candidate(weights, j: int, rows: dict, kernels: dict):
-    """The degeneration onto a degree -1 inclusion whose non-contact set is
-    exactly the j-th marked point; None when no such inclusion exists.
-    ``weights`` are the weights' numerators and common denominator.
+def _degenerate_candidates(weights, rows: dict) -> list[LimitCandidate]:
+    """The degenerations onto the degree -1 inclusions whose non-contact set
+    is exactly one marked point ``j``, in increasing ``j``.  ``weights`` are
+    the weights' numerators and common denominator, ``rows`` the structure's
+    Gaussian-integer ``contact_rows`` at the formal degrees (1, 2) of a
+    degree -1 inclusion ``(q, r)`` into B: five rows ``R`` on five
+    coefficients.
 
-    ``rows`` are the structure's Gaussian-integer ``contact_rows`` at the
-    formal degrees (1, 2) of a degree -1 inclusion ``(q, r)`` into B, and
-    ``kernels`` the ``contact_kernel`` memo shared by the five ``j``.  A
-    saturated member of the kernel ``N`` of the other four rows misses
-    ``z_j`` iff its product ``l_j`` with row ``j`` is nonzero.
-
-    So the result is None iff ``N`` has no saturated member
-    (``has_saturated_member``) or ``l_j`` vanishes on every basis vector of
-    ``N``.  The saturated members are the complement in ``N`` of the zero
-    set of the formal resultant; when they exist they form a nonempty
+    The inclusion for ``j`` exists iff the kernel ``N`` of the four rows
+    other than ``j`` has a saturated member with a nonzero product ``l_j``
+    with row ``j``.  The saturated members are the complement in ``N`` of the
+    zero set of the formal resultant; when they exist they form a nonempty
     Zariski-open subset of the irreducible space ``N``, which is dense and
     so lies in no proper hyperplane: some saturated member has ``l_j != 0``
     unless ``l_j`` vanishes on all of ``N``.  Neither test depends on the
     basis of ``N``, and no member is built.
+
+    One Gauss-Jordan elimination of ``[R | I]`` decides whether ``R`` is
+    invertible.  If it is, column ``j`` of ``R^-1`` spans ``N`` and has
+    ``l_j = 1``, so the inclusion exists iff that column, cleared to
+    Gaussian integers, is saturated.  If not, each ``N`` is restricted from
+    the kernels of the prefixes of the other four rows (``contact_kernel``),
+    then tested by ``has_saturated_member`` and the products with row ``j``.
     """
-    others = tuple(i for i in rows if i != j)
-    basis = contact_kernel(others, rows, kernels)
-    if all(zi_dot(rows[j], vec) == ZI_ZERO for vec in basis) or not (
-        has_saturated_member(basis, 1, 2)
-    ):
-        return None
-    return _candidate(f"E-1({j + 1})", 1, 2, {j}, weights)
+    aug = [
+        [(a, b, 1) for a, b in rows[i]] + [T_ONE if c == i else T_ZERO for c in range(NPOINTS)]
+        for i in range(NPOINTS)
+    ]
+    m, pivots, _ = mat_rref(aug, NPOINTS, 2 * NPOINTS)
+    # every row has a pivot, and R is invertible iff they all lie in R
+    if pivots[-1] < NPOINTS:
+        found = [
+            j for j in range(NPOINTS)
+            if _is_saturated(t_clear([r[NPOINTS + j] for r in m])[0], 1, 2)
+        ]
+    else:
+        kernels = unit_kernels(NPOINTS)
+        found = []
+        for j in range(NPOINTS):
+            basis = contact_kernel(tuple(i for i in rows if i != j), rows, kernels)
+            if any(zi_dot(rows[j], vec) != ZI_ZERO for vec in basis) and (
+                has_saturated_member(basis, 1, 2)
+            ):
+                found.append(j)
+    return [_candidate(f"E-1({j + 1})", 1, 2, {j}, weights) for j in found]
 
 
 def fixed_component(h: StronglyParabolicHiggs) -> str:

@@ -50,11 +50,9 @@ class MarkedConfiguration:
     ``numerator_maps`` is the one passage between the residues of a
     connection entry and its cleared numerator: the connection solver reads
     its constraint rows off the forward map, ``LogConnection.numerator``
-    and ``connection.residues_and_tail`` apply the two maps, and
-    ``higgslimit`` finds a Higgs field's marked zeros with the inverse one.
-    The node polynomial of ``pole_products`` serves the tail and the frame
-    change of ``gauge_transform``, and ``elm_triple`` adds one pole product
-    as a new pole.
+    applies it, and ``higgslimit`` finds a Higgs field's marked zeros with
+    the inverse one.  The node polynomial of ``pole_products`` carries the
+    tail of ``LogConnection.numerator``.
     """
 
     __slots__ = ("z", "_poles", "_maps")

@@ -41,20 +41,25 @@ connection solve through ``Mat.solve_affine`` with every row entry a Scalar,
 the triple summed on Scalars and the validation on Scalars are the
 references for the connection pipeline on triples, and the solved connection
 space on the generic B' structure the reference for the F0 fiber dimension
-read off without a solve.
+read off without a solve.  The contact-kernel walk for each of the five
+degenerations of a C*-limit is the reference for the ones read off one
+inverse of the contact rows, and Scalar polynomial arithmetic on the four
+cleared numerators, read back by division by the node polynomial and
+Lagrange interpolation, the reference for the elementary and gauge
+transformations on residue triples.
 The last helpers build test inputs the package itself does not need: the
-identity rows, a matrix product, the connections at a space's basis points
-and the balanced middle-convolution branch.
+identity rows, a matrix product, the connections at a space's basis points,
+the balanced middle-convolution branch and the difference of two
+polynomials.
 """
 
 from itertools import combinations, product
 
-from paramod._kernel import T_ONE, T_ZERO, t_div, t_inv, t_mul, t_neg, t_sub
+from paramod._kernel import T_ONE, T_ZERO, ZI_ZERO, t_div, t_inv, t_matvec, t_mul, t_neg, t_sub, zi_dot
 from paramod.connection import (
     ConnectionError,
     FlatTriple,
     LogConnection,
-    _numerators,
     degree_bounds,
     offdiag_bounds,
     solve_connection_space,
@@ -65,6 +70,7 @@ from paramod.higgslimit import (
     HiggsError,
     LimitCandidate,
     StronglyParabolicHiggs,
+    _candidate,
     _double_marked_zero,
     _other_zero,
     fixedpoint_canonicalize,
@@ -72,13 +78,17 @@ from paramod.higgslimit import (
 from paramod.parastruct import (
     B,
     BPRIME,
+    BundleSplitType,
     MarkedConfiguration,
     NPOINTS,
     ParabolicStructure,
     _normalize_projective,
+    act,
+    act_params_shift,
     bprime_generic_representative,
+    point_index,
 )
-from paramod.spectra import MCBranch, SpectrumRank2
+from paramod.spectra import MCBranch, SpectrumRank2, elm_spectrum
 from paramod.stability import (
     LineSubbundleWitness,
     OnWallError,
@@ -86,7 +96,9 @@ from paramod.stability import (
     WeightVector,
     _candidate_degrees,
     _hom_degrees,
+    contact_kernel,
     destabilizing_candidates,
+    has_saturated_member,
     sign_label,
     weight_is_kostov_generic,
     weight_is_non_special,
@@ -629,6 +641,35 @@ def oracle_degenerate_candidate(structure, cfg, w, j):
     return LimitCandidate(f"E-1({j + 1})", margin, margin > sc(0), None)
 
 
+def oracle_walk_degenerate_candidate(weights, j: int, rows: dict, kernels: dict):
+    """The degeneration onto a degree -1 inclusion whose non-contact set is
+    exactly the j-th marked point; None when no such inclusion exists.
+    ``weights`` are the weights' numerators and common denominator.
+
+    ``rows`` are the structure's Gaussian-integer ``contact_rows`` at the
+    formal degrees (1, 2) of a degree -1 inclusion ``(q, r)`` into B, and
+    ``kernels`` the ``contact_kernel`` memo shared by the five ``j``.  A
+    saturated member of the kernel ``N`` of the other four rows misses
+    ``z_j`` iff its product ``l_j`` with row ``j`` is nonzero.
+
+    So the result is None iff ``N`` has no saturated member
+    (``has_saturated_member``) or ``l_j`` vanishes on every basis vector of
+    ``N``.  The saturated members are the complement in ``N`` of the zero
+    set of the formal resultant; when they exist they form a nonempty
+    Zariski-open subset of the irreducible space ``N``, which is dense and
+    so lies in no proper hyperplane: some saturated member has ``l_j != 0``
+    unless ``l_j`` vanishes on all of ``N``.  Neither test depends on the
+    basis of ``N``, and no member is built.
+    """
+    others = tuple(i for i in rows if i != j)
+    basis = contact_kernel(others, rows, kernels)
+    if all(zi_dot(rows[j], vec) == ZI_ZERO for vec in basis) or not (
+        has_saturated_member(basis, 1, 2)
+    ):
+        return None
+    return _candidate(f"E-1({j + 1})", 1, 2, {j}, weights)
+
+
 def is_non_resonant(w) -> bool:
     """Every weight positive, asked of the Scalars."""
     return all(x > sc(0) for x in w.w)
@@ -972,7 +1013,125 @@ def verify_invariant_line(t, q, r) -> bool:
     qp = q if q is not None else Poly.zero(-1)
     rp = r if r is not None else Poly.zero(-1)
     node = t.cfg.pole_products()[0]
-    n11, n12, n21, n22 = _numerators(t)
+    n11, n12, n21, n22 = oracle_numerators(t)
     w1 = node * qp.derivative() + n11 * qp + n12 * rp
     w2 = node * rp.derivative() + n21 * qp + n22 * rp
-    return (w1 * rp - w2 * qp).is_zero()
+    return poly_sub(w1 * rp, w2 * qp).is_zero()
+
+
+def poly_sub(p: Poly, q: Poly) -> Poly:
+    """``p - q``, with the bound of the larger."""
+    return p + q * -1
+
+
+_ENTRIES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def oracle_numerators(t: FlatTriple) -> list[Poly]:
+    """The four cleared numerators of a triple's connection, in the order of
+    ``_ENTRIES``."""
+    return [t.connection.numerator(r, c, t.cfg) for r, c in _ENTRIES]
+
+
+def residues_and_tail(num: Poly, cfg: MarkedConfiguration) -> tuple[list, Poly]:
+    """Inverse of ``LogConnection.numerator``: the residues
+    ``N(z_i) / prod_{j != i} (z_i - z_j)``, as triples, and the tail
+    ``N div prod (z - z_j)`` of the entry with cleared numerator ``N``."""
+    node, _ = cfg.pole_products()
+    _, (rows, den) = cfg.numerator_maps()
+    rem = list(num.coeffs)
+    quot = []
+    while len(rem) > NPOINTS:
+        q = rem.pop()
+        quot.append(q)
+        if not q.is_zero():
+            for k, c in enumerate(node.coeffs[:NPOINTS], len(rem) - NPOINTS):
+                rem[k] = rem[k] - q * c
+    return t_matvec(rows, den, [c._t for c in rem]), Poly(quot[::-1])
+
+
+def divide_exact(num: Poly, zj: Scalar) -> Poly:
+    """``num / (z - z_j)``; a nonzero remainder is a double pole at z_j."""
+    quot, rem = num.divide_linear(zj)
+    if not rem.is_zero():
+        raise ConnectionError("division would create a double pole")
+    return quot
+
+
+def from_numerators(bundle, cfg, nums) -> LogConnection:
+    """The connection on ``bundle`` with the cleared entries ``nums``, in the
+    order of ``_ENTRIES``; only the (21) entry may keep a polynomial part."""
+    cols = {}
+    for key, num in zip(_ENTRIES, nums):
+        cols[key], tail = residues_and_tail(num, cfg)
+        if key == (1, 0):
+            g21 = tail
+        elif not tail.is_zero():
+            raise ConnectionError(f"entry {key} acquired a polynomial part")
+    mats = [
+        ((cols[0, 0][i], cols[0, 1][i]), (cols[1, 0][i], cols[1, 1][i]))
+        for i in range(NPOINTS)
+    ]
+    return LogConnection._of(bundle, mats, g21)
+
+
+def oracle_elm_triple(t: FlatTriple, j: int) -> FlatTriple:
+    """``elm_triple`` by Scalar polynomial arithmetic on the numerators: on
+    the cleared numerators a new pole at z_j adds ``prod_{i != j} (z - z_i)``,
+    the frame factor multiplies or divides by ``z - z_j``, and
+    ``from_numerators`` reads the residues and the tail back."""
+    cfg = t.cfg
+    bundle = t.connection.bundle
+    zj = cfg.z[point_index(j)]
+    lin = Poly([-zj, 1])
+    pole = cfg.pole_products()[1][j]
+    n11, n12, n21, n22 = oracle_numerators(t)
+    u = t.structure.flags[j]
+    if u.is_infinity():
+        # frame ((z - z_j) e, f): lower summand degree drops
+        new_d = (bundle.d0 - 1, bundle.d1)
+        nums = [n11 + pole, divide_exact(n12, zj), n21 * lin, n22]
+        at_j, move = ProjectivePoint.finite(0), lambda v, zi: v * (zi - zj)
+    else:
+        tval = u.value
+        new_d = (bundle.d0, bundle.d1 - 1)
+        t12 = tval * n12
+        nums = [
+            n11 + t12,
+            n12 * lin,
+            divide_exact(n21 + tval * poly_sub(poly_sub(n22, n11), t12), zj),
+            poly_sub(n22, t12) + pole,
+        ]
+        at_j, move = INF, lambda v, zi: (v - tval) / (zi - zj)
+    new_flags = [
+        at_j if i == j else ui if ui.is_infinity() else ProjectivePoint.finite(move(ui.value, zi))
+        for i, (ui, zi) in enumerate(zip(t.structure.flags, cfg.z))
+    ]
+    if new_d[0] > new_d[1]:
+        # only after a finite flag on an even split: swap the summands
+        nums.reverse()
+        new_flags = [ProjectivePoint(f.lam, f.kappa) for f in new_flags]
+        new_d = new_d[::-1]
+    new_bundle = BundleSplitType(*new_d)
+    conn = from_numerators(new_bundle, cfg, nums)
+    structure = ParabolicStructure(new_bundle, new_flags)
+    return FlatTriple(structure, elm_spectrum(t.spectrum, j), conn, cfg)
+
+
+def oracle_gauge_transform(t: FlatTriple, params) -> FlatTriple:
+    """``gauge_transform`` by Scalar polynomial arithmetic on the
+    numerators: the conjugation by the automorphism, with the derivative of
+    the shift joining the (21) entry, read back by ``from_numerators``."""
+    bundle = t.connection.bundle
+    a, shift = act_params_shift(bundle, params)
+    cfg = t.cfg
+    n11, n12, n21, n22 = oracle_numerators(t)
+    node = cfg.pole_products()[0]
+    s12 = shift * n12
+    # the derivative of the shift joins the (21) entry as a polynomial part
+    n21 = a.inverse() * poly_sub(
+        poly_sub(n21 + shift * poly_sub(n11, n22), shift * s12), node * shift.derivative()
+    )
+    conn = from_numerators(bundle, cfg, [poly_sub(n11, s12), a * n12, n21, n22 + s12])
+    structure = act(bundle, params, t.structure, cfg)
+    return FlatTriple(structure, t.spectrum, conn, cfg)

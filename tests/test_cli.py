@@ -461,6 +461,27 @@ class TestPipelines:
         )
         assert fib["dim"] == 2
 
+    def test_limit_with_singular_contact_rows(self, capsys, tmp_path, monkeypatch):
+        # the flags u_i = z_i^2 / (z_i + 1) lie on the section (z + 1, z^2),
+        # so the five (1, 2) contact rows are singular and the degenerations
+        # take the contact-kernel walk; the stdout is pinned byte for byte
+        monkeypatch.chdir(tmp_path)
+        walks = []
+        kernel = higgslimit.contact_kernel
+        monkeypatch.setattr(higgslimit, "contact_kernel", lambda *a: walks.append(a) or kernel(*a))
+        solve = ["solve", "--bundle", "B", "--z", Z, "--u", "0,1/2,4/3,9/4,16/5", "--nu", NU1]
+        assert run(capsys, *solve, "--params", "1,2", "--out", "triple.json") == (0, "")
+        code, out = run(capsys, "limit", "--json", "triple.json", "--w", W_SMALL)
+        assert code == 0 and len(walks) == 5
+        assert out == (
+            '{"candidates": [{"margin": "32663/72072", "name": "E0", "stable": true}, '
+            '{"margin": "-93463/72072", "name": "E1", "stable": false}], '
+            '"higgs": {"bundle": "B", "structure": {"bundle": "B", "u": ["0", "0", "0", "0", "0"]}, '
+            '"theta": ["276/5", "-381/5", "93/5"]}, '
+            '"point": {"chart": "top", "component": "F1", "flagChoice": {}, '
+            '"theta": ["1", "-127/92", "31/92"], "zeros": null}}\n'
+        )
+
     def test_canonicalize_roundtrip(self, capsys, tmp_path):
         point = {
             "component": "F1",

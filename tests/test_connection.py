@@ -7,7 +7,9 @@ from helpers import (
     free_tail_only,
     oracle_cleared_numerator,
     oracle_connection_solve,
+    oracle_elm_triple,
     oracle_gauge_dims,
+    oracle_gauge_transform,
     oracle_solve_connection_space,
     oracle_triple_at,
     oracle_validate_triple,
@@ -17,6 +19,7 @@ from helpers import (
     rand_rational,
     rand_u2_indecomposable,
     rand_ui_indecomposable,
+    residues_and_tail,
     verify_invariant_line,
 )
 from paramod import _kernel, connection, exactnum, higgslimit
@@ -28,13 +31,13 @@ from paramod.connection import (
     elm_triple,
     gauge_transform,
     irreducibility_screen,
-    residues_and_tail,
     solve_connection_space,
     validate_triple,
 )
 from paramod.exactnum import INF, ExactError, Poly, Scalar, sc
 from paramod.parastruct import (
     B,
+    BPRIME,
     BundleSplitType,
     MarkedConfiguration,
     ParabolicStructure,
@@ -890,3 +893,107 @@ class TestGaugeTransform:
         out = gauge_transform(t, [2, 1, 0, sc("1/3"), 5])
         ok, violations = validate_triple(out)
         assert ok, violations
+
+
+def _outcome(fn, *args):
+    # the JSON of the result, or the type and message of the error raised
+    try:
+        return fn(*args).to_json()
+    except ValueError as e:
+        return (type(e).__name__, str(e))
+
+
+def _bprime_triple_infinite_at(rng, cfg, j):
+    """A valid B' triple with the infinite flag at z_j alone.  Such a
+    structure is decomposable, and the (12) numerator, a constant with a
+    zero residue at z_j, vanishes; so the residues are the lower-triangular
+    ``C_i``, valid when the upper diagonal sum ``sum_{i != j} nu+_i + nu-_j``
+    is 1, and the tail is free."""
+    flags = [INF if i == j else rand_rational(rng, -30, 30, 6) for i in range(5)]
+    nu = [(rand_rational(rng, -6, 6, 9), rand_rational(rng, -6, 6, 9)) for _ in range(5)]
+    k = (j + 1) % 5
+    upper = sum((p for i, (p, _) in enumerate(nu) if i not in (j, k)), nu[j][1])
+    nu[k] = (1 - upper, nu[k][1])
+    total = sum((p + m for p, m in nu), sc(0))
+    nu[k] = (nu[k][0], nu[k][1] - total - 1)
+    space = solve_connection_space(ParabolicStructure(BPRIME, flags), cfg, SpectrumRank2(nu, 1))
+    return space.triple_at([rand_rational(rng, -5, 5, 3) for _ in range(space.dim)])
+
+
+class TestFrameChangesMatchOracles:
+    """``elm_triple`` and ``gauge_transform`` on residue triples give the
+    JSON of the Scalar numerator oracles, and raise the same errors."""
+
+    def _valid_triples(self, rng, cfg):
+        # B with a finite and with an infinite flag at every j, and B' with
+        # every flag finite and with the infinite flag at every j
+        for j in range(5):
+            for bundle in (B, BPRIME):
+                s = finite_nonzero_structure(rng, bundle)
+                space = solve_connection_space(s, cfg, spectrum_deg1(rng))
+                yield space.triple_at([rand_rational(rng, -5, 5, 3) for _ in range(space.dim)])
+            flags = [INF if i == j else rand_rational(rng, -30, 30, 6) for i in range(5)]
+            space = solve_connection_space(ParabolicStructure(B, flags), cfg, spectrum_deg1(rng))
+            yield space.triple_at([rand_rational(rng, -5, 5, 3) for _ in range(space.dim)])
+            yield _bprime_triple_infinite_at(rng, cfg, j)
+
+    def test_valid_b_and_bprime_triples(self):
+        rng = random.Random(89)
+        swaps = tails = infinite = 0
+        for cfg in (CFG, rand_config(rng)):
+            for t in self._valid_triples(rng, cfg):
+                assert validate_triple(t)[0]
+                tails += not t.connection.tail.is_zero()
+                for j in range(5):
+                    infinite += t.structure.flags[j].is_infinity()
+                    out = elm_triple(t, j)
+                    assert out.to_json() == oracle_elm_triple(t, j).to_json()
+                    # a second transformation at every point: after a finite
+                    # flag on B the split is even, and a finite flag there
+                    # swaps the summands
+                    for k in range(5):
+                        even = out.connection.bundle.d0 == out.connection.bundle.d1
+                        swaps += even and not out.structure.flags[k].is_infinity()
+                        assert elm_triple(out, k).to_json() == oracle_elm_triple(out, k).to_json()
+                for _ in range(3):
+                    n = 3 if t.connection.bundle == B else 5
+                    params = [Scalar.rational(rng.choice([1, 2, -3]), rng.choice([1, 2]))]
+                    params += [rand_rational(rng, -3, 3, 2) for _ in range(n - 1)]
+                    out = gauge_transform(t, params)
+                    assert out.to_json() == oracle_gauge_transform(t, params).to_json()
+        assert swaps > 100 and tails > 10 and infinite > 10, (swaps, tails, infinite)
+
+    def test_invalid_triples_raise_the_same_errors(self):
+        # arbitrary residues and tails on B, B' and the even split: the
+        # double pole, a polynomial part outside (21) and a tail above its
+        # bound all raise, each with the oracle's error
+        rng = random.Random(97)
+        errors = set()
+        for _ in range(60):
+            bundle = rng.choice([B, BPRIME, BundleSplitType(0, 0)])
+            flags = [INF if rng.random() < 0.3 else rand_rational(rng, -9, 9, 3) for _ in range(5)]
+            residues = [
+                ((rand_rational(rng, -9, 9, 4), rand_rational(rng, -9, 9, 4) * rng.randrange(2)),
+                 (rand_rational(rng, -9, 9, 4), rand_rational(rng, -9, 9, 4)))
+                for _ in range(5)
+            ]
+            bound = bundle.d1 - bundle.d0 - 2
+            tail = Poly([rand_rational(rng) for _ in range(bound + 1)]) if bound >= 0 else None
+            conn = LogConnection(bundle, residues, tail)
+            nu = rand_nonspecial_spectrum(rng, d=bundle.degree)
+            t = FlatTriple(ParabolicStructure(bundle, flags), nu, conn, CFG)
+            for j in range(5):
+                got = _outcome(elm_triple, t, j)
+                assert got == _outcome(oracle_elm_triple, t, j)
+                errors.add(got if isinstance(got, tuple) else None)
+            params = [rng.choice([0, 1, 2])]
+            params += [rand_rational(rng, -3, 3, 2) for _ in range(4 if bundle == BPRIME else 2)]
+            got = _outcome(gauge_transform, t, params)
+            assert got == _outcome(oracle_gauge_transform, t, params)
+            errors.add(got if isinstance(got, tuple) else None)
+        assert {
+            ("ConnectionError", "division would create a double pole"),
+            ("ConnectionError", "entry (0, 0) acquired a polynomial part"),
+            ("ConnectionError", "entry (0, 1) acquired a polynomial part"),
+            ("ConnectionError", "tail degree 0 exceeds bound -1"),
+        } <= errors, errors

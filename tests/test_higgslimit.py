@@ -8,6 +8,8 @@ from helpers import (
     oracle_degenerate_candidate,
     oracle_fiber_dimension,
     oracle_limit_point,
+    oracle_walk_degenerate_candidate,
+    poly_sub,
     rand_config,
     rand_nonspecial_spectrum,
     rand_nonspecial_weight,
@@ -28,7 +30,7 @@ from paramod.higgslimit import (
     FixedLocusPoint,
     HiggsError,
     StronglyParabolicHiggs,
-    _degenerate_candidate,
+    _degenerate_candidates,
     cstar_limit,
     fixed_component,
     fixedpoint_canonicalize,
@@ -206,7 +208,7 @@ class TestThetaFromConnection:
         from paramod.exactnum import monic_from_roots, ExactError
 
         raw = _upper_entry([1, -1, 0, 0, 0]).numerator(0, 1, CFG)
-        expected = monic_from_roots([1, 2, 3, 4]) - monic_from_roots([0, 2, 3, 4])
+        expected = poly_sub(monic_from_roots([1, 2, 3, 4]), monic_from_roots([0, 2, 3, 4]))
         assert raw == expected
         assert raw.degree() == 3
         with pytest.raises(ExactError):
@@ -461,25 +463,32 @@ def _section_flags(rng, cfg):
 
 
 class TestDegenerateCandidates:
-    """The degenerations on the Gaussian-integer contact lattice, from one
-    kernel memo for the five j, match the rational nullspace path for every
-    j: the same None, name and margin."""
+    """The degenerations from one inverse of the (1, 2) contact rows, or
+    from the prefix walk when the rows are singular, match the walk alone
+    (``oracle_walk_degenerate_candidate``, one kernel memo for the five j)
+    and the rational nullspace path for every j: the same None, name and
+    margin."""
 
-    # per kind: the seed, and the least number of candidates found and of
-    # Nones among the 200 comparisons; the section flags make the (1, 2)
-    # contact matrix M singular, so the kernel of four rows is ker M, spanned
-    # by the section, which meets every flag
+    # per kind: the seed, the least number of candidates found and of Nones
+    # among the 200 comparisons, and the number of the 40 structures whose
+    # (1, 2) contact matrix M is singular, which take the fallback walk.  The
+    # section flags make M singular, so the kernel of four rows is ker M,
+    # spanned by the section, which meets every flag; a random structure
+    # with three infinite flags has three rows (1, z_i, 0, 0, 0) in a plane
     KINDS = {
-        "random": (101, 100, 40),
-        "collinear": (102, 40, 100),
-        "section": (103, 0, 150),
+        "random": (101, 100, 40, 7),
+        "collinear": (102, 40, 100, 22),
+        "section": (103, 0, 150, 40),
     }
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_matches_rational_path(self, kind):
-        seed, min_found, min_missing = self.KINDS[kind]
+    def test_matches_rational_path(self, kind, monkeypatch):
+        seed, min_found, min_missing, want_walks = self.KINDS[kind]
+        walks = []
+        kernel = higgslimit.contact_kernel
+        monkeypatch.setattr(higgslimit, "contact_kernel", lambda *a: walks.append(a) or kernel(*a))
         rng = random.Random(seed)
-        found = missing = 0
+        found = missing = walked = 0
         for _ in range(40):
             cfg = rand_config(rng)
             if kind == "random":
@@ -488,23 +497,30 @@ class TestDegenerateCandidates:
                 s = _perturbed_collinear(rng, cfg)
             else:
                 s = _section_flags(rng, cfg)
-                rows = oracle_contact_rows(s, cfg, 1, 2)
-                assert Mat([rows[i] for i in range(5)]).det().is_zero()
+            rows = oracle_contact_rows(s, cfg, 1, 2)
+            singular = Mat([rows[i] for i in range(5)]).det().is_zero()
             w = rand_nonspecial_weight(rng, total_below=1)
+            weights = _cleared_weights(w)
             rows = contact_rows(s, cfg, 1, 2)
+            before = len(walks)
+            got = [(c.name, c.margin, c.stable) for c in _degenerate_candidates(weights, rows)]
+            assert (len(walks) > before) == singular, s
+            walked += singular
             kernels = unit_kernels(5)
+            by_walk, by_oracle = [], []
             for j in range(5):
-                got = _degenerate_candidate(_cleared_weights(w), j, rows, kernels)
+                cand = oracle_walk_degenerate_candidate(weights, j, rows, kernels)
                 want = oracle_degenerate_candidate(s, cfg, w, j)
+                assert (cand is None) == (want is None), (s, j)
                 if want is None:
-                    assert got is None, (s, j)
                     missing += 1
                 else:
-                    assert (got.name, got.margin, got.stable) == (
-                        want.name, want.margin, want.stable
-                    ), (s, j)
+                    by_walk.append((cand.name, cand.margin, cand.stable))
+                    by_oracle.append((want.name, want.margin, want.stable))
                     found += 1
+            assert got == by_walk == by_oracle, s
         assert found >= min_found and missing >= min_missing, (found, missing)
+        assert walked == want_walks
 
 
 class TestFiberDimension:

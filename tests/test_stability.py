@@ -300,8 +300,9 @@ class TestSaturatedMembers:
         assert 0 in spans and max(spans) > 1
 
     def test_degenerate_candidate_bases(self):
-        # the (1, 2) spans of higgslimit._degenerate_candidate: contact at
-        # every marked point but the j-th, from one memo for the five j
+        # the (1, 2) spans of the contact-kernel walk of cstar_limit's
+        # degenerations: contact at every marked point but the j-th, from one
+        # memo for the five j
         spans = []
         for s, cfg in _grid_structures():
             if s.bundle != B:
