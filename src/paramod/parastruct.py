@@ -4,6 +4,13 @@ A flag at a marked point is a point of the projective line: the finite value
 ``u`` stands for the line through ``e(z_i) + u*f(z_i)`` (``e`` spanning the
 lower-degree summand, ``f`` the higher one), and ``inf`` for the fiber of the
 higher-degree summand itself.
+
+Decomposability is decided by one functional, ``_decomposition_coords``: the
+top divided differences ``L(z^k)`` of the finite flags, which all vanish
+exactly when the flags lie on a section of ``O(d1 - d0)``.  ``classify``,
+``is_decomposable``, ``quotient_coords`` and ``stabilizer_dim`` read it, and
+none of them runs a linear solve to decide; ``is_decomposable`` interpolates
+only to build the witness of a decomposable structure.
 """
 
 from __future__ import annotations
@@ -294,6 +301,35 @@ def act_params_shift(bundle: BundleSplitType, params) -> tuple[Scalar, Poly]:
     return a, shift
 
 
+def _decomposition_coords(
+    structure: ParabolicStructure, cfg: MarkedConfiguration
+) -> tuple[Scalar, ...]:
+    """The coordinates ``L(z^k)``, ``0 <= k < n - 1 - b``, that vanish exactly
+    on decomposable structures.
+
+    Here ``n`` is the number of finite flags, ``b = d1 - d0`` and
+    ``L(p) = sum_i u_i p(z_i) / prod_{j != i}(z_i - z_j)`` is the top divided
+    difference over the finite nodes.  ``L`` annihilates every polynomial of
+    degree <= n - 2 and sends ``z^(n-1)`` to 1, so with ``P = sum_m p_m z^m``
+    the interpolant of the flags (degree <= n - 1),
+    ``L(z^k) = sum_m p_m L(z^(m+k))`` is ``p_(n-1-k)`` plus a combination of
+    the ``p_m`` with ``m > n - 1 - k``.  For ``k < n - 1 - b`` the map from
+    ``(p_(b+1), ..., p_(n-1))`` is therefore unitriangular: the coordinates
+    all vanish iff ``deg P <= b``, that is iff the finite flags lie on a
+    section of ``O(d1 - d0)``, which is iff the structure is decomposable
+    (infinite flags sit on the higher summand).  With ``n <= b + 1`` the
+    tuple is empty and the condition holds vacuously.
+    """
+    vals = structure.finite_values()
+    nodes = [cfg.z[i] for i in vals]
+    w = divided_difference_weights(nodes)
+    ncoords = len(nodes) - 1 - (structure.bundle.d1 - structure.bundle.d0)
+    return tuple(
+        sum((u * (z**k) * wi for u, z, wi in zip(vals.values(), nodes, w)), sc(0))
+        for k in range(ncoords)
+    )
+
+
 def is_decomposable(
     structure: ParabolicStructure, cfg: MarkedConfiguration
 ) -> tuple[bool, Poly | None]:
@@ -306,12 +342,11 @@ def is_decomposable(
     bundle = structure.bundle
     if bundle not in (B, BPRIME):
         raise StratumError("decomposability implemented for B and B' only")
+    if not all(c.is_zero() for c in _decomposition_coords(structure, cfg)):
+        return False, None
     # Hom(O(d0), O(d1)) has sections of degree <= d1 - d0
     pts = [(cfg.z[i], u) for i, u in structure.finite_values().items()]
-    witness = interpolate(pts, bundle.d1 - bundle.d0)
-    if witness is None:
-        return False, None
-    return True, witness
+    return True, interpolate(pts, bundle.d1 - bundle.d0)
 
 
 def quotient_coords(
@@ -324,29 +359,15 @@ def quotient_coords(
     ``L(p) = sum_i u_i p(z_i) / prod_{j != i}(z_i - z_j)``; the divided
     difference identity makes the tuple invariant up to the scale ``1/a``.
     One infinite flag: the analogous degree-1 functional over the four finite
-    flags.  The tuple vanishes identically exactly on decomposable structures,
-    which are rejected.
+    flags.  These are the coordinates of ``_decomposition_coords``, so the
+    tuple vanishes identically exactly on decomposable structures, which are
+    rejected.
     """
     if structure.bundle != B:
         raise StratumError("quotient coordinates live on B strata")
-    inf_idx = structure.infinity_indices()
-    vals = structure.finite_values()
-    if len(inf_idx) == 0:
-        nodes = list(cfg.z)
-        us = [vals[i] for i in range(NPOINTS)]
-        npow = 3
-    elif len(inf_idx) == 1:
-        keep = [i for i in range(NPOINTS) if i != inf_idx[0]]
-        nodes = [cfg.z[i] for i in keep]
-        us = [vals[i] for i in keep]
-        npow = 2
-    else:
+    if len(structure.infinity_indices()) > 1:
         raise StratumError("quotient coordinates require at most one infinite flag")
-    w = divided_difference_weights(nodes)
-    coords = tuple(
-        sum((u * (z**k) * wi for u, z, wi in zip(us, nodes, w)), sc(0))
-        for k in range(npow)
-    )
+    coords = _decomposition_coords(structure, cfg)
     if all(c.is_zero() for c in coords):
         raise StratumError("decomposable structure has no quotient coordinates")
     return coords
@@ -362,28 +383,27 @@ def _normalize_projective(coords) -> tuple[Scalar, ...]:
 
 def classify(structure: ParabolicStructure, cfg: MarkedConfiguration) -> StratumId:
     """Stratum/orbit label of a parabolic structure on B or B'."""
-    dec, _ = is_decomposable(structure, cfg)
+    bundle = structure.bundle
+    if bundle not in (B, BPRIME):
+        raise StratumError("decomposability implemented for B and B' only")
+    coords = _decomposition_coords(structure, cfg)
+    dec = all(c.is_zero() for c in coords)
     inf_idx = structure.infinity_indices()
     n_inf = len(inf_idx)
-    if structure.bundle == B:
-        if n_inf == 0:
-            coords = None if dec else _normalize_projective(quotient_coords(structure, cfg))
-            return StratumId("U2", (), coords, dec)
-        if n_inf == 1:
-            coords = None if dec else _normalize_projective(quotient_coords(structure, cfg))
-            return StratumId("Ui", inf_idx, coords, dec)
-        if n_inf == 2:
-            # U' and U'' split by collinearity of the three finite flags
-            family = "UijPrime" if dec else "UijDoublePrime"
-            return StratumId(family, inf_idx, None, dec)
-        return StratumId("Uplus", inf_idx, None, True)
-    if structure.bundle == BPRIME:
-        if n_inf == 0:
-            if dec:
-                return StratumId("BprimeGenericDec", (), None, True)
-            return StratumId("BprimeGenericIndec", (), None, False)
-        return StratumId("BprimeInf", inf_idx, None, True)
-    raise StratumError("classification defined for B and B' only")
+    if bundle == BPRIME:
+        if n_inf:
+            return StratumId("BprimeInf", inf_idx, None, True)
+        if dec:
+            return StratumId("BprimeGenericDec", (), None, True)
+        return StratumId("BprimeGenericIndec", (), None, False)
+    if n_inf <= 1:
+        coords = None if dec else _normalize_projective(coords)
+        return StratumId("Ui" if n_inf else "U2", inf_idx, coords, dec)
+    if n_inf == 2:
+        # U' and U'' split by collinearity of the three finite flags
+        family = "UijPrime" if dec else "UijDoublePrime"
+        return StratumId(family, inf_idx, None, dec)
+    return StratumId("Uplus", inf_idx, None, True)
 
 
 # (family, decomposable) of the strata ``classify`` returns, by the number of
@@ -408,31 +428,16 @@ def stratum_from_label(label) -> StratumId:
     raise ExactError(f"no stratum is labelled {label!r}")
 
 
-def _action_solutions(structure: ParabolicStructure, cfg: MarkedConfiguration, rhs=None):
-    """All solutions ``(particular, basis)`` of the action equations
-    ``shift(z_i) - a*u_i = rhs_i`` at the finite flags ``u_i`` of
-    ``structure``, homogeneous when ``rhs`` is None, or None when there is
-    none.  The unknowns are the coefficients of the shift, a section of
-    degree at most ``d1 - d0``, from low to high, then ``a``; with no finite
-    flag every vector is a solution."""
-    ncols = structure.bundle.d1 - structure.bundle.d0 + 2
-    rows = [
-        [cfg.z[i] ** k for k in range(ncols - 1)] + [-u]
-        for i, u in structure.finite_values().items()
-    ]
-    if not rows:
-        unit = [[sc(1) if j == k else sc(0) for j in range(ncols)] for k in range(ncols)]
-        return [sc(0)] * ncols, unit
-    return Mat(rows).solve_affine(rhs if rhs is not None else [sc(0)] * len(rows))
-
-
 def find_automorphism(
     s1: ParabolicStructure, s2: ParabolicStructure, cfg: MarkedConfiguration
 ):
     """Explicit automorphism parameters carrying s1 to s2, or None.
 
     Solves the linear action equations exactly: ``shift(z_i) - a*u'_i = -u_i``
-    at the finite flags, after matching the infinity patterns.
+    at the finite flags, after matching the infinity patterns.  The unknowns
+    are the coefficients of the shift, a section of degree at most
+    ``d1 - d0``, from low to high, then ``a``; with no finite flag the
+    identity is returned.
     """
     if s1.bundle != s2.bundle:
         raise StratumError("structures live on different bundles")
@@ -440,22 +445,19 @@ def find_automorphism(
         raise StratumError("orbit search defined for B and B' only")
     if s1.infinity_indices() != s2.infinity_indices():
         return None
-    sol = _action_solutions(s2, cfg, [-u for u in s1.finite_values().values()])
+    a_col = s1.bundle.d1 - s1.bundle.d0 + 1
+    rows = [[cfg.z[i] ** k for k in range(a_col)] + [-u] for i, u in s2.finite_values().items()]
+    if not rows:
+        return (sc(1),) + (sc(0),) * a_col
+    sol = Mat(rows).solve_affine([-u for u in s1.finite_values().values()])
     if sol is None:
         return None
     particular, basis = sol
-    a_col = len(particular) - 1
-    candidate = None
-    if not particular[a_col].is_zero():
-        candidate = particular
-    else:
-        for vec in basis:
-            if not vec[a_col].is_zero():
-                candidate = [p + v for p, v in zip(particular, vec)]
-                break
-    if candidate is None:
-        return None
-    return (candidate[a_col], *reversed(candidate[:a_col]))
+    for vec in ([sc(0)] * len(particular), *basis):
+        candidate = [p + v for p, v in zip(particular, vec)]
+        if not candidate[a_col].is_zero():
+            return (candidate[a_col], *reversed(candidate[:a_col]))
+    return None
 
 
 def orbit_equal(
@@ -486,9 +488,14 @@ def stabilizer_dim(structure: ParabolicStructure, cfg: MarkedConfiguration) -> i
     if bundle.d0 == bundle.d1:
         distinct = len(set(structure.flags))
         return 1 + max(0, 3 - distinct)
-    # fixed-flag equations: shift(z_i) = (a - 1) u_i, unknowns (shift, a - 1)
-    _, basis = _action_solutions(structure, cfg)
-    return 1 + len(basis)
+    # fixed-flag equations shift(z_i) = (a - 1) u_i: b + 2 unknowns (shift,
+    # a - 1), a Vandermonde part of rank min(n, b + 1), and the u column
+    # outside its span exactly when the structure is indecomposable
+    b = bundle.d1 - bundle.d0
+    n = len(structure.finite_values())
+    if n <= b:
+        return b + 3 - n
+    return 1 + all(c.is_zero() for c in _decomposition_coords(structure, cfg))
 
 
 def is_simple(structure: ParabolicStructure, cfg: MarkedConfiguration) -> bool:

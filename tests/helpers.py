@@ -24,7 +24,10 @@ witness built, the margins compared as Scalars and every degree visited, the
 reference for the decision on integers that builds the reported witness
 alone and stops at the first degree a margin bound rules out.  A
 second solve of the two diagonal residue sums and the rank of the fixed-flag
-equations are the references for the gauge counts of a connection space,
+equations are the references for the gauge counts of a connection space
+and for the flag stabilizer, the classification on an interpolating solve,
+with the quotient coordinates summed per stratum, the reference for the one
+read off the divided-difference coordinates of the finite flags,
 and the constraint rows built entry by entry against the pole products the
 reference for the ones read off the forward numerator map.  The F1 fiber
 dimension from the rank of the trace-sum constraint, with theta evaluated at
@@ -64,7 +67,19 @@ from paramod.connection import (
     offdiag_bounds,
     solve_connection_space,
 )
-from paramod.exactnum import INF, ONE, ZERO, Mat, Poly, ProjectivePoint, Scalar, monic_from_roots, sc
+from paramod.exactnum import (
+    INF,
+    ONE,
+    ZERO,
+    Mat,
+    Poly,
+    ProjectivePoint,
+    Scalar,
+    divided_difference_weights,
+    interpolate,
+    monic_from_roots,
+    sc,
+)
 from paramod.higgslimit import (
     FixedLocusPoint,
     HiggsError,
@@ -82,6 +97,8 @@ from paramod.parastruct import (
     MarkedConfiguration,
     NPOINTS,
     ParabolicStructure,
+    StratumError,
+    StratumId,
     _normalize_projective,
     act,
     act_params_shift,
@@ -717,6 +734,90 @@ def oracle_is_stable_report(structure, cfg, w, quick=False) -> StabilityReport:
         if quick and worst_s is not None and worst_s < sc(0):
             return StabilityReport(False, worst, worst_s)
     return StabilityReport(worst_s > sc(0), worst, worst_s)
+
+
+def oracle_is_decomposable(
+    structure: ParabolicStructure, cfg: MarkedConfiguration
+) -> tuple[bool, Poly | None]:
+    """Decide decomposability; the witness is the section of the lower summand
+    through all finite flags (infinite flags sit on the higher summand).
+
+    For B the witness is a polynomial of degree <= 1, for B' degree <= 3.
+    Returns ``(True, witness)`` or ``(False, None)``.
+    """
+    bundle = structure.bundle
+    if bundle not in (B, BPRIME):
+        raise StratumError("decomposability implemented for B and B' only")
+    # Hom(O(d0), O(d1)) has sections of degree <= d1 - d0
+    pts = [(cfg.z[i], u) for i, u in structure.finite_values().items()]
+    witness = interpolate(pts, bundle.d1 - bundle.d0)
+    if witness is None:
+        return False, None
+    return True, witness
+
+
+def oracle_quotient_coords(
+    structure: ParabolicStructure, cfg: MarkedConfiguration
+) -> tuple[Scalar, ...]:
+    """Action-invariant projective coordinates of an all-finite or one-infinity
+    B-structure.
+
+    All finite: ``[L(1) : L(z) : L(z^2)]`` with
+    ``L(p) = sum_i u_i p(z_i) / prod_{j != i}(z_i - z_j)``; the divided
+    difference identity makes the tuple invariant up to the scale ``1/a``.
+    One infinite flag: the analogous degree-1 functional over the four finite
+    flags.  The tuple vanishes identically exactly on decomposable structures,
+    which are rejected.
+    """
+    if structure.bundle != B:
+        raise StratumError("quotient coordinates live on B strata")
+    inf_idx = structure.infinity_indices()
+    vals = structure.finite_values()
+    if len(inf_idx) == 0:
+        nodes = list(cfg.z)
+        us = [vals[i] for i in range(NPOINTS)]
+        npow = 3
+    elif len(inf_idx) == 1:
+        keep = [i for i in range(NPOINTS) if i != inf_idx[0]]
+        nodes = [cfg.z[i] for i in keep]
+        us = [vals[i] for i in keep]
+        npow = 2
+    else:
+        raise StratumError("quotient coordinates require at most one infinite flag")
+    w = divided_difference_weights(nodes)
+    coords = tuple(
+        sum((u * (z**k) * wi for u, z, wi in zip(us, nodes, w)), sc(0))
+        for k in range(npow)
+    )
+    if all(c.is_zero() for c in coords):
+        raise StratumError("decomposable structure has no quotient coordinates")
+    return coords
+
+
+def oracle_classify(structure: ParabolicStructure, cfg: MarkedConfiguration) -> StratumId:
+    """Stratum/orbit label of a parabolic structure on B or B'."""
+    dec, _ = oracle_is_decomposable(structure, cfg)
+    inf_idx = structure.infinity_indices()
+    n_inf = len(inf_idx)
+    if structure.bundle == B:
+        if n_inf == 0:
+            coords = None if dec else _normalize_projective(oracle_quotient_coords(structure, cfg))
+            return StratumId("U2", (), coords, dec)
+        if n_inf == 1:
+            coords = None if dec else _normalize_projective(oracle_quotient_coords(structure, cfg))
+            return StratumId("Ui", inf_idx, coords, dec)
+        if n_inf == 2:
+            # U' and U'' split by collinearity of the three finite flags
+            family = "UijPrime" if dec else "UijDoublePrime"
+            return StratumId(family, inf_idx, None, dec)
+        return StratumId("Uplus", inf_idx, None, True)
+    if structure.bundle == BPRIME:
+        if n_inf == 0:
+            if dec:
+                return StratumId("BprimeGenericDec", (), None, True)
+            return StratumId("BprimeGenericIndec", (), None, False)
+        return StratumId("BprimeInf", inf_idx, None, True)
+    raise StratumError("classification defined for B and B' only")
 
 
 def oracle_stabilizer_dim(structure, cfg) -> int:

@@ -2,8 +2,14 @@ import random
 
 import pytest
 
-from helpers import rand_config
-from paramod.exactnum import INF, ExactError, Scalar, monic_from_roots, sc
+from helpers import (
+    oracle_classify,
+    oracle_is_decomposable,
+    oracle_quotient_coords,
+    oracle_stabilizer_dim,
+    rand_config,
+)
+from paramod.exactnum import INF, ExactError, Poly, Scalar, monic_from_roots, sc
 from paramod.parastruct import (
     B,
     BPRIME,
@@ -376,3 +382,90 @@ class TestSimplicity:
         s = struct(B, [0, 0, 0, 0, 0])
         assert not is_simple(s, CFG)
         assert stabilizer_dim(s, CFG) == 2
+
+
+def rand_gaussian(rng):
+    return Scalar.gaussian(
+        rng.randrange(-30, 31), rng.randrange(1, 6), rng.choice([0, 0, rng.randrange(-9, 10)]), rng.randrange(1, 4)
+    )
+
+
+def rand_mixed_structure(rng, bundle, cfg):
+    """Gaussian flags with 0-5 of them infinite (none in half of the draws);
+    35% of the draws put the flags on a random section of degree
+    ``d1 - d0``, a third of those with one flag moved off it.  About 40% of
+    the structures come out decomposable."""
+    pattern = set(rng.sample(range(5), rng.choices(range(6), (10, 2, 1, 1, 1, 1))[0]))
+    if rng.random() < 0.35:
+        section = Poly([rand_gaussian(rng) for _ in range(bundle.d1 - bundle.d0 + 1)])
+        flags = [section(z) for z in cfg.z]
+        if rng.random() < 1 / 3:
+            k = rng.randrange(5)
+            flags[k] = flags[k] + rand_gaussian(rng)
+    else:
+        flags = [rand_gaussian(rng) for _ in range(5)]
+    return struct(bundle, [INF if i in pattern else u for i, u in enumerate(flags)])
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StratumError as exc:
+        return str(exc)
+
+
+class TestDecompositionCoordsMatchOracles:
+    def test_random_structures(self):
+        rng = random.Random(2202)
+        seen = {B: [0, 0], BPRIME: [0, 0]}
+        for _ in range(60):
+            cfg = rand_config(rng)
+            for bundle in (B, BPRIME):
+                for _ in range(8):
+                    s = rand_mixed_structure(rng, bundle, cfg)
+                    got, want = classify(s, cfg), oracle_classify(s, cfg)
+                    assert tuple(got) == tuple(want)
+                    assert got.label() == want.label()
+                    assert got.coords_str() == want.coords_str()
+                    ok, witness = is_decomposable(s, cfg)
+                    ok_o, witness_o = oracle_is_decomposable(s, cfg)
+                    assert ok == ok_o == got.decomposable
+                    if ok:
+                        assert (witness.coeffs, witness.bound) == (witness_o.coeffs, witness_o.bound)
+                    else:
+                        assert witness is witness_o is None
+                    assert stabilizer_dim(s, cfg) == oracle_stabilizer_dim(s, cfg)
+                    assert outcome(quotient_coords, s, cfg) == outcome(oracle_quotient_coords, s, cfg)
+                    seen[bundle][ok] += 1
+        for indec, dec in seen.values():
+            assert 0.25 < dec / (indec + dec) < 0.65
+        assert 0.3 < (seen[B][1] + seen[BPRIME][1]) / 960 < 0.55
+
+    def test_other_split_types(self):
+        rng = random.Random(2203)
+        cfg = rand_config(rng)
+        for bundle in (BundleSplitType(0, 2), BundleSplitType(1, 1)):
+            for _ in range(20):
+                s = rand_mixed_structure(rng, bundle, cfg)
+                assert stabilizer_dim(s, cfg) == oracle_stabilizer_dim(s, cfg)
+            for fn in (classify, oracle_classify, is_decomposable, oracle_is_decomposable):
+                with pytest.raises(StratumError, match=r"^decomposability implemented for B and B' only$"):
+                    fn(s, cfg)
+
+
+class TestAutomorphismEdges:
+    # expected values generated with the action equations solved by Mat
+    def test_all_flags_infinite(self):
+        for bundle, expected, dim in ((B, ("1", "0", "0"), 4), (BPRIME, ("1", "0", "0", "0", "0"), 6)):
+            s = struct(bundle, [INF] * 5)
+            assert tuple(str(x) for x in find_automorphism(s, s, CFG)) == expected
+            assert stabilizer_dim(s, CFG) == dim
+
+    def test_one_finite_flag(self):
+        for bundle, expected, dim in ((B, ("1", "0", "2"), 3), (BPRIME, ("1", "0", "0", "0", "2"), 5)):
+            s1 = struct(bundle, [INF] * 4 + [3])
+            s2 = struct(bundle, [INF] * 4 + [5])
+            g = find_automorphism(s1, s2, CFG)
+            assert tuple(str(x) for x in g) == expected
+            assert act(bundle, g, s1, CFG) == s2
+            assert stabilizer_dim(s1, CFG) == stabilizer_dim(s2, CFG) == dim
