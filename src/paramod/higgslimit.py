@@ -4,13 +4,12 @@ The limit of ``(E, L, c * nabla)`` as ``c -> 0`` is computed by the
 gauge-family construction: finitely many candidate degenerations are built
 from the off-diagonal residue data (keep the upper part, keep the lower part,
 or degenerate onto a degree -1 inclusion) and the unique Higgs-stable
-candidate is returned.  The degree -1 inclusions come from one inverse of
-the five contact rows of ``stability``: each column spans the kernel of four
-rows, and one formal resultant says whether it is saturated; singular rows
-fall back to the contact-kernel walk.  The fixed locus for ``sum(w) < 1`` has
-two components: the single point F0 on the (-1, 2) split and the family F1 of
-nilpotent Higgs fields on the (0, 1) split, modeled as two glued blown-up
-planes.
+candidate is returned.  Which degree -1 inclusions exist is read off
+divided differences of the flags, with the weights of the configuration's
+inverse numerator map: no contact row, elimination or kernel is built.  The
+fixed locus for ``sum(w) < 1`` has two components: the single point F0 on
+the (-1, 2) split and the family F1 of nilpotent Higgs fields on the (0, 1)
+split, modeled as two glued blown-up planes.
 
 The marked zeros of a Higgs field's theta are found once, by the
 strong-parabolicity check of ``StronglyParabolicHiggs``, as the zero residues
@@ -27,7 +26,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from ._kernel import T_ONE, T_ZERO, ZI_ZERO, mat_rref, t_clear, t_matvec, zi_dot
+from ._kernel import t_clear, t_matvec
 from .connection import FlatTriple, LogConnection, offdiag_bounds
 from .exactnum import (
     INF,
@@ -53,15 +52,10 @@ from .stability import (
     OnWallError,
     WeightVector,
     _cleared_weights,
-    _is_saturated,
     _margin,
     _non_special,
-    contact_kernel,
-    contact_rows,
-    has_saturated_member,
     is_stable,
     s_value,
-    unit_kernels,
 )
 
 
@@ -502,8 +496,9 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     The gauge-family candidates (keep the upper off-diagonal data, keep the
     lower, or degenerate onto one of the five degree -1 inclusions) are all
     constructed and ranked by Higgs stability; exactly one must survive.
-    On B, which degenerations exist is decided from one elimination of the
-    five contact rows (``_degenerate_candidates``).
+    On B, which degenerations exist is read off divided differences of the
+    flags (``_degenerate_candidates``).  The spectrum is checked by the one
+    integer test ``SpectrumRank2.genericity``.
     """
     cfg = t.cfg
     bundle = t.connection.bundle
@@ -515,7 +510,7 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
         raise OnWallError("weight is not non-special")
     if not sum(nums) < den:
         raise HiggsError("the two-component regime requires sum(w) < 1")
-    if not t.spectrum.predicates()["non_special"]:
+    if not all(t.spectrum.genericity()):
         raise HiggsError("limit requires a non-special spectrum")
 
     theta = theta_from_connection(t.connection, cfg)
@@ -536,7 +531,7 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
     ]
 
     if bundle == B:
-        candidates += _degenerate_candidates(weights, contact_rows(t.structure, cfg, 1, 2))
+        candidates += _degenerate_candidates(weights, t.structure, cfg)
 
     # an invariant check: every margin is ``d - 2k + sum eps_i w_i``, so a
     # zero one makes ``(d + sum eps_i w_i) / 2`` an integer, which the
@@ -563,50 +558,112 @@ def _candidate(name: str, d: int, deg_f: int, contact, weights, higgs=None) -> L
     return LimitCandidate(name, Scalar.rational(s, den), s > 0, higgs)
 
 
-def _degenerate_candidates(weights, rows: dict) -> list[LimitCandidate]:
-    """The degenerations onto the degree -1 inclusions whose non-contact set
-    is exactly one marked point ``j``, in increasing ``j``.  ``weights`` are
-    the weights' numerators and common denominator, ``rows`` the structure's
-    Gaussian-integer ``contact_rows`` at the formal degrees (1, 2) of a
-    degree -1 inclusion ``(q, r)`` into B: five rows ``R`` on five
-    coefficients.
+def _degenerate_candidates(weights, structure, cfg) -> list[LimitCandidate]:
+    """The degenerations onto the degree -1 inclusions ``(q, r)`` into B,
+    ``deg q <= 1`` and ``deg r <= 2``, whose non-contact set is exactly one
+    marked point ``j``, in increasing ``j``.  ``weights`` are the weights'
+    numerators and common denominator.
 
-    The inclusion for ``j`` exists iff the kernel ``N`` of the four rows
-    other than ``j`` has a saturated member with a nonzero product ``l_j``
-    with row ``j``.  The saturated members are the complement in ``N`` of the
-    zero set of the formal resultant; when they exist they form a nonempty
-    Zariski-open subset of the irreducible space ``N``, which is dense and
-    so lies in no proper hyperplane: some saturated member has ``l_j != 0``
-    unless ``l_j`` vanishes on all of ``N``.  Neither test depends on the
-    basis of ``N``, and no member is built.
+    The inclusion for ``j`` exists iff the space ``N`` of sections meeting
+    the flags of ``S``, the four points other than ``j``, has a saturated
+    member that misses flag ``j``.  The saturated members, when there are
+    any, are dense in ``N``, so some member misses ``j`` unless every member
+    of ``N`` meets it.  With the five-point divided-difference weights
+    ``W_i = 1 / prod_{k != i} (z_i - z_k)`` and, over the finite flags,
 
-    One Gauss-Jordan elimination of ``[R | I]`` decides whether ``R`` is
-    invertible.  If it is, column ``j`` of ``R^-1`` spans ``N`` and has
-    ``l_j = 1``, so the inclusion exists iff that column, cleared to
-    Gaussian integers, is saturated.  If not, each ``N`` is restricted from
-    the kernels of the prefixes of the other four rows (``contact_kernel``),
-    then tested by ``has_saturated_member`` and the products with row ``j``.
+        ``Q(a, b) = sum_i u_i W_i (z_i - z_a)(z_i - z_b)``,
+
+    the inclusion exists iff
+
+    - two or more flags of ``S`` are infinite: never;
+    - one flag ``i0`` of ``S`` is infinite: ``Q(i0, j) != 0``, and
+      ``Q(i0, i0) != 0`` unless ``j`` is infinite;
+    - no flag of ``S`` is infinite: ``Q(j, k) != 0`` for every ``k`` in
+      ``S``, and ``Q(j, j) != 0`` when ``j`` is infinite, or
+      ``M_0 M_2 != M_1^2`` when it is finite, ``M_k = sum_i u_i W_i z_i^k``.
+
+    Proof.  A section is saturated iff ``q`` and ``r`` share no root on the
+    projective line, infinity being a root of both when ``q_1 = r_2 = 0``.
+    An infinite flag at ``i`` asks ``q(z_i) = 0``.  On ``n`` nodes the top
+    divided difference has the weights ``W_i`` times the product of
+    ``(z_i - z_k)`` over the points ``k`` left out, and it vanishes on a
+    function iff the interpolant has degree ``<= n - 2``.
+
+    Two infinite flags in ``S`` force ``q = 0``, and ``(0, r)`` is never
+    saturated.  One, ``i0``, makes ``q`` a multiple of ``z - z_i0``;
+    ``q = 0`` would make ``r`` vanish at the three finite points ``F`` of
+    ``S``, so ``N`` is spanned by ``q = z - z_i0`` and the interpolant ``r``
+    of ``u_i (z_i - z_i0)`` on ``F``.  It is saturated iff ``r(z_i0) != 0``,
+    iff the top divided difference on ``F + {i0}`` of these values, with 0
+    at ``i0``, is nonzero: that is ``Q(i0, j)``, whose term at a finite
+    ``j`` vanishes, and it says the three finite flags are not collinear.  It
+    always misses an infinite ``j``; a finite one it meets iff
+    ``r(z_j) = u_j (z_j - z_i0)``, iff the top divided difference of
+    ``u_i (z_i - z_i0)`` on ``F + {j}``, which is ``Q(i0, i0)``, vanishes.
+
+    With no infinite flag in ``S``, let ``P`` be the cubic interpolant of
+    ``u`` on ``S`` and ``D`` the top divided difference on ``S``, with the
+    weights ``W_i (z_i - z_j)``.  A ``q`` extends to a member iff ``D(uq) =
+    q_0 A + q_1 B = 0``, for ``A = D(u) = P_3`` and ``B = D(uz)``; ``r`` is
+    then the interpolant of ``u q`` on ``S``, and ``q = 0`` leaves ``r = 0``.
+    If ``A = B = 0`` the flags of ``S`` lie on a line ``l`` and every member
+    ``(q, l q)`` shares a root, so none is saturated.  Otherwise ``N`` is
+    spanned by ``q = B - A z`` with its ``r``, and ``P q - r``, of degree
+    ``<= 4`` and zero on ``S``, is ``-A^2 prod_{k in S} (z - z_k)``.  At the
+    root ``a`` of ``q``, when ``A != 0``, ``r(a) = A^2 prod (a - z_k)``
+    vanishes iff ``a`` is a point of ``S``; when ``A = 0``, ``r = B P`` has
+    ``r_2 = B P_2 = B^2 != 0``.  Either way the member is saturated iff
+    ``q(z_k) != 0`` on ``S``, and ``q(z_k) = Q(j, k)``, which also covers
+    ``A = B = 0``.  It misses an infinite ``j`` iff ``q(z_j) = Q(j, j) !=
+    0``; a finite ``j`` iff ``u_j q(z_j) != r(z_j)``, iff the five-point
+    divided difference of ``u q - r``, that is ``sum_i u_i W_i q(z_i) =
+    B M_0 - A M_1 = M_0 M_2 - M_1^2``, is nonzero.  The last equality is
+    ``A = M_1 - z_j M_0`` and ``B = M_2 - z_j M_1``.
+
+    The sums run on Gaussian integers: the finite flags and the marked
+    points cleared of their denominators, and ``W_i`` times the
+    denominator of the inverse numerator map, whose column 0 it is.  Each
+    test asks only whether a homogeneous expression is nonzero, so the
+    positive scales drop out.  No contact row, elimination or kernel is
+    built.
     """
-    aug = [
-        [(a, b, 1) for a, b in rows[i]] + [T_ONE if c == i else T_ZERO for c in range(NPOINTS)]
-        for i in range(NPOINTS)
-    ]
-    m, pivots, _ = mat_rref(aug, NPOINTS, 2 * NPOINTS)
-    # every row has a pivot, and R is invertible iff they all lie in R
-    if pivots[-1] < NPOINTS:
-        found = [
-            j for j in range(NPOINTS)
-            if _is_saturated(t_clear([r[NPOINTS + j] for r in m])[0], 1, 2)
-        ]
-    else:
-        kernels = unit_kernels(NPOINTS)
-        found = []
-        for j in range(NPOINTS):
-            basis = contact_kernel(tuple(i for i in rows if i != j), rows, kernels)
-            if any(zi_dot(rows[j], vec) != ZI_ZERO for vec in basis) and (
-                has_saturated_member(basis, 1, 2)
-            ):
-                found.append(j)
+    _, (inv, _) = cfg.numerator_maps()
+    z = [a for a, _ in t_clear([x._t for x in cfg.z])[0]]
+    fin = structure.finite_values()
+    # the moments M_k = sum_i u_i W_i z_i^k over the finite flags, cleared
+    m = [[0, 0], [0, 0], [0, 0]]
+    for i, (a, b) in zip(fin, t_clear([u._t for u in fin.values()])[0]):
+        c = inv[i][0][0]
+        for mk in m:
+            mk[0] += a * c
+            mk[1] += b * c
+            c *= z[i]
+    (m0r, m0i), (m1r, m1i), (m2r, m2i) = m
+
+    def q_nonzero(a, b):
+        # Q(a, b) = M_2 - (z_a + z_b) M_1 + z_a z_b M_0, cleared
+        s, p = z[a] + z[b], z[a] * z[b]
+        return m2r - s * m1r + p * m0r != 0 or m2i - s * m1i + p * m0i != 0
+
+    # M_0 M_2 != M_1^2, which decides a finite j when every flag is finite
+    gram = m0r * m2r - m0i * m2i != m1r * m1r - m1i * m1i or (
+        m0r * m2i + m0i * m2r != 2 * m1r * m1i
+    )
+    infinite = structure.infinity_indices()
+    found = []
+    for j in range(NPOINTS):
+        others = [i for i in infinite if i != j]
+        if len(others) > 1:
+            continue
+        if others:
+            i0 = others[0]
+            exists = q_nonzero(i0, j) and (j in infinite or q_nonzero(i0, i0))
+        else:
+            exists = all(q_nonzero(j, k) for k in range(NPOINTS) if k != j) and (
+                q_nonzero(j, j) if j in infinite else gram
+            )
+        if exists:
+            found.append(j)
     return [_candidate(f"E-1({j + 1})", 1, 2, {j}, weights) for j in found]
 
 

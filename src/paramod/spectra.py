@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exactnum import ExactError, PreconditionError, Scalar, json_list, sc
+from .exactnum import ExactError, PreconditionError, Scalar, clear_denominators, json_list, sc
 from .parastruct import NPOINTS, point_index
-from .stability import WeightVector, sign_pattern_sums
+from .stability import WeightVector, _sign_sums
 
 
 class SpectrumError(PreconditionError):
@@ -38,13 +38,29 @@ class SpectrumRank2:
     def minus(self, i: int) -> Scalar:
         return self.nu[i][1]
 
+    def genericity(self) -> tuple[bool, bool]:
+        """``(kostov_generic, non_resonant)``, on the ten eigenvalues cleared
+        once to Gaussian integers ``P_i``, ``M_i`` over one denominator ``D``.
+
+        A gap ``nu+_i - nu-_i`` is an integer iff ``P_i - M_i`` is real and
+        divisible by ``D``.  Kostov genericity asks that no sign-pattern sum
+        ``s`` be an integer; only the 16 patterns taking ``nu+_1`` are
+        summed, because by the Fuchs relation the complementary pattern sums
+        to ``-d - s``, an integer exactly when ``s`` is.
+        """
+        ipairs, den = clear_denominators(self.nu)
+        non_res = not any(
+            pb == mb and (pa - ma) % den == 0 for (pa, pb), (ma, mb) in ipairs
+        )
+        sums = _sign_sums([ipairs[0][:1], *ipairs[1:]])
+        kostov = not any(im == 0 and re % den == 0 for re, im in sums)
+        return kostov, non_res
+
     def predicates(self) -> dict[str, bool]:
         """Kostov-genericity (no sign-pattern sum is an integer),
         non-resonance (no eigenvalue gap is an integer), and their
-        conjunction."""
-        den, sums = sign_pattern_sums(self.nu)
-        kostov = not any(im == 0 and re % den == 0 for _, (re, im) in sums)
-        non_res = all(not (p - m).is_integer() for p, m in self.nu)
+        conjunction, as ``genericity`` decides them."""
+        kostov, non_res = self.genericity()
         return {
             "kostov_generic": kostov,
             "non_resonant": non_res,
@@ -173,7 +189,7 @@ def mc_spectrum(nu: SpectrumRank2, branch: MCBranch) -> MCSpectrumRank3:
     ``beta_h``; the rank is 2(6-2)-5 = 3 and the degree is preserved, which is
     re-checked through the rank-3 Fuchs relation.
     """
-    if not nu.predicates()["non_special"]:
+    if not all(nu.genericity()):
         raise SpectrumError("middle convolution requires a non-special spectrum")
     failures = mc_applicability_failures(nu, branch)
     if failures:

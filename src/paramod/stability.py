@@ -15,8 +15,9 @@ goes to the saturation grid as it is, which yields Gaussian-integer grid
 vectors.  A witness found in the kernel of ``T`` has contact exactly ``T``,
 because contact sets are visited by descending size (see
 ``_candidates_at_degree``), so no contact is evaluated back on the marked
-points.  This module is the only one that builds contact spans: the C*-limit's
-degenerations in ``higgslimit`` take theirs from ``contact_kernel``.
+points.  This module is the only one that builds contact spans; the C*-limit's
+degenerations in ``higgslimit`` are read off divided differences of the
+flags and need none.
 
 Every contact set not inside a recorded one is visited.  A set whose
 kernel is that of a larger set is never recorded, so it costs a kernel and
@@ -122,21 +123,25 @@ def sign_pattern_sums(pairs):
     Every caller asks an integrality or sign question of a sum ``s``, and
     answers it with one integer test on ``D*s``: ``s`` is an integer iff
     ``im == 0 and re % D == 0``, and ``s - m`` has the sign of ``re - m*D``.
-    Its callers are ``chamber_classify``, ``SpectrumRank2.predicates`` and
-    ``connection.irreducibility_screen``; the weights' Kostov check runs the
-    same loop (``_sign_sums``) on the weights already cleared.
+    Its callers are ``chamber_classify`` and
+    ``connection.irreducibility_screen``; the two Kostov checks,
+    ``_kostov_generic`` and ``SpectrumRank2.genericity``, run the same loop
+    (``_sign_sums``) on half the patterns.
     """
     ipairs, den = clear_denominators(pairs)
-    return den, _sign_sums(ipairs)
+    return den, list(zip(product((0, 1), repeat=NPOINTS), _sign_sums(ipairs)))
 
 
 def _sign_sums(ipairs):
-    # the 2^5 sums of Gaussian-integer pairs, as ``sign_pattern_sums`` lists them
+    """The sums ``sum_i ipairs[i][sigma[i]]`` of Gaussian integers over every
+    choice ``sigma`` of one entry per tuple, in ``product`` order.  A tuple
+    of one entry fixes that choice: ``[pairs[0][:1], *pairs[1:]]`` gives the
+    16 patterns with ``sigma[0] = 0``, the halves the Kostov checks read."""
     sums = [(0, 0)]
     for pair in ipairs:
-        # one more sign, varying fastest, as in ``product``
+        # one more choice, varying fastest, as in ``product``
         sums = [(re + a, im + b) for re, im in sums for a, b in pair]
-    return list(zip(product((0, 1), repeat=NPOINTS), sums))
+    return sums
 
 
 def sign_label(sigma) -> str:
@@ -151,10 +156,18 @@ def _cleared_weights(w: WeightVector) -> tuple[list[int], int]:
 
 
 def _kostov_generic(nums, den: int, d: int) -> bool:
-    # no sign pattern makes (d + sum eps_i w_i) / 2 an integer, asked of the
-    # weights' numerators ``nums`` over their common denominator ``den``
-    sums = _sign_sums([((a, 0), (-a, 0)) for a in nums])
-    return all((re + d * den) % (2 * den) for _, (re, _) in sums)
+    """No sign pattern makes ``(d + sum eps_i w_i) / 2`` an integer, asked of
+    the weights' numerators ``nums`` over their common denominator ``den``:
+    no pattern sum ``re`` (times ``den``) has ``re + d*den`` divisible by
+    ``2*den``.
+
+    Only the 16 patterns with ``eps_1 = +1`` are summed.  The complement of
+    a pattern has the sum ``-re``, and ``-re + d*den = -(re + d*den) +
+    2*d*den``, so ``re + d*den = 0 (mod 2*den)`` iff ``-re + d*den = 0
+    (mod 2*den)``: a pattern and its complement fail together.
+    """
+    sums = _sign_sums([((nums[0], 0),), *(((a, 0), (-a, 0)) for a in nums[1:])])
+    return all((re + d * den) % (2 * den) for re, _ in sums)
 
 
 def weight_is_kostov_generic(w: WeightVector, d: int) -> bool:

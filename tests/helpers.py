@@ -44,9 +44,10 @@ connection solve through ``Mat.solve_affine`` with every row entry a Scalar,
 the triple summed on Scalars and the validation on Scalars are the
 references for the connection pipeline on triples, and the solved connection
 space on the generic B' structure the reference for the F0 fiber dimension
-read off without a solve.  The contact-kernel walk for each of the five
-degenerations of a C*-limit is the reference for the ones read off one
-inverse of the contact rows, and Scalar polynomial arithmetic on the four
+read off without a solve.  One inverse of the contact rows, with the
+contact-kernel walk when they are singular, and the walk alone for each of
+the five degenerations of a C*-limit are the references for the ones read
+off divided differences of the flags, and Scalar polynomial arithmetic on the four
 cleared numerators, read back by division by the node polynomial and
 Lagrange interpolation, the reference for the elementary and gauge
 transformations on residue triples.
@@ -58,7 +59,20 @@ polynomials.
 
 from itertools import combinations, product
 
-from paramod._kernel import T_ONE, T_ZERO, ZI_ZERO, t_div, t_inv, t_matvec, t_mul, t_neg, t_sub, zi_dot
+from paramod._kernel import (
+    T_ONE,
+    T_ZERO,
+    ZI_ZERO,
+    mat_rref,
+    t_clear,
+    t_div,
+    t_inv,
+    t_matvec,
+    t_mul,
+    t_neg,
+    t_sub,
+    zi_dot,
+)
 from paramod.connection import (
     ConnectionError,
     FlatTriple,
@@ -113,10 +127,12 @@ from paramod.stability import (
     WeightVector,
     _candidate_degrees,
     _hom_degrees,
+    _is_saturated,
     contact_kernel,
     destabilizing_candidates,
     has_saturated_member,
     sign_label,
+    unit_kernels,
     weight_is_kostov_generic,
     weight_is_non_special,
 )
@@ -685,6 +701,53 @@ def oracle_walk_degenerate_candidate(weights, j: int, rows: dict, kernels: dict)
     ):
         return None
     return _candidate(f"E-1({j + 1})", 1, 2, {j}, weights)
+
+
+def oracle_inverse_degenerate_candidates(weights, rows: dict) -> list[LimitCandidate]:
+    """The degenerations onto the degree -1 inclusions whose non-contact set
+    is exactly one marked point ``j``, in increasing ``j``.  ``weights`` are
+    the weights' numerators and common denominator, ``rows`` the structure's
+    Gaussian-integer ``contact_rows`` at the formal degrees (1, 2) of a
+    degree -1 inclusion ``(q, r)`` into B: five rows ``R`` on five
+    coefficients.
+
+    The inclusion for ``j`` exists iff the kernel ``N`` of the four rows
+    other than ``j`` has a saturated member with a nonzero product ``l_j``
+    with row ``j``.  The saturated members are the complement in ``N`` of the
+    zero set of the formal resultant; when they exist they form a nonempty
+    Zariski-open subset of the irreducible space ``N``, which is dense and
+    so lies in no proper hyperplane: some saturated member has ``l_j != 0``
+    unless ``l_j`` vanishes on all of ``N``.  Neither test depends on the
+    basis of ``N``, and no member is built.
+
+    One Gauss-Jordan elimination of ``[R | I]`` decides whether ``R`` is
+    invertible.  If it is, column ``j`` of ``R^-1`` spans ``N`` and has
+    ``l_j = 1``, so the inclusion exists iff that column, cleared to
+    Gaussian integers, is saturated.  If not, each ``N`` is restricted from
+    the kernels of the prefixes of the other four rows (``contact_kernel``),
+    then tested by ``has_saturated_member`` and the products with row ``j``.
+    """
+    aug = [
+        [(a, b, 1) for a, b in rows[i]] + [T_ONE if c == i else T_ZERO for c in range(NPOINTS)]
+        for i in range(NPOINTS)
+    ]
+    m, pivots, _ = mat_rref(aug, NPOINTS, 2 * NPOINTS)
+    # every row has a pivot, and R is invertible iff they all lie in R
+    if pivots[-1] < NPOINTS:
+        found = [
+            j for j in range(NPOINTS)
+            if _is_saturated(t_clear([r[NPOINTS + j] for r in m])[0], 1, 2)
+        ]
+    else:
+        kernels = unit_kernels(NPOINTS)
+        found = []
+        for j in range(NPOINTS):
+            basis = contact_kernel(tuple(i for i in rows if i != j), rows, kernels)
+            if any(zi_dot(rows[j], vec) != ZI_ZERO for vec in basis) and (
+                has_saturated_member(basis, 1, 2)
+            ):
+                found.append(j)
+    return [_candidate(f"E-1({j + 1})", 1, 2, {j}, weights) for j in found]
 
 
 def is_non_resonant(w) -> bool:

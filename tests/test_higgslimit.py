@@ -7,6 +7,7 @@ from helpers import (
     oracle_contact_rows,
     oracle_degenerate_candidate,
     oracle_fiber_dimension,
+    oracle_inverse_degenerate_candidates,
     oracle_limit_point,
     oracle_walk_degenerate_candidate,
     poly_sub,
@@ -18,7 +19,7 @@ from helpers import (
     sample_universe,
     universe_point,
 )
-from paramod import higgslimit
+from paramod import _kernel, higgslimit, stability
 from paramod.connection import (
     LogConnection,
     gauge_transform,
@@ -462,50 +463,65 @@ def _section_flags(rng, cfg):
     return ParabolicStructure(B, flags)
 
 
+def _small_flags(rng, n_inf):
+    # flags of small Gaussian integers, n_inf of them infinite: three flags
+    # on a line, four on a line and flags on a section come by coincidence
+    pattern = set(rng.sample(range(5), n_inf))
+    flags = [
+        INF if i in pattern else Scalar(rng.randint(-1, 1), rng.randint(-1, 1) * (rng.randrange(4) == 0))
+        for i in range(5)
+    ]
+    return ParabolicStructure(B, flags)
+
+
 class TestDegenerateCandidates:
-    """The degenerations from one inverse of the (1, 2) contact rows, or
-    from the prefix walk when the rows are singular, match the walk alone
+    """The degenerations read off divided differences of the flags match
+    one inverse of the (1, 2) contact rows with the prefix walk for singular
+    rows (``oracle_inverse_degenerate_candidates``), the walk alone
     (``oracle_walk_degenerate_candidate``, one kernel memo for the five j)
     and the rational nullspace path for every j: the same None, name and
     margin."""
 
     # per kind: the seed, the least number of candidates found and of Nones
     # among the 200 comparisons, and the number of the 40 structures whose
-    # (1, 2) contact matrix M is singular, which take the fallback walk.  The
-    # section flags make M singular, so the kernel of four rows is ker M,
-    # spanned by the section, which meets every flag; a random structure
-    # with three infinite flags has three rows (1, z_i, 0, 0, 0) in a plane
+    # (1, 2) contact matrix M is singular, on which the inverse oracle takes
+    # the walk.  The section flags make M singular, so the kernel of four
+    # rows is ker M, spanned by the section, which meets every flag; a
+    # random structure with three infinite flags has three rows
+    # (1, z_i, 0, 0, 0) in a plane.  The small flags cycle through 0..5
+    # infinite flags.
     KINDS = {
         "random": (101, 100, 40, 7),
         "collinear": (102, 40, 100, 22),
         "section": (103, 0, 150, 40),
+        "small": (104, 60, 100, 20),
     }
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_matches_rational_path(self, kind, monkeypatch):
-        seed, min_found, min_missing, want_walks = self.KINDS[kind]
-        walks = []
-        kernel = higgslimit.contact_kernel
-        monkeypatch.setattr(higgslimit, "contact_kernel", lambda *a: walks.append(a) or kernel(*a))
+    def test_matches_rational_path(self, kind):
+        seed, min_found, min_missing, want_singular = self.KINDS[kind]
         rng = random.Random(seed)
-        found = missing = walked = 0
-        for _ in range(40):
+        found = missing = singular = 0
+        for trial in range(40):
             cfg = rand_config(rng)
             if kind == "random":
                 s = rand_structure(rng, B)
             elif kind == "collinear":
                 s = _perturbed_collinear(rng, cfg)
-            else:
+            elif kind == "section":
                 s = _section_flags(rng, cfg)
+            else:
+                s = _small_flags(rng, trial % 6)
             rows = oracle_contact_rows(s, cfg, 1, 2)
-            singular = Mat([rows[i] for i in range(5)]).det().is_zero()
+            singular += Mat([rows[i] for i in range(5)]).det().is_zero()
             w = rand_nonspecial_weight(rng, total_below=1)
             weights = _cleared_weights(w)
+            got = [(c.name, c.margin, c.stable) for c in _degenerate_candidates(weights, s, cfg)]
             rows = contact_rows(s, cfg, 1, 2)
-            before = len(walks)
-            got = [(c.name, c.margin, c.stable) for c in _degenerate_candidates(weights, rows)]
-            assert (len(walks) > before) == singular, s
-            walked += singular
+            by_inverse = [
+                (c.name, c.margin, c.stable)
+                for c in oracle_inverse_degenerate_candidates(weights, rows)
+            ]
             kernels = unit_kernels(5)
             by_walk, by_oracle = [], []
             for j in range(5):
@@ -518,9 +534,47 @@ class TestDegenerateCandidates:
                     by_walk.append((cand.name, cand.margin, cand.stable))
                     by_oracle.append((want.name, want.margin, want.stable))
                     found += 1
-            assert got == by_walk == by_oracle, s
+            assert got == by_inverse == by_walk == by_oracle, s
         assert found >= min_found and missing >= min_missing, (found, missing)
-        assert walked == want_walks
+        assert singular == want_singular
+
+    def test_small_flags_match_inverse(self):
+        # 600 structures of small Gaussian-integer flags with 0..5 infinite
+        # flags against the inverse oracle, two in three on z = 0..4
+        rng = random.Random(105)
+        w = _cleared_weights(W_SMALL)
+        counts = set()
+        for trial in range(600):
+            cfg = CFG if trial % 3 else rand_config(rng)
+            s = _small_flags(rng, trial % 6)
+            got = _degenerate_candidates(w, s, cfg)
+            assert got == oracle_inverse_degenerate_candidates(w, contact_rows(s, cfg, 1, 2)), s
+            counts.add((trial % 6, len(got)))
+        # (number of infinite flags, number of candidates): none, some and
+        # all five of the candidates the closed form allows are missed
+        assert {(0, 0), (0, 3), (0, 5), (1, 0), (1, 3), (1, 5), (2, 0), (2, 2), (3, 0)} <= counts
+
+    def test_limit_builds_no_kernel(self, monkeypatch):
+        # cstar_limit on B triples, one of them with singular contact rows
+        # (the section (z + 1, z^2)), and on a B' triple runs no contact
+        # kernel and no elimination; the counters do see both elsewhere
+        rng = random.Random(107)
+        flag_sets = (None, [INF, 1, 2, 3, 5], [INF, INF, 1, 2, 5], [0, "1/2", "4/3", "9/4", "16/5"])
+        triples = [solved_b_triple(rng, flags) for flags in flag_sets]
+        space = solve_connection_space(bprime_generic_representative(CFG), CFG, rand_nonspecial_spectrum(rng, d=1))
+        triples.append(space.triple_at([1, 2]))
+        calls = []
+        for module, name in ((stability, "contact_kernel"), (_kernel, "mat_rref")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+            )
+        for t in triples:
+            cstar_limit(t, rand_nonspecial_weight(rng, total_below=1))
+        assert calls == []
+        stability.destabilizing_candidates(triples[0].structure, CFG)
+        solve_connection_space(triples[0].structure, CFG, triples[0].spectrum)
+        assert set(calls) == {"contact_kernel", "mat_rref"}
 
 
 class TestFiberDimension:

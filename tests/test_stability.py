@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -83,6 +83,37 @@ class TestKostovGeneric:
         w0 = WeightVector.uniform(0)
         assert weight_is_kostov_generic(w0, 1)
         assert not weight_is_kostov_generic(w0, 2)
+
+    def test_half_patterns_match_all_32(self):
+        # the 16 patterns with eps_1 = +1 against the loop over all 32, on
+        # random weights and on weights put on a wall sum eps_i w_i = 2m - d,
+        # half of those with eps_1 = -1, which only the complement detects
+        rng = random.Random(2103)
+        counts = Counter()
+        for k in range(1800):
+            d = k % 3
+            den = rng.randrange(2, 13)
+            nums = [rng.randrange(0, den) for _ in range(5)]
+            placed = None
+            if k % 2:
+                # the last weight, if one in [0, 1) has a sign and an m that
+                # put the others on a wall
+                eps = [-1 if k % 4 == 1 else 1] + [rng.choice((1, -1)) for _ in range(3)]
+                rest = sum(e * a for e, a in zip(eps, nums))
+                for e5, m in product((1, -1), range(-3, 5)):
+                    last = e5 * ((2 * m - d) * den - rest)
+                    if 0 <= last < den:
+                        nums[4], placed = last, eps[0]
+                        break
+            sums = stability._sign_sums([((a, 0), (-a, 0)) for a in nums])
+            assert len(sums) == 32
+            want = all((re + d * den) % (2 * den) for re, _ in sums)
+            assert stability._kostov_generic(nums, den, d) == want, (nums, den, d)
+            assert placed is None or not want
+            counts[d, placed, want] += 1
+        for d in (0, 1, 2):
+            assert counts[d, -1, False] > 100 and counts[d, 1, False] > 100, counts
+            assert counts[d, None, True] > 100 and counts[d, None, False] > 100, counts
 
 
 def _chamber_or_wall(classify_fn, w, d):
