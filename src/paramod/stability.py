@@ -13,19 +13,24 @@ is restricted from the kernel of ``T[:-1]`` by the fraction-free kernel of the
 one row vector ``row . N(T[:-1])``, in the style of Bareiss; and the kernel
 goes to the saturation grid as it is, which yields Gaussian-integer grid
 vectors.  A witness found in the kernel of ``T`` has contact exactly ``T``,
-because contact sets are visited by descending size (see
+because every larger set is visited before ``T`` (see
 ``_candidates_at_degree``), so no contact is evaluated back on the marked
 points.  This module is the only one that builds contact spans; the C*-limit's
 degenerations in ``higgslimit`` are read off divided differences of the
 flags and need none.
 
-Every contact set not inside a recorded one is visited.  A set whose
-kernel is that of a larger set is never recorded, so it costs a kernel and
-a span search and changes nothing.  ``is_stable`` never builds one: such a
-set arises only on B at degree -1, and the margin stop ends the decision
-before it (the proof is in ``_candidates_at_degree``).  B's degree-0
-subbundles are lines through the finite flags, grouped by pair with no
-evaluation at the flags (``_b_degree_zero_candidates``).
+``destabilizing_candidates`` visits every contact set not inside a
+recorded one, by descending size.  ``is_stable`` visits only the sets whose
+margin is below the least margin of the higher degrees, least margin first,
+and stops at the first whose kernel holds a saturated member: that set is
+the recorded one the full degree would report, with the same witness (the
+proof is in ``is_stable``), and when no set's margin is that low no contact
+row or kernel is built.  A set whose kernel is that of a larger set is
+never recorded, so it costs a kernel and a span search and changes
+nothing; ``is_stable`` never builds one (the proof is in
+``_candidates_at_degree``).  B's degree-0 subbundles are lines through the
+finite flags, grouped by pair with no evaluation at the flags
+(``_b_degree_zero_candidates``).
 
 A decision runs on integers from the weight check to the report.  The
 weights are cleared to numerators over one common denominator, which the
@@ -46,7 +51,7 @@ still lists every degree.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from math import gcd
 from typing import NamedTuple
 
@@ -489,6 +494,12 @@ def _b_degree_zero_candidates(structure, cfg):
     return [(frozenset(hit), line) for line, hit in lines.items()]
 
 
+def _contactable(structure, dq: int) -> tuple[int, ...]:
+    # the marked points whose flag a saturated section with ``dq >= 0`` can
+    # meet: an infinite flag asks q(z_i) = 0, which for ``dq = 0`` is q = 0
+    return tuple(i for i, u in enumerate(structure.flags) if dq >= 1 or not u.is_infinity())
+
+
 def contact_rows(structure, cfg, dq: int, dr: int) -> dict[int, list[tuple[int, int]]]:
     """Per marked point where a section ``(q, r)`` of formal degrees
     ``(dq, dr)``, ``dq >= 0``, can meet the flag, the row of the linear
@@ -498,14 +509,13 @@ def contact_rows(structure, cfg, dq: int, dr: int) -> dict[int, list[tuple[int, 
     saturated.  The powers of ``z_i`` and their products with ``-u_i`` are
     taken on triples."""
     out = {}
-    for i, (zi, u) in enumerate(zip(cfg.z, structure.flags)):
-        z = zi._t
+    for i in _contactable(structure, dq):
+        u = structure.flags[i]
+        z = cfg.z[i]._t
         powers = [T_ONE]
         for _ in range(max(dq, dr)):
             powers.append(t_mul(powers[-1], z))
         if u.is_infinity():
-            if dq < 1:
-                continue
             row = powers[: dq + 1] + [T_ZERO] * (dr + 1)
         else:
             nu = t_neg(u.value._t)
@@ -568,27 +578,38 @@ def contact_kernel(T, zrows, kernels):
     return basis
 
 
-def _candidates_at_degree(structure, cfg, k) -> list[tuple[frozenset[int], object]]:
+def _candidates_at_degree(structure, cfg, k, below=None) -> list[tuple[frozenset[int], object]]:
     """The inclusion-maximal contact sets at degree ``k``, each as
     ``(contact, payload)`` with the payload ``_witness`` turns into its
     witness.
 
     Contact sets ``T`` of the contactable points are visited by descending
-    size, skipping those inside a set already found, and ``T`` is recorded
-    when the kernel ``N(T)`` of its contact rows holds a saturated member.
-    Its contact is exactly ``T``: a member of ``N(T)`` with a contact
-    ``C`` larger than ``T`` is a saturated member of ``N(C)`` (a saturated
+    size, then in ``combinations`` order, skipping those inside a set
+    already found, and ``T`` is recorded when the kernel ``N(T)`` of its
+    contact rows holds a saturated member (``_saturated_sets``).  Its
+    contact is exactly ``T``: a member of ``N(T)`` with a contact ``C``
+    larger than ``T`` is a saturated member of ``N(C)`` (a saturated
     section meets no flag outside the contactable points), and ``C`` was
     visited earlier, so ``C``, or a found set containing it, is recorded and
     ``T`` would have been skipped.  Whether ``N(T)`` holds a saturated member
     depends only on the span, so the recorded sets do not depend on the basis.
 
+    With ``below = (nums, den, bound)``, the weights' cleared numerators and
+    a margin bound times ``den``, a degree that needs kernels returns one
+    candidate at most: the first recorded set of least margin, searched least
+    margin first among the sets of margin below ``bound`` (``is_stable``
+    proves it so); the other degrees return every candidate as without it.
+
     A ``T`` with a row outside it in the span of its rows has the kernel
     of a larger set, visited earlier, so it is never recorded.  Such a set
     is visited only when the rows are dependent and the full set is not
     recorded, which happens on B alone, and there the margin stop of
-    ``is_stable`` ends the decision before degree -1.  With ``m`` the least
-    margin of the higher degrees, ``F`` the finite flags and ``w_i < 1``:
+    ``is_stable`` ends the decision before degree -1.  On B' a set whose
+    kernel is that of a larger set has four of five dependent rows, and a
+    larger margin than the full set, which its search reaches first and
+    records (below).  So ``is_stable`` never builds such a kernel.  With
+    ``m`` the least margin of the higher degrees, ``F`` the finite flags
+    and ``w_i < 1``:
 
     - B at ``(dq, dr) = (1, 2)``: five rows on five coefficients, so
       dependent rows give a nonzero ``(q, r)`` meeting all five flags,
@@ -617,19 +638,36 @@ def _candidates_at_degree(structure, cfg, k) -> list[tuple[frozenset[int], objec
         # the section lives in the higher summand: its saturation is the
         # canonical factor, contacting exactly the infinite flags
         return [(frozenset(structure.infinity_indices()), None)] if dr == 0 else []
+    points = _contactable(structure, dq)
+    sets = [T for size in range(len(points), -1, -1) for T in combinations(points, size)]
+    if below is None:
+        return list(_saturated_sets(structure, cfg, dq, dr, sets))
+    nums, den, bound = below
+    margins = {T: _margin(structure.bundle.degree, k, T, nums, den) for T in sets}
+    # a stable sort: sets of equal margin stay in visit order
+    sets = sorted((T for T in sets if margins[T] < bound), key=margins.__getitem__)
+    return list(islice(_saturated_sets(structure, cfg, dq, dr, sets), 1))
+
+
+def _saturated_sets(structure, cfg, dq: int, dr: int, sets):
+    """Yield ``(frozenset(T), vec)`` for the contact sets ``T`` of ``sets``,
+    in their order, whose kernel ``N(T)`` holds a saturated member, ``vec``
+    the first that ``saturated_members`` finds; a set inside one yielded
+    before is skipped.  The contact rows and the kernel memo are built at
+    the first step, and not at all when ``sets`` is empty."""
+    if not sets:
+        return
     rows = contact_rows(structure, cfg, dq, dr)
     kernels = unit_kernels(dq + dr + 2)
-    maximal = []
-    for size in range(len(rows), -1, -1):
-        for T in combinations(rows, size):
-            tset = frozenset(T)
-            if any(tset <= m for m, _ in maximal):
-                continue
-            basis = contact_kernel(T, rows, kernels)
-            vec = next(saturated_members(basis, dq, dr), None)
-            if vec is not None:
-                maximal.append((tset, vec))
-    return maximal
+    found = []
+    for T in sets:
+        tset = frozenset(T)
+        if any(tset <= m for m in found):
+            continue
+        vec = next(saturated_members(contact_kernel(T, rows, kernels), dq, dr), None)
+        if vec is not None:
+            found.append(tset)
+            yield tset, vec
 
 
 class StabilityReport(NamedTuple):
@@ -682,6 +720,32 @@ def is_stable(
     with ``sum(w) < 2`` on B, or ``sum(w) < 3`` on B', stops the decision
     before degree -1, the first whose candidates need a contact kernel.
 
+    At a degree that needs kernels (-1 on B at ``(dq, dr) = (1, 2)`` and on
+    B' at ``(0, 3)``) the contact sets are searched least margin first, and
+    the search stops at the first set ``T`` whose kernel holds a saturated
+    member (``_candidates_at_degree`` with ``below``): only sets of margin
+    below the least margin ``m`` so far are searched, by margin, sets of
+    equal margin in visit order (by descending size, then in
+    ``combinations`` order).  The weights are positive (``_non_special``),
+    so a set has a smaller margin than each of its proper subsets.  Then:
+
+    - ``T`` is a recorded maximal set.  The first member found in ``N(T)``
+      has a contact ``C`` containing ``T``, and ``N(C)`` holds it; were ``C``
+      larger, it would have a smaller margin and have been searched and hit
+      first.  A recorded set ``M`` containing ``T`` would likewise be
+      searched before ``T`` and hit, so ``T`` is recorded.
+    - ``T`` is the candidate the full degree would report.  Every recorded
+      set of margin below ``m`` is searched and hit, so the first hit has
+      the least margin, and among equal margins the one first in visit
+      order, which is the order the recorded sets are listed in and ties
+      keep the earlier of.  When no set has a margin below ``m``, no
+      candidate of the degree could replace the witness, and no contact
+      row or kernel is built.
+    - The payload is the same grid vector: ``contact_kernel(T)`` is the
+      same fold of ``_zi_restrict`` over ``T``'s rows from the unit basis
+      whatever prefixes the memo holds, so ``saturated_members`` finds the
+      same first member.
+
     ``quick`` is accepted and has no effect: the stop above already ends
     the decision at the first negative least margin.  The keyword stays
     until ``perfbench/workloads.py`` stops passing it.
@@ -705,7 +769,8 @@ def is_stable(
     for k in _candidate_degrees(bundle):
         if worst_s is not None and (worst_s < 0 or worst_s <= (d - 2 * k) * den - total):
             break
-        for contact, payload in _candidates_at_degree(structure, cfg, k):
+        below = None if worst_s is None else (nums, den, worst_s)
+        for contact, payload in _candidates_at_degree(structure, cfg, k, below):
             s = _margin(d, k, contact, nums, den)
             if s == 0:
                 raise OnWallError(f"margin vanishes on degree {k} contact {sorted(contact)}")

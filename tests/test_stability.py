@@ -1030,9 +1030,11 @@ class TestDegreeStop:
             w = _bounded_weight(rng, s.bundle.degree, below=2 if s.bundle == B else 3)
             is_stable(s, cfg, w)
         assert calls == []
-        # the counter sees the kernels a heavy weight's decision builds
+        # the counter sees the kernels heavy weights' decisions build, three
+        # weights per structure, as the least-margin search stops early
         for s, cfg in structures:
-            is_stable(s, cfg, _bounded_weight(rng, s.bundle.degree, heavy=True))
+            for _ in range(3):
+                is_stable(s, cfg, _bounded_weight(rng, s.bundle.degree, heavy=True))
         assert len(calls) > 100, len(calls)
 
     def test_dependent_rows_build_no_shared_kernel(self, monkeypatch):
@@ -1071,6 +1073,110 @@ class TestDegreeStop:
             for s, cfg in structures:
                 counts = Counter(c.degree for c in destabilizing_candidates(s, cfg))
                 assert counts == per_structure[name], (name, s, counts)
+
+
+def _tie_structure(rng, cfg, bundle):
+    # flags on a line or a conic, or small integers, with one to three
+    # infinite flags or one finite flag moved off the curve: contact sets
+    # coincide and degree -1 rows are often dependent
+    kind = rng.choice(["line", "conic", "small", "infinite"])
+    c = [rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-1, 1) if kind == "conic" else 0]
+    if kind in ("line", "conic"):
+        flags = [c[0] + c[1] * z + c[2] * z * z for z in cfg.z]
+    else:
+        flags = [sc(rng.randint(-2, 2)) for _ in cfg.z]
+    if kind == "infinite" or rng.random() < 0.4:
+        for i in rng.sample(range(5), rng.randint(1, 3)):
+            flags[i] = INF
+    elif rng.random() < 0.5:
+        flags[rng.randrange(5)] = sc(rng.randint(-3, 3))
+    return ParabolicStructure(bundle, flags)
+
+
+def _tie_weight(rng, d):
+    # a non-special weight of one or two distinct values over one
+    # denominator from 5 to 15, so that many margins tie
+    while True:
+        den = rng.randint(5, 15)
+        values = [rng.randint(1, den - 1) for _ in range(rng.randint(1, 2))]
+        w = WeightVector([Scalar.rational(rng.choice(values), den) for _ in range(5)])
+        if weight_is_non_special(w, d):
+            return w
+
+
+def _chamber_centres():
+    # the chamber centres of ``stabilizing_weight``: uniform 4/15 and 7/15,
+    # and 11/15 with 4/15 at each index
+    fifteenths = [WeightVector.uniform(Scalar.rational(n, 15)) for n in (4, 7)]
+    for j in range(5):
+        fifteenths.append(WeightVector([Scalar.rational(4 if i == j else 11, 15) for i in range(5)]))
+    return fifteenths
+
+
+class TestLeastMarginSearch:
+    """At a degree that needs kernels, ``is_stable`` searches the contact
+    sets least margin first and stops at the first whose kernel holds a
+    saturated member: it reports the full decision's witness, ties
+    included, and builds only kernels of sets that could replace the
+    witness of the higher degrees."""
+
+    def test_tie_heavy_weights_match_full_decision(self):
+        # random B and B' structures at weights of one or two values, and
+        # Ui and Uij structures at the chamber centres, on z = 0..4 and on a
+        # random configuration, where equal-size contact sets tie
+        rng = random.Random(163)
+        cases = []
+        for _ in range(800):
+            cfg = CFG if rng.random() < 0.5 else rand_config(rng)
+            s = _tie_structure(rng, cfg, rng.choice([B, BPRIME]))
+            cases.append((s, cfg, _tie_weight(rng, s.bundle.degree)))
+        for cfg in (CFG, rand_config(rng)):
+            structures = [rand_ui_indecomposable(rng, cfg, i) for i in range(5)]
+            structures += [rand_uij_indecomposable(rng, cfg, i, j) for i, j in combinations(range(5), 2)]
+            cases += [(s, cfg, w) for s in structures for w in _chamber_centres()]
+        seen = Counter()
+        for s, cfg, w in cases:
+            got = _decision(is_stable, s, cfg, w)
+            for quick in (False, True):
+                assert got == _decision(oracle_is_stable_report, s, cfg, w, quick=quick), (s, cfg, w, quick)
+            if got[0] == "wall":
+                continue
+            want, margins = _oracle_report(destabilizing_candidates(s, cfg), s.bundle.degree, w)
+            seen["degree -1"] += got[2] == -1
+            seen["degree -1 tie"] += got[2] == -1 and margins.count(want.margin) > 1
+        assert len(cases) > 1000 and seen["degree -1"] > 100 and seen["degree -1 tie"] > 30, (len(cases), seen)
+
+    def test_kernels_only_of_sets_that_can_win(self, monkeypatch):
+        # the five stability-random classes, every other weight heavy: each
+        # set whose kernel a decision asks for has a degree -1 margin below
+        # the least margin of the higher degrees, and the decisions that
+        # reach degree -1 ask for fewer kernels than the full degree visits
+        calls = TestDegreeStop._kernel_calls(monkeypatch)
+        rng = random.Random(167)
+        built = visited = reached = 0
+        for name, structures in _class_structures(rng, 30).items():
+            for n, (s, cfg) in enumerate(structures):
+                d = s.bundle.degree
+                w = _bounded_weight(rng, d, heavy=True) if n % 2 else rand_nonspecial_weight(rng, d)
+                calls.clear()
+                is_stable(s, cfg, w)
+                asked = list(calls)
+                higher = min(
+                    oracle_s_value(d, c.degree, c.contact, w)
+                    for k in _candidate_degrees(s.bundle)[:-1]
+                    for c in destabilizing_candidates(s, cfg) if c.degree == k
+                )
+                for T in asked:
+                    assert oracle_s_value(d, -1, T, w) < higher, (name, s, w, T)
+                if higher < sc(0) or higher <= sc(d + 2) - w.total():
+                    assert asked == [], (name, s, w)
+                    continue
+                reached += 1
+                built += len(asked)
+                calls.clear()
+                stability._candidates_at_degree(s, cfg, -1)
+                visited += len(calls)
+        assert reached > 50 and 0 < built < visited, (reached, built, visited)
 
 
 class TestOracleAgreement:
