@@ -25,7 +25,10 @@ margin is below the least margin of the higher degrees, least margin first,
 and stops at the first whose kernel holds a saturated member: that set is
 the recorded one the full degree would report, with the same witness (the
 proof is in ``is_stable``), and when no set's margin is that low no contact
-row or kernel is built.  A set whose kernel is that of a larger set is
+row or kernel is built.  The saturation grid of ``saturated_members`` is the
+one saturation test; every span ``is_stable`` searches has dimension at most
+1 and a saturated vector, so the walk stops at its first point (the proof is
+in ``is_stable`` too).  A set whose kernel is that of a larger set is
 never recorded, so it costs a kernel and a span search and changes
 nothing; ``is_stable`` never builds one (the proof is in
 ``_candidates_at_degree``).  B's degree-0 subbundles are lines through the
@@ -193,11 +196,9 @@ def weight_is_non_special(w: WeightVector, d: int) -> bool:
 
 
 def _margin(d: int, deg_f: int, contact, nums, den: int) -> int:
-    # the margin times the weights' common denominator ``den``
-    total = (d - 2 * deg_f) * den
-    for i, a in enumerate(nums):
-        total = total - a if i in contact else total + a
-    return total
+    # the margin times the weights' common denominator ``den``: every weight
+    # added, then the contact's subtracted twice
+    return (d - 2 * deg_f) * den + sum(nums) - 2 * sum(map(nums.__getitem__, contact))
 
 
 def s_value(d: int, deg_f: int, contact, w: WeightVector) -> Scalar:
@@ -273,113 +274,10 @@ def _is_saturated(vec, dq: int, dr: int) -> bool:
     )
 
 
-def _zi_trim(p):
-    # drop the trailing zero coefficients: the zero polynomial becomes []
-    p = list(p)
-    while p and p[-1] == ZI_ZERO:
-        p.pop()
-    return p
-
-
-def _zi_mul(p, q):
-    # product of two trimmed Gaussian-integer polynomials, lowest degree first
-    if not p or not q:
-        return []
-    out = [ZI_ZERO] * (len(p) + len(q) - 1)
-    for i, (a, b) in enumerate(p):
-        for j, (c, d) in enumerate(q):
-            x, y = out[i + j]
-            out[i + j] = (x + a * c - b * d, y + a * d + b * c)
-    return out
-
-
 def _zi_primitive(vec):
     # the Gaussian-integer vector divided by the gcd of all its parts
     g = gcd(*chain.from_iterable(vec))
     return [(x // g, y // g) for x, y in vec] if g > 1 else vec
-
-
-def _zi_prem(a, b):
-    """The pseudo-remainder of ``a`` by ``b``, nonzero trimmed polynomials
-    with ``deg a >= deg b``: ``a`` is replaced by ``lc(b) a - lc(a) z^s b``
-    until its degree drops below ``deg b``, then divided by the integer
-    content of its coefficients."""
-    br, bi = b[-1]
-    nb = len(b)
-    while len(a) >= nb:
-        ar, ai = a[-1]
-        s = len(a) - nb
-        a = [(br * x - bi * y, br * y + bi * x) for x, y in a]
-        for k, (u, v) in enumerate(b):
-            x, y = a[s + k]
-            a[s + k] = (x - ar * u + ai * v, y - ar * v - ai * u)
-        a = _zi_trim(a)
-    return _zi_primitive(a)
-
-
-def _zi_gcd(a, b):
-    """A gcd of two nonzero trimmed Gaussian-integer polynomials, up to a
-    constant factor, by the primitive pseudo-remainder sequence (Brown and
-    Traub, J. ACM 18, 1971)."""
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _zi_prem(a, b)
-        if not r:
-            return b
-        a, b = b, r
-    return b
-
-
-def has_saturated_member(basis, dq: int, dr: int) -> bool:
-    """Whether the span ``V`` of the linearly independent Gaussian-integer
-    ``basis`` at formal degrees ``(dq, dr)``, both nonnegative, holds a
-    saturated member: iff
-
-    1. ``V`` has no base point on P^1: not every basis vector has both top
-       coefficients ``q[dq]``, ``r[dr]`` zero (the chart at infinity), and
-       the polynomials ``q_a``, ``r_a`` of the basis have a gcd of degree 0;
-    2. ``dim V = 1``, or some minor ``q_a r_b - q_b r_a`` is a nonzero
-       polynomial.
-
-    A member is saturated iff its degree-(dq, dr) homogenizations have no
-    common zero on P^1, so a base point leaves none saturated.  Suppose
-    there is none.  If ``dim V = 1`` the basis vector itself is saturated.
-    If some minor is nonzero, the evaluation ``V -> C^2`` at a point ``p``
-    has rank 2 away from the finitely many zeros of the minors and rank 1 at
-    them, so the members vanishing at ``p`` form a subspace ``V_p`` of
-    dimension ``dim V - 2`` at all but finitely many ``p`` and ``dim V - 1``
-    at the rest.  The union of the ``V_p`` then has dimension at most
-    ``dim V - 1`` and misses a member, which is saturated.  If every minor
-    vanishes and ``dim V >= 2``, the members are pairwise proportional over
-    C(z): ``V = S (a, b)`` for a saturated pair ``(a, b)`` and a space ``S``
-    of polynomials of dimension ``dim V``, which holds an ``s`` of degree
-    ``e >= 1``.  So ``deg a <= dq - e`` and ``deg b <= dr - e``: a member
-    ``s (a, b)`` with ``s`` constant has both top coefficients zero, one
-    with ``s`` not constant vanishes at a root of ``s``, and none is
-    saturated.
-
-    The gcd runs by primitive pseudo-remainders over Z[i], dividing out the
-    integer content of each remainder; only its degree is read.
-    """
-    if dq < 0 or dr < 0:
-        raise ExactError("formal degrees must be nonnegative")
-    if all(vec[dq] == ZI_ZERO and vec[-1] == ZI_ZERO for vec in basis):
-        return False
-    qs = [_zi_trim(vec[: dq + 1]) for vec in basis]
-    rs = [_zi_trim(vec[dq + 1 :]) for vec in basis]
-    if len(basis) > 1 and all(
-        _zi_mul(qs[a], rs[b]) == _zi_mul(qs[b], rs[a])
-        for a, b in combinations(range(len(basis)), 2)
-    ):
-        return False
-    g = None
-    for p in qs + rs:
-        if p:
-            g = p if g is None else _zi_gcd(g, p)
-            if len(g) == 1:
-                return True
-    return False
 
 
 def saturated_members(basis, dq: int, dr: int):
@@ -395,17 +293,18 @@ def saturated_members(basis, dq: int, dr: int):
     {0..dq+dr}^m holds one; when ``dq + dr = 0`` the resultant is a
     nonzero constant, every nonzero member is saturated, and {0, 1}^m
     holds one.  Which basis spans the space changes which members are
-    found, never whether one is.  When the first grid point, the last basis
-    vector, is not saturated, ``has_saturated_member`` decides whether the
-    span holds any: when it holds none the generator stops there instead of
-    exhausting the grid, and otherwise the walk goes on, so the members
-    yielded are the grid's either way.
+    found, never whether one is.
+
+    A span with no saturated member costs the whole grid, one saturation
+    test per nonzero grid point.  ``destabilizing_candidates`` pays that on
+    barren kernels; ``is_stable`` never asks of a span of dimension above 1
+    or of one whose vector is not saturated, so it stops at the first grid
+    point, the last basis vector (the proof is in ``is_stable``).
     """
     if not basis:
         return
     ncols = len(basis[0])
     width = max(dq + dr, 1) + 1
-    certify = True
     for coeffs in product(range(width), repeat=len(basis)):
         if not any(coeffs):
             continue
@@ -415,9 +314,6 @@ def saturated_members(basis, dq: int, dr: int):
                 vec = [(x + c * a, y + c * b) for (x, y), (a, b) in zip(vec, bvec)]
         if _is_saturated(vec, dq, dr):
             yield vec
-        elif certify and not has_saturated_member(basis, dq, dr):
-            return
-        certify = False
 
 
 def _candidate_degrees(bundle: BundleSplitType) -> list[int]:
@@ -745,6 +641,45 @@ def is_stable(
       same fold of ``_zi_restrict`` over ``T``'s rows from the unit basis
       whatever prefixes the memo holds, so ``saturated_members`` finds the
       same first member.
+
+    Every span the search hands to ``saturated_members`` has dimension at
+    most 1, and its vector, if any, is saturated: the grid walk stops at its
+    first point after one saturation test and never walks a barren grid.
+    A nonzero member ``(q, r)`` is saturated iff its homogenizations at
+    ``(dq, dr)`` have no common zero on P^1, and a span of dimension 2 or
+    more holds a nonzero member that is not: for independent members ``u``
+    and ``v`` the minor ``det(u(p), v(p))`` is a binary form of degree
+    ``dq + dr = 3`` in ``p``, zero or with a root, and at that root a
+    nonzero combination of ``u`` and ``v`` vanishes.  A searched set ``T``
+    has the margin ``s_T = 3 + sum(w) - 2 S_T < m``, and ``m`` is at most
+    the margin of every candidate of the higher degrees.  Then:
+
+    - B, ``|T| >= 4``: every nonzero member of ``N(T)`` is saturated, so
+      ``dim N(T) <= 1``.  Take one that is not.  If ``q = 0``, ``r``
+      vanishes at the finite flags of ``T``, at most two of them, and the
+      canonical factor's margin is ``s_T - 4 + 2(S_T - S_I) < s_T``, as
+      ``S_T - S_I <= S_{T & F} < 2``.  Otherwise ``(q, r)`` is ``(z - a)``
+      times a degree-0 section ``(c, l)``, ``c != 0``, or is one itself when
+      the common zero is at infinity, and every flag of ``T`` away from
+      ``z = a`` is finite and on the line ``l / c``.  That line is one of
+      B's degree-0 candidates, and its contact holds all of ``T`` but at
+      most the flag ``j`` at ``z = a``, so its margin is at most
+      ``s_T - 2 + 2 w_j < s_T``.  Either way ``s_T > m``: ``T`` is not
+      searched.
+    - B, ``|T| <= 3``: ``T`` lies in a 4-set ``T'`` of smaller margin,
+      searched before ``T``.  Four rows on five coefficients leave
+      ``N(T')`` nonzero, so by the case above it is a line of saturated
+      members, and the search stops at ``T'`` or earlier.
+    - B', ``|T| >= 4``: any four rows are independent, their ``r`` part a
+      Vandermonde matrix, so ``dim N(T) <= 1``.  A nonzero member
+      ``(c, r)`` has ``c != 0``, for ``c = 0`` would give ``r`` four roots,
+      and the resultant at ``(0, 3)`` is ``c^3``: it is saturated.
+    - B', ``|T| <= 3``: ``s_T`` exceeds the canonical factor's margin
+      ``sum(w) - 3 - 2 S_I`` by ``6 - 2(S_T - S_I) > 0``: ``T`` is not
+      searched.
+
+    So the decision needs no test of whether a span holds a saturated
+    member beyond the grid walk's first point.
 
     ``quick`` is accepted and has no effect: the stop above already ends
     the decision at the first negative least margin.  The keyword stays

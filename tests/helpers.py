@@ -16,13 +16,12 @@ Gaussian-integer contact kernels; the C*-limit's degenerations by a rational
 nullspace and q, r evaluated at the marked point are the reference for the
 ones on the contact lattice.  The line through each pair of finite flags
 evaluated at every flag, with a maximality filter, is the reference for B's
-degree-0 lines grouped by pair.  The exhaustive saturation grid is
-the reference for the base-locus certificate that stops it early; the
-stability margin summed on Scalars is the reference for the one on the
-cleared weights, and the decision on Scalars, with every candidate's
-witness built, the margins compared as Scalars and every degree visited, the
-reference for the decision on integers that builds the reported witness
-alone and stops at the first degree a margin bound rules out.  A
+degree-0 lines grouped by pair.  The stability margin summed on Scalars is
+the reference for the one on the cleared weights, and the decision on
+Scalars, with every candidate's witness built, the margins compared as
+Scalars and every degree visited, the reference for the decision on
+integers that builds the reported witness alone and stops at the first
+degree a margin bound rules out.  A
 second solve of the two diagonal residue sums and the rank of the fixed-flag
 equations are the references for the gauge counts of a connection space
 and for the flag stabilizer, the classification on an interpolating solve,
@@ -130,7 +129,7 @@ from paramod.stability import (
     _is_saturated,
     contact_kernel,
     destabilizing_candidates,
-    has_saturated_member,
+    saturated_members,
     sign_label,
     unit_kernels,
     weight_is_kostov_generic,
@@ -685,9 +684,9 @@ def oracle_walk_degenerate_candidate(weights, j: int, rows: dict, kernels: dict)
     saturated member of the kernel ``N`` of the other four rows misses
     ``z_j`` iff its product ``l_j`` with row ``j`` is nonzero.
 
-    So the result is None iff ``N`` has no saturated member
-    (``has_saturated_member``) or ``l_j`` vanishes on every basis vector of
-    ``N``.  The saturated members are the complement in ``N`` of the zero
+    So the result is None iff ``N`` has no saturated member (the grid walk
+    of ``saturated_members`` finds none) or ``l_j`` vanishes on every basis
+    vector of ``N``.  The saturated members are the complement in ``N`` of the zero
     set of the formal resultant; when they exist they form a nonempty
     Zariski-open subset of the irreducible space ``N``, which is dense and
     so lies in no proper hyperplane: some saturated member has ``l_j != 0``
@@ -696,8 +695,8 @@ def oracle_walk_degenerate_candidate(weights, j: int, rows: dict, kernels: dict)
     """
     others = tuple(i for i in rows if i != j)
     basis = contact_kernel(others, rows, kernels)
-    if all(zi_dot(rows[j], vec) == ZI_ZERO for vec in basis) or not (
-        has_saturated_member(basis, 1, 2)
+    if all(zi_dot(rows[j], vec) == ZI_ZERO for vec in basis) or (
+        next(saturated_members(basis, 1, 2), None) is None
     ):
         return None
     return _candidate(f"E-1({j + 1})", 1, 2, {j}, weights)
@@ -725,7 +724,8 @@ def oracle_inverse_degenerate_candidates(weights, rows: dict) -> list[LimitCandi
     ``l_j = 1``, so the inclusion exists iff that column, cleared to
     Gaussian integers, is saturated.  If not, each ``N`` is restricted from
     the kernels of the prefixes of the other four rows (``contact_kernel``),
-    then tested by ``has_saturated_member`` and the products with row ``j``.
+    then tested by the grid walk of ``saturated_members`` and the products
+    with row ``j``.
     """
     aug = [
         [(a, b, 1) for a, b in rows[i]] + [T_ONE if c == i else T_ZERO for c in range(NPOINTS)]
@@ -744,7 +744,7 @@ def oracle_inverse_degenerate_candidates(weights, rows: dict) -> list[LimitCandi
         for j in range(NPOINTS):
             basis = contact_kernel(tuple(i for i in rows if i != j), rows, kernels)
             if any(zi_dot(rows[j], vec) != ZI_ZERO for vec in basis) and (
-                has_saturated_member(basis, 1, 2)
+                next(saturated_members(basis, 1, 2), None) is not None
             ):
                 found.append(j)
     return [_candidate(f"E-1({j + 1})", 1, 2, {j}, weights) for j in found]

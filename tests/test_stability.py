@@ -56,7 +56,6 @@ from paramod.stability import (
     contact_rows,
     destabilizing_candidates,
     formal_resultant,
-    has_saturated_member,
     is_stable,
     no_stable_structure,
     s_value,
@@ -386,9 +385,10 @@ def _rank(rows, T):
 
 
 class TestSpanCertificate:
-    """``has_saturated_member`` says whether the exhaustive Scalar grid
-    search finds a saturated member, on constructed spans that reach each
-    of its branches and on the contact kernels of every input class."""
+    """The grid walk of ``saturated_members`` finds a saturated member iff
+    the exhaustive Scalar grid search does, and the same first one, on
+    constructed spans with and without a base point, with zero and nonzero
+    minors, and on the contact kernels of every input class."""
 
     # name: (dq, dr, basis as (q, r) pairs, whether a member is saturated)
     SPANS = {
@@ -422,18 +422,11 @@ class TestSpanCertificate:
         "B', (0, r) with base point": (0, 3, [([0], [-1, 1, 0, 0]), ([0], [0, -1, 1, 0])], False),
     }
 
-    @staticmethod
-    def _grid_has(ibasis, dq, dr):
-        return next(oracle_saturated_members(_scalar_rows(ibasis), dq, dr), None) is not None
-
     @pytest.mark.parametrize("name", sorted(SPANS))
     def test_constructed_spans(self, name):
         dq, dr, pairs, want = self.SPANS[name]
-        basis = _span(pairs)
-        assert self._grid_has(basis, dq, dr) == want
-        assert has_saturated_member(basis, dq, dr) == want
-        # the grid search stopped by the certificate yields what the oracle does
-        _assert_same_members(basis, dq, dr)
+        # the whole walk, member by member, against the Scalar grid's
+        assert (_assert_same_members(_span(pairs), dq, dr) > 0) == want
 
     def test_contact_kernels_of_every_class(self):
         rng = random.Random(67)
@@ -450,46 +443,18 @@ class TestSpanCertificate:
                         basis = contact_kernel(T, zrows, kernels)
                         if not basis:
                             continue
-                        want = self._grid_has(basis, dq, dr)
-                        assert has_saturated_member(basis, dq, dr) == want, (s, T)
-                        found[want] += 1
+                        # the first member each grid search finds
+                        got = next(saturated_members(basis, dq, dr), None)
+                        want = next(oracle_saturated_members(_scalar_rows(basis), dq, dr), None)
+                        assert (got is None) == (want is None), (s, T)
+                        assert got is None or _scalar_rows([got]) == _vectors([want]), (s, T)
+                        found[got is not None] += 1
         assert found[True] > 100 and found[False] > 30, found
 
     def test_negative_formal_degree_rejected(self):
+        # a negative dr, where TestSaturatedMembers takes a negative dq
         with pytest.raises(ExactError):
-            has_saturated_member(_span([([], [1])]), -1, 0)
-
-    def test_barren_span_costs_one_saturation_test(self, monkeypatch):
-        # per span the decision searches, the _is_saturated calls it made
-        # and whether it found a member: a span without one stops after the
-        # first grid point instead of exhausting the grid
-        real_is_saturated, real_members = stability._is_saturated, stability.saturated_members
-        spans = []
-
-        def is_saturated(vec, dq, dr):
-            spans[-1][0] += 1
-            return real_is_saturated(vec, dq, dr)
-
-        def members(basis, dq, dr):
-            spans.append([0, False])
-            for vec in real_members(basis, dq, dr):
-                spans[-1][1] = True
-                yield vec
-
-        monkeypatch.setattr(stability, "_is_saturated", is_saturated)
-        monkeypatch.setattr(stability, "saturated_members", members)
-        barren = {}
-        for name, structures in _class_structures(random.Random(71), 6).items():
-            spans.clear()
-            for s, cfg in structures:
-                destabilizing_candidates(s, cfg)
-            assert spans, name
-            costs = [calls for calls, hit in spans if not hit]
-            assert all(calls <= 1 for calls in costs), (name, costs)
-            barren[name] = len(costs)
-        # a decomposable decision's barren spans: the full contact set, and
-        # the 15 sets of four and three flags that share its kernel
-        assert barren["decomposable"] >= 6 * 8 and barren["two-inf"] >= 6 * 6, barren
+            next(saturated_members(_span([([1], [])]), 0, -1))
 
 
 def _gaussian_rows(rng):
@@ -1177,6 +1142,40 @@ class TestLeastMarginSearch:
                 stability._candidates_at_degree(s, cfg, -1)
                 visited += len(calls)
         assert reached > 50 and 0 < built < visited, (reached, built, visited)
+
+    def test_searched_spans_cost_one_saturation_test(self, monkeypatch):
+        # every span a decision hands to saturated_members has dimension at
+        # most 1 and a saturated vector, so the grid walk makes at most one
+        # _is_saturated call (the proof is in is_stable's docstring): on the
+        # five stability-random classes, dependent rows and tie structures,
+        # at light, heavy and tie weights
+        real_is_saturated, real_members = stability._is_saturated, stability.saturated_members
+        spans = []
+
+        def is_saturated(vec, dq, dr):
+            spans[-1][2] += 1
+            return real_is_saturated(vec, dq, dr)
+
+        def members(basis, dq, dr):
+            spans.append([dq, len(basis), 0])
+            return real_members(basis, dq, dr)
+
+        monkeypatch.setattr(stability, "_is_saturated", is_saturated)
+        monkeypatch.setattr(stability, "saturated_members", members)
+        rng = random.Random(173)
+        structures = [x for xs in _class_structures(rng, 40).values() for x in xs]
+        structures += _dependent_structures()
+        for _ in range(400):
+            cfg = CFG if rng.random() < 0.5 else rand_config(rng)
+            structures.append((_tie_structure(rng, cfg, rng.choice([B, BPRIME])), cfg))
+        for s, cfg in structures:
+            d = s.bundle.degree
+            for w in (_bounded_weight(rng, d), _bounded_weight(rng, d, heavy=True), _tie_weight(rng, d)):
+                is_stable(s, cfg, w)
+        # (dq, dimension, calls): dq = 1 on B, 0 on B'
+        seen = Counter(map(tuple, spans))
+        assert all(dim <= 1 and calls <= 1 for _, dim, calls in seen), seen
+        assert min(seen[dq, dim, dim] for dq in (0, 1) for dim in (0, 1)) > 100, seen
 
 
 class TestOracleAgreement:
