@@ -13,8 +13,12 @@ integers ``(re, im)`` for the contact lattice and the saturation search, and
 The stability decision and the connection layer compute on these triples
 and integers throughout: the contact rows, margins and witness search of
 ``stability``, and the solve, the residues, the triple and its validation in
-``connection``.  ``exactnum.Scalar`` wraps a triple (``Scalar._t``) and is
-what the public accessors, the JSON output and the error messages show.
+``connection``.  The connection solve reads its pivots and vectors off
+closed forms on moment rows and eliminates with ``mat_solve_affine`` only
+on the even split; ``t_addmul`` builds a triple's residues and checks its
+eigenlines with one normalization per entry.  ``exactnum.Scalar`` wraps a
+triple (``Scalar._t``) and is what the public accessors, the JSON output
+and the error messages show.
 """
 
 from math import gcd, lcm
@@ -53,6 +57,18 @@ def t_mul(x, y):
     a1, b1, d1 = x
     a2, b2, d2 = y
     return t_norm(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+
+def t_addmul(c, x, y):
+    """``c + x*y`` with one normalization; ``c`` itself when ``x`` or ``y``
+    is zero."""
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if not (a1 or b1) or not (a2 or b2):
+        return c
+    ca, cb, cd = c
+    d = d1 * d2
+    return t_norm(ca * d + (a1 * a2 - b1 * b2) * cd, cb * d + (a1 * b2 + b1 * a2) * cd, cd * d)
 
 
 def t_neg(x):

@@ -21,11 +21,23 @@ moves the residues pointwise; the polynomial parts it creates are
 divided-difference sums of the residues (``_polynomial_part``), and only
 the (21) entry may keep one, as its tail.
 
-The residues, the ``(C_i, D_i)`` parts, the constraint rows and the solved
-vectors are ``_kernel`` triples from the solve to the validation: the
-system goes to ``_kernel.mat_solve_affine`` as it is built, a triple's
-residues are ``C_i + x_i D_i`` summed on triples, and ``validate_triple``
-checks them on triples.  Scalars begin at the public accessors
+``solve_connection_space`` states these conditions as moments of the
+residues, rows with the same row space: the top coefficients of ``N12``
+are a unitriangular combination of the moments ``sum_i A12_i z_i^j``, and
+the ``N11`` row is the ``N22`` row negated, by the Fuchs relation.  The
+reduced echelon form of a system depends only on its row space, so the
+pivots, the particular solution and the basis read off Lagrange
+interpolation on the finite flags are those an elimination would give;
+only the even split, whose (21) row joins the moments, goes to
+``_kernel.mat_solve_affine``.  ``validate_triple`` applies only the
+forward-map rows above an off-diagonal bound below 4, the degree a
+residue numerator cannot exceed, and computes a determinant only where
+the trace or the eigenline check fails.
+
+The residues, the ``(C_i, D_i)`` parts and the solved vectors are
+``_kernel`` triples from the solve to the validation: a triple's residues
+are ``C_i + x_i D_i`` summed on triples, and ``validate_triple`` checks
+them on triples.  Scalars begin at the public accessors
 (``LogConnection.residues``, the tail and ``numerator`` polynomials), at
 ``to_json`` and in the violation messages.  The frame changes
 ``elm_triple`` and ``gauge_transform`` act on the residue and tail triples
@@ -40,9 +52,9 @@ from typing import NamedTuple
 from ._kernel import (
     T_ONE,
     T_ZERO,
-    mat_rank,
     mat_solve_affine,
     t_add,
+    t_addmul,
     t_clear,
     t_div,
     t_inv,
@@ -203,7 +215,18 @@ def offdiag_bounds(bundle: BundleSplitType):
 def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
     """Exact check of every invariant: residue characteristic polynomials,
     flag eigenlines, diagonal sums, off-diagonal numerator degree bounds and
-    the tail bound.  Returns (ok, violations)."""
+    the tail bound.  Returns (ok, violations).
+
+    The determinant is computed only where the trace or the eigenline check
+    fails: a flag that is a ``nu+`` eigenvector makes ``nu+`` an eigenvalue,
+    a trace of ``nu+ + nu-`` then makes ``nu-`` the other one, and the
+    determinant is their product.  A residue numerator has degree at most 4
+    (one pole product per point), so a bound of 4 or more, that of (21) on
+    B and B', is never violated and is skipped; below it only the rows of
+    the forward numerator map above the bound are applied, and the highest
+    nonzero one is the degree a violation prints.  The (21) tail adds
+    ``G21 * prod (z - z_j)``, of degree at most the (21) bound, so the
+    residue part alone decides a degree above the bound."""
     v: list[str] = []
     bundle = t.connection.bundle
     d0, d1 = bundle.d0, bundle.d1
@@ -215,26 +238,31 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
     for i, (((a11, a12), (a21, a22)), (p, m), u) in enumerate(
         zip(res, t.spectrum.nu, t.structure.flags)
     ):
-        p, m, k, l = p._t, m._t, u.kappa._t, u.lam._t
-        if t_add(a11, a22) != t_add(p, m):
+        p, m, l = p._t, m._t, u.lam._t
+        trace = t_add(a11, a22) == t_add(p, m)
+        if u.is_infinity():
+            # the flag [0 : 1]
+            eigen = a12 == T_ZERO and a22 == p
+        else:
+            # the flag [1 : l]
+            eigen = t_addmul(a11, a12, l) == p and t_addmul(a21, a22, l) == t_mul(p, l)
+        if not trace:
             v.append(f"trace at point {i + 1} is not nu+ + nu-")
-        if t_sub(t_mul(a11, a22), t_mul(a12, a21)) != t_mul(p, m):
+        if not (trace and eigen) and t_sub(t_mul(a11, a22), t_mul(a12, a21)) != t_mul(p, m):
             v.append(f"determinant at point {i + 1} is not nu+ * nu-")
-        if t_add(t_mul(a11, k), t_mul(a12, l)) != t_mul(p, k) or (
-            t_add(t_mul(a21, k), t_mul(a22, l)) != t_mul(p, l)
-        ):
+        if not eigen:
             v.append(f"flag at point {i + 1} is not a nu+ eigenline")
     for r, d in ((0, d0), (1, d1)):
-        total = T_ZERO
-        for m in res:
-            total = t_add(total, m[r][r])
+        total = _t_sum([m[r][r] for m in res])
         if total != (-d, 0, 1):
             v.append(f"sum of A{r + 1}{r + 1} residues is {Scalar._wrap(total)}, expected {-d}")
-    # the (21) tail adds ``G21 * prod (z - z_j)``, of degree at most the (21)
-    # bound, so the residue part alone decides a degree above the bound
+    (fwd, den), _ = t.cfg.numerator_maps()
     for (r, c), bound in offdiag_bounds(bundle):
-        num = t.connection._residue_numerator(r, c, t.cfg)
-        deg = max((k for k, (a, b, _) in enumerate(num) if a or b), default=-1)
+        if bound >= NPOINTS - 1:
+            continue
+        low = max(bound + 1, 0)
+        top = t_matvec(fwd[low:], den, [m[r][c] for m in res])
+        deg = max((low + k for k, (a, b, _) in enumerate(top) if a or b), default=-1)
         if deg > bound:
             v.append(f"({r + 1}{c + 1}) numerator degree {deg} exceeds {bound}")
     return (not v, v)
@@ -272,10 +300,9 @@ class ConnectionSpace:
     @property
     def dim_before_gauge(self) -> int:
         # the diagonal sums are rows of the solved system, so they are
-        # consistent and leave the unknowns minus their rank
-        ntail = len(self.labels) - NPOINTS
-        diag = [[D[r][r] for _, D in self.parts] + [T_ZERO] * ntail for r in (0, 1)]
-        return len(self.labels) - mat_rank(diag, 2, len(self.labels))
+        # consistent and leave the unknowns minus their rank; the rows are
+        # (-t_F, 0...) and (t_F, 0...), of rank 1 iff some finite flag t != 0
+        return len(self.labels) - any(D[1][1] != T_ZERO for _, D in self.parts)
 
     @property
     def dim_mod_gauge(self) -> int:
@@ -287,7 +314,7 @@ class ConnectionSpace:
             raise ExactError(f"expected {self.dim} free parameters")
         vec = list(self.particular)
         for p, bvec in zip(params, self.basis):
-            vec = [t_add(v, t_mul(p, b)) for v, b in zip(vec, bvec)]
+            vec = [t_addmul(v, p, b) for v, b in zip(vec, bvec)]
         return vec
 
     def connection_at(self, params) -> LogConnection:
@@ -299,7 +326,7 @@ class ConnectionSpace:
     def _build(self, values) -> LogConnection:
         mats = [
             tuple(
-                tuple(t_add(c, t_mul(x, d)) for c, d in zip(crow, drow))
+                tuple(t_addmul(c, x, d) for c, d in zip(crow, drow))
                 for crow, drow in zip(C, D)
             )
             for (C, D), x in zip(self.parts, values)
@@ -332,14 +359,52 @@ def solve_connection_space(
     ``_residue_parts``) and the tail coefficients.  Every constraint is a
     prescribed coefficient ``[z^k] N_rc`` of a cleared numerator: ``z^4`` of
     ``N11`` and ``N22`` at minus the summand degrees (the diagonal residue
-    sums), and zero for ``N12`` and ``N21`` above their ``offdiag_bounds``,
-    highest first.  Row ``k`` of the forward map of ``cfg.numerator_maps``,
-    cleared to Gaussian integers, gives the constraint scaled by the map's
-    denominator: applied entrywise to the ``D_i`` it is the row of the
-    system, applied to the ``C_i`` the constant.  The tail term
-    ``G21 * prod (z - z_j)`` has degree at most ``3 + d1 - d0`` and so enters
-    none of them.  Returns None when the system is infeasible (decomposable
-    structures with Kostov-generic spectra).
+    sums), and zero for ``N12`` and ``N21`` above their ``offdiag_bounds``.
+    The tail term ``G21 * prod (z - z_j)`` has degree at most
+    ``3 + d1 - d0`` and so enters none of them.  The system is solved on
+    moment rows that span the same rows, with ``b = d1 - d0``, ``F`` the
+    finite flags and ``t_i`` their values:
+
+    - (12): ``sum_F x_i z_i^j = 0`` for ``j = 0..J``, ``J = min(b, 4)``.  The
+      (12) residue is ``x_i`` at a finite flag and 0 at an infinite one, and
+      ``[z^(4-j)] prod_{l != i} (z - z_l)`` is monic of degree ``j`` in
+      ``z_i``, so the prescribed coefficients are a unitriangular
+      combination of these moments.
+    - (22): ``sum_F t_i x_i = -d1 - sum_i C22_i``.  The (11) row is its
+      negative, by the Fuchs relation that ``SpectrumRank2`` enforces.
+    - (21), at ``b = 0`` only: ``sum_i A21_i = 0``.
+
+    ``mat_solve_affine`` would return what the reduced row echelon form of
+    ``[A | rhs]`` fixes: the pivot columns, the particular solution with its
+    free coordinates zero and one basis vector per free column.  That form
+    depends only on the row space, so the closed form below, which reads
+    the same three things off the moment rows, gives the same vectors.
+
+    For ``b >= 1`` there is no (21) row, and an infinite flag's ``x_i`` and
+    the tail enter no row: they are free columns.  The first ``J + 1``
+    finite columns, the base ``P``, are pivots of the Vandermonde rows.
+    For each later finite column ``f``, ``v_f = e_f - sum_{i in P}
+    l_i(z_f) e_i`` with ``l_i`` the Lagrange basis on ``P`` has vanishing
+    moments, because interpolation on ``P`` is exact up to degree ``J``;
+    the ``v_f`` span ``ker V = {x_i = W_i q(z_i)}``.  The (22) row reads
+    ``sigma_f = t_f - sum_{i in P} l_i(z_f) t_i`` on ``v_f``: the distance of
+    the flag at ``z_f`` from the interpolant of the base flags, which is
+    ``prod_{i in P} (z_f - z_i)`` times the divided difference
+    ``L(u)`` of the flags on ``P + {f}``.  On the columns up to ``f`` the
+    moment rows have the kernel spanned by the ``v_g`` with ``g <= f``, so
+    the (22) row adds its pivot ``p`` at the first ``f`` with
+    ``sigma_f != 0``.  With it the particular solution is
+    ``rhs / sigma_p * v_p`` and the basis vector of a free ``f`` is
+    ``v_f - sigma_f / sigma_p * v_p``.  Without it every finite flag lies on
+    the interpolant, a section of ``O(b)``, so the structure is
+    decomposable: the space is empty unless the right-hand side is zero,
+    and then the particular solution is zero and the basis vectors are the
+    ``v_f``.  On B' with five finite flags this is ``x_i = s W_i`` with
+    ``s = rhs / L(u)``.  At ``b = 0`` the (21) row joins, and the three
+    moment rows go to ``mat_solve_affine``.
+
+    Returns None when the system is infeasible (decomposable structures
+    with Kostov-generic spectra).
     """
     bundle = structure.bundle
     d0, d1 = bundle.d0, bundle.d1
@@ -347,27 +412,57 @@ def solve_connection_space(
         raise ConnectionError(
             f"spectrum degree {nu.d} does not match bundle degree {d0 + d1}"
         )
-    ntail = max(d1 - d0 - 1, 0)
+    b = d1 - d0
+    ntail = max(b - 1, 0)
     labels = [("x", i) for i in range(NPOINTS)] + [("g", k) for k in range(ntail)]
     parts = [_residue_parts(p._t, m._t, u) for (p, m), u in zip(nu.nu, structure.flags)]
-    (fwd, den), _ = cfg.numerator_maps()
-    top = NPOINTS - 1
-    prescribed = [((0, 0), top, -d0), ((1, 1), top, -d1)] + [
-        (rc, k, 0)
-        for rc, bound in offdiag_bounds(bundle)
-        for k in range(top, max(bound, -1), -1)
-    ]
-    rows, rhs = [], []
-    for (r, c), k, value in prescribed:
-        (const,) = t_matvec([fwd[k]], 1, [C[r][c] for C, _ in parts])
-        rows.append(
-            [t_mul((a, b, 1), D[r][c]) for (a, b), (_, D) in zip(fwd[k], parts)] + [T_ZERO] * ntail
+    rhs = t_sub((-d1, 0, 1), _t_sum([C[1][1] for C, _ in parts]))
+    if b == 0:
+        # the (12), (22) and (21) rows: the D entries are 1, t_i and -t_i^2
+        # at a finite flag, 0, 0 and 1 at an infinite one
+        rows = [[D[r][c] for _, D in parts] for r, c in ((0, 1), (1, 1), (1, 0))]
+        full = mat_solve_affine(
+            rows, [T_ZERO, rhs, t_neg(_t_sum([C[1][0] for C, _ in parts]))], 3, NPOINTS
         )
-        rhs.append(t_sub((den * value, 0, 1), const))
-    full = mat_solve_affine(rows, rhs, len(rows), len(labels))
-    if full is None:
-        return None
-    particular, basis = full
+        if full is None:
+            return None
+        return ConnectionSpace(structure, cfg, nu, labels, *full, parts)
+    zs = [z._t for z in cfg.z]
+    ts = [D[1][1] for _, D in parts]
+    finite = [i for i, u in enumerate(structure.flags) if not u.is_infinity()]
+    base, later = finite[: min(b, 4) + 1], finite[min(b, 4) + 1 :]
+    # the divided-difference weights W_i of the base nodes
+    weights = [
+        t_inv(_t_prod([t_sub(zs[i], zs[k]) for k in base if k != i])) for i in base
+    ]
+    ncols = len(labels)
+    # v_f: 1 at f and -l_i(z_f) = -W_i prod_{k != i} (z_f - z_k) at the base
+    # nodes i; sigma_f is the (22) row on v_f
+    kernel, sigma = {}, {}
+    for f in later:
+        vec = [T_ZERO] * ncols
+        vec[f], sigma[f] = T_ONE, ts[f]
+        for i, w in zip(base, weights):
+            vec[i] = t_neg(_t_prod([w] + [t_sub(zs[f], zs[k]) for k in base if k != i]))
+            sigma[f] = t_addmul(sigma[f], vec[i], ts[i])
+        kernel[f] = vec
+    pivot = next((f for f in later if sigma[f] != T_ZERO), None)
+    if pivot is None:
+        if rhs != T_ZERO:
+            return None
+        particular = [T_ZERO] * ncols
+    else:
+        lead, inv = kernel.pop(pivot), t_inv(sigma[pivot])
+        scale = t_mul(rhs, inv)
+        particular = [t_mul(scale, x) for x in lead]
+        for f, vec in kernel.items():
+            scale = t_neg(t_mul(sigma[f], inv))
+            kernel[f] = [t_addmul(x, scale, y) for x, y in zip(vec, lead)]
+    basis = [
+        kernel[col] if col in kernel else [T_ONE if k == col else T_ZERO for k in range(ncols)]
+        for col in range(ncols)
+        if col not in base and col != pivot
+    ]
     return ConnectionSpace(structure, cfg, nu, labels, particular, basis, parts)
 
 
@@ -396,6 +491,14 @@ def _t_sum(xs):
     # the sum of the triples xs, with one normalization
     cleared, den = t_clear(xs)
     return t_norm(sum(x for x, _ in cleared), sum(y for _, y in cleared), den)
+
+
+def _t_prod(xs):
+    # the product of the triples xs, with one normalization
+    a, b, d = T_ONE
+    for x, y, e in xs:
+        a, b, d = a * x - b * y, a * y + b * x, d * e
+    return t_norm(a, b, d)
 
 
 def _divide_linear(coeffs, a):

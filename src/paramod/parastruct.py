@@ -55,11 +55,11 @@ class MarkedConfiguration:
     the maps of ``numerator_maps`` are built once, on first use, and kept in
     the ``_poles`` and ``_maps`` slots for the life of the configuration.
     ``numerator_maps`` is the one passage between the residues of a
-    connection entry and its cleared numerator: the connection solver reads
-    its constraint rows off the forward map, ``LogConnection.numerator``
-    applies it, and ``higgslimit`` finds a Higgs field's marked zeros with
-    the inverse one.  The node polynomial of ``pole_products`` carries the
-    tail of ``LogConnection.numerator``.
+    connection entry and its cleared numerator: ``validate_triple`` tests
+    the top coefficients with rows of the forward map,
+    ``LogConnection.numerator`` applies it, and ``higgslimit`` finds a Higgs
+    field's marked zeros with the inverse one.  The node polynomial of
+    ``pole_products`` carries the tail of ``LogConnection.numerator``.
     """
 
     __slots__ = ("z", "_poles", "_maps")

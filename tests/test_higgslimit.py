@@ -47,6 +47,7 @@ from paramod.higgslimit import (
 from paramod.parastruct import (
     B,
     BPRIME,
+    BundleSplitType,
     MarkedConfiguration,
     ParabolicStructure,
     bprime_generic_representative,
@@ -557,7 +558,8 @@ class TestDegenerateCandidates:
     def test_limit_builds_no_kernel(self, monkeypatch):
         # cstar_limit on B triples, one of them with singular contact rows
         # (the section (z + 1, z^2)), and on a B' triple runs no contact
-        # kernel and no elimination; the counters do see both elsewhere
+        # kernel and no elimination; the counters do see both elsewhere, in
+        # the destabilizing search and in the solve on the even split
         rng = random.Random(107)
         flag_sets = (None, [INF, 1, 2, 3, 5], [INF, INF, 1, 2, 5], [0, "1/2", "4/3", "9/4", "16/5"])
         triples = [solved_b_triple(rng, flags) for flags in flag_sets]
@@ -573,7 +575,8 @@ class TestDegenerateCandidates:
             cstar_limit(t, rand_nonspecial_weight(rng, total_below=1))
         assert calls == []
         stability.destabilizing_candidates(triples[0].structure, CFG)
-        solve_connection_space(triples[0].structure, CFG, triples[0].spectrum)
+        even = ParabolicStructure(BundleSplitType(0, 0), triples[0].structure.flags)
+        solve_connection_space(even, CFG, rand_nonspecial_spectrum(rng, d=0))
         assert set(calls) == {"contact_kernel", "mat_rref"}
 
 
