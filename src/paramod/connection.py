@@ -224,7 +224,8 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
     (one pole product per point), so a bound of 4 or more, that of (21) on
     B and B', is never violated and is skipped; below it only the rows of
     the forward numerator map above the bound are applied, and the highest
-    nonzero one is the degree a violation prints.  The (21) tail adds
+    nonzero one is the degree a violation prints; with none, the numerator
+    meets the bound whatever it is.  The (21) tail adds
     ``G21 * prod (z - z_j)``, of degree at most the (21) bound, so the
     residue part alone decides a degree above the bound."""
     v: list[str] = []
@@ -262,8 +263,9 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
             continue
         low = max(bound + 1, 0)
         top = t_matvec(fwd[low:], den, [m[r][c] for m in res])
-        deg = max((low + k for k, (a, b, _) in enumerate(top) if a or b), default=-1)
-        if deg > bound:
+        # a zero numerator meets every bound, even one below -1
+        deg = max((low + k for k, (a, b, _) in enumerate(top) if a or b), default=None)
+        if deg is not None:
             v.append(f"({r + 1}{c + 1}) numerator degree {deg} exceeds {bound}")
     return (not v, v)
 

@@ -4,12 +4,13 @@ The limit of ``(E, L, c * nabla)`` as ``c -> 0`` is computed by the
 gauge-family construction: finitely many candidate degenerations are built
 from the off-diagonal residue data (keep the upper part, keep the lower part,
 or degenerate onto a degree -1 inclusion) and the unique Higgs-stable
-candidate is returned.  Which degree -1 inclusions exist is read off
-divided differences of the flags, with the weights of the configuration's
-inverse numerator map: no contact row, elimination or kernel is built.  The
-fixed locus for ``sum(w) < 1`` has two components: the single point F0 on
-the (-1, 2) split and the family F1 of nilpotent Higgs fields on the (0, 1)
-split, modeled as two glued blown-up planes.
+candidate is returned.  Which degree -1 inclusions exist is read off three
+moments of the flags over the configuration's integer divided-difference
+weights (``parastruct._flag_moments``, which ``stability`` reads too, for
+its degree -1 full contact): no contact row, elimination or kernel is
+built.  The fixed locus for ``sum(w) < 1`` has two components: the single
+point F0 on the (-1, 2) split and the family F1 of nilpotent Higgs fields on
+the (0, 1) split, modeled as two glued blown-up planes.
 
 The marked zeros of a Higgs field's theta are found once, by the
 strong-parabolicity check of ``StronglyParabolicHiggs``, as the zero residues
@@ -26,7 +27,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from ._kernel import t_clear, t_matvec
+from ._kernel import t_matvec
 from .connection import FlatTriple, LogConnection, offdiag_bounds
 from .exactnum import (
     INF,
@@ -45,6 +46,7 @@ from .parastruct import (
     NPOINTS,
     MarkedConfiguration,
     ParabolicStructure,
+    _flag_moments,
     _normalize_projective,
 )
 from .spectra import SpectrumRank2
@@ -620,35 +622,15 @@ def _degenerate_candidates(weights, structure, cfg) -> list[LimitCandidate]:
     B M_0 - A M_1 = M_0 M_2 - M_1^2``, is nonzero.  The last equality is
     ``A = M_1 - z_j M_0`` and ``B = M_2 - z_j M_1``.
 
-    The sums run on Gaussian integers: the finite flags and the marked
-    points cleared of their denominators, and ``W_i`` times the
-    denominator of the inverse numerator map, whose column 0 it is.  Each
-    test asks only whether a homogeneous expression is nonzero, so the
-    positive scales drop out.  No contact row, elimination or kernel is
-    built.
+    The moments are the shared ones of ``parastruct._flag_moments``, on
+    Gaussian integers: the finite flags and the marked points cleared of
+    their denominators, and ``W_i`` the configuration's cached integer node
+    weights.  Each test asks only whether an expression homogeneous in the
+    points is nonzero, so the positive scales drop out.  No contact row,
+    elimination or kernel is built.
     """
-    _, (inv, _) = cfg.numerator_maps()
-    z = [a for a, _ in t_clear([x._t for x in cfg.z])[0]]
-    fin = structure.finite_values()
-    # the moments M_k = sum_i u_i W_i z_i^k over the finite flags, cleared
-    m = [[0, 0], [0, 0], [0, 0]]
-    for i, (a, b) in zip(fin, t_clear([u._t for u in fin.values()])[0]):
-        c = inv[i][0][0]
-        for mk in m:
-            mk[0] += a * c
-            mk[1] += b * c
-            c *= z[i]
-    (m0r, m0i), (m1r, m1i), (m2r, m2i) = m
-
-    def q_nonzero(a, b):
-        # Q(a, b) = M_2 - (z_a + z_b) M_1 + z_a z_b M_0, cleared
-        s, p = z[a] + z[b], z[a] * z[b]
-        return m2r - s * m1r + p * m0r != 0 or m2i - s * m1i + p * m0i != 0
-
-    # M_0 M_2 != M_1^2, which decides a finite j when every flag is finite
-    gram = m0r * m2r - m0i * m2i != m1r * m1r - m1i * m1i or (
-        m0r * m2i + m0i * m2r != 2 * m1r * m1i
-    )
+    # gram: M_0 M_2 != M_1^2, which decides a finite j when every flag is finite
+    _, gram, q_nonzero = _flag_moments(structure, cfg)
     infinite = structure.infinity_indices()
     found = []
     for j in range(NPOINTS):

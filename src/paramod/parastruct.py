@@ -15,9 +15,12 @@ only to build the witness of a decomposable structure.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import combinations
+from math import lcm, prod
 from typing import NamedTuple
 
+from ._kernel import t_clear
 from .exactnum import (
     INF,
     ExactError,
@@ -51,9 +54,10 @@ def point_index(j) -> int:
 class MarkedConfiguration:
     """Five pairwise distinct finite real marked points on the affine line.
 
-    Instances are immutable, so the pole products of ``pole_products`` and
-    the maps of ``numerator_maps`` are built once, on first use, and kept in
-    the ``_poles`` and ``_maps`` slots for the life of the configuration.
+    Instances are immutable, so the pole products of ``pole_products``, the
+    maps of ``numerator_maps`` and the integer nodes of ``node_weights`` are
+    built once, on first use, and kept in the ``_poles``, ``_maps`` and
+    ``_nodes`` slots for the life of the configuration.
     ``numerator_maps`` is the one passage between the residues of a
     connection entry and its cleared numerator: ``validate_triple`` tests
     the top coefficients with rows of the forward map,
@@ -62,7 +66,7 @@ class MarkedConfiguration:
     ``pole_products`` carries the tail of ``LogConnection.numerator``.
     """
 
-    __slots__ = ("z", "_poles", "_maps")
+    __slots__ = ("z", "_poles", "_maps", "_nodes")
 
     def __init__(self, z):
         zs = tuple(sc(x) for x in z)
@@ -75,6 +79,7 @@ class MarkedConfiguration:
         self.z = zs
         self._poles = None
         self._maps = None
+        self._nodes = None
 
     def pole_products(self) -> tuple[Poly, tuple[Poly, ...]]:
         """The node polynomial ``prod_j (z - z_j)`` and the five products
@@ -104,6 +109,19 @@ class MarkedConfiguration:
                 ),
             )
         return self._maps
+
+    def node_weights(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The marked points cleared to integers ``Z_i = D z_i`` and the
+        integer divided-difference weights ``W_i = L / prod_{j != i}
+        (Z_i - Z_j)``, ``L`` the lcm of those products: ``W_i`` is
+        ``1 / prod_{j != i} (z_i - z_j)`` times one positive scale for all
+        five points, with no Scalar built."""
+        if self._nodes is None:
+            z = tuple(a for a, _ in t_clear([x._t for x in self.z])[0])
+            prods = [prod(zi - zj for zj in z if zj != zi) for zi in z]
+            scale = lcm(*prods)
+            self._nodes = (z, tuple(scale // p for p in prods))
+        return self._nodes
 
     def to_json(self):
         return {"z": [str(x) for x in self.z]}
@@ -328,6 +346,46 @@ def _decomposition_coords(
         sum((u * (z**k) * wi for u, z, wi in zip(vals.values(), nodes, w)), sc(0))
         for k in range(ncoords)
     )
+
+
+class FlagMoments(NamedTuple):
+    """Which forms in the moments ``M_k = sum_F u_i W_i z_i^k``, ``k = 0, 1,
+    2``, of the finite flags ``F`` over the five-point divided-difference
+    weights ``W_i`` are nonzero (``_flag_moments``): ``M_0``, ``M_0 M_2 -
+    M_1^2``, and ``Q(a, b) = sum_F u_i W_i (z_i - z_a)(z_i - z_b) = M_2 -
+    (z_a + z_b) M_1 + z_a z_b M_0`` as a function of two marked points."""
+
+    m0_nonzero: bool
+    gram_nonzero: bool
+    q_nonzero: Callable[[int, int], bool]
+
+
+def _flag_moments(structure: ParabolicStructure, cfg: MarkedConfiguration) -> FlagMoments:
+    """The moment forms of ``FlagMoments``, on Gaussian integers: the finite
+    flags cleared once and summed against the configuration's cached
+    integer nodes and weights (``node_weights``).  The sum ``M_k`` is the
+    exact moment times ``c D^k``, for one positive ``c`` and the points'
+    denominator ``D``, so each form, homogeneous in the points, is zero iff
+    the exact one is."""
+    z, w = cfg.node_weights()
+    fin = structure.finite_values()
+    m = [[0, 0], [0, 0], [0, 0]]
+    for i, (a, b) in zip(fin, t_clear([u._t for u in fin.values()])[0]):
+        c = w[i]
+        for mk in m:
+            mk[0] += a * c
+            mk[1] += b * c
+            c *= z[i]
+    (m0r, m0i), (m1r, m1i), (m2r, m2i) = m
+
+    def q_nonzero(a: int, b: int) -> bool:
+        s, p = z[a] + z[b], z[a] * z[b]
+        return m2r - s * m1r + p * m0r != 0 or m2i - s * m1i + p * m0i != 0
+
+    gram_nonzero = m0r * m2r - m0i * m2i != m1r * m1r - m1i * m1i or (
+        m0r * m2i + m0i * m2r != 2 * m1r * m1i
+    )
+    return FlagMoments(m0r != 0 or m0i != 0, gram_nonzero, q_nonzero)
 
 
 def is_decomposable(

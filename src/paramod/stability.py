@@ -20,19 +20,22 @@ degenerations in ``higgslimit`` are read off divided differences of the
 flags and need none.
 
 ``destabilizing_candidates`` visits every contact set not inside a
-recorded one, by descending size.  ``is_stable`` visits only the sets whose
-margin is below the least margin of the higher degrees, least margin first,
-and stops at the first whose kernel holds a saturated member: that set is
-the recorded one the full degree would report, with the same witness (the
-proof is in ``is_stable``), and when no set's margin is that low no contact
-row or kernel is built.  The saturation grid of ``saturated_members`` is the
-one saturation test; every span ``is_stable`` searches has dimension at most
-1 and a saturated vector, so the walk stops at its first point (the proof is
-in ``is_stable`` too).  A set whose kernel is that of a larger set is
-never recorded, so it costs a kernel and a span search and changes
-nothing; ``is_stable`` never builds one (the proof is in
-``_candidates_at_degree``).  B's degree-0 subbundles are lines through the
-finite flags, grouped by pair with no evaluation at the flags
+recorded one, by descending size.  ``is_stable`` reports the first set,
+least margin first among those below the least margin of the higher
+degrees, whose kernel holds a saturated member, and decides which set that
+is with no kernel: only sets of four or five flags can be first, a four-set
+always holds one, and the full set does iff one integer test on three
+moments of the flags says so (``_full_contact_hits``, on the moments that
+``higgslimit`` reads too).  The winner's contact rows and kernel alone are
+built, once, and give the same witness as the search that folds every
+ranked set's kernel (the proof is in ``is_stable``); when no set wins, no
+contact row or kernel is built.  The saturation grid of
+``saturated_members`` is the one saturation test; the winner's kernel has
+dimension 1 and a saturated vector, so the walk stops at its first point.  A
+set whose kernel is that of a larger set is never recorded, so it costs
+``destabilizing_candidates`` a kernel and a span search and changes
+nothing.  B's degree-0 subbundles are lines through the finite flags,
+grouped by pair with no evaluation at the flags
 (``_b_degree_zero_candidates``).
 
 A decision runs on integers from the weight check to the report.  The
@@ -54,7 +57,7 @@ still lists every degree.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 from math import gcd
 from typing import NamedTuple
 
@@ -76,6 +79,7 @@ from .parastruct import (
     ParabolicStructure,
     StratumError,
     StratumId,
+    _flag_moments,
 )
 
 
@@ -297,9 +301,10 @@ def saturated_members(basis, dq: int, dr: int):
 
     A span with no saturated member costs the whole grid, one saturation
     test per nonzero grid point.  ``destabilizing_candidates`` pays that on
-    barren kernels; ``is_stable`` never asks of a span of dimension above 1
-    or of one whose vector is not saturated, so it stops at the first grid
-    point, the last basis vector (the proof is in ``is_stable``).
+    barren kernels; ``is_stable`` asks only of its winning set's kernel,
+    which has dimension 1 and a saturated vector, so the walk stops at its
+    first point, that vector, after one saturation test (the proof is in
+    ``is_stable``).
     """
     if not basis:
         return
@@ -492,35 +497,17 @@ def _candidates_at_degree(structure, cfg, k, below=None) -> list[tuple[frozenset
 
     With ``below = (nums, den, bound)``, the weights' cleared numerators and
     a margin bound times ``den``, a degree that needs kernels returns one
-    candidate at most: the first recorded set of least margin, searched least
-    margin first among the sets of margin below ``bound`` (``is_stable``
-    proves it so); the other degrees return every candidate as without it.
+    candidate at most: the first recorded set of least margin among the sets
+    of margin below ``bound``.  Only the sets of four or five flags are
+    ranked; a four-set wins outright, the full set when
+    ``_full_contact_hits`` says so, and the winner's rows and kernel alone
+    are built (``is_stable`` proves it so).  The other degrees return every
+    candidate as without it.
 
     A ``T`` with a row outside it in the span of its rows has the kernel
-    of a larger set, visited earlier, so it is never recorded.  Such a set
-    is visited only when the rows are dependent and the full set is not
-    recorded, which happens on B alone, and there the margin stop of
-    ``is_stable`` ends the decision before degree -1.  On B' a set whose
-    kernel is that of a larger set has four of five dependent rows, and a
-    larger margin than the full set, which its search reaches first and
-    records (below).  So ``is_stable`` never builds such a kernel.  With
-    ``m`` the least margin of the higher degrees, ``F`` the finite flags
-    and ``w_i < 1``:
-
-    - B at ``(dq, dr) = (1, 2)``: five rows on five coefficients, so
-      dependent rows give a nonzero ``(q, r)`` meeting all five flags,
-      which is not saturated when the full set is not recorded.  If
-      ``q = 0``, ``r`` vanishes at the finite flags, so at most two are
-      finite; the degree-0 line through them has contact ``F``, its margin
-      and the degree-1 margin sum to 0, and ``m < 0``.  Otherwise ``q``
-      and ``r`` share a root ``a``, which may be infinity, and every flag
-      away from ``a`` is finite and on the line ``r / q``: at most one
-      flag ``j`` is off it, and ``m <= 1 + 2 w_j - sum(w) < 3 - sum(w) =
-      b_{-1}``.
-    - B' at ``(0, 3)``: only the finite flags have rows, and any four are
-      independent, their Vandermonde part having distinct ``z_i``.  Five
-      dependent rows have a kernel member ``(c, r)`` with ``c != 0``, which
-      is saturated: the full set is recorded and every other set skipped.
+    of a larger set, visited earlier, so it is never recorded: the full
+    walk pays a kernel and a span search for it, and ``is_stable``, which
+    folds a recorded set's kernel alone, never builds it.
 
     ``N(T)`` is restricted from ``N(T[:-1])`` by the fraction-free kernel of
     one Gaussian-integer contact row (``_zi_restrict``), the kernels memoised
@@ -535,14 +522,51 @@ def _candidates_at_degree(structure, cfg, k, below=None) -> list[tuple[frozenset
         # canonical factor, contacting exactly the infinite flags
         return [(frozenset(structure.infinity_indices()), None)] if dr == 0 else []
     points = _contactable(structure, dq)
-    sets = [T for size in range(len(points), -1, -1) for T in combinations(points, size)]
     if below is None:
+        sets = [T for size in range(len(points), -1, -1) for T in combinations(points, size)]
         return list(_saturated_sets(structure, cfg, dq, dr, sets))
     nums, den, bound = below
+    sets = [T for size in range(len(points), 3, -1) for T in combinations(points, size)]
     margins = {T: _margin(structure.bundle.degree, k, T, nums, den) for T in sets}
     # a stable sort: sets of equal margin stay in visit order
-    sets = sorted((T for T in sets if margins[T] < bound), key=margins.__getitem__)
-    return list(islice(_saturated_sets(structure, cfg, dq, dr, sets), 1))
+    for T in sorted((T for T in sets if margins[T] < bound), key=margins.__getitem__):
+        if len(T) < NPOINTS or _full_contact_hits(structure, cfg):
+            rows = contact_rows(structure, cfg, dq, dr)
+            basis = contact_kernel(T, rows, unit_kernels(dq + dr + 2))
+            return [(frozenset(T), next(saturated_members(basis, dq, dr)))]
+    return []
+
+
+def _full_contact_hits(structure, cfg) -> bool:
+    """Whether the kernel of the five degree -1 contact rows of a structure
+    whose flags are all contactable holds a saturated member, asked by
+    ``is_stable`` only of a full set of margin below the least margin so
+    far, where every nonzero member is saturated (the proof is in
+    ``is_stable``).  One integer test on the moments ``M_k = sum_F u_i W_i
+    z_i^k`` of the finite flags ``F`` (``parastruct._flag_moments``) says
+    whether the kernel is nonzero:
+
+    - B at ``(1, 2)``, every flag finite: ``r = u q`` at five points asks
+      the five-point divided differences of ``u q`` times ``1`` and ``z``
+      to vanish, ``q_0 M_0 + q_1 M_1 = q_0 M_1 + q_1 M_2 = 0``, and ``q = 0``
+      leaves ``r = 0``: a member iff ``M_0 M_2 = M_1^2``.
+    - B, one infinite flag ``i0``: ``q = c (z - z_i0)``, ``c = 0`` leaves
+      ``r = 0``, and ``r`` interpolates ``u_i (z_i - z_i0)`` on the four
+      finite flags with degree <= 2 iff their top divided difference, with
+      the weights ``W_i (z_i - z_i0)``, is zero: iff ``Q(i0, i0) = 0``.
+    - B, two or more infinite flags: ``q = 0``, and no member is saturated.
+    - B' at ``(0, 3)``: ``r = c u`` at five points asks ``c M_0 = 0``, and
+      ``c = 0`` leaves ``r = 0``: a member iff ``M_0 = L(u) = 0``.
+    """
+    infinite = structure.infinity_indices()
+    if len(infinite) > 1:
+        return False
+    m0_nonzero, gram_nonzero, q_nonzero = _flag_moments(structure, cfg)
+    if structure.bundle == BPRIME:
+        return not m0_nonzero
+    if infinite:
+        return not q_nonzero(infinite[0], infinite[0])
+    return not gram_nonzero
 
 
 def _saturated_sets(structure, cfg, dq: int, dr: int, sets):
@@ -622,8 +646,11 @@ def is_stable(
     member (``_candidates_at_degree`` with ``below``): only sets of margin
     below the least margin ``m`` so far are searched, by margin, sets of
     equal margin in visit order (by descending size, then in
-    ``combinations`` order).  The weights are positive (``_non_special``),
-    so a set has a smaller margin than each of its proper subsets.  Then:
+    ``combinations`` order).  ``tests/helpers.py`` keeps that search, with
+    every searched set's kernel folded and walked, as
+    ``oracle_least_margin_candidates``.  The weights are positive
+    (``_non_special``), so a set has a smaller margin than each of its
+    proper subsets.  Then:
 
     - ``T`` is a recorded maximal set.  The first member found in ``N(T)``
       has a contact ``C`` containing ``T``, and ``N(C)`` holds it; were ``C``
@@ -639,15 +666,13 @@ def is_stable(
       row or kernel is built.
     - The payload is the same grid vector: ``contact_kernel(T)`` is the
       same fold of ``_zi_restrict`` over ``T``'s rows from the unit basis
-      whatever prefixes the memo holds, so ``saturated_members`` finds the
+      whatever prefixes a memo holds, so ``saturated_members`` finds the
       same first member.
 
-    Every span the search hands to ``saturated_members`` has dimension at
-    most 1, and its vector, if any, is saturated: the grid walk stops at its
-    first point after one saturation test and never walks a barren grid.
-    A nonzero member ``(q, r)`` is saturated iff its homogenizations at
-    ``(dq, dr)`` have no common zero on P^1, and a span of dimension 2 or
-    more holds a nonzero member that is not: for independent members ``u``
+    Finding ``T`` takes no kernel.  A nonzero member ``(q, r)`` is
+    saturated iff its homogenizations at ``(dq, dr)`` have no common zero on
+    P^1, and a span of dimension 2 or more holds a nonzero member that is
+    not: for independent members ``u``
     and ``v`` the minor ``det(u(p), v(p))`` is a binary form of degree
     ``dq + dr = 3`` in ``p``, zero or with a root, and at that root a
     nonzero combination of ``u`` and ``v`` vanishes.  A searched set ``T``
@@ -678,8 +703,15 @@ def is_stable(
       ``sum(w) - 3 - 2 S_I`` by ``6 - 2(S_T - S_I) > 0``: ``T`` is not
       searched.
 
-    So the decision needs no test of whether a span holds a saturated
-    member beyond the grid walk's first point.
+    So only the sets of four or five flags are ranked: a smaller set is
+    never reached on B and never below ``m`` on B'.  A ranked four-set
+    wins, its four rows on five coefficients leaving a nonzero kernel, all
+    of whose nonzero members are saturated by the cases above.  The full set
+    wins iff its kernel is nonzero, which ``_full_contact_hits`` decides by
+    one integer test on the moments of the flags.  The winner's kernel is
+    nonzero and of dimension at most 1, so its one vector is saturated: its
+    contact rows and its kernel are built once, none when no set wins, and
+    the grid walk stops at its first point after one saturation test.
 
     ``quick`` is accepted and has no effect: the stop above already ends
     the decision at the first negative least margin.  The keyword stays

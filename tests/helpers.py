@@ -21,7 +21,10 @@ the reference for the one on the cleared weights, and the decision on
 Scalars, with every candidate's witness built, the margins compared as
 Scalars and every degree visited, the reference for the decision on
 integers that builds the reported witness alone and stops at the first
-degree a margin bound rules out.  A
+degree a margin bound rules out.  The least-margin search that folds and
+walks the kernel of every contact set it ranks is the reference for the one
+that decides the full contact set by moments of the flags and folds the
+winner's kernel alone.  A
 second solve of the two diagonal residue sums and the rank of the fixed-flag
 equations are the references for the gauge counts of a connection space
 and for the flag stabilizer, the classification on an interpolating solve,
@@ -56,7 +59,7 @@ the balanced middle-convolution branch and the difference of two
 polynomials.
 """
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from paramod._kernel import (
     T_ONE,
@@ -125,8 +128,11 @@ from paramod.stability import (
     StabilityReport,
     WeightVector,
     _candidate_degrees,
+    _contactable,
     _hom_degrees,
     _is_saturated,
+    _margin,
+    _saturated_sets,
     contact_kernel,
     destabilizing_candidates,
     saturated_members,
@@ -654,6 +660,21 @@ def oracle_candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]
     return [w for _, w in maximal]
 
 
+def oracle_least_margin_candidates(structure, cfg, k, below):
+    """``_candidates_at_degree(structure, cfg, k, below)`` at a degree that
+    needs kernels, by the search over every contact set: the sets of margin
+    below the bound, least margin first, each kernel folded and its grid
+    walked until the first set whose kernel holds a saturated member."""
+    dq, dr = _hom_degrees(structure.bundle, k)
+    points = _contactable(structure, dq)
+    sets = [T for size in range(len(points), -1, -1) for T in combinations(points, size)]
+    nums, den, bound = below
+    margins = {T: _margin(structure.bundle.degree, k, T, nums, den) for T in sets}
+    # a stable sort: sets of equal margin stay in visit order
+    sets = sorted((T for T in sets if margins[T] < bound), key=margins.__getitem__)
+    return list(islice(_saturated_sets(structure, cfg, dq, dr, sets), 1))
+
+
 def oracle_degenerate_candidate(structure, cfg, w, j):
     """``higgslimit._degenerate_candidate`` by the rational path: the
     nullspace of the other four (1, 2) contact rows from ``Mat.nullspace``,
@@ -1015,9 +1036,9 @@ def oracle_validate_triple(t) -> tuple[bool, list[str]]:
         if total != sc(-d):
             v.append(f"sum of A{r + 1}{r + 1} residues is {total}, expected {-d}")
     for (r, c), bound in offdiag_bounds(bundle):
-        deg = t.connection.numerator(r, c, t.cfg).degree()
-        if deg > bound:
-            v.append(f"({r + 1}{c + 1}) numerator degree {deg} exceeds {bound}")
+        num = t.connection.numerator(r, c, t.cfg)
+        if not num.is_zero() and num.degree() > bound:
+            v.append(f"({r + 1}{c + 1}) numerator degree {num.degree()} exceeds {bound}")
     return (not v, v)
 
 

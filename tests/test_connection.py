@@ -503,6 +503,23 @@ class TestValidateTriple:
         assert any("trace" in msg for msg in violations)
         assert any("A11" in msg for msg in violations)
 
+    def test_zero_numerator_meets_bounds_below_minus_one(self):
+        # on the splits with d1 - d0 >= 5 the (12) bound is -2 or -3, and a
+        # solved triple's (12) numerator is zero: it meets the bound, in the
+        # validation on triples and in the one on Scalars
+        rng = random.Random(37)
+        checked = 0
+        for bundle in (BundleSplitType(-2, 3), BundleSplitType(-3, 3)):
+            for n_inf in (0, 1, 2, 3):
+                s = ParabolicStructure(bundle, [INF] * n_inf + [rand_rational(rng, -30, 30, 6) for _ in range(5 - n_inf)])
+                space = solve_connection_space(s, CFG, _spectrum_without_n12(rng, s))
+                for params in ([0] * space.dim, [rand_rational(rng) for _ in range(space.dim)]):
+                    t = space.triple_at(params)
+                    assert t.connection.numerator(0, 1, CFG).is_zero()
+                    assert validate_triple(t) == oracle_validate_triple(t) == (True, []), (s, params)
+                    checked += 1
+        assert checked == 16
+
     def test_swapped_eigenvalues_detected(self):
         rng = random.Random(31)
         s, nu, conn = self._solved(rng)

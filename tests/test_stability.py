@@ -17,6 +17,7 @@ from helpers import (
     oracle_is_stable,
     oracle_is_stable_report,
     oracle_kostov_generic,
+    oracle_least_margin_candidates,
     oracle_predicates,
     oracle_rank,
     oracle_s_value,
@@ -1078,6 +1079,56 @@ def _chamber_centres():
     return fifteenths
 
 
+def _moment_cases(rng):
+    """Decisions whose degree -1 search the moment test can decide: the five
+    stability-random classes, tie and dependent-row structures, four flags
+    on a line, B with five flags on ``r / q`` (``M_0 M_2 = M_1^2``) and with
+    one infinite flag ``i0`` and the others on ``p / (z - z_i0)``
+    (``Q(i0, i0) = 0``), B' with ``L(u) = 0`` (in the dependent rows) and
+    with three and four finite flags; each at a light, a heavy and a tie
+    weight, and B' with one infinite flag also at a lopsided one."""
+    structures = [x for xs in _class_structures(rng, 20).values() for x in xs]
+    structures += _dependent_structures()
+    for _ in range(20):
+        cfg = CFG if rng.random() < 0.5 else rand_config(rng)
+        structures += [(_tie_structure(rng, cfg, bundle), cfg) for bundle in (B, BPRIME)]
+        a, b = rand_rational(rng), rand_rational(rng, -10, 10, 4)
+        line = [a + b * z for z in cfg.z]
+        off = rng.randrange(5)
+        line[off] = INF if rng.random() < 0.5 else line[off] + 1
+        structures.append((ParabolicStructure(B, line), cfg))
+        q, r, p = ([rand_rational(rng, -6, 6, 3) for _ in range(n)] for n in (2, 3, 3))
+        if all(not (q[0] + q[1] * z).is_zero() for z in cfg.z):
+            flags = [(r[0] + r[1] * z + r[2] * z * z) / (q[0] + q[1] * z) for z in cfg.z]
+            structures.append((ParabolicStructure(B, flags), cfg))
+        i0 = rng.randrange(5)
+        z0 = cfg.z[i0]
+        flags = [INF if i == i0 else (p[0] + p[1] * z + p[2] * z * z) / (z - z0) for i, z in enumerate(cfg.z)]
+        structures.append((ParabolicStructure(B, flags), cfg))
+        structures += [(rand_structure(rng, BPRIME, n_inf=n), cfg) for n in (1, 2)]
+    cases = []
+    for s, cfg in structures:
+        d = s.bundle.degree
+        for w in (_bounded_weight(rng, d), _bounded_weight(rng, d, heavy=True), _tie_weight(rng, d)):
+            cases.append((s, cfg, w))
+        if s.bundle == BPRIME and len(s.infinity_indices()) == 1:
+            # a light weight at the infinite flag and heavy ones elsewhere
+            # leave the canonical factor a positive margin, which the four
+            # finite flags' set undercuts
+            cases.append((s, cfg, _lopsided_weight(rng, d, s.infinity_indices()[0])))
+    return cases
+
+
+def _lopsided_weight(rng, d, j):
+    # a non-special weight below 1/4 at j and above 5/6 elsewhere
+    while True:
+        den = rng.randint(24, 40)
+        nums = [rng.randint(1, den // 4) if i == j else rng.randint(den * 5 // 6 + 1, den - 1) for i in range(5)]
+        w = WeightVector([Scalar.rational(n, den) for n in nums])
+        if weight_is_non_special(w, d):
+            return w
+
+
 class TestLeastMarginSearch:
     """At a degree that needs kernels, ``is_stable`` searches the contact
     sets least margin first and stops at the first whose kernel holds a
@@ -1144,9 +1195,10 @@ class TestLeastMarginSearch:
         assert reached > 50 and 0 < built < visited, (reached, built, visited)
 
     def test_searched_spans_cost_one_saturation_test(self, monkeypatch):
-        # every span a decision hands to saturated_members has dimension at
-        # most 1 and a saturated vector, so the grid walk makes at most one
-        # _is_saturated call (the proof is in is_stable's docstring): on the
+        # the one span a decision hands to saturated_members is the winning
+        # set's kernel, of dimension exactly 1 with a saturated vector, so
+        # the grid walk makes exactly one _is_saturated call (the proof is in
+        # is_stable's docstring), and no empty span is handed over: on the
         # five stability-random classes, dependent rows and tie structures,
         # at light, heavy and tie weights
         real_is_saturated, real_members = stability._is_saturated, stability.saturated_members
@@ -1174,8 +1226,67 @@ class TestLeastMarginSearch:
                 is_stable(s, cfg, w)
         # (dq, dimension, calls): dq = 1 on B, 0 on B'
         seen = Counter(map(tuple, spans))
-        assert all(dim <= 1 and calls <= 1 for _, dim, calls in seen), seen
-        assert min(seen[dq, dim, dim] for dq in (0, 1) for dim in (0, 1)) > 100, seen
+        assert set(seen) == {(0, 1, 1), (1, 1, 1)} and min(seen.values()) > 100, seen
+
+    def test_moment_search_matches_oracle_search(self, monkeypatch):
+        # each degree -1 search a decision makes returns the (contact,
+        # payload) of the search that folds and walks every ranked set's
+        # kernel, and a decision routed through that search alone reports
+        # the same, witness and wall text included
+        cases = _moment_cases(random.Random(179))
+        got = [_decision(is_stable, s, cfg, w) for s, cfg, w in cases]
+        real = stability._candidates_at_degree
+        seen = Counter()
+
+        def oracle_search(structure, cfg, k, below=None):
+            if below is None or k != -1:
+                return real(structure, cfg, k, below)
+            want = oracle_least_margin_candidates(structure, cfg, k, below)
+            assert real(structure, cfg, k, below) == want, (structure, cfg, below)
+            # the winner: none, or its size, bundle and infinite flags
+            n_inf = len(structure.infinity_indices())
+            seen[(len(want[0][0]), structure.bundle.name, n_inf) if want else None] += 1
+            return want
+
+        monkeypatch.setattr(stability, "_candidates_at_degree", oracle_search)
+        for (s, cfg, w), want in zip(cases, got):
+            assert _decision(is_stable, s, cfg, w) == want, (s, cfg, w)
+        wanted = [None, (5, "B", 0), (5, "B", 1), (5, "Bprime", 0), (4, "B", 0), (4, "B", 1), (4, "Bprime", 0), (4, "Bprime", 1)]
+        assert min(seen[key] for key in wanted) > 10, seen
+
+    def test_one_fold_per_decision(self, monkeypatch):
+        # a decision that reaches degree -1 builds the contact rows and one
+        # kernel fold for the winning set, and none when no set wins
+        folds = Counter()
+        for name in ("contact_rows", "contact_kernel"):
+
+            def counted(*args, _real=getattr(stability, name), _name=name):
+                folds[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(stability, name, counted)
+        real = stability._candidates_at_degree
+        searches = []
+
+        def search(structure, cfg, k, below=None):
+            found = real(structure, cfg, k, below)
+            if below is not None and k == -1:
+                searches.append(bool(found))
+            return found
+
+        monkeypatch.setattr(stability, "_candidates_at_degree", search)
+        seen = Counter()
+        for s, cfg, w in _moment_cases(random.Random(181)):
+            folds.clear()
+            searches.clear()
+            try:
+                is_stable(s, cfg, w)
+            except OnWallError:
+                continue
+            won = int(any(searches))
+            assert (folds["contact_rows"], folds["contact_kernel"]) == (won, won), (s, cfg, w, folds)
+            seen["won" if won else "lost" if searches else "stopped"] += 1
+        assert set(seen) == {"won", "lost", "stopped"} and min(seen.values()) > 50, seen
 
 
 class TestOracleAgreement:
