@@ -5,12 +5,21 @@ A flag at a marked point is a point of the projective line: the finite value
 lower-degree summand, ``f`` the higher one), and ``inf`` for the fiber of the
 higher-degree summand itself.
 
-Decomposability is decided by one functional, ``_decomposition_coords``: the
-top divided differences ``L(z^k)`` of the finite flags, which all vanish
-exactly when the flags lie on a section of ``O(d1 - d0)``.  ``classify``,
-``is_decomposable``, ``quotient_coords`` and ``stabilizer_dim`` read it, and
-none of them runs a linear solve to decide; ``is_decomposable`` interpolates
-only to build the witness of a decomposable structure.
+The flags enter every decision through one moment functional: the moments
+``M_k = sum_F u_i W_i z_i^k``, ``k <= 2``, of the finite flags ``F`` over
+the five-point divided-difference weights, summed on Gaussian integers
+against the configuration's cached integer nodes (``_moment_sums``).
+Decomposability is decided by ``_decomposition_coords``: the top divided
+differences ``L(z^k)`` of the finite flags, which all vanish exactly when
+the flags lie on a section of ``O(d1 - d0)``, and which are these moments
+shifted by the infinite flags.  ``classify``, ``is_decomposable``,
+``quotient_coords`` and ``stabilizer_dim`` read them as integers, and none
+of them runs a linear solve or builds a Scalar to decide: ``classify``
+wraps one Scalar per projective coordinate it returns, ``quotient_coords``
+divides by the known scale once, and ``is_decomposable`` interpolates only
+to build the witness of a decomposable structure.  ``_flag_moments`` reads
+the same moments for ``is_stable``'s degree -1 full contact and for the
+C*-limit's degenerations in ``higgslimit``.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from itertools import combinations
 from math import lcm, prod
 from typing import NamedTuple
 
-from ._kernel import t_clear
+from ._kernel import t_clear, t_div, t_norm
 from .exactnum import (
     INF,
     ExactError,
@@ -319,35 +328,6 @@ def act_params_shift(bundle: BundleSplitType, params) -> tuple[Scalar, Poly]:
     return a, shift
 
 
-def _decomposition_coords(
-    structure: ParabolicStructure, cfg: MarkedConfiguration
-) -> tuple[Scalar, ...]:
-    """The coordinates ``L(z^k)``, ``0 <= k < n - 1 - b``, that vanish exactly
-    on decomposable structures.
-
-    Here ``n`` is the number of finite flags, ``b = d1 - d0`` and
-    ``L(p) = sum_i u_i p(z_i) / prod_{j != i}(z_i - z_j)`` is the top divided
-    difference over the finite nodes.  ``L`` annihilates every polynomial of
-    degree <= n - 2 and sends ``z^(n-1)`` to 1, so with ``P = sum_m p_m z^m``
-    the interpolant of the flags (degree <= n - 1),
-    ``L(z^k) = sum_m p_m L(z^(m+k))`` is ``p_(n-1-k)`` plus a combination of
-    the ``p_m`` with ``m > n - 1 - k``.  For ``k < n - 1 - b`` the map from
-    ``(p_(b+1), ..., p_(n-1))`` is therefore unitriangular: the coordinates
-    all vanish iff ``deg P <= b``, that is iff the finite flags lie on a
-    section of ``O(d1 - d0)``, which is iff the structure is decomposable
-    (infinite flags sit on the higher summand).  With ``n <= b + 1`` the
-    tuple is empty and the condition holds vacuously.
-    """
-    vals = structure.finite_values()
-    nodes = [cfg.z[i] for i in vals]
-    w = divided_difference_weights(nodes)
-    ncoords = len(nodes) - 1 - (structure.bundle.d1 - structure.bundle.d0)
-    return tuple(
-        sum((u * (z**k) * wi for u, z, wi in zip(vals.values(), nodes, w)), sc(0))
-        for k in range(ncoords)
-    )
-
-
 class FlagMoments(NamedTuple):
     """Which forms in the moments ``M_k = sum_F u_i W_i z_i^k``, ``k = 0, 1,
     2``, of the finite flags ``F`` over the five-point divided-difference
@@ -360,23 +340,39 @@ class FlagMoments(NamedTuple):
     q_nonzero: Callable[[int, int], bool]
 
 
-def _flag_moments(structure: ParabolicStructure, cfg: MarkedConfiguration) -> FlagMoments:
-    """The moment forms of ``FlagMoments``, on Gaussian integers: the finite
-    flags cleared once and summed against the configuration's cached
-    integer nodes and weights (``node_weights``).  The sum ``M_k`` is the
-    exact moment times ``c D^k``, for one positive ``c`` and the points'
-    denominator ``D``, so each form, homogeneous in the points, is zero iff
-    the exact one is."""
+def _moment_sums(structure: ParabolicStructure, cfg: MarkedConfiguration):
+    """The cleared points ``Z_i = D z_i`` of ``node_weights`` and the moments
+    ``M_k = sum_F U_i W_i Z_i^k``, ``k = 0, 1, 2``, of the finite flags
+    ``F``, each a Gaussian integer ``(re, im)``: the flags cleared once to
+    ``U_i = E u_i`` and summed against the configuration's cached integer
+    nodes and weights.  As ``W_i = (L / D^4) w_i`` for the five-point
+    weights ``w_i = 1 / prod_{j != i} (z_i - z_j)``, ``M_k`` is the exact
+    moment ``m_k = sum_F u_i w_i z_i^k`` times ``c D^k``, ``c = E L / D^4 >
+    0``."""
     z, w = cfg.node_weights()
     fin = structure.finite_values()
-    m = [[0, 0], [0, 0], [0, 0]]
+    m0r = m0i = m1r = m1i = m2r = m2i = 0
     for i, (a, b) in zip(fin, t_clear([u._t for u in fin.values()])[0]):
         c = w[i]
-        for mk in m:
-            mk[0] += a * c
-            mk[1] += b * c
-            c *= z[i]
-    (m0r, m0i), (m1r, m1i), (m2r, m2i) = m
+        m0r += a * c
+        m0i += b * c
+        c *= z[i]
+        m1r += a * c
+        m1i += b * c
+        c *= z[i]
+        m2r += a * c
+        m2i += b * c
+    return z, [(m0r, m0i), (m1r, m1i), (m2r, m2i)]
+
+
+def _flag_moments(structure: ParabolicStructure, cfg: MarkedConfiguration) -> FlagMoments:
+    """The moment forms of ``FlagMoments`` on the integer moments of
+    ``_moment_sums``.  Each form is homogeneous in the points, so it is zero
+    iff the exact one is.  These moments are the one functional of the flags
+    that the package reads: the decomposition coordinates of ``classify``
+    and its siblings, ``is_stable``'s degree -1 full contact and the
+    C*-limit's degree -1 degenerations."""
+    z, ((m0r, m0i), (m1r, m1i), (m2r, m2i)) = _moment_sums(structure, cfg)
 
     def q_nonzero(a: int, b: int) -> bool:
         s, p = z[a] + z[b], z[a] * z[b]
@@ -386,6 +382,52 @@ def _flag_moments(structure: ParabolicStructure, cfg: MarkedConfiguration) -> Fl
         m0r * m2i + m0i * m2r != 2 * m1r * m1i
     )
     return FlagMoments(m0r != 0 or m0i != 0, gram_nonzero, q_nonzero)
+
+
+def _decomposition_coords(
+    structure: ParabolicStructure, cfg: MarkedConfiguration
+) -> list[tuple[int, int]]:
+    """The coordinates ``L_F(z^k)``, ``0 <= k < n - 1 - b``, that vanish
+    exactly on decomposable structures, as Gaussian integers: the ``k``-th
+    is ``L_F(z^k)`` times ``c D^(k + |I|)`` (``_moment_sums``).
+
+    Here ``F`` is the ``n`` finite flags, ``I`` the infinite ones, ``b = d1
+    - d0 >= 1`` and ``L_F(p) = sum_F u_i p(z_i) / prod_{j in F, j != i}(z_i
+    - z_j)`` is the top divided difference over the finite nodes.  ``L_F``
+    annihilates every polynomial of degree <= n - 2 and sends ``z^(n-1)`` to
+    1, so with ``P = sum_m p_m z^m`` the interpolant of the flags (degree <=
+    n - 1), ``L_F(z^k) = sum_m p_m L_F(z^(m+k))`` is ``p_(n-1-k)`` plus a
+    combination of the ``p_m`` with ``m > n - 1 - k``.  For ``k < n - 1 - b``
+    the map from ``(p_(b+1), ..., p_(n-1))`` is therefore unitriangular: the
+    coordinates all vanish iff ``deg P <= b``, that is iff the finite flags
+    lie on a section of ``O(d1 - d0)``, which is iff the structure is
+    decomposable (infinite flags sit on the higher summand).  With ``n <= b
+    + 1`` the list is empty and the condition holds vacuously.
+
+    The weights over ``F`` are the five-point ones times ``prod_{j in
+    I}(z_i - z_j)``, so ``L_F(z^k)`` is the moment functional at ``z^k
+    prod_I (z - z_j)``, of degree ``k + |I| <= 3 - b <= 2``: on B ``(m_0,
+    m_1, m_2)``, ``(m_1 - z_i0 m_0, m_2 - z_i0 m_1)`` and ``Q(i0, i1)`` for
+    no, one and two infinite flags, on B' ``m_0`` when every flag is
+    finite.  Taken on the cleared points, that polynomial is ``D^(k + |I|)``
+    times the exact one, whence the scale.
+    """
+    b = structure.bundle.d1 - structure.bundle.d0
+    infinite = structure.infinity_indices()
+    ncoords = NPOINTS - len(infinite) - 1 - b
+    if ncoords <= 0:
+        return []
+    z, coords = _moment_sums(structure, cfg)
+    # times (z - z_j): the functional at z^k becomes the old one at z^(k+1)
+    # minus z_j times the old one at z^k
+    for j in infinite:
+        zj = z[j]
+        coords = [(hr - zj * lr, hi - zj * li) for (lr, li), (hr, hi) in zip(coords, coords[1:])]
+    return coords[:ncoords]
+
+
+def _all_zero(coords) -> bool:
+    return all(x == (0, 0) for x in coords)
 
 
 def is_decomposable(
@@ -400,7 +442,7 @@ def is_decomposable(
     bundle = structure.bundle
     if bundle not in (B, BPRIME):
         raise StratumError("decomposability implemented for B and B' only")
-    if not all(c.is_zero() for c in _decomposition_coords(structure, cfg)):
+    if not _all_zero(_decomposition_coords(structure, cfg)):
         return False, None
     # Hom(O(d0), O(d1)) has sections of degree <= d1 - d0
     pts = [(cfg.z[i], u) for i, u in structure.finite_values().items()]
@@ -419,16 +461,26 @@ def quotient_coords(
     One infinite flag: the analogous degree-1 functional over the four finite
     flags.  These are the coordinates of ``_decomposition_coords``, so the
     tuple vanishes identically exactly on decomposable structures, which are
-    rejected.
+    rejected.  Their exact values are the integer coordinates divided by
+    the known scale ``c D^(k + |I|) = E L D^(k + |I| - 4)`` (``_moment_sums``).
     """
     if structure.bundle != B:
         raise StratumError("quotient coordinates live on B strata")
-    if len(structure.infinity_indices()) > 1:
+    n_inf = len(structure.infinity_indices())
+    if n_inf > 1:
         raise StratumError("quotient coordinates require at most one infinite flag")
     coords = _decomposition_coords(structure, cfg)
-    if all(c.is_zero() for c in coords):
+    if _all_zero(coords):
         raise StratumError("decomposable structure has no quotient coordinates")
-    return coords
+    z, w = cfg.node_weights()
+    den = lcm(*(x._t[2] for x in cfg.z))
+    # E L: the flags' denominator times W_0 prod_{j != 0} (Z_0 - Z_j)
+    scale = lcm(*(u._t[2] for u in structure.finite_values().values()))
+    scale *= w[0] * prod(z[0] - zj for zj in z[1:])
+    return tuple(
+        Scalar._wrap(t_norm(re * den ** (4 - k - n_inf), im * den ** (4 - k - n_inf), scale))
+        for k, (re, im) in enumerate(coords)
+    )
 
 
 def _normalize_projective(coords) -> tuple[Scalar, ...]:
@@ -440,28 +492,41 @@ def _normalize_projective(coords) -> tuple[Scalar, ...]:
 
 
 def classify(structure: ParabolicStructure, cfg: MarkedConfiguration) -> StratumId:
-    """Stratum/orbit label of a parabolic structure on B or B'."""
+    """Stratum/orbit label of a parabolic structure on B or B'.
+
+    Decomposability is read off ``_decomposition_coords``, which is empty,
+    and not computed, on B' with an infinite flag and on B with three or
+    more.  The projective coordinates of U2 and Ui are the integer ones,
+    the ``k``-th of ``K`` times ``D^(K - 1 - k)`` so that all carry one
+    scale, divided by the first nonzero one: one Scalar per coordinate.
+    """
     bundle = structure.bundle
     if bundle not in (B, BPRIME):
         raise StratumError("decomposability implemented for B and B' only")
-    coords = _decomposition_coords(structure, cfg)
-    dec = all(c.is_zero() for c in coords)
     inf_idx = structure.infinity_indices()
     n_inf = len(inf_idx)
     if bundle == BPRIME:
         if n_inf:
             return StratumId("BprimeInf", inf_idx, None, True)
-        if dec:
+        if _all_zero(_decomposition_coords(structure, cfg)):
             return StratumId("BprimeGenericDec", (), None, True)
         return StratumId("BprimeGenericIndec", (), None, False)
-    if n_inf <= 1:
-        coords = None if dec else _normalize_projective(coords)
-        return StratumId("Ui" if n_inf else "U2", inf_idx, coords, dec)
+    if n_inf > 2:
+        return StratumId("Uplus", inf_idx, None, True)
+    coords = _decomposition_coords(structure, cfg)
+    dec = _all_zero(coords)
     if n_inf == 2:
         # U' and U'' split by collinearity of the three finite flags
         family = "UijPrime" if dec else "UijDoublePrime"
         return StratumId(family, inf_idx, None, dec)
-    return StratumId("Uplus", inf_idx, None, True)
+    family = "Ui" if n_inf else "U2"
+    if dec:
+        return StratumId(family, inf_idx, None, True)
+    den = lcm(*(x._t[2] for x in cfg.z))
+    top = len(coords) - 1
+    scaled = [(re * den ** (top - k), im * den ** (top - k), 1) for k, (re, im) in enumerate(coords)]
+    first = next(x for x in scaled if x[:2] != (0, 0))
+    return StratumId(family, inf_idx, tuple(Scalar._wrap(t_div(x, first)) for x in scaled), False)
 
 
 # (family, decomposable) of the strata ``classify`` returns, by the number of
@@ -553,7 +618,7 @@ def stabilizer_dim(structure: ParabolicStructure, cfg: MarkedConfiguration) -> i
     n = len(structure.finite_values())
     if n <= b:
         return b + 3 - n
-    return 1 + all(c.is_zero() for c in _decomposition_coords(structure, cfg))
+    return 1 + _all_zero(_decomposition_coords(structure, cfg))
 
 
 def is_simple(structure: ParabolicStructure, cfg: MarkedConfiguration) -> bool:

@@ -34,15 +34,20 @@ contact row or kernel is built.  The saturation grid of
 dimension 1 and a saturated vector, so the walk stops at its first point.  A
 set whose kernel is that of a larger set is never recorded, so it costs
 ``destabilizing_candidates`` a kernel and a span search and changes
-nothing.  B's degree-0 subbundles are lines through the finite flags,
-grouped by pair with no evaluation at the flags
-(``_b_degree_zero_candidates``).
+nothing.  B's degree-0 subbundles are lines through the finite flags
+(``_b_degree_zero_candidates``): the pairs of flags are walked in order,
+and a new pair's line takes the later flags on it by two integer cross
+products on the flags and points, each cleared of its denominators once.
+Scaling the two axes separately maps lines to lines, so this is the
+collinearity of the exact flags; no line is evaluated at the flags, and
+only the winner's slope and intercept are computed.
 
 A decision runs on integers from the weight check to the report.  The
 weights are cleared to numerators over one common denominator, which the
-non-special check and every margin are asked of; the contact rows and the
-degree-0 lines are computed on ``_kernel`` triples, and a candidate carries
-an integer payload (a grid vector or a line's two triples) in place of its
+non-special check and every margin are asked of; the contact rows are
+computed on ``_kernel`` triples, the degree-0 lines and the degree -1 full
+contact on cleared Gaussian integers, and a candidate carries a payload (a
+grid vector, or the triples of two points of a line) in place of its
 witness.  Scalars appear only in the report: the margin, and the one
 witness ``_witness`` builds for the least margin.
 
@@ -352,13 +357,15 @@ def destabilizing_candidates(
 def _witness(bundle, k: int, contact, payload) -> LineSubbundleWitness:
     """The witness of a degree-``k`` candidate ``(contact, payload)`` of
     ``_candidates_at_degree``: ``payload`` is None for the canonical factor
-    (``dq < 0``), the triples ``(intercept, slope)`` of a line for B's degree
-    0, and otherwise the Gaussian-integer grid vector, q's coefficients then
-    r's."""
+    (``dq < 0``), two points ``(z, u)`` of a line as triples for B's degree
+    0, whose intercept and slope it computes, and otherwise the
+    Gaussian-integer grid vector, q's coefficients then r's."""
     if payload is None:
         return LineSubbundleWitness(k, None, Poly([1], bound=0), contact)
     if bundle == B and k == 0:
-        line = [Scalar._wrap(t) for t in payload]
+        (z0, u0), (z1, u1) = payload
+        slope = t_div(t_sub(u1, u0), t_sub(z1, z0))
+        line = [Scalar._wrap(t_sub(u0, t_mul(slope, z0))), Scalar._wrap(slope)]
         return LineSubbundleWitness(k, Poly([1], bound=0), Poly(line, bound=1), contact)
     dq, dr = _hom_degrees(bundle, k)
     vals = [Scalar.gaussian(a, 1, b, 1) for a, b in payload]
@@ -369,30 +376,56 @@ def _witness(bundle, k: int, contact, payload) -> LineSubbundleWitness:
 
 def _b_degree_zero_candidates(structure, cfg):
     """Degree-0 subbundles of B: sections ``(1, r)`` with r of degree <= 1,
-    as ``(contact, (intercept, slope))``, the line ``r`` as two triples.
+    as ``(contact, ((z_a, u_a), (z_b, u_b)))``, two points of the line ``r``
+    as triples, from which ``_witness`` builds ``r``.  With at most one
+    finite flag the line is the constant through it (or zero), given by its
+    points at ``z = 0`` and ``z = 1``.
 
     The inclusion-maximal contact sets are the maximal collinear subsets of
     the finite flags: the points ``(z_k, u_k)`` that one line ``r`` passes
-    through.  The pairs of finite flags are grouped by their line
-    ``r = intercept + slope z``, in pair order, so the lines come in the
-    order of their first pairs.  Two distinct lines share at most one
-    point, so the pairs on one line are exactly the pairs of its flags, and
-    the union of a group is the set of flags the line meets.  For the same
-    reason no set of two or more collinear flags lies inside another line's
-    set: the groups are exactly the maximal collinear sets, with no
-    evaluation of a line at the flags and no maximality filter.  Triples are
-    in normal form, so equal lines have equal triples.
+    through.  The pairs of finite flags are walked in ``combinations``
+    order, and a pair inside a line already found is skipped: two distinct
+    lines share at most one point, so such a pair lies on that line.  A new
+    pair ``(a, b)`` is the first pair of its line, and takes the later
+    flags ``c`` on it; no earlier flag is, as its pair with ``a`` would
+    have come first.  So the lines come in the order of their first pairs,
+    and each set is the set of flags the line meets.  For the same reason no
+    set of two or more collinear flags lies inside another line's set: the
+    sets are exactly the maximal collinear sets, with no line evaluated at
+    the flags and no maximality filter.
+
+    Collinearity is asked of the flags and their points cleared of their
+    denominators separately, ``U = E u`` and ``Z = D z``: scaling the two
+    axes maps lines to lines, so ``c`` is on the line through ``a`` and
+    ``b`` iff ``(U_c - U_a)(Z_b - Z_a) = (U_b - U_a)(Z_c - Z_a)``, on the
+    real and the imaginary parts (``Z`` is real).  No slope or intercept is
+    computed for a line that does not win.
     """
-    z = [x._t for x in cfg.z]
-    vals = {i: v._t for i, v in structure.finite_values().items()}
-    fin = tuple(vals)
-    if len(fin) <= 1:
-        return [(frozenset(fin), (vals[fin[0]] if fin else T_ZERO, T_ZERO))]
-    lines: dict[tuple, set[int]] = {}
-    for i, j in combinations(fin, 2):
-        slope = t_div(t_sub(vals[j], vals[i]), t_sub(z[j], z[i]))
-        lines.setdefault((t_sub(vals[i], t_mul(slope, z[i])), slope), set()).update((i, j))
-    return [(frozenset(hit), line) for line, hit in lines.items()]
+    fin = structure.finite_values()
+    idx = tuple(fin)
+    ut = [u._t for u in fin.values()]
+    if len(idx) <= 1:
+        u = ut[0] if ut else T_ZERO
+        return [(frozenset(idx), ((T_ZERO, u), (T_ONE, u)))]
+    zt = [cfg.z[i]._t for i in idx]
+    us = t_clear(ut)[0]
+    zs = [a for a, _ in t_clear(zt)[0]]
+    out = []
+    covered = set()  # the pairs on a line of three or more flags found
+    for a, b in combinations(range(len(idx)), 2):
+        if (a, b) in covered:
+            continue
+        (ar, ai), za = us[a], zs[a]
+        dr, di, dz = us[b][0] - ar, us[b][1] - ai, zs[b] - za
+        on = [a, b]
+        for c in range(b + 1, len(idx)):
+            (cr, ci), zc = us[c], zs[c] - za
+            if (cr - ar) * dz == dr * zc and (ci - ai) * dz == di * zc:
+                on.append(c)
+        if len(on) > 2:
+            covered.update(combinations(on, 2))
+        out.append((frozenset(map(idx.__getitem__, on)), ((zt[a], ut[a]), (zt[b], ut[b]))))
+    return out
 
 
 def _contactable(structure, dq: int) -> tuple[int, ...]:
@@ -748,21 +781,28 @@ def is_stable(
     return StabilityReport(worst_s > 0, _witness(bundle, *worst), Scalar.rational(worst_s, den))
 
 
+_U2_WEIGHT = WeightVector.uniform(Scalar.rational(4, 15))
+_UI_WEIGHT = WeightVector.uniform(Scalar.rational(7, 15))
+# 11/15 everywhere but 4/15 at the point j, for each j
+_UIJ_WEIGHTS = tuple(
+    WeightVector([Scalar.rational(4 if i == j else 11, 15) for i in range(NPOINTS)])
+    for j in range(NPOINTS)
+)
+
+
 def stabilizing_weight(stratum: StratumId) -> WeightVector:
     """The witness chamber center stabilizing every indecomposable structure
     of the stratum: uniform 4/15 for U2, uniform 7/15 for Ui, and the
-    11/15-pattern with 4/15 at the second infinite index for Uij."""
+    11/15-pattern with 4/15 at the second infinite index for Uij.  The
+    weights are module constants, shared by every call."""
     if stratum.decomposable:
         raise StratumError("no stabilizing weight for decomposable strata")
     if stratum.family == "U2":
-        return WeightVector.uniform(Scalar.rational(4, 15))
+        return _U2_WEIGHT
     if stratum.family == "Ui":
-        return WeightVector.uniform(Scalar.rational(7, 15))
+        return _UI_WEIGHT
     if stratum.family in ("UijDoublePrime", "BprimeGenericIndec"):
-        j = stratum.indices[1] if stratum.indices else 1
-        w = [Scalar.rational(11, 15)] * NPOINTS
-        w[j] = Scalar.rational(4, 15)
-        return WeightVector(w)
+        return _UIJ_WEIGHTS[stratum.indices[1] if stratum.indices else 1]
     raise StratumError(f"no stabilizing weight for stratum {stratum.label()}")
 
 

@@ -29,8 +29,9 @@ second solve of the two diagonal residue sums and the rank of the fixed-flag
 equations are the references for the gauge counts of a connection space
 and for the flag stabilizer, the classification on an interpolating solve,
 with the quotient coordinates summed per stratum, the reference for the one
-read off the divided-difference coordinates of the finite flags,
-and the constraint rows built entry by entry against the pole products the
+read off the divided-difference coordinates of the finite flags, and those
+coordinates summed on Scalars the reference for the ones read off the
+integer moments of the flags, and the constraint rows built entry by entry against the pole products the
 reference for the ones read off the forward numerator map.  The F1 fiber
 dimension from the rank of the trace-sum constraint, with theta evaluated at
 every marked point, is the reference for the one read off the checked flag
@@ -151,6 +152,23 @@ def rand_config(rng) -> MarkedConfiguration:
     while True:
         zs = [rand_rational(rng, -12, 12, 4) for _ in range(NPOINTS)]
         if len(set(zs)) == NPOINTS:
+            return MarkedConfiguration(zs)
+
+
+def rand_gaussian(rng) -> Scalar:
+    """A Gaussian rational, real two times in three."""
+    return Scalar.gaussian(
+        rng.randrange(-30, 31), rng.randrange(1, 6), rng.choice([0, 0, rng.randrange(-9, 10)]), rng.randrange(1, 4)
+    )
+
+
+def rand_mixed_config(rng) -> MarkedConfiguration:
+    """Five distinct points with pairwise different denominators, at least
+    two of them negative."""
+    while True:
+        dens = rng.sample(range(1, 10), NPOINTS)
+        zs = [Scalar.rational(rng.randrange(-40, 41), d) for d in dens]
+        if len({z._t[2] for z in zs}) == NPOINTS and sum(z < sc(0) for z in zs) >= 2:
             return MarkedConfiguration(zs)
 
 
@@ -876,6 +894,35 @@ def oracle_quotient_coords(
     if all(c.is_zero() for c in coords):
         raise StratumError("decomposable structure has no quotient coordinates")
     return coords
+
+
+def oracle_decomposition_coords(
+    structure: ParabolicStructure, cfg: MarkedConfiguration
+) -> tuple[Scalar, ...]:
+    """The coordinates ``L(z^k)``, ``0 <= k < n - 1 - b``, that vanish exactly
+    on decomposable structures.
+
+    Here ``n`` is the number of finite flags, ``b = d1 - d0`` and
+    ``L(p) = sum_i u_i p(z_i) / prod_{j != i}(z_i - z_j)`` is the top divided
+    difference over the finite nodes.  ``L`` annihilates every polynomial of
+    degree <= n - 2 and sends ``z^(n-1)`` to 1, so with ``P = sum_m p_m z^m``
+    the interpolant of the flags (degree <= n - 1),
+    ``L(z^k) = sum_m p_m L(z^(m+k))`` is ``p_(n-1-k)`` plus a combination of
+    the ``p_m`` with ``m > n - 1 - k``.  For ``k < n - 1 - b`` the map from
+    ``(p_(b+1), ..., p_(n-1))`` is therefore unitriangular: the coordinates
+    all vanish iff ``deg P <= b``, that is iff the finite flags lie on a
+    section of ``O(d1 - d0)``, which is iff the structure is decomposable
+    (infinite flags sit on the higher summand).  With ``n <= b + 1`` the
+    tuple is empty and the condition holds vacuously.
+    """
+    vals = structure.finite_values()
+    nodes = [cfg.z[i] for i in vals]
+    w = divided_difference_weights(nodes)
+    ncoords = len(nodes) - 1 - (structure.bundle.d1 - structure.bundle.d0)
+    return tuple(
+        sum((u * (z**k) * wi for u, z, wi in zip(vals.values(), nodes, w)), sc(0))
+        for k in range(ncoords)
+    )
 
 
 def oracle_classify(structure: ParabolicStructure, cfg: MarkedConfiguration) -> StratumId:

@@ -1,22 +1,30 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from helpers import (
     oracle_classify,
+    oracle_decomposition_coords,
     oracle_is_decomposable,
     oracle_quotient_coords,
     oracle_stabilizer_dim,
     rand_config,
+    rand_gaussian,
+    rand_mixed_config,
 )
 from paramod.exactnum import INF, ExactError, Poly, Scalar, monic_from_roots, sc
 from paramod.parastruct import (
+    NPOINTS,
     B,
     BPRIME,
     BundleSplitType,
     MarkedConfiguration,
     ParabolicStructure,
     StratumError,
+    StratumId,
+    _normalize_projective,
     act,
     all_bprime_orbit_labels,
     bprime_generic_representative,
@@ -384,12 +392,6 @@ class TestSimplicity:
         assert stabilizer_dim(s, CFG) == 2
 
 
-def rand_gaussian(rng):
-    return Scalar.gaussian(
-        rng.randrange(-30, 31), rng.randrange(1, 6), rng.choice([0, 0, rng.randrange(-9, 10)]), rng.randrange(1, 4)
-    )
-
-
 def rand_mixed_structure(rng, bundle, cfg):
     """Gaussian flags with 0-5 of them infinite (none in half of the draws);
     35% of the draws put the flags on a random section of degree
@@ -451,6 +453,85 @@ class TestDecompositionCoordsMatchOracles:
             for fn in (classify, oracle_classify, is_decomposable, oracle_is_decomposable):
                 with pytest.raises(StratumError, match=r"^decomposability implemented for B and B' only$"):
                     fn(s, cfg)
+
+
+def _expected_from_coords(s, coords):
+    """``classify``, ``quotient_coords``, ``is_decomposable`` and
+    ``stabilizer_dim`` as they follow from the Scalar decomposition
+    coordinates of ``oracle_decomposition_coords``."""
+    dec = all(c.is_zero() for c in coords)
+    inf = s.infinity_indices()
+    n_inf = len(inf)
+    if s.bundle == BPRIME:
+        if n_inf:
+            stratum = StratumId("BprimeInf", inf, None, True)
+        else:
+            stratum = StratumId("BprimeGenericDec" if dec else "BprimeGenericIndec", (), None, dec)
+    elif n_inf <= 1:
+        stratum = StratumId("Ui" if n_inf else "U2", inf, None if dec else _normalize_projective(coords), dec)
+    elif n_inf == 2:
+        stratum = StratumId("UijPrime" if dec else "UijDoublePrime", inf, None, dec)
+    else:
+        stratum = StratumId("Uplus", inf, None, True)
+    if s.bundle != B:
+        quotient = "quotient coordinates live on B strata"
+    elif n_inf > 1:
+        quotient = "quotient coordinates require at most one infinite flag"
+    elif dec:
+        quotient = "decomposable structure has no quotient coordinates"
+    else:
+        quotient = coords
+    b, n = s.bundle.d1 - s.bundle.d0, NPOINTS - n_inf
+    return stratum, quotient, dec, b + 3 - n if n <= b else 1 + dec
+
+
+class TestMomentCoordsMatchScalarOracle:
+    """The decomposition coordinates on the integer flag moments give what
+    the Scalar divided differences of ``oracle_decomposition_coords`` give:
+    labels, projective and exact coordinates, decomposability and the
+    stabilizer, on every infinite-flag pattern of B and B'."""
+
+    @staticmethod
+    def _flags(rng, bundle, cfg):
+        # real and non-real flags at random, on a section of degree d1 - d0
+        # (collinear on B, cubic on B'), and on one with a flag moved off it
+        section = Poly([rand_gaussian(rng) for _ in range(bundle.d1 - bundle.d0 + 1)])
+        on = [section(z) for z in cfg.z]
+        k = rng.randrange(NPOINTS)
+        return (
+            [rand_gaussian(rng) for _ in range(NPOINTS)],
+            [Scalar.rational(rng.randrange(-30, 31), rng.randrange(1, 7)) for _ in range(NPOINTS)],
+            on,
+            [u + 1 if i == k else u for i, u in enumerate(on)],
+        )
+
+    def test_every_infinite_pattern(self):
+        rng = random.Random(2801)
+        cfgs = [MarkedConfiguration(["-7/3", "-1/2", "0", "5/4", "9/5"]), CFG]
+        cfgs += [rand_mixed_config(rng) for _ in range(3)]
+        seen = Counter()
+        for cfg in cfgs:
+            for bundle in (B, BPRIME):
+                for n_inf in range(NPOINTS + 1):
+                    for pattern in combinations(range(NPOINTS), n_inf):
+                        for flags in self._flags(rng, bundle, cfg):
+                            s = struct(bundle, [INF if i in pattern else u for i, u in enumerate(flags)])
+                            coords = oracle_decomposition_coords(s, cfg)
+                            stratum, quotient, dec, dim = _expected_from_coords(s, coords)
+                            got = classify(s, cfg)
+                            assert got == stratum and got.label() == stratum.label(), s
+                            assert outcome(quotient_coords, s, cfg) == quotient, s
+                            assert is_decomposable(s, cfg)[0] == dec, s
+                            assert stabilizer_dim(s, cfg) == dim, s
+                            real = all(c.is_real() for c in coords)
+                            seen[bundle.name, min(n_inf, 3 if bundle == B else 1), dec, real] += 1
+        # both outcomes on every pattern that has coordinates, with non-real
+        # coordinates among the indecomposable ones
+        for bundle, n_infs in ((B, (0, 1, 2)), (BPRIME, (0,))):
+            for n_inf in n_infs:
+                assert seen[bundle.name, n_inf, True, True] > 0, (bundle, n_inf)
+                assert seen[bundle.name, n_inf, False, False] > 0, (bundle, n_inf)
+        assert seen["B", 3, True, True] > 0 and seen["Bprime", 1, True, True] > 0
 
 
 class TestAutomorphismEdges:

@@ -23,6 +23,8 @@ from helpers import (
     oracle_s_value,
     oracle_saturated_members,
     rand_config,
+    rand_gaussian,
+    rand_mixed_config,
     rand_nonspecial_weight,
     rand_rational,
     rand_structure,
@@ -33,7 +35,7 @@ from helpers import (
 )
 from paramod._kernel import t_clear
 from paramod.connection import irreducibility_screen
-from paramod import stability
+from paramod import _kernel, exactnum, parastruct, stability
 from paramod.exactnum import INF, ExactError, Mat, Poly, Scalar, clear_denominators, sc
 from paramod.parastruct import (
     B,
@@ -597,6 +599,24 @@ def _line_structures():
         v, u = rand_rational(rng), rand_rational(rng)
         out.append((ParabolicStructure(B, rng.sample([v, v, v, u, u], 5)), cfg))
         out.append((ParabolicStructure(B, rng.sample([v, v, u, INF, INF], 5)), cfg))
+    # non-real flags on configurations with pairwise different denominators:
+    # at random, three, four and five on one line, two lines through a
+    # common flag, and three finite flags on a line
+    for _ in range(6):
+        cfg = rand_mixed_config(rng)
+        a, b = rand_gaussian(rng), rand_gaussian(rng)
+        line = [a + b * z for z in cfg.z]
+        out.append((ParabolicStructure(B, [rand_gaussian(rng) for _ in range(5)]), cfg))
+        for ncol in (3, 4, 5):
+            on = rng.sample(range(5), ncol)
+            # moved off the line in the imaginary part alone
+            flags = [u if i in on else u + Scalar.gaussian(0, 1, rng.randrange(1, 9), 7) for i, u in enumerate(line)]
+            out.append((ParabolicStructure(B, flags), cfg))
+        c = rand_gaussian(rng) + sc("1/7")
+        flags = line[:3] + [line[2] + (b + c) * (cfg.z[i] - cfg.z[2]) for i in (3, 4)]
+        out.append((ParabolicStructure(B, flags), cfg))
+        inf = rng.sample(range(5), 2)
+        out.append((ParabolicStructure(B, [INF if i in inf else u for i, u in enumerate(line)]), cfg))
     return out
 
 
@@ -896,6 +916,16 @@ class TestIntegerDecision:
         structures = [x for xs in _class_structures(random.Random(127), 4).values() for x in xs]
         structures += _line_structures()
         w = rand_nonspecial_weight(random.Random(131))
+        divisions = []
+        real_div = _kernel.t_div
+
+        def t_div(x, y):
+            divisions.append((x, y))
+            return real_div(x, y)
+
+        for module in (_kernel, exactnum, parastruct, stability):
+            if hasattr(module, "t_div"):
+                monkeypatch.setattr(module, "t_div", t_div)
         wrapped = self._wraps(monkeypatch)
         for s, cfg in structures:
             for k in _candidate_degrees(s.bundle):
@@ -905,7 +935,15 @@ class TestIntegerDecision:
             if s.bundle == B:
                 stability._b_degree_zero_candidates(s, cfg)
             weight_is_non_special(w, s.bundle.degree)
-        assert wrapped == []
+        assert wrapped == [] and divisions == []
+        # classify wraps one Scalar per coordinate it returns, and no other
+        with_coords = 0
+        for s, cfg in structures:
+            wrapped.clear()
+            stratum = classify(s, cfg)
+            assert len(wrapped) <= len(stratum.coords or ()), (s, stratum)
+            with_coords += stratum.coords is not None
+        assert with_coords > 20
 
     def test_one_witness_per_decision(self, monkeypatch):
         built = []
@@ -1322,6 +1360,20 @@ class TestStabilizingWeight:
         assert stabilizing_weight(st2) == WeightVector(
             ["11/15", "4/15", "11/15", "11/15", "11/15"]
         )
+
+    def test_weights_are_shared_constants(self):
+        # one WeightVector per pattern, the same object on every call: U2,
+        # Ui, and Uij by its second infinite index, whose index-1 pattern
+        # B''s generic stratum shares
+        def weight(bundle, flags):
+            return stabilizing_weight(classify(ParabolicStructure(bundle, flags), CFG))
+
+        u2, ui = weight(B, [0, 0, 1, 0, 0]), weight(B, [0, INF, 1, 0, 0])
+        assert u2 is weight(B, [3, 0, 1, 0, 0]) and ui is weight(B, [INF, 2, 1, 0, 0])
+        uij = {j: {id(weight(B, [INF if k in (i, j) else k * k for k in range(5)])) for i in range(j)} for j in range(1, 5)}
+        assert all(len(ids) == 1 for ids in uij.values())
+        assert len({id(u2), id(ui)} | set().union(*uij.values())) == 6
+        assert {id(weight(BPRIME, [z**4 for z in CFG.z]))} == uij[1]
 
     def test_witnesses_are_non_special(self):
         from paramod.stability import weight_is_non_special
