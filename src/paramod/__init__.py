@@ -62,7 +62,6 @@ _EXPORTS = {
     "stability": (
         "WeightVector",
         "chamber_classify",
-        "destabilizing_candidates",
         "is_stable",
         "no_stable_structure",
         "s_value",

@@ -1,40 +1,40 @@
 """Weighted stability of parabolic structures on B and B'.
 
-The decision procedure enumerates, degree by degree, every inclusion-maximal
-contact set achievable by an actual saturated line subbundle, with an explicit
-witness pair ``(q, r)`` found by exact linear algebra.  The closed-form
-criteria of the three case analyses (full-contact determinant, the unique
-higher-degree factor, maximal collinear subsets) fall out as special cases and
-serve as the independent test oracle, not as the decision path.
+A decision visits the candidate degrees of the bundle in descending order
+and asks of each whether a saturated line subbundle of that degree has a
+smaller margin than the least so far, with an explicit witness pair
+``(q, r)`` for the least.  The canonical factor (degree 1 on B, 2 on B')
+is one candidate, contacting the infinite flags; B's degree-0 subbundles
+are lines through the finite flags; and degree -1, the one degree whose
+candidates need contact kernels, is searched least margin first, which is
+the one contact-set search of the package.  The closed-form criteria of the
+three case analyses (full-contact determinant, the unique higher-degree
+factor, maximal collinear subsets) and the walk over every contact set,
+kept in ``tests/helpers.py``, serve as the test oracles, not as the
+decision path.
 
-The enumeration runs on Gaussian integers.  ``contact_rows`` returns the
-contact rows cleared of their denominators; the kernel of a contact set ``T``
-is restricted from the kernel of ``T[:-1]`` by the fraction-free kernel of the
-one row vector ``row . N(T[:-1])``, in the style of Bareiss; and the kernel
-goes to the saturation grid as it is, which yields Gaussian-integer grid
-vectors.  A witness found in the kernel of ``T`` has contact exactly ``T``,
-because every larger set is visited before ``T`` (see
-``_candidates_at_degree``), so no contact is evaluated back on the marked
-points.  This module is the only one that builds contact spans; the C*-limit's
-degenerations in ``higgslimit`` are read off divided differences of the
-flags and need none.
-
-``destabilizing_candidates`` visits every contact set not inside a
-recorded one, by descending size.  ``is_stable`` reports the first set,
-least margin first among those below the least margin of the higher
+The degree -1 search ranks the contact sets by margin and reports the
+first, least margin first among those below the least margin of the higher
 degrees, whose kernel holds a saturated member, and decides which set that
 is with no kernel: only sets of four or five flags can be first, a four-set
 always holds one, and the full set does iff one integer test on three
 moments of the flags says so (``_full_contact_hits``, on the moments that
 ``higgslimit`` reads too).  The winner's contact rows and kernel alone are
-built, once, and give the same witness as the search that folds every
-ranked set's kernel (the proof is in ``is_stable``); when no set wins, no
-contact row or kernel is built.  The saturation grid of
-``saturated_members`` is the one saturation test; the winner's kernel has
-dimension 1 and a saturated vector, so the walk stops at its first point.  A
-set whose kernel is that of a larger set is never recorded, so it costs
-``destabilizing_candidates`` a kernel and a span search and changes
-nothing.  B's degree-0 subbundles are lines through the finite flags
+built, once; when no set wins, no contact row or kernel is built.  The
+winner's kernel is one saturated vector (the proof is in ``is_stable``),
+which the decision checks with one formal resultant and carries as its
+payload.
+
+The search runs on Gaussian integers.  ``contact_rows`` returns the contact
+rows cleared of their denominators, and ``contact_kernel`` folds the
+fraction-free kernel of one row vector ``row . N`` (``_zi_restrict``, in the
+style of Bareiss) over the rows of a set from the unit basis, so the
+kernel's vector has Gaussian-integer coefficients.  Its contact is exactly
+the winning set (the proof is in ``is_stable``), so no contact is evaluated
+back on the marked points.  This module is the only one that
+builds contact spans; the C*-limit's degenerations in ``higgslimit`` are
+read off divided differences of the flags and need none.  B's degree-0
+subbundles are lines through the finite flags
 (``_b_degree_zero_candidates``): the pairs of flags are walked in order,
 and a new pair's line takes the later flags on it by two integer cross
 products on the flags and points, each cleared of its denominators once.
@@ -47,7 +47,7 @@ weights are cleared to numerators over one common denominator, which the
 non-special check and every margin are asked of; the contact rows are
 computed on ``_kernel`` triples, the degree-0 lines and the degree -1 full
 contact on cleared Gaussian integers, and a candidate carries a payload (a
-grid vector, or the triples of two points of a line) in place of its
+kernel vector, or the triples of two points of a line) in place of its
 witness.  Scalars appear only in the report: the margin, and the one
 witness ``_witness`` builds for the least margin.
 
@@ -56,8 +56,7 @@ degree-``k`` margin is at least ``b_k = d - 2k - sum(w)``, which grows as
 ``k`` falls, so ``is_stable`` visits degree ``k`` only while the least margin
 so far is nonnegative and above ``b_k``.  Light weights (``sum(w) < 2`` on B,
 ``sum(w) < 3`` on B') are then decided by the canonical factor and B's
-degree-0 lines alone, with no contact kernel; ``destabilizing_candidates``
-still lists every degree.
+degree-0 lines alone, with no contact kernel.
 """
 
 from __future__ import annotations
@@ -90,6 +89,11 @@ from .parastruct import (
 
 class OnWallError(PreconditionError):
     """A stability margin vanished: the weight sits on a wall."""
+
+
+class InvariantError(RuntimeError):
+    """A property the decision proves of every input failed: a fault of the
+    program, not of its input, which the CLI reports with exit code 4."""
 
 
 class WeightVector:
@@ -289,43 +293,6 @@ def _zi_primitive(vec):
     return [(x // g, y // g) for x, y in vec] if g > 1 else vec
 
 
-def saturated_members(basis, dq: int, dr: int):
-    """Yield the saturated members of the span of the Gaussian-integer
-    ``basis`` at formal degrees ``(dq, dr)``, both nonnegative, found on the
-    grid of span coefficients {0..max(dq+dr, 1)}^m, in ``product`` order:
-    the Gaussian-integer coefficients of q, then of r, at that grid point.
-
-    The saturation locus of the nonzero members is cut out by the formal
-    resultant, a homogeneous polynomial of degree dq + dr in the span
-    coordinates.  When ``dq + dr >= 1`` the finite-grid Schwartz-Zippel
-    lemma says the span has a saturated member iff the grid
-    {0..dq+dr}^m holds one; when ``dq + dr = 0`` the resultant is a
-    nonzero constant, every nonzero member is saturated, and {0, 1}^m
-    holds one.  Which basis spans the space changes which members are
-    found, never whether one is.
-
-    A span with no saturated member costs the whole grid, one saturation
-    test per nonzero grid point.  ``destabilizing_candidates`` pays that on
-    barren kernels; ``is_stable`` asks only of its winning set's kernel,
-    which has dimension 1 and a saturated vector, so the walk stops at its
-    first point, that vector, after one saturation test (the proof is in
-    ``is_stable``).
-    """
-    if not basis:
-        return
-    ncols = len(basis[0])
-    width = max(dq + dr, 1) + 1
-    for coeffs in product(range(width), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = [ZI_ZERO] * ncols
-        for c, bvec in zip(coeffs, basis):
-            if c:
-                vec = [(x + c * a, y + c * b) for (x, y), (a, b) in zip(vec, bvec)]
-        if _is_saturated(vec, dq, dr):
-            yield vec
-
-
 def _candidate_degrees(bundle: BundleSplitType) -> list[int]:
     if bundle == B:
         return [1, 0, -1]
@@ -334,32 +301,12 @@ def _candidate_degrees(bundle: BundleSplitType) -> list[int]:
     raise StratumError("stability enumeration defined for B and B' only")
 
 
-def destabilizing_candidates(
-    structure: ParabolicStructure, cfg: MarkedConfiguration
-) -> list[LineSubbundleWitness]:
-    """Every inclusion-maximal contact set of a saturated line subbundle, per
-    relevant degree, with explicit witnesses.
-
-    Lower degrees than the returned ones are omitted: a degree-``k`` margin
-    is at least ``b_k = d - 2k - sum(w)``, the bound ``is_stable`` stops on,
-    and ``b_{-2} = 5 - sum(w) > 0`` for every admissible weight.
-    Witnesses found by the kernel enumeration have Gaussian-integer
-    coefficients: any nonzero multiple of ``(q, r)`` is the same subbundle.
-    """
-    bundle = structure.bundle
-    return [
-        _witness(bundle, k, contact, payload)
-        for k in _candidate_degrees(bundle)
-        for contact, payload in _candidates_at_degree(structure, cfg, k)
-    ]
-
-
 def _witness(bundle, k: int, contact, payload) -> LineSubbundleWitness:
     """The witness of a degree-``k`` candidate ``(contact, payload)`` of
     ``_candidates_at_degree``: ``payload`` is None for the canonical factor
     (``dq < 0``), two points ``(z, u)`` of a line as triples for B's degree
     0, whose intercept and slope it computes, and otherwise the
-    Gaussian-integer grid vector, q's coefficients then r's."""
+    Gaussian-integer kernel vector, q's coefficients then r's."""
     if payload is None:
         return LineSubbundleWitness(k, None, Poly([1], bound=0), contact)
     if bundle == B and k == 0:
@@ -458,12 +405,6 @@ def contact_rows(structure, cfg, dq: int, dr: int) -> dict[int, list[tuple[int, 
     return out
 
 
-def unit_kernels(n: int) -> dict:
-    """A kernel memo for ``contact_kernel`` on ``n`` coefficients: the empty
-    contact set, whose kernel has the unit basis."""
-    return {(): [[(1, 0) if c == e else ZI_ZERO for c in range(n)] for e in range(n)]}
-
-
 def _zi_restrict(basis, row):
     """Basis of the vectors of the span of the Gaussian-integer ``basis`` on
     which the linear form ``row`` vanishes, fraction-free.
@@ -494,58 +435,35 @@ def _zi_restrict(basis, row):
     return out
 
 
-def contact_kernel(T, zrows, kernels):
-    """The Gaussian-integer kernel basis of the contact rows ``T``, restricted
-    from the kernel of its longest prefix in ``kernels`` (seeded by
-    ``unit_kernels``) one row at a time; every prefix on the way is stored in
-    ``kernels``."""
-    basis = kernels.get(T)
-    if basis is not None:
-        return basis
-    j = len(T) - 1
-    while T[:j] not in kernels:
-        j -= 1
-    basis = kernels[T[:j]]
-    for m in range(j, len(T)):
-        basis = _zi_restrict(basis, zrows[T[m]])
-        kernels[T[: m + 1]] = basis
+def contact_kernel(T, zrows):
+    """The Gaussian-integer kernel basis of the contact rows ``T`` of
+    ``zrows``: ``_zi_restrict`` folded over their rows, in order, from the
+    unit basis."""
+    n = len(next(iter(zrows.values())))
+    basis = [[(1, 0) if c == e else ZI_ZERO for c in range(n)] for e in range(n)]
+    for i in T:
+        basis = _zi_restrict(basis, zrows[i])
     return basis
 
 
-def _candidates_at_degree(structure, cfg, k, below=None) -> list[tuple[frozenset[int], object]]:
-    """The inclusion-maximal contact sets at degree ``k``, each as
-    ``(contact, payload)`` with the payload ``_witness`` turns into its
-    witness.
+def _candidates_at_degree(structure, cfg, k, below) -> list[tuple[frozenset[int], object]]:
+    """The degree-``k`` candidates of a decision, each as ``(contact,
+    payload)`` with the payload ``_witness`` turns into its witness.
+    ``below`` is None at the first degree, the canonical factor, and
+    otherwise ``(nums, den, bound)``: the weights' cleared numerators and the
+    least margin so far times ``den``.
 
-    Contact sets ``T`` of the contactable points are visited by descending
-    size, then in ``combinations`` order, skipping those inside a set
-    already found, and ``T`` is recorded when the kernel ``N(T)`` of its
-    contact rows holds a saturated member (``_saturated_sets``).  Its
-    contact is exactly ``T``: a member of ``N(T)`` with a contact ``C``
-    larger than ``T`` is a saturated member of ``N(C)`` (a saturated
-    section meets no flag outside the contactable points), and ``C`` was
-    visited earlier, so ``C``, or a found set containing it, is recorded and
-    ``T`` would have been skipped.  Whether ``N(T)`` holds a saturated member
-    depends only on the span, so the recorded sets do not depend on the basis.
-
-    With ``below = (nums, den, bound)``, the weights' cleared numerators and
-    a margin bound times ``den``, a degree that needs kernels returns one
-    candidate at most: the first recorded set of least margin among the sets
-    of margin below ``bound``.  Only the sets of four or five flags are
-    ranked; a four-set wins outright, the full set when
-    ``_full_contact_hits`` says so, and the winner's rows and kernel alone
-    are built (``is_stable`` proves it so).  The other degrees return every
-    candidate as without it.
-
-    A ``T`` with a row outside it in the span of its rows has the kernel
-    of a larger set, visited earlier, so it is never recorded: the full
-    walk pays a kernel and a span search for it, and ``is_stable``, which
-    folds a recorded set's kernel alone, never builds it.
-
-    ``N(T)`` is restricted from ``N(T[:-1])`` by the fraction-free kernel of
-    one Gaussian-integer contact row (``_zi_restrict``), the kernels memoised
-    per call by prefix; the payload is the Gaussian-integer grid vector
-    found in ``N(T)``.
+    The canonical factor and B's degree-0 lines are every candidate of their
+    degree.  A degree that needs kernels returns one candidate at most: the
+    sets of four or five contactable flags are ranked by margin, least
+    first, sets of equal margin in visit order (by descending size, then in
+    ``combinations`` order), and the first of margin below ``bound`` whose
+    kernel holds a saturated member is the candidate.  A four-set wins
+    outright and the full set when ``_full_contact_hits`` says so, so the
+    winner's contact rows and kernel alone are built (``is_stable`` proves
+    it so, and that no smaller set can win).  The payload is the kernel's
+    one vector, which is saturated; a kernel that is not one saturated
+    vector raises ``InvariantError``.
     """
     if structure.bundle == B and k == 0:
         return _b_degree_zero_candidates(structure, cfg)
@@ -555,18 +473,18 @@ def _candidates_at_degree(structure, cfg, k, below=None) -> list[tuple[frozenset
         # canonical factor, contacting exactly the infinite flags
         return [(frozenset(structure.infinity_indices()), None)] if dr == 0 else []
     points = _contactable(structure, dq)
-    if below is None:
-        sets = [T for size in range(len(points), -1, -1) for T in combinations(points, size)]
-        return list(_saturated_sets(structure, cfg, dq, dr, sets))
     nums, den, bound = below
     sets = [T for size in range(len(points), 3, -1) for T in combinations(points, size)]
     margins = {T: _margin(structure.bundle.degree, k, T, nums, den) for T in sets}
     # a stable sort: sets of equal margin stay in visit order
     for T in sorted((T for T in sets if margins[T] < bound), key=margins.__getitem__):
         if len(T) < NPOINTS or _full_contact_hits(structure, cfg):
-            rows = contact_rows(structure, cfg, dq, dr)
-            basis = contact_kernel(T, rows, unit_kernels(dq + dr + 2))
-            return [(frozenset(T), next(saturated_members(basis, dq, dr)))]
+            basis = contact_kernel(T, contact_rows(structure, cfg, dq, dr))
+            if len(basis) != 1 or not _is_saturated(basis[0], dq, dr):
+                raise InvariantError(
+                    f"the degree {k} kernel of contact {list(T)} is not one saturated vector"
+                )
+            return [(frozenset(T), basis[0])]
     return []
 
 
@@ -602,27 +520,6 @@ def _full_contact_hits(structure, cfg) -> bool:
     return not gram_nonzero
 
 
-def _saturated_sets(structure, cfg, dq: int, dr: int, sets):
-    """Yield ``(frozenset(T), vec)`` for the contact sets ``T`` of ``sets``,
-    in their order, whose kernel ``N(T)`` holds a saturated member, ``vec``
-    the first that ``saturated_members`` finds; a set inside one yielded
-    before is skipped.  The contact rows and the kernel memo are built at
-    the first step, and not at all when ``sets`` is empty."""
-    if not sets:
-        return
-    rows = contact_rows(structure, cfg, dq, dr)
-    kernels = unit_kernels(dq + dr + 2)
-    found = []
-    for T in sets:
-        tset = frozenset(T)
-        if any(tset <= m for m in found):
-            continue
-        vec = next(saturated_members(contact_kernel(T, rows, kernels), dq, dr), None)
-        if vec is not None:
-            found.append(tset)
-            yield tset, vec
-
-
 class StabilityReport(NamedTuple):
     stable: bool
     worst: LineSubbundleWitness
@@ -647,7 +544,9 @@ def is_stable(
 ) -> StabilityReport:
     """Exact stability decision with the minimizing witness and margin.
 
-    Raises OnWallError when the weight is special (``weight_is_non_special``).
+    Raises OnWallError when the weight is special (``weight_is_non_special``),
+    and InvariantError when the winning kernel of degree -1 is not the one
+    saturated vector proven below.
 
     Degrees are visited in descending order, and the decision stops before
     degree ``k`` when the least margin ``m`` so far is negative or at most
@@ -676,14 +575,15 @@ def is_stable(
     At a degree that needs kernels (-1 on B at ``(dq, dr) = (1, 2)`` and on
     B' at ``(0, 3)``) the contact sets are searched least margin first, and
     the search stops at the first set ``T`` whose kernel holds a saturated
-    member (``_candidates_at_degree`` with ``below``): only sets of margin
-    below the least margin ``m`` so far are searched, by margin, sets of
-    equal margin in visit order (by descending size, then in
-    ``combinations`` order).  ``tests/helpers.py`` keeps that search, with
-    every searched set's kernel folded and walked, as
-    ``oracle_least_margin_candidates``.  The weights are positive
-    (``_non_special``), so a set has a smaller margin than each of its
-    proper subsets.  Then:
+    member (``_candidates_at_degree``): only sets of margin below the least
+    margin ``m`` so far are searched, by margin, sets of equal margin in
+    visit order (by descending size, then in ``combinations`` order).
+    ``tests/helpers.py`` keeps that search, with every searched set's kernel
+    folded and walked, as ``oracle_least_margin_candidates``, and the full
+    degree as the walk that records, by descending size, every contact set
+    whose kernel holds a saturated member and that lies in no set recorded
+    before.  The weights are positive (``_non_special``), so a set has a
+    smaller margin than each of its proper subsets.  Then:
 
     - ``T`` is a recorded maximal set.  The first member found in ``N(T)``
       has a contact ``C`` containing ``T``, and ``N(C)`` holds it; were ``C``
@@ -697,10 +597,9 @@ def is_stable(
       keep the earlier of.  When no set has a margin below ``m``, no
       candidate of the degree could replace the witness, and no contact
       row or kernel is built.
-    - The payload is the same grid vector: ``contact_kernel(T)`` is the
-      same fold of ``_zi_restrict`` over ``T``'s rows from the unit basis
-      whatever prefixes a memo holds, so ``saturated_members`` finds the
-      same first member.
+    - The payload is the full walk's witness: both fold ``_zi_restrict``
+      over ``T``'s rows from the unit basis, and the kernel is one vector
+      (below), the first point of the walk's saturation grid.
 
     Finding ``T`` takes no kernel.  A nonzero member ``(q, r)`` is
     saturated iff its homogenizations at ``(dq, dr)`` have no common zero on
@@ -742,9 +641,10 @@ def is_stable(
     of whose nonzero members are saturated by the cases above.  The full set
     wins iff its kernel is nonzero, which ``_full_contact_hits`` decides by
     one integer test on the moments of the flags.  The winner's kernel is
-    nonzero and of dimension at most 1, so its one vector is saturated: its
-    contact rows and its kernel are built once, none when no set wins, and
-    the grid walk stops at its first point after one saturation test.
+    nonzero and of dimension at most 1, so it is one saturated vector, the
+    payload: its contact rows and its kernel are built once, none when no
+    set wins, and one formal resultant (``_is_saturated``) checks the
+    vector, raising InvariantError if the proof fails.
 
     ``quick`` is accepted and has no effect: the stop above already ends
     the decision at the first negative least margin.  The keyword stays

@@ -24,7 +24,11 @@ integers that builds the reported witness alone and stops at the first
 degree a margin bound rules out.  The least-margin search that folds and
 walks the kernel of every contact set it ranks is the reference for the one
 that decides the full contact set by moments of the flags and folds the
-winner's kernel alone.  A
+winner's kernel alone, and the walk over every contact set on Gaussian
+integers (``destabilizing_candidates``: each kernel restricted from its
+longest prefix in a memo, each span's saturation grid walked after an exact
+barren-span test) the reference for the decision's search, which visits
+only the sets that could replace the least margin so far.  A
 second solve of the two diagonal residue sums and the rank of the fixed-flag
 equations are the references for the gauge counts of a connection space
 and for the flag stabilizer, the classification on an interpolating solve,
@@ -131,14 +135,14 @@ from paramod.stability import (
     _candidate_degrees,
     _contactable,
     _hom_degrees,
+    _candidates_at_degree,
     _is_saturated,
     _margin,
-    _saturated_sets,
-    contact_kernel,
-    destabilizing_candidates,
-    saturated_members,
+    _witness,
+    _zi_restrict,
+    contact_rows,
+    formal_resultant,
     sign_label,
-    unit_kernels,
     weight_is_kostov_generic,
     weight_is_non_special,
 )
@@ -678,9 +682,181 @@ def oracle_candidates_at_degree(structure, cfg, k) -> list[LineSubbundleWitness]
     return [w for _, w in maximal]
 
 
+def _span_member(basis, coeffs):
+    # the Gaussian-integer combination sum_j coeffs[j] * basis[j]
+    vec = [ZI_ZERO] * len(basis[0])
+    for c, bvec in zip(coeffs, basis):
+        if c:
+            vec = [(x + c * a, y + c * b) for (x, y), (a, b) in zip(vec, bvec)]
+    return vec
+
+
+def _barren(basis, dq: int, dr: int) -> bool:
+    """Whether the formal resultant vanishes on the whole span of the ``m``
+    Gaussian-integer vectors ``basis`` at ``n = dq + dr >= 1``: whether no
+    member is saturated.
+
+    The resultant of the member with span coordinates ``c`` is a form of
+    degree ``n`` in ``c``.  On the hyperplane ``sum(c) = n`` it is a
+    polynomial of degree at most ``n`` in ``m - 1`` affine coordinates, which
+    the principal lattice of the simplex, the points ``c >= 0`` with
+    ``sum(c) = n``, fixes; and a form that vanishes on that hyperplane
+    vanishes on its multiples, a dense set, so everywhere.  So the span is
+    barren iff the resultant vanishes at those ``C(n + m - 1, m - 1)``
+    points: 35 at ``m = 5`` and ``(1, 2)``, where the grid of
+    ``saturated_members`` has 1,023."""
+    n, m = dq + dr, len(basis)
+    for bars in combinations(range(n + m - 1), m - 1):
+        # stars and bars: the gaps between the m - 1 bars are the coordinates
+        edges = (-1, *bars, n + m - 1)
+        vec = _span_member(basis, [b - a - 1 for a, b in zip(edges, edges[1:])])
+        if formal_resultant(vec[: dq + 1], dq, vec[dq + 1 :], dr) != ZI_ZERO:
+            return False
+    return True
+
+
+def saturated_members(basis, dq: int, dr: int):
+    """Yield the saturated members of the span of the Gaussian-integer
+    ``basis`` at formal degrees ``(dq, dr)``, both nonnegative, found on the
+    grid of span coefficients {0..max(dq+dr, 1)}^m, in ``product`` order:
+    the Gaussian-integer coefficients of q, then of r, at that grid point.
+
+    The saturation locus of the nonzero members is cut out by the formal
+    resultant, a homogeneous polynomial of degree dq + dr in the span
+    coordinates.  When ``dq + dr >= 1`` the finite-grid Schwartz-Zippel
+    lemma says the span has a saturated member iff the grid
+    {0..dq+dr}^m holds one; when ``dq + dr = 0`` the resultant is a
+    nonzero constant, every nonzero member is saturated, and {0, 1}^m
+    holds one.  Which basis spans the space changes which members are
+    found, never whether one is.
+
+    A span with no saturated member would cost the whole grid, one
+    saturation test per nonzero grid point.  So a span of dimension 2 or
+    more at ``dq + dr >= 1`` is first asked ``_barren``, the exact test on
+    the simplex lattice, and a barren span yields nothing with no grid
+    point built; any other span yields the same members as the walk alone.
+    """
+    if not basis:
+        return
+    if len(basis) >= 2 and dq + dr >= 1 and _barren(basis, dq, dr):
+        return
+    width = max(dq + dr, 1) + 1
+    for coeffs in product(range(width), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        vec = _span_member(basis, coeffs)
+        if _is_saturated(vec, dq, dr):
+            yield vec
+
+
+def unit_kernels(n: int) -> dict:
+    """A kernel memo for ``memo_contact_kernel`` on ``n`` coefficients: the
+    empty contact set, whose kernel has the unit basis."""
+    return {(): [[(1, 0) if c == e else ZI_ZERO for c in range(n)] for e in range(n)]}
+
+
+def memo_contact_kernel(T, zrows, kernels):
+    """``stability.contact_kernel`` with a memo: the Gaussian-integer kernel
+    basis of the contact rows ``T``, restricted from the kernel of its
+    longest prefix in ``kernels`` (seeded by ``unit_kernels``) one row at a
+    time; every prefix on the way is stored in ``kernels``.  The fold from
+    the unit basis is the same whatever prefixes the memo holds."""
+    basis = kernels.get(T)
+    if basis is not None:
+        return basis
+    j = len(T) - 1
+    while T[:j] not in kernels:
+        j -= 1
+    basis = kernels[T[:j]]
+    for m in range(j, len(T)):
+        basis = _zi_restrict(basis, zrows[T[m]])
+        kernels[T[: m + 1]] = basis
+    return basis
+
+
+def _saturated_sets(structure, cfg, dq: int, dr: int, sets):
+    """Yield ``(frozenset(T), vec)`` for the contact sets ``T`` of ``sets``,
+    in their order, whose kernel ``N(T)`` holds a saturated member, ``vec``
+    the first that ``saturated_members`` finds; a set inside one yielded
+    before is skipped.  The contact rows and the kernel memo are built at
+    the first step, and not at all when ``sets`` is empty."""
+    if not sets:
+        return
+    rows = contact_rows(structure, cfg, dq, dr)
+    kernels = unit_kernels(dq + dr + 2)
+    found = []
+    for T in sets:
+        tset = frozenset(T)
+        if any(tset <= m for m in found):
+            continue
+        vec = next(saturated_members(memo_contact_kernel(T, rows, kernels), dq, dr), None)
+        if vec is not None:
+            found.append(tset)
+            yield tset, vec
+
+
+def walk_candidates_at_degree(structure, cfg, k) -> list[tuple[frozenset[int], object]]:
+    """The inclusion-maximal contact sets at degree ``k``, each as
+    ``(contact, payload)`` with the payload ``stability._witness`` turns
+    into its witness: ``stability._candidates_at_degree`` with no margin
+    bound.  The canonical factor and B's degree-0 lines are that function's
+    own.
+
+    At a degree that needs kernels, contact sets ``T`` of the contactable
+    points are visited by descending size, then in ``combinations`` order,
+    skipping those inside a set already found, and ``T`` is recorded when
+    the kernel ``N(T)`` of its contact rows holds a saturated member
+    (``_saturated_sets``).  Its contact is exactly ``T``: a member of
+    ``N(T)`` with a contact ``C`` larger than ``T`` is a saturated member of
+    ``N(C)`` (a saturated section meets no flag outside the contactable
+    points), and ``C`` was visited earlier, so ``C``, or a found set
+    containing it, is recorded and ``T`` would have been skipped.  Whether
+    ``N(T)`` holds a saturated member depends only on the span, so the
+    recorded sets do not depend on the basis.
+
+    A ``T`` with a row outside it in the span of its rows has the kernel of
+    a larger set, visited earlier, so it is never recorded: the walk pays a
+    kernel and a span search for it, a barren one when the larger set's
+    kernel holds no saturated member (``_barren`` decides those), and
+    ``is_stable``, which folds the kernel of the set it reports alone, never
+    builds it.
+
+    ``N(T)`` is restricted from ``N(T[:-1])`` by the fraction-free kernel of
+    one Gaussian-integer contact row (``stability._zi_restrict``), the
+    kernels memoised per call by prefix (``memo_contact_kernel``); the
+    payload is the Gaussian-integer grid vector found in ``N(T)``.
+    """
+    dq, dr = _hom_degrees(structure.bundle, k)
+    if dq < 0 or (structure.bundle == B and k == 0):
+        return _candidates_at_degree(structure, cfg, k, None)
+    points = _contactable(structure, dq)
+    sets = [T for size in range(len(points), -1, -1) for T in combinations(points, size)]
+    return list(_saturated_sets(structure, cfg, dq, dr, sets))
+
+
+def destabilizing_candidates(
+    structure: ParabolicStructure, cfg: MarkedConfiguration
+) -> list[LineSubbundleWitness]:
+    """Every inclusion-maximal contact set of a saturated line subbundle, per
+    relevant degree, with explicit witnesses.
+
+    Lower degrees than the returned ones are omitted: a degree-``k`` margin
+    is at least ``b_k = d - 2k - sum(w)``, the bound ``is_stable`` stops on,
+    and ``b_{-2} = 5 - sum(w) > 0`` for every admissible weight.
+    Witnesses found by the kernel enumeration have Gaussian-integer
+    coefficients: any nonzero multiple of ``(q, r)`` is the same subbundle.
+    """
+    bundle = structure.bundle
+    return [
+        _witness(bundle, k, contact, payload)
+        for k in _candidate_degrees(bundle)
+        for contact, payload in walk_candidates_at_degree(structure, cfg, k)
+    ]
+
+
 def oracle_least_margin_candidates(structure, cfg, k, below):
-    """``_candidates_at_degree(structure, cfg, k, below)`` at a degree that
-    needs kernels, by the search over every contact set: the sets of margin
+    """``stability._candidates_at_degree(structure, cfg, k, below)`` at a
+    degree that needs kernels, by the search over every contact set: the sets of margin
     below the bound, least margin first, each kernel folded and its grid
     walked until the first set whose kernel holds a saturated member."""
     dq, dr = _hom_degrees(structure.bundle, k)
@@ -719,7 +895,7 @@ def oracle_walk_degenerate_candidate(weights, j: int, rows: dict, kernels: dict)
 
     ``rows`` are the structure's Gaussian-integer ``contact_rows`` at the
     formal degrees (1, 2) of a degree -1 inclusion ``(q, r)`` into B, and
-    ``kernels`` the ``contact_kernel`` memo shared by the five ``j``.  A
+    ``kernels`` the ``memo_contact_kernel`` memo shared by the five ``j``.  A
     saturated member of the kernel ``N`` of the other four rows misses
     ``z_j`` iff its product ``l_j`` with row ``j`` is nonzero.
 
@@ -733,7 +909,7 @@ def oracle_walk_degenerate_candidate(weights, j: int, rows: dict, kernels: dict)
     basis of ``N``, and no member is built.
     """
     others = tuple(i for i in rows if i != j)
-    basis = contact_kernel(others, rows, kernels)
+    basis = memo_contact_kernel(others, rows, kernels)
     if all(zi_dot(rows[j], vec) == ZI_ZERO for vec in basis) or (
         next(saturated_members(basis, 1, 2), None) is None
     ):
@@ -762,7 +938,7 @@ def oracle_inverse_degenerate_candidates(weights, rows: dict) -> list[LimitCandi
     invertible.  If it is, column ``j`` of ``R^-1`` spans ``N`` and has
     ``l_j = 1``, so the inclusion exists iff that column, cleared to
     Gaussian integers, is saturated.  If not, each ``N`` is restricted from
-    the kernels of the prefixes of the other four rows (``contact_kernel``),
+    the kernels of the prefixes of the other four rows (``memo_contact_kernel``),
     then tested by the grid walk of ``saturated_members`` and the products
     with row ``j``.
     """
@@ -781,7 +957,7 @@ def oracle_inverse_degenerate_candidates(weights, rows: dict) -> list[LimitCandi
         kernels = unit_kernels(NPOINTS)
         found = []
         for j in range(NPOINTS):
-            basis = contact_kernel(tuple(i for i in rows if i != j), rows, kernels)
+            basis = memo_contact_kernel(tuple(i for i in rows if i != j), rows, kernels)
             if any(zi_dot(rows[j], vec) != ZI_ZERO for vec in basis) and (
                 next(saturated_members(basis, 1, 2), None) is not None
             ):

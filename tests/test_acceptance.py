@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     balanced_branch,
     basis_connections,
+    destabilizing_candidates,
     free_tail_only,
     oracle_is_stable,
     rand_config,
@@ -58,7 +59,6 @@ from paramod.stability import (
     OnWallError,
     StratumError,
     WeightVector,
-    destabilizing_candidates,
     is_stable,
     no_stable_structure,
     s_value,

@@ -690,7 +690,7 @@ _ALL = """
 B BPRIME BundleSplitType FixedLocusPoint FlatTriple INF KERNEL_BACKEND LogConnection MCBranch
 MarkedConfiguration Mat ParabolicStructure Poly ProjectivePoint Scalar SpectrumRank2 StratumId
 StronglyParabolicHiggs WeightVector __version__ act chamber_classify character_poly classify
-cstar_limit degree_bounds destabilizing_candidates elm_spectrum elm_triple elm_weight
+cstar_limit degree_bounds elm_spectrum elm_triple elm_weight
 fiber_dimension fixed_component fixedpoint_canonicalize gauge_transform higgs_is_stable
 interpolate is_decomposable is_simple is_stable mc_spectrum no_stable_structure orbit_equal
 quotient_coords s_value sc solve_connection_space special_loci stabilizing_weight

@@ -17,6 +17,7 @@ from helpers import (
     rand_rational,
     rand_structure,
     sample_universe,
+    unit_kernels,
     universe_point,
 )
 from paramod import _kernel, higgslimit, stability
@@ -54,7 +55,7 @@ from paramod.parastruct import (
     is_decomposable,
 )
 from paramod.spectra import SpectrumRank2
-from paramod.stability import WeightVector, _cleared_weights, contact_rows, is_stable, unit_kernels
+from paramod.stability import WeightVector, _cleared_weights, contact_rows, is_stable
 
 CFG = MarkedConfiguration([0, 1, 2, 3, 4])
 W_SMALL = WeightVector(["1/8", "1/9", "1/7", "1/11", "1/13"])
@@ -559,7 +560,8 @@ class TestDegenerateCandidates:
         # cstar_limit on B triples, one of them with singular contact rows
         # (the section (z + 1, z^2)), and on a B' triple runs no contact
         # kernel and no elimination; the counters do see both elsewhere, in
-        # the destabilizing search and in the solve on the even split
+        # a stability decision that folds the full contact set's kernel at
+        # degree -1 and in the solve on the even split
         rng = random.Random(107)
         flag_sets = (None, [INF, 1, 2, 3, 5], [INF, INF, 1, 2, 5], [0, "1/2", "4/3", "9/4", "16/5"])
         triples = [solved_b_triple(rng, flags) for flags in flag_sets]
@@ -574,7 +576,8 @@ class TestDegenerateCandidates:
         for t in triples:
             cstar_limit(t, rand_nonspecial_weight(rng, total_below=1))
         assert calls == []
-        stability.destabilizing_candidates(triples[0].structure, CFG)
+        report = is_stable(ParabolicStructure(B, [0, 1, 4, 9, 16]), CFG, WeightVector.uniform(sc("9/10")))
+        assert report.worst.degree == -1 and calls == ["contact_kernel"]
         even = ParabolicStructure(BundleSplitType(0, 0), triples[0].structure.flags)
         solve_connection_space(even, CFG, rand_nonspecial_spectrum(rng, d=0))
         assert set(calls) == {"contact_kernel", "mat_rref"}

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -5,9 +6,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import helpers
 from helpers import (
     _oracle_resultant,
+    destabilizing_candidates,
     fiber_at,
+    memo_contact_kernel,
     oracle_b_degree_zero_candidates,
     oracle_candidates_at_degree,
     oracle_chamber_inequalities,
@@ -32,8 +36,12 @@ from helpers import (
     rand_ui_indecomposable,
     rand_uij_indecomposable,
     rand_weight,
+    saturated_members,
+    unit_kernels,
+    walk_candidates_at_degree,
 )
 from paramod._kernel import t_clear
+from paramod.cli import main
 from paramod.connection import irreducibility_screen
 from paramod import _kernel, exactnum, parastruct, stability
 from paramod.exactnum import INF, ExactError, Mat, Poly, Scalar, clear_denominators, sc
@@ -47,6 +55,7 @@ from paramod.parastruct import (
 from paramod.spectra import SpectrumRank2
 from paramod.stability import (
     ChamberDescriptor,
+    InvariantError,
     LineSubbundleWitness,
     OnWallError,
     StabilityReport,
@@ -57,15 +66,12 @@ from paramod.stability import (
     chamber_classify,
     contact_kernel,
     contact_rows,
-    destabilizing_candidates,
     formal_resultant,
     is_stable,
     no_stable_structure,
     s_value,
-    saturated_members,
     sign_pattern_sums,
     stabilizing_weight,
-    unit_kernels,
     weight_is_kostov_generic,
     weight_is_non_special,
 )
@@ -304,7 +310,7 @@ def _scalar_rows(ibasis):
 
 
 def _subsets(keys):
-    # every subset, by descending size as _candidates_at_degree walks them
+    # every subset, by descending size as walk_candidates_at_degree visits them
     return [T for size in range(len(keys), -1, -1) for T in combinations(keys, size)]
 
 
@@ -321,14 +327,14 @@ class TestSaturatedMembers:
     Scalars finds over the same basis."""
 
     def test_candidate_bases(self):
-        # every contact subset's kernel, as _candidates_at_degree builds it
+        # every contact subset's kernel, as walk_candidates_at_degree builds it
         spans = []
         for s, cfg in _grid_structures():
             dq, dr = _hom_degrees(s.bundle, -1)
             zrows = contact_rows(s, cfg, dq, dr)
             kernels = unit_kernels(dq + dr + 2)
             for T in _subsets(list(zrows)):
-                basis = contact_kernel(T, zrows, kernels)
+                basis = memo_contact_kernel(T, zrows, kernels)
                 spans.append(_assert_same_members(basis, dq, dr))
         assert 0 in spans and max(spans) > 1
 
@@ -344,7 +350,7 @@ class TestSaturatedMembers:
             kernels = unit_kernels(5)
             for j in range(5):
                 others = tuple(i for i in zrows if i != j)
-                basis = contact_kernel(others, zrows, kernels)
+                basis = memo_contact_kernel(others, zrows, kernels)
                 spans.append(_assert_same_members(basis, 1, 2))
         assert 0 in spans and max(spans) > 0
 
@@ -443,7 +449,7 @@ class TestSpanCertificate:
                     zrows = contact_rows(s, cfg, dq, dr)
                     kernels = unit_kernels(dq + dr + 2)
                     for T in _subsets(list(zrows)):
-                        basis = contact_kernel(T, zrows, kernels)
+                        basis = memo_contact_kernel(T, zrows, kernels)
                         if not basis:
                             continue
                         # the first member each grid search finds
@@ -502,8 +508,10 @@ class TestContactKernels:
                 assert zrows == _cleared_rows(rows)
                 kernels = unit_kernels(dq + dr + 2)
                 for T in _subsets(list(rows)):
-                    basis = contact_kernel(T, zrows, kernels)
+                    basis = memo_contact_kernel(T, zrows, kernels)
                     self._assert_spans_nullspace(rows, T, basis)
+                    # the plain fold of the decision builds the same basis
+                    assert contact_kernel(T, zrows) == basis, T
                     seen.add(len(basis))
         assert seen >= {1, 2, 3, 4, 5}
 
@@ -515,8 +523,9 @@ class TestContactKernels:
             zrows = _cleared_rows(rows)
             kernels = unit_kernels(5)
             for T in _subsets(list(rows)):
-                basis = contact_kernel(T, zrows, kernels)
+                basis = memo_contact_kernel(T, zrows, kernels)
                 self._assert_spans_nullspace(rows, T, basis)
+                assert contact_kernel(T, zrows) == basis, T
                 # row . N(prefix) = 0: the restriction keeps the prefix basis
                 if T[-1:] == (3,) and {0, 1} <= set(T) or T[-1:] == (4,):
                     assert basis is kernels[T[:-1]]
@@ -717,20 +726,21 @@ class TestDependentContactRows:
 
 
 class TestFlatWalk:
-    """The kernel walk's work per decision: a decomposable structure, whose
-    degree -1 rows are dependent, has every set of two to five flags
-    searched, 26 spans from 30 restrictions."""
+    """The work of the oracle's walk over every contact set
+    (``helpers.destabilizing_candidates``) per structure: a decomposable
+    structure, whose degree -1 rows are dependent, has every set of two to
+    five flags searched, 26 spans from 30 restrictions."""
 
     # searched spans per decision of the four classes with independent rows
     SPANS = {"generic": 6, "one-inf": 6, "two-inf": 10, "bprime": 6}
 
     @staticmethod
     def _recorder(monkeypatch):
-        # a function deciding one structure and returning its one-row
+        # a function walking one structure and returning its one-row
         # restrictions, searched spans and visited contact sets with their
-        # formal degrees
-        real_rows, real_kernel = stability.contact_rows, stability.contact_kernel
-        real_restrict, real_members = stability._zi_restrict, stability.saturated_members
+        # formal degrees, patched where the walk in helpers looks them up
+        real_rows, real_kernel = helpers.contact_rows, helpers.memo_contact_kernel
+        real_restrict, real_members = helpers._zi_restrict, helpers.saturated_members
         seen = {}
 
         def rows(structure, cfg, dq, dr):
@@ -751,9 +761,9 @@ class TestFlatWalk:
             seen["spans"] += 1
             return real_members(basis, dq, dr)
 
-        for name, fn in (("contact_rows", rows), ("contact_kernel", kernel),
+        for name, fn in (("contact_rows", rows), ("memo_contact_kernel", kernel),
                          ("_zi_restrict", restrict), ("saturated_members", members)):
-            monkeypatch.setattr(stability, name, fn)
+            monkeypatch.setattr(helpers, name, fn)
 
         def decide(s, cfg):
             seen.update(rows=None, restrict=0, spans=0, visited=[])
@@ -989,16 +999,16 @@ class TestDegreeStop:
         return out + [(rand_structure(rng, BPRIME), rand_config(rng)) for _ in range(count)]
 
     @staticmethod
-    def _kernel_calls(monkeypatch):
-        # the contact sets whose kernels ``contact_kernel`` is asked for from now on
+    def _kernel_calls(monkeypatch, module=stability, name="contact_kernel"):
+        # the contact sets whose kernels ``module.name`` is asked for from now on
         calls = []
-        real = stability.contact_kernel
+        real = getattr(module, name)
 
         def counted(*args):
             calls.append(args[0])
             return real(*args)
 
-        monkeypatch.setattr(stability, "contact_kernel", counted)
+        monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_heavy_weights_match_full_decision(self, monkeypatch):
@@ -1204,8 +1214,10 @@ class TestLeastMarginSearch:
         # the five stability-random classes, every other weight heavy: each
         # set whose kernel a decision asks for has a degree -1 margin below
         # the least margin of the higher degrees, and the decisions that
-        # reach degree -1 ask for fewer kernels than the full degree visits
+        # reach degree -1 ask for fewer kernels than the oracle's walk over
+        # every contact set visits
         calls = TestDegreeStop._kernel_calls(monkeypatch)
+        walked = TestDegreeStop._kernel_calls(monkeypatch, helpers, "memo_contact_kernel")
         rng = random.Random(167)
         built = visited = reached = 0
         for name, structures in _class_structures(rng, 30).items():
@@ -1227,43 +1239,48 @@ class TestLeastMarginSearch:
                     continue
                 reached += 1
                 built += len(asked)
-                calls.clear()
-                stability._candidates_at_degree(s, cfg, -1)
-                visited += len(calls)
+                walked.clear()
+                walk_candidates_at_degree(s, cfg, -1)
+                visited += len(walked)
         assert reached > 50 and 0 < built < visited, (reached, built, visited)
 
     def test_searched_spans_cost_one_saturation_test(self, monkeypatch):
-        # the one span a decision hands to saturated_members is the winning
-        # set's kernel, of dimension exactly 1 with a saturated vector, so
-        # the grid walk makes exactly one _is_saturated call (the proof is in
-        # is_stable's docstring), and no empty span is handed over: on the
-        # five stability-random classes, dependent rows and tie structures,
-        # at light, heavy and tie weights
-        real_is_saturated, real_members = stability._is_saturated, stability.saturated_members
+        # the one kernel a decision that reaches degree -1 folds is the
+        # winning set's, of dimension exactly 1 with a saturated vector, so
+        # the decision makes exactly one _is_saturated call on it (the proof
+        # is in is_stable's docstring), and no empty kernel is folded: on
+        # the five stability-random classes, dependent rows and tie
+        # structures, at light, heavy and tie weights
+        real_is_saturated, real_kernel = stability._is_saturated, stability.contact_kernel
         spans = []
 
         def is_saturated(vec, dq, dr):
+            spans[-1][0] = dq
             spans[-1][2] += 1
             return real_is_saturated(vec, dq, dr)
 
-        def members(basis, dq, dr):
-            spans.append([dq, len(basis), 0])
-            return real_members(basis, dq, dr)
+        def kernel(T, zrows):
+            basis = real_kernel(T, zrows)
+            spans.append([None, len(basis), 0])
+            return basis
 
         monkeypatch.setattr(stability, "_is_saturated", is_saturated)
-        monkeypatch.setattr(stability, "saturated_members", members)
+        monkeypatch.setattr(stability, "contact_kernel", kernel)
         rng = random.Random(173)
         structures = [x for xs in _class_structures(rng, 40).values() for x in xs]
         structures += _dependent_structures()
         for _ in range(400):
             cfg = CFG if rng.random() < 0.5 else rand_config(rng)
             structures.append((_tie_structure(rng, cfg, rng.choice([B, BPRIME])), cfg))
+        # (dq, dimension, calls) per folded kernel: dq = 1 on B, 0 on B'
+        seen = Counter()
         for s, cfg in structures:
             d = s.bundle.degree
             for w in (_bounded_weight(rng, d), _bounded_weight(rng, d, heavy=True), _tie_weight(rng, d)):
+                spans.clear()
                 is_stable(s, cfg, w)
-        # (dq, dimension, calls): dq = 1 on B, 0 on B'
-        seen = Counter(map(tuple, spans))
+                assert len(spans) <= 1, (s, cfg, w, spans)
+                seen.update(map(tuple, spans))
         assert set(seen) == {(0, 1, 1), (1, 1, 1)} and min(seen.values()) > 100, seen
 
     def test_moment_search_matches_oracle_search(self, monkeypatch):
@@ -1325,6 +1342,39 @@ class TestLeastMarginSearch:
             assert (folds["contact_rows"], folds["contact_kernel"]) == (won, won), (s, cfg, w, folds)
             seen["won" if won else "lost" if searches else "stopped"] += 1
         assert set(seen) == {"won", "lost", "stopped"} and min(seen.values()) > 50, seen
+
+
+class TestWinnerInvariant:
+    """``is_stable`` checks that the winning degree -1 kernel is one
+    saturated vector; a kernel that is not raises InvariantError, which the
+    CLI reports with exit code 4, on an input whose decision folds the full
+    contact set's kernel."""
+
+    ARGV = ["stability", "--bundle", "B", "--z", "0,1,2,3,4", "--u", "0,1,4,9,16",
+            "--w", "9/10,9/10,9/10,9/10,9/10"]
+    # two basis vectors, and one nonzero vector (q, r) = (z, z^2), which has
+    # a base point at z = 0
+    BASES = {
+        "dimension 2": [[(1, 0), (0, 0), (0, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0), (0, 0), (0, 0)]],
+        "unsaturated": [[(0, 0), (1, 0), (0, 0), (0, 0), (1, 0)]],
+    }
+
+    def test_input_folds_the_full_contact_kernel(self, monkeypatch, capsys):
+        folded = TestDegreeStop._kernel_calls(monkeypatch)
+        assert main(self.ARGV) == 0
+        report = json.loads(capsys.readouterr().out)["worst"]
+        assert (report["deg"], report["contact"], report["margin"]) == (-1, [1, 2, 3, 4, 5], "-3/2")
+        assert folded == [(0, 1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_bad_kernel_raises_and_exits_4(self, name, monkeypatch, capsys):
+        monkeypatch.setattr(stability, "contact_kernel", lambda T, zrows: self.BASES[name])
+        s = ParabolicStructure(B, [0, 1, 4, 9, 16])
+        with pytest.raises(InvariantError):
+            is_stable(s, CFG, WeightVector.uniform(sc("9/10")))
+        assert main(self.ARGV) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("internal error: "), captured
 
 
 class TestOracleAgreement:
