@@ -12,14 +12,18 @@ built.  The fixed locus for ``sum(w) < 1`` has two components: the single
 point F0 on the (-1, 2) split and the family F1 of nilpotent Higgs fields on
 the (0, 1) split, modeled as two glued blown-up planes.
 
-The marked zeros of a Higgs field's theta are found once, by the
-strong-parabolicity check of ``StronglyParabolicHiggs``, as the zero residues
-of one product with the configuration's inverse numerator map, and the limit
-point is read off them in canonical form.  Strong parabolicity lets the flag
-leave the lower summand only at a marked zero of theta, so a fixed point's
-flag choices are checked against the marked zeros of its own theta; with
-that check the F1 fiber dimension needs no evaluation, and the F0 fiber
-dimension is two by a divided-difference identity, with no solve.
+The marked zeros of a Higgs field's theta are found once and the limit point
+is read off them in canonical form.  A limit reads them off the triple's
+(12) residues: theta is the whole (12) numerator ``sum_i A12_i prod_{j != i}
+(z - z_j)``, one product of the forward numerator map, so ``theta(z_i)`` is
+``A12_i prod_{j != i} (z_i - z_j)`` and the marked zeros are the zero
+residues, with no evaluation and no inverse product.  A datum given by its
+theta alone, and an F1 line point, find them as the zero residues of one
+product with the configuration's inverse numerator map.  Strong parabolicity
+lets the flag leave the lower summand only at a marked zero of theta, so a
+fixed point's flag choices are checked against the marked zeros of its own
+theta; with that check the F1 fiber dimension needs no evaluation, and the
+F0 fiber dimension is two by a divided-difference identity, with no solve.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from ._kernel import t_matvec
+from ._kernel import T_ZERO, t_matvec
 from .connection import FlatTriple, LogConnection, offdiag_bounds
 from .exactnum import (
     INF,
@@ -113,7 +117,10 @@ class StronglyParabolicHiggs:
     ``offdiag_bounds``: degree <= 2 on B and constant on B'.  Strong
     parabolicity pins the flag to the lower summand fiber wherever theta does
     not vanish; ``marked_zeros`` are the indices of the marked points where
-    it does, found by the one evaluation pass of that check.
+    it does.  The constructor finds them by one product with the inverse
+    numerator map; ``cstar_limit`` builds its datum with ``_of`` from the
+    zero (12) residues of its triple, which are the same indices.  Either way
+    the flags are checked against them.
     """
 
     __slots__ = ("bundle", "structure", "theta", "cfg", "marked_zeros")
@@ -124,13 +131,22 @@ class StronglyParabolicHiggs:
         if structure.bundle != bundle:
             raise HiggsError("structure lives on a different bundle")
         ((_, bound), _) = offdiag_bounds(bundle)
-        self.theta = theta.shrink(bound)
-        self.bundle = bundle
-        self.structure = structure
-        self.cfg = cfg
-        self.marked_zeros = _zeros_at_marked_points(self.theta.coeffs, cfg)
+        theta = theta.shrink(bound)
+        self._set(bundle, structure, theta, cfg, _zeros_at_marked_points(theta.coeffs, cfg))
+
+    @classmethod
+    def _of(cls, bundle, structure, theta: Poly, cfg, marked_zeros) -> "StronglyParabolicHiggs":
+        """The datum with ``theta`` within its bound and the marked zeros
+        ``marked_zeros`` of theta, taken as they are; the flags are checked."""
+        h = object.__new__(cls)
+        h._set(bundle, structure, theta, cfg, marked_zeros)
+        return h
+
+    def _set(self, bundle, structure, theta, cfg, marked_zeros):
+        self.bundle, self.structure, self.cfg = bundle, structure, cfg
+        self.theta, self.marked_zeros = theta, marked_zeros
         for i, u in enumerate(structure.flags):
-            if i not in self.marked_zeros and (u.is_infinity() or not u.value.is_zero()):
+            if i not in marked_zeros and (u.is_infinity() or not u.value.is_zero()):
                 raise HiggsError(
                     f"flag at point {i + 1} must lie on the lower summand "
                     "where theta is nonzero"
@@ -179,9 +195,17 @@ def _lower_contact(structure) -> set[int]:
 def theta_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly:
     """The cleared (12) numerator of a connection, bounded by the Higgs
     degree of its bundle (2 on B, 0 on B'); holomorphy of the input makes the
-    higher coefficients vanish."""
-    ((_, bound), _) = offdiag_bounds(conn.bundle)
-    return conn.numerator(0, 1, cfg).shrink(max(bound, -1))
+    higher coefficients vanish.  One product of the forward numerator map
+    with the (12) residue triples gives all five coefficients, so theta is
+    the whole numerator and ``theta(z_i) = A12_i prod_{j != i} (z_i - z_j)``;
+    a nonzero coefficient above the bound raises ``ExactError`` with the text
+    of ``Poly.shrink``."""
+    bound = max(offdiag_bounds(conn.bundle)[0][1], -1)
+    num = conn._residue_numerator(0, 1, cfg)
+    deg = max((k for k, (a, b, _) in enumerate(num) if a or b), default=-1)
+    if deg > bound:
+        raise ExactError(f"polynomial has degree {deg}, cannot bound by {bound}")
+    return Poly([Scalar._wrap(x) for x in num[: bound + 1]], bound=bound)
 
 
 class _FixedPointFields(NamedTuple):
@@ -327,11 +351,8 @@ def fixedpoint_from_higgs(h: StronglyParabolicHiggs) -> FixedLocusPoint:
 
 def _double_marked_zero(theta: Poly, cfg, marked) -> int | None:
     # a marked zero z_i is double when the derivative vanishes there too
-    d = theta.derivative()
-    for i in marked:
-        if d(cfg.z[i]).is_zero():
-            return i
-    return None
+    d = theta.derivative() if marked else None
+    return next((i for i in marked if d(cfg.z[i]).is_zero()), None)
 
 
 def _other_zero(theta: Poly, zi: Scalar) -> ProjectivePoint:
@@ -520,15 +541,21 @@ def cstar_limit(t: FlatTriple, w: WeightVector) -> LimitResult:
         raise HiggsError(
             "upper off-diagonal data vanishes: the triple is reducible"
         )
-    drop_flags = [INF if u.is_infinity() else _ZERO_FLAG for u in t.structure.flags]
-    e0 = StronglyParabolicHiggs(
-        bundle, ParabolicStructure(bundle, drop_flags), theta, cfg
+    # theta is the whole (12) numerator, so theta(z_i) is the (12) residue
+    # at z_i times prod_{j != i} (z_i - z_j): its marked zeros are the zero
+    # residues.  E0 moves the finite flags to the lower summand, which then
+    # meets exactly them.
+    marked = tuple(i for i, m in enumerate(t.connection._res) if m[0][1] == T_ZERO)
+    finite = [i for i, u in enumerate(t.structure.flags) if not u.is_infinity()]
+    drop_flags = [_ZERO_FLAG if i in finite else INF for i in range(NPOINTS)]
+    e0 = StronglyParabolicHiggs._of(
+        bundle, ParabolicStructure(bundle, drop_flags), theta, cfg, marked
     )
     # E1 keeps the lower off-diagonal data; its only invariant subbundle is
     # the higher-degree factor, contacting the flags away from zero
     contact_e1 = set(range(NPOINTS)) - _lower_contact(t.structure)
     candidates = [
-        _candidate("E0", bundle.degree, bundle.d0, _lower_contact(e0.structure), weights, e0),
+        _candidate("E0", bundle.degree, bundle.d0, finite, weights, e0),
         _candidate("E1", bundle.degree, bundle.d1, contact_e1, weights),
     ]
 

@@ -70,8 +70,9 @@ class MarkedConfiguration:
     ``numerator_maps`` is the one passage between the residues of a
     connection entry and its cleared numerator: ``validate_triple`` tests
     the top coefficients with rows of the forward map,
-    ``LogConnection.numerator`` applies it, and ``higgslimit`` finds a Higgs
-    field's marked zeros with the inverse one.  The node polynomial of
+    ``LogConnection.numerator`` and ``higgslimit.theta_from_connection``
+    apply it, and ``higgslimit`` finds the marked zeros of a Higgs field
+    given by its theta alone with the inverse one.  The node polynomial of
     ``pole_products`` carries the tail of ``LogConnection.numerator``.
     """
 

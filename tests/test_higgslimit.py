@@ -22,6 +22,7 @@ from helpers import (
 )
 from paramod import _kernel, higgslimit, stability
 from paramod.connection import (
+    FlatTriple,
     LogConnection,
     gauge_transform,
     solve_connection_space,
@@ -793,10 +794,11 @@ class TestMarkedZeros:
 
 
 class TestThetaEvaluations:
-    """A limit finds theta's marked zeros once, by one product with the
-    inverse numerator map and no evaluation of theta, and the fiber dimension
-    of a point without flag choices evaluates nothing; evaluating the marked
-    zeros afresh in each step took up to four passes."""
+    """A limit reads theta's marked zeros off the triple's zero (12)
+    residues, with no product with the inverse numerator map and no
+    evaluation of theta, and the fiber dimension of a point without flag
+    choices evaluates nothing; evaluating the marked zeros afresh in each
+    step took up to four passes, and the inverse product one."""
 
     @staticmethod
     def _recorder(monkeypatch):
@@ -828,7 +830,7 @@ class TestThetaEvaluations:
             at_zeros = [CFG.z[i] for i in h.marked_zeros]
             with_zeros += bool(at_zeros)
             theta, slope = h.theta.coeffs, h.theta.derivative().coeffs
-            assert found == [theta]
+            assert found == []
             assert [x for c, x in calls if c == theta] == [], calls
             derivative = [x for c, x in calls if c == slope]
             assert all(x in at_zeros for x in derivative) and len(derivative) <= len(at_zeros)
@@ -846,3 +848,95 @@ class TestThetaEvaluations:
         for p in points:
             assert fiber_dimension(p, CFG, nu) == 2
         assert calls == []
+
+
+def _one_infinite_flags(rng, k):
+    # random B flags, infinite at k only, on an indecomposable structure
+    while True:
+        flags = [INF if i == k else rand_rational(rng, -9, 9, 4) for i in range(5)]
+        if not is_decomposable(ParabolicStructure(B, flags), CFG)[0]:
+            return flags
+
+
+def _limit_inputs(rng):
+    """Solved triples of every input class of the pipeline benchmark (generic
+    B, one infinite flag at each marked point, B') and of the fixed B flags
+    with one and two infinite flags, then the gauge image of each."""
+    triples = [solved_b_triple(rng) for _ in range(4)]
+    triples += [solved_b_triple(rng, _one_infinite_flags(rng, k)) for k in range(5) for _ in range(3)]
+    triples += [solved_b_triple(rng, flags)
+                for flags in ([INF, 1, 2, 3, 5], [INF, INF, 1, 2, 5]) for _ in range(3)]
+    s = bprime_generic_representative(CFG)
+    for _ in range(3):
+        space = solve_connection_space(s, CFG, rand_nonspecial_spectrum(rng, d=1))
+        triples.append(space.triple_at([rand_rational(rng, -4, 4, 2) for _ in range(space.dim)]))
+    gauged = []
+    for t in triples:
+        n = 3 if t.connection.bundle == B else 5
+        gauged.append(gauge_transform(t, [sc(2)] + [rand_rational(rng, -3, 3, 2) for _ in range(n - 1)]))
+    return triples + gauged
+
+
+def _upper_connection(bundle, numerator: Poly) -> LogConnection:
+    """The connection on ``bundle`` whose only nonzero residue entries are
+    the (12) residues of the cleared numerator ``numerator``:
+    ``numerator(z_i) / prod_{j != i} (z_i - z_j)``."""
+    _, partials = CFG.pole_products()
+    return LogConnection(bundle, [((0, numerator(zi) / p(zi)), (0, 0)) for zi, p in zip(CFG.z, partials)])
+
+
+class TestLimitMarkedZerosFromResidues:
+    """A limit builds its E0 datum from theta's coefficients and the zero
+    (12) residues of the triple: the public constructor, with its product
+    with the inverse numerator map, and the shrunk numerator polynomial are
+    the oracles."""
+
+    def test_residue_zeros_match_inverse_product(self):
+        rng = random.Random(83)
+        with_zeros, bundles = 0, set()
+        for t in _limit_inputs(rng):
+            res = cstar_limit(t, rand_nonspecial_weight(rng, total_below=1))
+            (e0,) = [c.higgs for c in res.candidates if c.name == "E0"]
+            bound = 2 if e0.bundle == B else 0
+            expected = t.connection.numerator(0, 1, CFG).shrink(bound)
+            assert (e0.theta.coeffs, e0.theta.bound) == (expected.coeffs, bound)
+            assert e0.marked_zeros == higgslimit._zeros_at_marked_points(e0.theta.coeffs, CFG)
+            oracle = StronglyParabolicHiggs(e0.bundle, e0.structure, expected, CFG)
+            assert oracle.marked_zeros == e0.marked_zeros
+            with_zeros += bool(e0.marked_zeros)
+            bundles.add(e0.bundle)
+        assert bundles == {B, BPRIME}
+        assert with_zeros > 20, with_zeros
+
+    # hand-built triples on which the limit fails, with the exception type
+    # and text of the numerator-polynomial path: N12 above its bound on B and
+    # on B', an infinite flag where theta does not vanish, and a zero theta
+    FAILURES = [
+        (B, [1, 2, 3, 5, 7], Poly([1, 0, 0, 1]), ExactError,
+         "polynomial has degree 3, cannot bound by 2"),
+        (BPRIME, [1, 2, 3, 5, 7], Poly([1, 1]), ExactError,
+         "polynomial has degree 1, cannot bound by 0"),
+        (B, [1, INF, 3, 5, 7], Poly([1, 0, 1]), HiggsError,
+         "flag at point 2 must lie on the lower summand where theta is nonzero"),
+        (B, [1, 2, 3, 5, 7], Poly.zero(), HiggsError,
+         "upper off-diagonal data vanishes: the triple is reducible"),
+    ]
+
+    @pytest.mark.parametrize(
+        "bundle, flags, numerator, exc, text", FAILURES,
+        ids=["N12-degree-3-on-B", "N12-degree-1-on-Bprime", "infinite-flag-off-zero", "zero-theta"],
+    )
+    def test_failures_keep_type_and_text(self, bundle, flags, numerator, exc, text):
+        rng = random.Random(89)
+        conn = _upper_connection(bundle, numerator)
+        assert conn.numerator(0, 1, CFG) == numerator
+        t = FlatTriple(ParabolicStructure(bundle, flags), rand_nonspecial_spectrum(rng, d=1), conn, CFG)
+        with pytest.raises(exc) as info:
+            cstar_limit(t, rand_nonspecial_weight(rng, total_below=1))
+        assert (type(info.value), str(info.value)) == (exc, text)
+        if exc is ExactError:
+            with pytest.raises(ExactError) as info:
+                theta_from_connection(conn, CFG)
+            assert (type(info.value), str(info.value)) == (exc, text)
+        else:
+            assert theta_from_connection(conn, CFG) == numerator
