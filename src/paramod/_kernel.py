@@ -15,8 +15,12 @@ and integers throughout: the contact rows, margins and witness search of
 ``stability``, and the solve, the residues, the triple and its validation in
 ``connection``.  The connection solve reads its pivots and vectors off
 closed forms on moment rows and eliminates with ``mat_solve_affine`` only
-on the even split; ``t_addmul`` builds a triple's residues and checks its
-eigenlines with one normalization per entry.  ``exactnum.Scalar`` wraps a
+on the even split; ``t_addmul`` builds a triple's residues with one
+normalization per entry.  Some callers compare without normalizing:
+``connection.validate_triple`` tests traces and eigenlines as
+``t_addmul_raw`` forms against ``t_same``, and it and
+``higgslimit.theta_from_connection`` zero-test numerator coefficients
+with ``zi_dot`` on cleared residues.  ``exactnum.Scalar`` wraps a
 triple (``Scalar._t``) and is what the public accessors, the JSON output
 and the error messages show.
 """
@@ -69,6 +73,25 @@ def t_addmul(c, x, y):
     ca, cb, cd = c
     d = d1 * d2
     return t_norm(ca * d + (a1 * a2 - b1 * b2) * cd, cb * d + (a1 * b2 + b1 * a2) * cd, cd * d)
+
+
+def t_addmul_raw(c, x, y):
+    """``c + x*y`` as ``t_addmul`` forms it, left unnormalized over a
+    positive denominator, for ``t_same``; ``c`` itself when ``x`` or ``y``
+    is zero."""
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if not (a1 or b1) or not (a2 or b2):
+        return c
+    ca, cb, cd = c
+    d = d1 * d2
+    return (ca * d + (a1 * a2 - b1 * b2) * cd, cb * d + (a1 * b2 + b1 * a2) * cd, cd * d)
+
+
+def t_same(x, y):
+    """Whether two triples, normalized or not, are equal: their cross
+    products with the other's denominator agree."""
+    return x[0] * y[2] == y[0] * x[2] and x[1] * y[2] == y[1] * x[2]
 
 
 def t_neg(x):

@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 
 from .exactnum import ExactError, PreconditionError, ProjectivePoint, Scalar, sc
@@ -365,6 +366,15 @@ def _fiber_rows(cfg):
         yield [name, res.point.component, str(dim)]
 
 
+def _int_option(text: str) -> int:
+    """An integer option in ASCII digits after an optional sign, padding
+    allowed, as in a scalar; ``int`` alone also takes other Unicode digits
+    and underscores."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"malformed integer {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .parastruct import NPOINTS
 
@@ -387,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "nu" in flags:
             p.add_argument("--nu", required=True, help="five eigenvalue pairs 'p,m;p,m;...'")
         if "d" in flags:
-            p.add_argument("--d", type=int, required=True, help="degree")
+            p.add_argument("--d", type=_int_option, required=True, help="degree")
         if "json" in flags:
             p.add_argument("--json", required=True, help="input payload file")
         p.add_argument("--out", help="output file (default: stdout)")
@@ -409,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     points = range(1, NPOINTS + 1)
     p = common(sub.add_parser("elm-weight"), "w")
     p.add_argument(
-        "--j", type=int, choices=points, required=True, help="marked point index, 1-based"
+        "--j", type=_int_option, choices=points, required=True, help="marked point index, 1-based"
     )
     p.set_defaults(fn=cmd_elm_weight)
     p = common(sub.add_parser("elm-spectrum"), "nu", "d")
-    p.add_argument("--j", type=int, choices=points, required=True)
+    p.add_argument("--j", type=_int_option, choices=points, required=True)
     p.set_defaults(fn=cmd_elm_spectrum)
     p = common(sub.add_parser("mc"), "nu", "d")
     p.add_argument("--sigma", required=True, help="five signs, e.g. ++-+-")

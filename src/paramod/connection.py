@@ -36,12 +36,14 @@ the trace or the eigenline check fails.
 
 The residues, the ``(C_i, D_i)`` parts and the solved vectors are
 ``_kernel`` triples from the solve to the validation: a triple's residues
-are ``C_i + x_i D_i`` summed on triples, and ``validate_triple`` checks
-them on triples.  Scalars begin at the public accessors
-(``LogConnection.residues``, the tail and ``numerator`` polynomials), at
-``to_json`` and in the violation messages.  The frame changes
-``elm_triple`` and ``gauge_transform`` act on the residue and tail triples
-as well.
+are ``C_i + x_i D_i`` summed on triples.  ``validate_triple`` decides on
+cleared integers: traces and eigenlines as cross-multiplied identities of
+unnormalized triples, each diagonal sum and each off-diagonal row above
+its bound on the residues cleared once, with no gcd taken.  Scalars begin
+at the public accessors (``LogConnection.residues``, the tail and
+``numerator`` polynomials), at ``to_json`` and in the violation messages.
+The frame changes ``elm_triple`` and ``gauge_transform`` act on the
+residue and tail triples as well.
 """
 
 from __future__ import annotations
@@ -52,9 +54,11 @@ from typing import NamedTuple
 from ._kernel import (
     T_ONE,
     T_ZERO,
+    ZI_ZERO,
     mat_solve_affine,
     t_add,
     t_addmul,
+    t_addmul_raw,
     t_clear,
     t_div,
     t_inv,
@@ -62,7 +66,9 @@ from ._kernel import (
     t_mul,
     t_neg,
     t_norm,
+    t_same,
     t_sub,
+    zi_dot,
 )
 from .exactnum import INF, ExactError, Poly, ProjectivePoint, Scalar, json_list, sc
 from .parastruct import (
@@ -227,7 +233,11 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
     nonzero one is the degree a violation prints; with none, the numerator
     meets the bound whatever it is.  The (21) tail adds
     ``G21 * prod (z - z_j)``, of degree at most the (21) bound, so the
-    residue part alone decides a degree above the bound."""
+    residue part alone decides a degree above the bound.  No check
+    normalizes: ``x == y`` is ``t_same`` on unnormalized forms, a diagonal
+    sum is tested on its cleared residues, and a numerator row is the
+    ``zi_dot`` of a forward-map row with them; the determinant and the
+    Scalars of a message are formed only on failure."""
     v: list[str] = []
     bundle = t.connection.bundle
     d0, d1 = bundle.d0, bundle.d1
@@ -240,13 +250,15 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
         zip(res, t.spectrum.nu, t.structure.flags)
     ):
         p, m, l = p._t, m._t, u.lam._t
-        trace = t_add(a11, a22) == t_add(p, m)
+        trace = t_same(t_addmul_raw(a11, a22, T_ONE), t_addmul_raw(p, m, T_ONE))
         if u.is_infinity():
             # the flag [0 : 1]
             eigen = a12 == T_ZERO and a22 == p
         else:
             # the flag [1 : l]
-            eigen = t_addmul(a11, a12, l) == p and t_addmul(a21, a22, l) == t_mul(p, l)
+            eigen = t_same(t_addmul_raw(a11, a12, l), p) and t_same(
+                t_addmul_raw(a21, a22, l), t_addmul_raw(T_ZERO, p, l)
+            )
         if not trace:
             v.append(f"trace at point {i + 1} is not nu+ + nu-")
         if not (trace and eigen) and t_sub(t_mul(a11, a22), t_mul(a12, a21)) != t_mul(p, m):
@@ -254,17 +266,18 @@ def validate_triple(t: FlatTriple) -> tuple[bool, list[str]]:
         if not eigen:
             v.append(f"flag at point {i + 1} is not a nu+ eigenline")
     for r, d in ((0, d0), (1, d1)):
-        total = _t_sum([m[r][r] for m in res])
-        if total != (-d, 0, 1):
+        cleared, den = t_clear([m[r][r] for m in res])
+        if sum(x for x, _ in cleared) != -d * den or sum(y for _, y in cleared) != 0:
+            total = _t_sum([m[r][r] for m in res])
             v.append(f"sum of A{r + 1}{r + 1} residues is {Scalar._wrap(total)}, expected {-d}")
-    (fwd, den), _ = t.cfg.numerator_maps()
+    (fwd, _), _ = t.cfg.numerator_maps()
     for (r, c), bound in offdiag_bounds(bundle):
         if bound >= NPOINTS - 1:
             continue
-        low = max(bound + 1, 0)
-        top = t_matvec(fwd[low:], den, [m[r][c] for m in res])
+        xs = t_clear([m[r][c] for m in res])[0]
         # a zero numerator meets every bound, even one below -1
-        deg = max((low + k for k, (a, b, _) in enumerate(top) if a or b), default=None)
+        top = range(max(bound + 1, 0), NPOINTS)
+        deg = max((k for k in top if zi_dot(fwd[k], xs) != ZI_ZERO), default=None)
         if deg is not None:
             v.append(f"({r + 1}{c + 1}) numerator degree {deg} exceeds {bound}")
     return (not v, v)
@@ -388,11 +401,14 @@ def solve_connection_space(
     For each later finite column ``f``, ``v_f = e_f - sum_{i in P}
     l_i(z_f) e_i`` with ``l_i`` the Lagrange basis on ``P`` has vanishing
     moments, because interpolation on ``P`` is exact up to degree ``J``;
-    the ``v_f`` span ``ker V = {x_i = W_i q(z_i)}``.  The (22) row reads
-    ``sigma_f = t_f - sum_{i in P} l_i(z_f) t_i`` on ``v_f``: the distance of
-    the flag at ``z_f`` from the interpolant of the base flags, which is
-    ``prod_{i in P} (z_f - z_i)`` times the divided difference
-    ``L(u)`` of the flags on ``P + {f}``.  On the columns up to ``f`` the
+    the ``v_f`` span ``ker V = {x_i = W_i q(z_i)}``.  The values
+    ``-l_i(z_f)`` depend only on the points, ``P`` and the later columns,
+    so they are read from the configuration
+    (``MarkedConfiguration.lagrange_rows``), which keeps them per pattern.
+    The (22) row reads ``sigma_f = t_f - sum_{i in P} l_i(z_f) t_i`` on
+    ``v_f``: the distance of the flag at ``z_f`` from the interpolant of the
+    base flags, which is ``prod_{i in P} (z_f - z_i)`` times the divided
+    difference ``L(u)`` of the flags on ``P + {f}``.  On the columns up to ``f`` the
     moment rows have the kernel spanned by the ``v_g`` with ``g <= f``, so
     the (22) row adds its pivot ``p`` at the first ``f`` with
     ``sigma_f != 0``.  With it the particular solution is
@@ -429,24 +445,19 @@ def solve_connection_space(
         if full is None:
             return None
         return ConnectionSpace(structure, cfg, nu, labels, *full, parts)
-    zs = [z._t for z in cfg.z]
     ts = [D[1][1] for _, D in parts]
-    finite = [i for i, u in enumerate(structure.flags) if not u.is_infinity()]
+    finite = tuple(i for i, u in enumerate(structure.flags) if not u.is_infinity())
     base, later = finite[: min(b, 4) + 1], finite[min(b, 4) + 1 :]
-    # the divided-difference weights W_i of the base nodes
-    weights = [
-        t_inv(_t_prod([t_sub(zs[i], zs[k]) for k in base if k != i])) for i in base
-    ]
     ncols = len(labels)
-    # v_f: 1 at f and -l_i(z_f) = -W_i prod_{k != i} (z_f - z_k) at the base
-    # nodes i; sigma_f is the (22) row on v_f
+    # v_f: 1 at f and -l_i(z_f) at the base nodes i; sigma_f is the (22) row
+    # on v_f
     kernel, sigma = {}, {}
-    for f in later:
+    for f, row in zip(later, cfg.lagrange_rows(base, later)):
         vec = [T_ZERO] * ncols
         vec[f], sigma[f] = T_ONE, ts[f]
-        for i, w in zip(base, weights):
-            vec[i] = t_neg(_t_prod([w] + [t_sub(zs[f], zs[k]) for k in base if k != i]))
-            sigma[f] = t_addmul(sigma[f], vec[i], ts[i])
+        for i, x in zip(base, row):
+            vec[i] = x
+            sigma[f] = t_addmul(sigma[f], x, ts[i])
         kernel[f] = vec
     pivot = next((f for f in later if sigma[f] != T_ZERO), None)
     if pivot is None:
@@ -493,14 +504,6 @@ def _t_sum(xs):
     # the sum of the triples xs, with one normalization
     cleared, den = t_clear(xs)
     return t_norm(sum(x for x, _ in cleared), sum(y for _, y in cleared), den)
-
-
-def _t_prod(xs):
-    # the product of the triples xs, with one normalization
-    a, b, d = T_ONE
-    for x, y, e in xs:
-        a, b, d = a * x - b * y, a * y + b * x, d * e
-    return t_norm(a, b, d)
 
 
 def _divide_linear(coeffs, a):

@@ -249,7 +249,7 @@ def _parse_rat(s: str) -> tuple[int, int]:
     return int(s), 1
 
 
-_RAT_RE = _re.compile(r"[+-]?\d+(?:/\d+)?")
+_RAT_RE = _re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _rat_str(a: int, d: int) -> str:

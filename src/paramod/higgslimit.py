@@ -31,7 +31,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from ._kernel import T_ZERO, t_matvec
+from ._kernel import T_ZERO, ZI_ZERO, t_clear, t_matvec, t_norm, zi_dot
 from .connection import FlatTriple, LogConnection, offdiag_bounds
 from .exactnum import (
     INF,
@@ -195,17 +195,21 @@ def _lower_contact(structure) -> set[int]:
 def theta_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly:
     """The cleared (12) numerator of a connection, bounded by the Higgs
     degree of its bundle (2 on B, 0 on B'); holomorphy of the input makes the
-    higher coefficients vanish.  One product of the forward numerator map
-    with the (12) residue triples gives all five coefficients, so theta is
-    the whole numerator and ``theta(z_i) = A12_i prod_{j != i} (z_i - z_j)``;
-    a nonzero coefficient above the bound raises ``ExactError`` with the text
-    of ``Poly.shrink``."""
+    higher coefficients vanish.  The rows of the forward numerator map,
+    applied to the (12) residues cleared once, give the five coefficients as
+    Gaussian integers, so theta is the whole numerator and ``theta(z_i) =
+    A12_i prod_{j != i} (z_i - z_j)``: the rows above the bound are only
+    tested for zero, and a nonzero one raises ``ExactError`` with the text
+    of ``Poly.shrink``; the ``bound + 1`` below it are normalized."""
     bound = max(offdiag_bounds(conn.bundle)[0][1], -1)
-    num = conn._residue_numerator(0, 1, cfg)
-    deg = max((k for k, (a, b, _) in enumerate(num) if a or b), default=-1)
+    (rows, den), _ = cfg.numerator_maps()
+    xs, d = t_clear([m[0][1] for m in conn._res])
+    top = range(bound + 1, len(rows))
+    deg = max((k for k in top if zi_dot(rows[k], xs) != ZI_ZERO), default=-1)
     if deg > bound:
         raise ExactError(f"polynomial has degree {deg}, cannot bound by {bound}")
-    return Poly([Scalar._wrap(x) for x in num[: bound + 1]], bound=bound)
+    coeffs = [Scalar._wrap(t_norm(*zi_dot(row, xs), den * d)) for row in rows[: bound + 1]]
+    return Poly(coeffs, bound=bound)
 
 
 class _FixedPointFields(NamedTuple):

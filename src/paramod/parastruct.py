@@ -64,19 +64,21 @@ class MarkedConfiguration:
     """Five pairwise distinct finite real marked points on the affine line.
 
     Instances are immutable, so the pole products of ``pole_products``, the
-    maps of ``numerator_maps`` and the integer nodes of ``node_weights`` are
-    built once, on first use, and kept in the ``_poles``, ``_maps`` and
-    ``_nodes`` slots for the life of the configuration.
+    maps of ``numerator_maps``, the integer nodes of ``node_weights`` and the
+    Lagrange rows of ``lagrange_rows`` are built once, on first use, and kept
+    in the ``_poles``, ``_maps``, ``_nodes`` and ``_lagrange`` slots for the
+    life of the configuration; ``_lagrange`` is a dict, made by the first
+    connection solve, of one tuple of rows per node pattern.
     ``numerator_maps`` is the one passage between the residues of a
-    connection entry and its cleared numerator: ``validate_triple`` tests
-    the top coefficients with rows of the forward map,
-    ``LogConnection.numerator`` and ``higgslimit.theta_from_connection``
-    apply it, and ``higgslimit`` finds the marked zeros of a Higgs field
-    given by its theta alone with the inverse one.  The node polynomial of
+    connection entry and its cleared numerator: ``validate_triple`` and
+    ``higgslimit.theta_from_connection`` test the top coefficients with
+    rows of the forward map, ``LogConnection.numerator`` and theta's lower
+    coefficients apply it, and ``higgslimit`` finds the marked zeros of a
+    Higgs field given by its theta alone with the inverse one.  The node polynomial of
     ``pole_products`` carries the tail of ``LogConnection.numerator``.
     """
 
-    __slots__ = ("z", "_poles", "_maps", "_nodes")
+    __slots__ = ("z", "_poles", "_maps", "_nodes", "_lagrange")
 
     def __init__(self, z):
         zs = tuple(sc(x) for x in z)
@@ -90,6 +92,7 @@ class MarkedConfiguration:
         self._poles = None
         self._maps = None
         self._nodes = None
+        self._lagrange = None
 
     def pole_products(self) -> tuple[Poly, tuple[Poly, ...]]:
         """The node polynomial ``prod_j (z - z_j)`` and the five products
@@ -132,6 +135,27 @@ class MarkedConfiguration:
             scale = lcm(*prods)
             self._nodes = (z, tuple(scale // p for p in prods))
         return self._nodes
+
+    def lagrange_rows(self, base: tuple[int, ...], later: tuple[int, ...]):
+        """For each marked point ``f`` of ``later``, the triples ``-l_i(z_f)``,
+        ``i`` in ``base``, of the Lagrange basis ``l_i`` on the points of
+        ``base``: ``-prod_{k != i} (Z_f - Z_k) / prod_{k != i} (Z_i - Z_k)`` on
+        the cleared points of ``node_weights``, which the common scale
+        leaves unchanged.  Kept per ``(base, later)``: a repeat, or a race
+        that builds an entry twice, finds the same tuples."""
+        if self._lagrange is None:
+            self._lagrange = {}
+        rows = self._lagrange.get((base, later))
+        if rows is None:
+            z = self.node_weights()[0]
+
+            def minus_l(i, f):
+                zs = [z[k] for k in base if k != i]
+                return t_norm(-prod(z[f] - x for x in zs), 0, prod(z[i] - x for x in zs))
+
+            rows = tuple(tuple(minus_l(i, f) for i in base) for f in later)
+            self._lagrange[base, later] = rows
+        return rows
 
     def to_json(self):
         return {"z": [str(x) for x in self.z]}

@@ -49,7 +49,10 @@ difference in every column is the reference for the kernel's one
 normalization per update over the pivot row's nonzero columns; the
 connection solve through ``Mat.solve_affine`` with every row entry a Scalar,
 the triple summed on Scalars and the validation on Scalars are the
-references for the connection pipeline on triples, and the solved connection
+references for the connection pipeline on triples, the validation on
+normalized triples the reference for the one on cleared integers, the
+Lagrange values rebuilt on triples at every solve the reference for the
+rows a configuration keeps, and the solved connection
 space on the generic B' structure the reference for the F0 fiber dimension
 read off without a solve.  One inverse of the contact rows, with the
 contact-kernel walk when they are singular, and the walk alone for each of
@@ -71,16 +74,20 @@ from paramod._kernel import (
     T_ZERO,
     ZI_ZERO,
     mat_rref,
+    t_add,
+    t_addmul,
     t_clear,
     t_div,
     t_inv,
     t_matvec,
     t_mul,
     t_neg,
+    t_norm,
     t_sub,
     zi_dot,
 )
 from paramod.connection import (
+    _t_sum,
     ConnectionError,
     FlatTriple,
     LogConnection,
@@ -1263,6 +1270,73 @@ def oracle_validate_triple(t) -> tuple[bool, list[str]]:
         if not num.is_zero() and num.degree() > bound:
             v.append(f"({r + 1}{c + 1}) numerator degree {num.degree()} exceeds {bound}")
     return (not v, v)
+
+
+def oracle_validate_on_triples(t) -> tuple[bool, list[str]]:
+    """``validate_triple`` on normalized triples: each trace, eigenline and
+    diagonal sum formed and normalized, then compared as tuples, and the
+    off-diagonal rows above the bound normalized by ``t_matvec``."""
+    v: list[str] = []
+    bundle = t.connection.bundle
+    d0, d1 = bundle.d0, bundle.d1
+    res = t.connection._res
+    if t.structure.bundle != bundle:
+        v.append("structure and connection bundles differ")
+    if t.spectrum.d != d0 + d1:
+        v.append(f"spectrum degree {t.spectrum.d} != bundle degree {d0 + d1}")
+    for i, (((a11, a12), (a21, a22)), (p, m), u) in enumerate(
+        zip(res, t.spectrum.nu, t.structure.flags)
+    ):
+        p, m, l = p._t, m._t, u.lam._t
+        trace = t_add(a11, a22) == t_add(p, m)
+        if u.is_infinity():
+            eigen = a12 == T_ZERO and a22 == p
+        else:
+            eigen = t_addmul(a11, a12, l) == p and t_addmul(a21, a22, l) == t_mul(p, l)
+        if not trace:
+            v.append(f"trace at point {i + 1} is not nu+ + nu-")
+        if not (trace and eigen) and t_sub(t_mul(a11, a22), t_mul(a12, a21)) != t_mul(p, m):
+            v.append(f"determinant at point {i + 1} is not nu+ * nu-")
+        if not eigen:
+            v.append(f"flag at point {i + 1} is not a nu+ eigenline")
+    for r, d in ((0, d0), (1, d1)):
+        total = _t_sum([m[r][r] for m in res])
+        if total != (-d, 0, 1):
+            v.append(f"sum of A{r + 1}{r + 1} residues is {Scalar._wrap(total)}, expected {-d}")
+    (fwd, den), _ = t.cfg.numerator_maps()
+    for (r, c), bound in offdiag_bounds(bundle):
+        if bound >= NPOINTS - 1:
+            continue
+        low = max(bound + 1, 0)
+        top = t_matvec(fwd[low:], den, [m[r][c] for m in res])
+        deg = max((low + k for k, (a, b, _) in enumerate(top) if a or b), default=None)
+        if deg is not None:
+            v.append(f"({r + 1}{c + 1}) numerator degree {deg} exceeds {bound}")
+    return (not v, v)
+
+
+def _t_prod(xs):
+    # the product of the triples xs, with one normalization
+    a, b, d = T_ONE
+    for x, y, e in xs:
+        a, b, d = a * x - b * y, a * y + b * x, d * e
+    return t_norm(a, b, d)
+
+
+def oracle_lagrange_rows(cfg, base, later):
+    """``MarkedConfiguration.lagrange_rows`` rebuilt on triples at every
+    call, as the connection solve once did: the weights ``W_i = 1 /
+    prod_{k != i} (z_i - z_k)`` of the base nodes, then ``-l_i(z_f) = -W_i
+    prod_{k != i} (z_f - z_k)`` for each later point ``f``."""
+    zs = [z._t for z in cfg.z]
+    weights = [t_inv(_t_prod([t_sub(zs[i], zs[k]) for k in base if k != i])) for i in base]
+    return tuple(
+        tuple(
+            t_neg(_t_prod([w] + [t_sub(zs[f], zs[k]) for k in base if k != i]))
+            for i, w in zip(base, weights)
+        )
+        for f in later
+    )
 
 
 def sample_universe(cfg, generic):

@@ -382,6 +382,54 @@ class TestExitCodes:
         assert not failures, failures
         assert n_argv > 100 and n_json > 1000
 
+    def test_numbers_are_ascii_digits(self, capsys, tmp_path, monkeypatch):
+        # a number is written in ASCII digits: a fullwidth or an Arabic-Indic
+        # digit in --z, --u, --d, --j or a JSON scalar is malformed (2), while
+        # a plus sign, a negative zero and padding spell the number they pad
+        monkeypatch.chdir(tmp_path)
+        u0 = "inf,1/2,0,3,4"
+
+        def classify(z, u):
+            return run(capsys, "classify", "--bundle", "B", "--z", z, "--u", u)
+
+        code, plain = classify(Z, u0)
+        assert code == 0
+        for z, u in (
+            ("0,１,2,3,4", u0),
+            ("0,1,2,3,٤", u0),
+            (Z, "inf,1/2,0,٣,4"),
+            (Z, "inf,1/２,0,3,4"),
+            (Z, "inf,1/+2,0,3,4"),
+        ):
+            assert classify(z, u) == (2, ""), (z, u)
+        for z, u in (
+            ("+0, 1,2,3,4", u0),
+            (Z, "inf,+1/2,-0,3, 4"),
+            ("0,1,2,3,4 ", " inf,1/2,-0,3,4"),
+        ):
+            assert classify(z, u) == (0, plain), (z, u)
+        for cmd, value, bad, good in (
+            (["spectrum", "--nu", NU1, "--d"], "1", ("١", "1_0", "1.0"), (" +1", "01")),
+            (["elm-weight", "--w", W_SMALL, "--j"], "3", ("٣", "3_"), ("+3", "3 ")),
+        ):
+            code, plain = run(capsys, *cmd, value)
+            assert code == 0
+            for other in bad:
+                assert run(capsys, *cmd, other) == (2, ""), other
+            for other in good:
+                assert run(capsys, *cmd, other) == (0, plain), other
+        point = {"component": "F1", "chart": "bottom", "theta": ["0", "-9/2", "1"]}
+        (tmp_path / "p.json").write_text(json.dumps(point))
+        code, plain = run(capsys, "canonicalize", "--json", "p.json", "--z", Z)
+        assert code == 0
+        for theta, want in (
+            (["0", "-9/2", "１"], (2, "")),
+            (["-0", "-9/٢", "1"], (2, "")),
+            (["-0", " -9/2", "+1"], (0, plain)),
+        ):
+            (tmp_path / "p.json").write_text(json.dumps({**point, "theta": theta}))
+            assert run(capsys, "canonicalize", "--json", "p.json", "--z", Z) == want, theta
+
     def test_contradictory_fixed_points(self, capsys, tmp_path, monkeypatch):
         # both chart data on one point, or a tangent on a line point, is
         # malformed (2); a flag choice where theta does not vanish contradicts

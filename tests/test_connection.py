@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -11,10 +11,13 @@ from helpers import (
     oracle_elm_triple,
     oracle_gauge_dims,
     oracle_gauge_transform,
+    oracle_lagrange_rows,
     oracle_solve_connection_space,
     oracle_triple_at,
+    oracle_validate_on_triples,
     oracle_validate_triple,
     rand_config,
+    rand_mixed_config,
     rand_nonspecial_spectrum,
     rand_nonspecial_weight,
     rand_rational,
@@ -43,8 +46,10 @@ from paramod.parastruct import (
     MarkedConfiguration,
     ParabolicStructure,
     bprime_generic_representative,
+    classify,
 )
 from paramod.spectra import SpectrumRank2, elm_spectrum
+from paramod.stability import WeightVector, is_stable
 
 CFG = MarkedConfiguration([0, 1, 2, 3, 4])
 
@@ -527,6 +532,152 @@ class TestValidateTriple:
         ok, violations = validate_triple(FlatTriple(s, swapped, conn, CFG))
         assert not ok
         assert any("eigenline" in msg for msg in violations)
+
+
+def _config_at_height(rng, h):
+    # five distinct real points, numerators and denominators up to h
+    while True:
+        zs = [Scalar.rational(rng.randrange(-h, h + 1), rng.randrange(1, h + 1)) for _ in range(5)]
+        if len(set(zs)) == 5:
+            return MarkedConfiguration(zs)
+
+
+class TestLagrangeRows:
+    """The values ``-l_i(z_f)`` that a configuration keeps for the solve,
+    against their rebuild on triples at every call."""
+
+    def test_every_pattern_matches_the_rebuild(self):
+        # every finite-flag pattern with at least J + 2 finite flags, J = b,
+        # at heights 10, 10^6 and 10^30; the second call finds the same rows
+        rng = random.Random(41)
+        checked = 0
+        for h in (10, 10**6, 10**30):
+            cfg = _config_at_height(rng, h)
+            assert cfg._lagrange is None
+            for b in (1, 2, 3):
+                for n in range(b + 2, 6):
+                    for finite in combinations(range(5), n):
+                        base, later = finite[: b + 1], finite[b + 1 :]
+                        rows = cfg.lagrange_rows(base, later)
+                        assert rows == oracle_lagrange_rows(cfg, base, later), (h, finite)
+                        assert cfg.lagrange_rows(base, later) is rows
+                        checked += 1
+            assert len(cfg._lagrange) == 23
+        assert checked == 3 * 23
+
+    def test_first_solve_makes_the_slot_and_a_repeat_hits_it(self):
+        # classify and is_stable leave the slot empty; the solve fills one
+        # entry, and a repeated solve reads it and returns the same space
+        cfg = MarkedConfiguration([0, 1, 2, 3, 4])
+        s = ParabolicStructure(B, [INF, 1, 2, 3, 7])
+        classify(s, cfg)
+        is_stable(s, cfg, WeightVector([sc(1) / 10] * 4 + [sc(1) / 3]))
+        assert cfg._lagrange is None
+        nu = SpectrumRank2([(sc(1) / 4, -sc(1) / 4)] * 4 + [(sc(1) / 4, -sc(5) / 4)], 1)
+        first = solve_connection_space(s, cfg, nu)
+        key = ((1, 2), (3, 4))
+        assert list(cfg._lagrange) == [key]
+        rows = cfg._lagrange[key]
+        second = solve_connection_space(s, cfg, nu)
+        assert cfg._lagrange == {key: rows} and cfg._lagrange[key] is rows
+        fresh = solve_connection_space(s, MarkedConfiguration([0, 1, 2, 3, 4]), nu)
+        for space in (second, fresh):
+            assert (space.particular, space.basis) == (first.particular, first.basis)
+
+    def test_configurations_keep_their_own_rows(self):
+        # two configurations at height 10^30 solved in turn, each solve
+        # against the Scalar oracle: neither reads the other's rows, and an
+        # equal configuration starts empty
+        rng = random.Random(43)
+        cfgs = [_config_at_height(rng, 10**30) for _ in range(2)]
+        s = ParabolicStructure(B, [rand_rational(rng, -30, 30, 6) for _ in range(5)])
+        nu = spectrum_deg1(rng)
+        for cfg in (*cfgs, *cfgs):
+            _check_against_scalar_oracles(s, cfg, nu, [1, 2])
+        key = ((0, 1), (2, 3, 4))
+        assert cfgs[0]._lagrange is not cfgs[1]._lagrange
+        assert cfgs[0]._lagrange[key] != cfgs[1]._lagrange[key]
+        for cfg in cfgs:
+            assert cfg._lagrange == {key: oracle_lagrange_rows(cfg, *key)}
+        twin = MarkedConfiguration(cfgs[0].z)
+        assert twin == cfgs[0] and twin._lagrange is None
+
+
+def _gaussian(rng):
+    # a Gaussian rational with a nonzero imaginary part
+    a, b = rng.randrange(-30, 31), rng.choice([-3, -1, 2, 5])
+    return Scalar.gaussian(a, rng.randrange(1, 6), b, rng.randrange(1, 4))
+
+
+class TestValidationOnIntegers:
+    """``validate_triple`` on cleared integers against the validation on
+    normalized triples and on Scalars: the same violations in the same
+    order."""
+
+    def test_perturbed_triples(self):
+        # solved triples on B, B', (0, 0) and (-1, 1) with real and Gaussian
+        # flags and spectra (a zero flag at point 2, an infinite one at
+        # point 5 off B'); each of the 20 residue entries moved by 1, i and
+        # 10^-30, and each point moved along its free direction D_i, which
+        # shifts the diagonal sums or, at the zero flag and the infinite
+        # one, the (12) or (21) entry alone; the Gaussian base triples'
+        # imaginary diagonal parts cancel only in their sums
+        rng = random.Random(47)
+        deltas = (sc(1), Scalar.gaussian(0, 1, 1, 1), Scalar.rational(1, 10**30))
+        fired, checked, invalid, imaginary = set(), 0, 0, 0
+        for bundle in (B, BPRIME, BundleSplitType(0, 0), BundleSplitType(-1, 1)):
+            for draw in (rand_rational, _gaussian):
+                cfg = rand_mixed_config(rng)
+                while True:
+                    flags = [draw(rng), 0] + [draw(rng) for _ in range(3)]
+                    if bundle != BPRIME:
+                        flags[4] = INF
+                    nu = [(draw(rng), draw(rng)) for _ in range(5)]
+                    rest = sum((p + m for p, m in nu[:4]), nu[4][0])
+                    nu[4] = (nu[4][0], -sc(bundle.degree) - rest)
+                    s, nu = ParabolicStructure(bundle, flags), SpectrumRank2(nu, bundle.degree)
+                    space = solve_connection_space(s, cfg, nu)
+                    if space is not None:
+                        break
+                t = space.triple_at([draw(rng) for _ in range(space.dim)])
+                assert validate_triple(t) == (True, [])
+                conn = t.connection
+                imaginary += any(m[r][r][1] for m in conn._res for r in (0, 1))
+                moved = []
+                entries = ((0, 0), (0, 1), (1, 0), (1, 1))
+                for i, (r, c), delta in product(range(5), entries, deltas):
+                    mats = [list(map(list, m)) for m in conn.residues]
+                    mats[i][r][c] = mats[i][r][c] + delta
+                    moved.append(mats)
+                for i, (_, D) in enumerate(space.parts):
+                    mats = [list(map(list, m)) for m in conn.residues]
+                    mats[i] = [
+                        [a + Scalar._wrap(d) for a, d in zip(row, drow)]
+                        for row, drow in zip(mats[i], D)
+                    ]
+                    moved.append(mats)
+                for mats in moved:
+                    bad = FlatTriple(s, nu, LogConnection(bundle, mats, conn.tail), cfg)
+                    got = validate_triple(bad)
+                    assert got == oracle_validate_on_triples(bad) == oracle_validate_triple(bad)
+                    invalid += not got[0]
+                    for msg in got[1]:
+                        head = msg.split(" at point")[0].split(" residues")[0]
+                        fired.add(head.split(" degree")[0])
+                    checked += 1
+        # the moves that leave a triple valid: the (21) entry at the
+        # infinite flag on B and on (-1, 1), whose (21) bound is 4 or more
+        assert (checked, invalid) == (8 * 65, 8 * 65 - 2 * 2 * 4)
+        assert imaginary >= 4
+        assert fired == {
+            "trace",
+            "determinant",
+            "flag",
+            "sum of A11",
+            "sum of A22",
+            "(12) numerator",
+            "(21) numerator",
+        }, fired
 
 
 def _triples(vec):
