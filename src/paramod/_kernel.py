@@ -20,7 +20,11 @@ normalization per entry.  Some callers compare without normalizing:
 ``connection.validate_triple`` tests traces and eigenlines as
 ``t_addmul_raw`` forms against ``t_same``, and it and
 ``higgslimit.theta_from_connection`` zero-test numerator coefficients
-with ``zi_dot`` on cleared residues.  ``exactnum.Scalar`` wraps a
+with ``zi_dot`` on cleared residues.  ``t_divide_linear`` divides a
+polynomial by ``z - a``: ``connection.elm_triple`` divides the tail, and its
+remainder, the value at ``a``, evaluates the shift of a bundle automorphism
+at the marked points and the derivative of a Higgs field at its marked
+zeros.  ``exactnum.Scalar`` wraps a
 triple (``Scalar._t``) and is what the public accessors, the JSON output
 and the error messages show.
 """
@@ -86,6 +90,20 @@ def t_addmul_raw(c, x, y):
     ca, cb, cd = c
     d = d1 * d2
     return (ca * d + (a1 * a2 - b1 * b2) * cd, cb * d + (a1 * b2 + b1 * a2) * cd, cd * d)
+
+
+def t_divide_linear(coeffs, a):
+    """Synthetic division by ``z - a`` of the polynomial with the triple
+    coefficients ``coeffs``, lowest first: the quotient's coefficients and
+    the remainder, which is the value at ``a`` by Horner's rule, with one
+    normalization per coefficient."""
+    quot = [T_ZERO] * max(len(coeffs) - 1, 0)
+    carry = T_ZERO
+    for k in range(len(coeffs) - 1, -1, -1):
+        carry = t_addmul(coeffs[k], carry, a)
+        if k:
+            quot[k - 1] = carry
+    return quot, carry
 
 
 def t_same(x, y):

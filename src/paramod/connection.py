@@ -43,7 +43,12 @@ its bound on the residues cleared once, with no gcd taken.  Scalars begin
 at the public accessors (``LogConnection.residues``, the tail and
 ``numerator`` polynomials), at ``to_json`` and in the violation messages.
 The frame changes ``elm_triple`` and ``gauge_transform`` act on the
-residue and tail triples as well.
+residue and tail triples as well, and move the flags on triples:
+``gauge_transform`` moves them by the shift values ``s_i`` its
+conjugation already evaluated (``parastruct._moved_flags``, which ``act``
+shares), ``elm_triple`` by ``t_mul``/``t_div``, and its spectrum forms
+``1 + nu-`` on triples.  The results wrap their triples as Scalars without
+re-coercion (``Poly._of``).
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from ._kernel import (
     t_addmul_raw,
     t_clear,
     t_div,
+    t_divide_linear,
     t_inv,
     t_matvec,
     t_mul,
@@ -76,7 +82,8 @@ from .parastruct import (
     BundleSplitType,
     MarkedConfiguration,
     ParabolicStructure,
-    act,
+    StratumError,
+    _moved_flags,
     act_params_shift,
     point_index,
     stabilizer_dim,
@@ -143,7 +150,7 @@ class LogConnection:
             tail = Poly.zero(bound)
         if tail.degree() > bound:
             raise ConnectionError(f"tail degree {tail.degree()} exceeds bound {max_tail}")
-        self.tail = tail.shrink(bound)
+        self.tail = tail if tail.bound == bound else tail.shrink(bound)
 
     @property
     def residues(self):
@@ -346,10 +353,7 @@ class ConnectionSpace:
             )
             for (C, D), x in zip(self.parts, values)
         ]
-        tail = [Scalar._wrap(x) for x in values[NPOINTS:]]
-        return LogConnection._of(
-            self.structure.bundle, mats, Poly(tail, bound=len(tail) - 1) if tail else None
-        )
+        return LogConnection._of(self.structure.bundle, mats, Poly._of(values[NPOINTS:]))
 
 
 def _residue_parts(p, m, u: ProjectivePoint):
@@ -506,19 +510,6 @@ def _t_sum(xs):
     return t_norm(sum(x for x, _ in cleared), sum(y for _, y in cleared), den)
 
 
-def _divide_linear(coeffs, a):
-    """Synthetic division by ``z - a`` of the polynomial with the triple
-    coefficients ``coeffs``, lowest first: the quotient's coefficients and
-    the remainder, which is the value at ``a``."""
-    quot = [T_ZERO] * max(len(coeffs) - 1, 0)
-    carry = T_ZERO
-    for k in range(len(coeffs) - 1, -1, -1):
-        carry = t_add(coeffs[k], t_mul(carry, a))
-        if k:
-            quot[k - 1] = carry
-    return quot, carry
-
-
 def _polynomial_part(f, res, zs):
     """The coefficients, lowest first, of the polynomial part of
     ``f(z) * sum_i res_i / (z - z_i)``, which is
@@ -583,7 +574,7 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
         part21 = [_t_sum([m[1][0] for m in res])] + tail
         for k, c in enumerate(tail):
             part21[k] = t_sub(part21[k], t_mul(zj, c))
-        at_j, move = ProjectivePoint.finite(0), lambda v, zi: v * (zi - cfg.z[j])
+        at_j, move = ProjectivePoint.finite(0), lambda v, zi: t_mul(v, t_sub(zi, zj))
     else:
         # frame (e + t f, (z - z_j) f): (12) is multiplied, and the (21)
         # entry A21 + t (A22 - A11) - t^2 A12 divided
@@ -595,19 +586,19 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
         if mixed[j] != T_ZERO:
             raise ConnectionError("division would create a double pole")
         new_d = (bundle.d0, bundle.d1 - 1)
-        part21, tail_at_j = _divide_linear(tail, zj)
+        part21, tail_at_j = t_divide_linear(tail, zj)
         c11 = [t_add(m[0][0], t_mul(tv, m[0][1])) for m in res]
         c12 = [t_mul(m[0][1], t_sub(z, zj)) for m, z in zip(res, zs)]
         c21 = _divided_residues(mixed, zs, j, tail_at_j)
         c22 = [t_sub(m[1][1], t_mul(tv, m[0][1])) for m in res]
         c22[j] = t_add(c22[j], T_ONE)
         part12 = [_t_sum([m[0][1] for m in res])]
-        tval = u.value
-        at_j, move = INF, lambda v, zi: (v - tval) / (zi - cfg.z[j])
+        at_j, move = INF, lambda v, zi: t_div(t_sub(v, tv), t_sub(zi, zj))
     mats = [((a, b), (c, d)) for a, b, c, d in zip(c11, c12, c21, c22)]
     new_flags = [
-        at_j if i == j else ui if ui.is_infinity() else ProjectivePoint.finite(move(ui.value, zi))
-        for i, (ui, zi) in enumerate(zip(t.structure.flags, cfg.z))
+        at_j if i == j else ui if ui.is_infinity()
+        else ProjectivePoint.finite(Scalar._wrap(move(ui.lam._t, zi)))
+        for i, (ui, zi) in enumerate(zip(t.structure.flags, zs))
     ]
     if new_d[0] > new_d[1]:
         # only after a finite flag on an even split: swap the summands
@@ -618,7 +609,7 @@ def elm_triple(t: FlatTriple, j: int) -> FlatTriple:
     new_bundle = BundleSplitType(*new_d)
     if any(c != T_ZERO for c in part12):
         raise ConnectionError("entry (0, 1) acquired a polynomial part")
-    conn = LogConnection._of(new_bundle, mats, Poly([Scalar._wrap(x) for x in part21]))
+    conn = LogConnection._of(new_bundle, mats, Poly._of(part21))
     structure = ParabolicStructure(new_bundle, new_flags)
     return FlatTriple(structure, elm_spectrum(t.spectrum, j), conn, cfg)
 
@@ -649,9 +640,9 @@ def gauge_transform(t: FlatTriple, params) -> FlatTriple:
     if any(c != T_ZERO for c in _polynomial_part(s, [m[0][1] for m in res], zs)):
         raise ConnectionError("entry (0, 0) acquired a polynomial part")
     a, inv = a._t, t_inv(a._t)
+    shifts = [t_divide_linear(s, z)[1] for z in zs]
     mats, diff = [], []
-    for ((a11, a12), (a21, a22)), z in zip(res, zs):
-        si = _divide_linear(s, z)[1]
+    for ((a11, a12), (a21, a22)), si in zip(res, shifts):
         s12 = t_mul(si, a12)
         b22 = t_add(a22, s12)
         b21 = t_mul(inv, t_sub(t_add(a21, t_mul(si, t_sub(a11, a22))), t_mul(si, s12)))
@@ -664,6 +655,7 @@ def gauge_transform(t: FlatTriple, params) -> FlatTriple:
     ]
     tail = [c._t for c in t.connection.tail.coeffs]
     g21 = [t_mul(inv, t_add(x, y)) for x, y in zip_longest(tail, part, fillvalue=T_ZERO)]
-    conn = LogConnection._of(bundle, mats, Poly([Scalar._wrap(x) for x in g21]))
-    structure = act(bundle, params, t.structure, cfg)
-    return FlatTriple(structure, t.spectrum, conn, cfg)
+    conn = LogConnection._of(bundle, mats, Poly._of(g21))
+    if t.structure.bundle != bundle:
+        raise StratumError("structure lives on a different bundle")
+    return FlatTriple(_moved_flags(t.structure, shifts, a), t.spectrum, conn, cfg)

@@ -294,7 +294,11 @@ class ProjectivePoint:
 
     @classmethod
     def finite(cls, value) -> "ProjectivePoint":
-        return cls(ONE, sc(value))
+        """The point ``[1 : value]``, already canonical: no division by
+        ``kappa``."""
+        p = object.__new__(cls)
+        p.kappa, p.lam = ONE, sc(value)
+        return p
 
     @classmethod
     def infinity(cls) -> "ProjectivePoint":
@@ -308,7 +312,8 @@ class ProjectivePoint:
         return cls.finite(Scalar.parse(t))
 
     def is_infinity(self) -> bool:
-        return self.kappa.is_zero()
+        # kappa is 0 or 1
+        return self.kappa._t[0] == 0
 
     @property
     def value(self) -> Scalar:
@@ -355,6 +360,16 @@ class Poly:
         cs += [ZERO] * (bound + 1 - len(cs))
         self.coeffs = tuple(cs)
         self.bound = bound
+
+    @classmethod
+    def _of(cls, triples) -> "Poly":
+        """The polynomial with the ``_kernel`` triples ``triples`` as its
+        coefficients, lowest first, bounded by their number less one: no
+        coercion."""
+        p = object.__new__(cls)
+        p.coeffs = tuple(Scalar._wrap(x) for x in triples)
+        p.bound = len(p.coeffs) - 1
+        return p
 
     @classmethod
     def zero(cls, bound: int = -1) -> "Poly":

@@ -24,6 +24,18 @@ lets the flag leave the lower summand only at a marked zero of theta, so a
 fixed point's flag choices are checked against the marked zeros of its own
 theta; with that check the F1 fiber dimension needs no evaluation, and the
 F0 fiber dimension is two by a divided-difference identity, with no solve.
+
+Past theta, a limit computes on ``_kernel`` triples and integers: the flag
+tests of ``_lower_contact`` and ``StronglyParabolicHiggs._set`` read the
+flags' triples (the lower summand's point ``[1 : 0]`` is the one point
+whose ``lam`` is zero), a double marked zero is found by Horner's rule on
+theta's derivative, and the second zero, the projective normalization of a
+line datum and the zero pair of ``quadratic_roots`` are formed on triples.
+Theta is wrapped without re-coercion, the weight's
+Kostov check sums its real numerators (``stability._kostov_generic``), and
+the spectrum's is decided once per spectrum (``SpectrumRank2.genericity``),
+so the limit of a gauge image repeats only the weight check.  Scalars are
+formed for the returned datum, the candidates' margins and the JSON.
 """
 
 from __future__ import annotations
@@ -31,7 +43,19 @@ from __future__ import annotations
 from math import isqrt
 from typing import NamedTuple
 
-from ._kernel import T_ZERO, ZI_ZERO, t_clear, t_matvec, t_norm, zi_dot
+from ._kernel import (
+    T_ZERO,
+    ZI_ZERO,
+    t_clear,
+    t_div,
+    t_divide_linear,
+    t_matvec,
+    t_mul,
+    t_neg,
+    t_norm,
+    t_sub,
+    zi_dot,
+)
 from .connection import FlatTriple, LogConnection, offdiag_bounds
 from .exactnum import (
     INF,
@@ -86,28 +110,32 @@ def gaussian_sqrt(s: Scalar) -> Scalar | None:
     q = isqrt((m - A) // 2) * (-1 if B < 0 else 1)
     if m * m != A * A + B * B or p * p - q * q != A or 2 * p * q != B:
         return None
-    return Scalar(p, q) / d
+    return Scalar._wrap(t_norm(p, q, d))
 
 
 def quadratic_roots(theta: Poly) -> tuple[ProjectivePoint, ProjectivePoint] | None:
     """Zero divisor of a section of O(2) given by a degree <= 2 polynomial:
     two points of the projective line, infinity absorbing the degree drop.
-    None when the roots do not lie in the scalar field."""
+    None when the roots do not lie in the scalar field.  Computed on
+    triples."""
     deg = theta.degree()
     if deg < 0:
         raise HiggsError("zero section has no zero divisor")
     if deg == 0:
         return (INF, INF)
+    c0, c1, c2 = (theta.coeff(k)._t for k in range(3))
     if deg == 1:
-        return (ProjectivePoint.finite(-theta.coeff(0) / theta.coeff(1)), INF)
-    c2, c1, c0 = theta.coeff(2), theta.coeff(1), theta.coeff(0)
-    disc = c1 * c1 - 4 * c2 * c0
-    root = gaussian_sqrt(disc)
+        return (_point(t_div(t_neg(c0), c1)), INF)
+    root = gaussian_sqrt(Scalar._wrap(t_sub(t_mul(c1, c1), t_mul((4, 0, 1), t_mul(c2, c0)))))
     if root is None:
         return None
-    r1 = (-c1 + root) / (2 * c2)
-    r2 = (-c1 - root) / (2 * c2)
-    return (ProjectivePoint.finite(r1), ProjectivePoint.finite(r2))
+    root, two_c2 = root._t, t_mul((2, 0, 1), c2)
+    return (_point(t_div(t_sub(root, c1), two_c2)), _point(t_div(t_sub(t_neg(c1), root), two_c2)))
+
+
+def _point(x) -> ProjectivePoint:
+    # the finite point with the triple x as its value
+    return ProjectivePoint.finite(Scalar._wrap(x))
 
 
 class StronglyParabolicHiggs:
@@ -146,7 +174,8 @@ class StronglyParabolicHiggs:
         self.bundle, self.structure, self.cfg = bundle, structure, cfg
         self.theta, self.marked_zeros = theta, marked_zeros
         for i, u in enumerate(structure.flags):
-            if i not in marked_zeros and (u.is_infinity() or not u.value.is_zero()):
+            # the lower summand's point [1 : 0] is the one point with lam 0
+            if i not in marked_zeros and u.lam._t != T_ZERO:
                 raise HiggsError(
                     f"flag at point {i + 1} must lie on the lower summand "
                     "where theta is nonzero"
@@ -188,8 +217,9 @@ def higgs_is_stable(
 
 
 def _lower_contact(structure) -> set[int]:
-    # the marked points where the lower summand meets the flag
-    return {i for i, u in enumerate(structure.flags) if not u.is_infinity() and u.value.is_zero()}
+    # the marked points where the lower summand meets the flag: the flags
+    # [1 : 0], the one point with lam 0
+    return {i for i, u in enumerate(structure.flags) if u.lam._t == T_ZERO}
 
 
 def theta_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly:
@@ -208,8 +238,7 @@ def theta_from_connection(conn: LogConnection, cfg: MarkedConfiguration) -> Poly
     deg = max((k for k in top if zi_dot(rows[k], xs) != ZI_ZERO), default=-1)
     if deg > bound:
         raise ExactError(f"polynomial has degree {deg}, cannot bound by {bound}")
-    coeffs = [Scalar._wrap(t_norm(*zi_dot(row, xs), den * d)) for row in rows[: bound + 1]]
-    return Poly(coeffs, bound=bound)
+    return Poly._of(t_norm(*zi_dot(row, xs), den * d) for row in rows[: bound + 1])
 
 
 class _FixedPointFields(NamedTuple):
@@ -354,16 +383,20 @@ def fixedpoint_from_higgs(h: StronglyParabolicHiggs) -> FixedLocusPoint:
 
 
 def _double_marked_zero(theta: Poly, cfg, marked) -> int | None:
-    # a marked zero z_i is double when the derivative vanishes there too
-    d = theta.derivative() if marked else None
-    return next((i for i in marked if d(cfg.z[i]).is_zero()), None)
+    # a marked zero z_i is double when the derivative vanishes there too,
+    # evaluated by Horner on triples
+    if not marked:
+        return None
+    slope = [t_norm(k * a, k * b, d) for k, (a, b, d) in enumerate(c._t for c in theta.coeffs) if k]
+    return next((i for i in marked if t_divide_linear(slope, cfg.z[i]._t)[1] == T_ZERO), None)
 
 
 def _other_zero(theta: Poly, zi: Scalar) -> ProjectivePoint:
     """The second zero of a quadratic with a known root at z_i."""
     if theta.degree() == 2:
-        # sum of roots = -c1/c2
-        return ProjectivePoint.finite(-theta.coeff(1) / theta.coeff(2) - zi)
+        # sum of roots = -c1/c2, on triples
+        c1, c2 = theta.coeffs[1]._t, theta.coeffs[2]._t
+        return _point(t_sub(t_div(t_neg(c1), c2), zi._t))
     return INF
 
 
@@ -588,7 +621,7 @@ def _candidate(name: str, d: int, deg_f: int, contact, weights, higgs=None) -> L
     # flags ``contact``, its margin summed on the cleared ``weights``
     nums, den = weights
     s = _margin(d, deg_f, contact, nums, den)
-    return LimitCandidate(name, Scalar.rational(s, den), s > 0, higgs)
+    return LimitCandidate(name, Scalar._wrap(t_norm(s, 0, den)), s > 0, higgs)
 
 
 def _degenerate_candidates(weights, structure, cfg) -> list[LimitCandidate]:

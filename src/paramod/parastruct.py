@@ -29,7 +29,7 @@ from itertools import combinations
 from math import lcm, prod
 from typing import NamedTuple
 
-from ._kernel import t_clear, t_div, t_norm
+from ._kernel import t_add, t_clear, t_div, t_divide_linear, t_norm
 from .exactnum import (
     INF,
     ExactError,
@@ -315,17 +315,22 @@ def act(
     For B the parameters are ``(a, b, c)`` acting by
     ``u -> (b*z + c + u) / a``; for B' they are ``(a, b, c, g, h)`` acting by
     ``u -> (b*z^3 + c*z^2 + g*z + h + u) / a``.  Infinite flags are fixed.
+    The shift is evaluated and the flags moved on ``_kernel`` triples.
     """
     if structure.bundle != bundle:
         raise StratumError("structure lives on a different bundle")
     a, shift = act_params_shift(bundle, params)
-    new_flags = []
-    for zi, u in zip(cfg.z, structure.flags):
-        if u.is_infinity():
-            new_flags.append(INF)
-        else:
-            new_flags.append(ProjectivePoint.finite((shift(zi) + u.value) / a))
-    return ParabolicStructure(bundle, new_flags)
+    s = [c._t for c in shift.coeffs]
+    return _moved_flags(structure, [t_divide_linear(s, z._t)[1] for z in cfg.z], a._t)
+
+
+def _moved_flags(structure: ParabolicStructure, shifts, a) -> ParabolicStructure:
+    # each finite flag u_i moved to (s_i + u_i) / a, for the triples s_i
+    # (the shift at z_i) and a; infinite flags are fixed
+    return ParabolicStructure(structure.bundle, [
+        u if u.is_infinity() else ProjectivePoint.finite(Scalar._wrap(t_div(t_add(si, u.lam._t), a)))
+        for u, si in zip(structure.flags, shifts)
+    ])
 
 
 def act_params_shift(bundle: BundleSplitType, params) -> tuple[Scalar, Poly]:
@@ -509,10 +514,10 @@ def quotient_coords(
 
 
 def _normalize_projective(coords) -> tuple[Scalar, ...]:
+    # the Scalars divided by the first nonzero one, on triples
     for c in coords:
         if not c.is_zero():
-            inv = c.inverse()
-            return tuple(x * inv for x in coords)
+            return tuple(Scalar._wrap(t_div(x._t, c._t)) for x in coords)
     raise ExactError("zero tuple is not projective")
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ._kernel import T_ONE, t_add, t_clear
 from .exactnum import ExactError, PreconditionError, Scalar, clear_denominators, json_list, sc
 from .parastruct import NPOINTS, point_index
 from .stability import WeightVector, _sign_sums
@@ -18,19 +19,28 @@ class SpectrumError(PreconditionError):
 class SpectrumRank2:
     """Residue eigenvalue pairs ``(nu_i^+, nu_i^-)`` at the five poles of a
     rank-2 logarithmic connection of degree d; the Fuchs relation
-    ``d + sum(nu^+ + nu^-) = 0`` is validated exactly on construction."""
+    ``d + sum(nu^+ + nu^-) = 0`` is validated exactly on construction, as
+    one test on the ten eigenvalues cleared to Gaussian integers over one
+    denominator ``D``: the real parts sum to ``-d*D`` and the imaginary
+    parts to 0.  The Scalar sum is formed only for the error message.
 
-    __slots__ = ("nu", "d")
+    A spectrum does not change after construction, so ``genericity`` keeps
+    its answer in the ``_generic`` slot on its first call; equality and
+    the hash read only ``nu`` and ``d``."""
+
+    __slots__ = ("nu", "d", "_generic")
 
     def __init__(self, nu, d: int):
         pairs = tuple((sc(p), sc(m)) for p, m in nu)
         if len(pairs) != NPOINTS:
             raise ExactError(f"expected {NPOINTS} eigenvalue pairs")
-        total = sum((p + m for p, m in pairs), sc(d))
-        if not total.is_zero():
+        cleared, den = t_clear([x._t for pair in pairs for x in pair])
+        if sum(re for re, _ in cleared) != -d * den or sum(im for _, im in cleared) != 0:
+            total = sum((p + m for p, m in pairs), sc(d))
             raise SpectrumError(f"Fuchs relation fails: d + sum = {total}")
         self.nu = pairs
         self.d = d
+        self._generic = None
 
     def plus(self, i: int) -> Scalar:
         return self.nu[i][0]
@@ -46,15 +56,15 @@ class SpectrumRank2:
         divisible by ``D``.  Kostov genericity asks that no sign-pattern sum
         ``s`` be an integer; only the 16 patterns taking ``nu+_1`` are
         summed, because by the Fuchs relation the complementary pattern sums
-        to ``-d - s``, an integer exactly when ``s`` is.
+        to ``-d - s``, an integer exactly when ``s`` is.  Computed once per
+        spectrum.
         """
-        ipairs, den = clear_denominators(self.nu)
-        non_res = not any(
-            pb == mb and (pa - ma) % den == 0 for (pa, pb), (ma, mb) in ipairs
-        )
-        sums = _sign_sums([ipairs[0][:1], *ipairs[1:]])
-        kostov = not any(im == 0 and re % den == 0 for re, im in sums)
-        return kostov, non_res
+        if self._generic is None:
+            ipairs, den = clear_denominators(self.nu)
+            non_res = not any(pb == mb and (pa - ma) % den == 0 for (pa, pb), (ma, mb) in ipairs)
+            sums = _sign_sums([ipairs[0][:1], *ipairs[1:]])
+            self._generic = (not any(im == 0 and re % den == 0 for re, im in sums), non_res)
+        return self._generic
 
     def predicates(self) -> dict[str, bool]:
         """Kostov-genericity (no sign-pattern sum is an integer),
@@ -105,10 +115,11 @@ def elm_weight(w: WeightVector, j: int) -> WeightVector:
 
 def elm_spectrum(nu: SpectrumRank2, j: int) -> SpectrumRank2:
     """Spectrum transform at z_j: ``(nu^+, nu^-) -> (1 + nu^-, nu^+)`` there,
-    degree drops by one.  Kostov-genericity and non-resonance are preserved."""
+    degree drops by one.  Kostov-genericity and non-resonance are preserved.
+    ``1 + nu^-`` is formed on triples."""
     pairs = list(nu.nu)
     p, m = pairs[point_index(j)]
-    pairs[j] = (sc(1) + m, p)
+    pairs[j] = (Scalar._wrap(t_add(T_ONE, m._t)), p)
     return SpectrumRank2(pairs, nu.d - 1)
 
 

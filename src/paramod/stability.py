@@ -145,9 +145,10 @@ def sign_pattern_sums(pairs):
     answers it with one integer test on ``D*s``: ``s`` is an integer iff
     ``im == 0 and re % D == 0``, and ``s - m`` has the sign of ``re - m*D``.
     Its callers are ``chamber_classify`` and
-    ``connection.irreducibility_screen``; the two Kostov checks,
-    ``_kostov_generic`` and ``SpectrumRank2.genericity``, run the same loop
-    (``_sign_sums``) on half the patterns.
+    ``connection.irreducibility_screen``; the Kostov check of a spectrum,
+    ``SpectrumRank2.genericity``, runs the same loop (``_sign_sums``) on
+    half the patterns, and that of a weight, ``_kostov_generic``, sums the
+    real numerators of the same half directly.
     """
     ipairs, den = clear_denominators(pairs)
     return den, list(zip(product((0, 1), repeat=NPOINTS), _sign_sums(ipairs)))
@@ -157,7 +158,8 @@ def _sign_sums(ipairs):
     """The sums ``sum_i ipairs[i][sigma[i]]`` of Gaussian integers over every
     choice ``sigma`` of one entry per tuple, in ``product`` order.  A tuple
     of one entry fixes that choice: ``[pairs[0][:1], *pairs[1:]]`` gives the
-    16 patterns with ``sigma[0] = 0``, the halves the Kostov checks read."""
+    16 patterns with ``sigma[0] = 0``, the half ``SpectrumRank2.genericity``
+    reads."""
     sums = [(0, 0)]
     for pair in ipairs:
         # one more choice, varying fastest, as in ``product``
@@ -185,10 +187,13 @@ def _kostov_generic(nums, den: int, d: int) -> bool:
     Only the 16 patterns with ``eps_1 = +1`` are summed.  The complement of
     a pattern has the sum ``-re``, and ``-re + d*den = -(re + d*den) +
     2*d*den``, so ``re + d*den = 0 (mod 2*den)`` iff ``-re + d*den = 0
-    (mod 2*den)``: a pattern and its complement fail together.
+    (mod 2*den)``: a pattern and its complement fail together.  The weights
+    are real, so the sums ``re + d*den`` are built on the numerators alone.
     """
-    sums = _sign_sums([((nums[0], 0),), *(((a, 0), (-a, 0)) for a in nums[1:])])
-    return all((re + d * den) % (2 * den) for re, _ in sums)
+    sums = [nums[0] + d * den]
+    for a in nums[1:]:
+        sums = [s + x for s in sums for x in (a, -a)]
+    return all(s % (2 * den) for s in sums)
 
 
 def weight_is_kostov_generic(w: WeightVector, d: int) -> bool:

@@ -60,7 +60,12 @@ the five degenerations of a C*-limit are the references for the ones read
 off divided differences of the flags, and Scalar polynomial arithmetic on the four
 cleared numerators, read back by division by the node polynomial and
 Lagrange interpolation, the reference for the elementary and gauge
-transformations on residue triples.
+transformations on residue triples.  The automorphism action with the shift
+evaluated as a Scalar polynomial, the elementary spectrum transform and the
+Fuchs sum on Scalars are the references for the flags and spectra moved on
+triples, and theta's derivative evaluated as a Scalar polynomial, with the
+second zero, the projective normalization and the quadratic formula on
+Scalars, the references for the limit point's coordinates on triples.
 The last helpers build test inputs the package itself does not need: the
 identity rows, a matrix product, the connections at a space's basis points,
 the balanced middle-convolution branch and the difference of two
@@ -98,6 +103,7 @@ from paramod.connection import (
 from paramod.exactnum import (
     INF,
     ONE,
+    ExactError,
     ZERO,
     Mat,
     Poly,
@@ -114,9 +120,8 @@ from paramod.higgslimit import (
     LimitCandidate,
     StronglyParabolicHiggs,
     _candidate,
-    _double_marked_zero,
-    _other_zero,
     fixedpoint_canonicalize,
+    gaussian_sqrt,
 )
 from paramod.parastruct import (
     B,
@@ -127,13 +132,11 @@ from paramod.parastruct import (
     ParabolicStructure,
     StratumError,
     StratumId,
-    _normalize_projective,
-    act,
     act_params_shift,
     bprime_generic_representative,
     point_index,
 )
-from paramod.spectra import MCBranch, SpectrumRank2, elm_spectrum
+from paramod.spectra import MCBranch, SpectrumError, SpectrumRank2
 from paramod.stability import (
     LineSubbundleWitness,
     OnWallError,
@@ -1115,10 +1118,10 @@ def oracle_classify(structure: ParabolicStructure, cfg: MarkedConfiguration) -> 
     n_inf = len(inf_idx)
     if structure.bundle == B:
         if n_inf == 0:
-            coords = None if dec else _normalize_projective(oracle_quotient_coords(structure, cfg))
+            coords = None if dec else oracle_normalize_projective(oracle_quotient_coords(structure, cfg))
             return StratumId("U2", (), coords, dec)
         if n_inf == 1:
-            coords = None if dec else _normalize_projective(oracle_quotient_coords(structure, cfg))
+            coords = None if dec else oracle_normalize_projective(oracle_quotient_coords(structure, cfg))
             return StratumId("Ui", inf_idx, coords, dec)
         if n_inf == 2:
             # U' and U'' split by collinearity of the three finite flags
@@ -1379,7 +1382,7 @@ def universe_point(item, flag_choice=()):
     if item[0] == "line":
         _, chart, theta, _, _, _ = item
         return FixedLocusPoint(
-            "F1", chart, _normalize_projective(theta.coeffs), None, None, flag_choice
+            "F1", chart, oracle_normalize_projective(theta.coeffs), None, None, flag_choice
         )
     _, chart, i, tg = item
     return FixedLocusPoint("F1", chart, None, i, tg, flag_choice)
@@ -1437,7 +1440,7 @@ def oracle_limit_point(h: StronglyParabolicHiggs) -> FixedLocusPoint:
     marked = [i for i in range(NPOINTS) if theta(cfg.z[i]).is_zero()]
     choices = tuple((i, "upper" if h.structure.flags[i].is_infinity() else "lower") for i in marked)
     uppers = [i for i, choice in choices if choice == "upper"]
-    zi_double = _double_marked_zero(theta, cfg, marked)
+    zi_double = oracle_double_marked_zero(theta, cfg, marked)
     if zi_double is not None:
         chart = "bottom" if zi_double in uppers else "top"
         p = FixedLocusPoint(
@@ -1445,10 +1448,68 @@ def oracle_limit_point(h: StronglyParabolicHiggs) -> FixedLocusPoint:
         )
     elif uppers:
         i = min(uppers)
-        p = FixedLocusPoint("F1", "top", None, i, _other_zero(theta, cfg.z[i]), choices)
+        p = FixedLocusPoint("F1", "top", None, i, oracle_other_zero(theta, cfg.z[i]), choices)
     else:
-        p = FixedLocusPoint("F1", "top", _normalize_projective(theta.coeffs), None, None, choices)
+        p = FixedLocusPoint("F1", "top", oracle_normalize_projective(theta.coeffs), None, None, choices)
     return fixedpoint_canonicalize(p, cfg)
+
+
+def oracle_double_marked_zero(theta: Poly, cfg, marked) -> int | None:
+    """The first marked zero ``z_i`` in ``marked`` where the derivative of
+    theta vanishes too, the derivative evaluated as a Scalar polynomial."""
+    d = theta.derivative() if marked else None
+    return next((i for i in marked if d(cfg.z[i]).is_zero()), None)
+
+
+def oracle_other_zero(theta: Poly, zi: Scalar) -> ProjectivePoint:
+    """The second zero of a quadratic with a known root at z_i, on
+    Scalars: the sum of the roots is ``-c1/c2``."""
+    if theta.degree() == 2:
+        return ProjectivePoint.finite(-theta.coeff(1) / theta.coeff(2) - zi)
+    return INF
+
+
+def oracle_normalize_projective(coords) -> tuple[Scalar, ...]:
+    """The Scalars times the inverse of the first nonzero one."""
+    for c in coords:
+        if not c.is_zero():
+            inv = c.inverse()
+            return tuple(x * inv for x in coords)
+    raise ExactError("zero tuple is not projective")
+
+
+def oracle_quadratic_roots(theta: Poly):
+    """``quadratic_roots`` on Scalars: the quadratic formula, infinity
+    absorbing the degree drop."""
+    deg = theta.degree()
+    if deg < 0:
+        raise HiggsError("zero section has no zero divisor")
+    if deg == 0:
+        return (INF, INF)
+    if deg == 1:
+        return (ProjectivePoint.finite(-theta.coeff(0) / theta.coeff(1)), INF)
+    c2, c1, c0 = theta.coeff(2), theta.coeff(1), theta.coeff(0)
+    root = gaussian_sqrt(c1 * c1 - 4 * c2 * c0)
+    if root is None:
+        return None
+    r1 = (-c1 + root) / (2 * c2)
+    r2 = (-c1 - root) / (2 * c2)
+    return (ProjectivePoint.finite(r1), ProjectivePoint.finite(r2))
+
+
+def oracle_point_json(p: FixedLocusPoint, cfg) -> dict:
+    """``p.to_json(cfg)`` with the zero pair of a line datum found by
+    ``oracle_quadratic_roots``, in the same key order."""
+    out = p.to_json()
+    if p.component == "F1":
+        if p.exceptional_index is None:
+            zs = oracle_quadratic_roots(Poly(list(p.theta), bound=2))
+        else:
+            zs = (ProjectivePoint.finite(cfg.z[p.exceptional_index]), p.tangent)
+        choice = out.pop("flagChoice")
+        out["zeros"] = [str(z) for z in zs] if zs else None
+        out["flagChoice"] = choice
+    return out
 
 
 def unit_vectors(n) -> list[list[Scalar]]:
@@ -1597,7 +1658,7 @@ def oracle_elm_triple(t: FlatTriple, j: int) -> FlatTriple:
     new_bundle = BundleSplitType(*new_d)
     conn = from_numerators(new_bundle, cfg, nums)
     structure = ParabolicStructure(new_bundle, new_flags)
-    return FlatTriple(structure, elm_spectrum(t.spectrum, j), conn, cfg)
+    return FlatTriple(structure, oracle_elm_spectrum(t.spectrum, j), conn, cfg)
 
 
 def oracle_gauge_transform(t: FlatTriple, params) -> FlatTriple:
@@ -1615,5 +1676,38 @@ def oracle_gauge_transform(t: FlatTriple, params) -> FlatTriple:
         poly_sub(n21 + shift * poly_sub(n11, n22), shift * s12), node * shift.derivative()
     )
     conn = from_numerators(bundle, cfg, [poly_sub(n11, s12), a * n12, n21, n22 + s12])
-    structure = act(bundle, params, t.structure, cfg)
+    structure = oracle_act(bundle, params, t.structure, cfg)
     return FlatTriple(structure, t.spectrum, conn, cfg)
+
+
+def oracle_act(bundle, params, structure, cfg) -> ParabolicStructure:
+    """``act`` on Scalars: each finite flag moves to ``(shift(z_i) + u) /
+    a``, the shift evaluated as a Scalar polynomial."""
+    if structure.bundle != bundle:
+        raise StratumError("structure lives on a different bundle")
+    a, shift = act_params_shift(bundle, params)
+    new_flags = []
+    for zi, u in zip(cfg.z, structure.flags):
+        if u.is_infinity():
+            new_flags.append(INF)
+        else:
+            new_flags.append(ProjectivePoint.finite((shift(zi) + u.value) / a))
+    return ParabolicStructure(bundle, new_flags)
+
+
+def oracle_spectrum(pairs, d: int) -> SpectrumRank2:
+    """The spectrum with the eigenvalue pairs ``pairs`` and degree ``d``,
+    the Fuchs relation checked on the Scalar sum ``d + sum(nu+ + nu-)``."""
+    total = sum((sc(p) + sc(m) for p, m in pairs), sc(d))
+    if not total.is_zero():
+        raise SpectrumError(f"Fuchs relation fails: d + sum = {total}")
+    return SpectrumRank2(pairs, d)
+
+
+def oracle_elm_spectrum(nu: SpectrumRank2, j: int) -> SpectrumRank2:
+    """``elm_spectrum`` on Scalars: ``(nu+, nu-) -> (1 + nu-, nu+)`` at
+    z_j, the degree one less."""
+    pairs = list(nu.nu)
+    p, m = pairs[point_index(j)]
+    pairs[j] = (sc(1) + m, p)
+    return oracle_spectrum(pairs, nu.d - 1)

@@ -1,5 +1,6 @@
+import json
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -8,15 +9,24 @@ from helpers import (
     free_tail_only,
     oracle_cleared_numerator,
     oracle_connection_solve,
+    oracle_act,
+    oracle_elm_spectrum,
     oracle_elm_triple,
     oracle_gauge_dims,
     oracle_gauge_transform,
     oracle_lagrange_rows,
+    oracle_limit_point,
+    oracle_normalize_projective,
+    oracle_other_zero,
+    oracle_point_json,
+    oracle_quadratic_roots,
     oracle_solve_connection_space,
     oracle_triple_at,
     oracle_validate_on_triples,
+    oracle_spectrum,
     oracle_validate_triple,
     rand_config,
+    rand_gaussian,
     rand_mixed_config,
     rand_nonspecial_spectrum,
     rand_nonspecial_weight,
@@ -27,6 +37,7 @@ from helpers import (
     verify_invariant_line,
 )
 from paramod import _kernel, connection, exactnum, higgslimit
+from paramod.higgslimit import _other_zero, quadratic_roots
 from paramod.connection import (
     ConnectionError,
     FlatTriple,
@@ -45,6 +56,8 @@ from paramod.parastruct import (
     BundleSplitType,
     MarkedConfiguration,
     ParabolicStructure,
+    _normalize_projective,
+    act,
     bprime_generic_representative,
     classify,
 )
@@ -1272,4 +1285,185 @@ class TestFrameChangesMatchOracles:
             ("ConnectionError", "entry (0, 0) acquired a polynomial part"),
             ("ConnectionError", "entry (0, 1) acquired a polynomial part"),
             ("ConnectionError", "tail degree 0 exceeds bound -1"),
+        } <= errors, errors
+
+
+def _text(fn, *args):
+    # the JSON text of the result, or the type and message of the error raised
+    try:
+        return json.dumps(fn(*args).to_json())
+    except ValueError as e:
+        return (type(e).__name__, str(e))
+
+
+def _at_height(rng, height):
+    # a rational whose numerator and denominator reach ``height``
+    return Scalar.rational(rng.randrange(-height, height + 1), rng.randrange(1, height + 1))
+
+
+class TestFrameChangesOnTriples:
+    """``act``, ``gauge_transform``, ``elm_triple``, ``elm_spectrum`` and the
+    C*-limit's point move flags and form spectra on ``_kernel`` triples; the
+    Scalar paths of ``tests/helpers.py`` are their oracles, compared byte for
+    byte on ``to_json()``, and the errors keep their type and text."""
+
+    HEIGHTS = (None, 10**6, 10**30)
+    PATTERNS = [()] + [(i,) for i in range(5)] + list(combinations(range(5), 2))
+
+    @staticmethod
+    def _config(rng, height):
+        while height is not None:
+            zs = [_at_height(rng, height) for _ in range(5)]
+            if len(set(zs)) == 5:
+                return MarkedConfiguration(zs)
+        return CFG
+
+    @staticmethod
+    def _value(rng, height, gaussian):
+        if height is None:
+            return rand_gaussian(rng) if gaussian else rand_rational(rng, -9, 9, 4)
+        im = _at_height(rng, height) if gaussian else sc(0)
+        return _at_height(rng, height) + im * Scalar(0, 1)
+
+    def _spectrum(self, rng, height, gaussian, inf=None):
+        """A degree-1 spectrum with the Fuchs relation repaired at the last
+        slot; with ``inf``, one whose B' structure with the infinite flags
+        ``inf`` is solvable: the (11) diagonal sum of the lower-triangular
+        parts, ``nu+`` at a finite flag and ``nu-`` at an infinite one, is 1."""
+        while True:
+            nu = [(self._value(rng, height, gaussian), self._value(rng, height, gaussian)) for _ in range(5)]
+            k = next(i for i in range(5) if inf is None or i not in inf)
+            if inf is not None:
+                upper = sum((m if i in inf else p for i, (p, m) in enumerate(nu) if i != k), sc(0))
+                nu[k] = (1 - upper, nu[k][1])
+            total = sum((p + m for p, m in nu), sc(0))
+            nu[k] = (nu[k][0], nu[k][1] - total - 1)
+            spec = SpectrumRank2(nu, 1)
+            if inf is not None or all(spec.genericity()):
+                return spec
+
+    def _triples(self, rng):
+        """Solved B and B' triples with 0-2 infinite flags at every position,
+        real or Gaussian flags and spectra, on configurations at heights
+        ~10, 10^6 and 10^30."""
+        for height in self.HEIGHTS:
+            cfg = self._config(rng, height)
+            for inf in self.PATTERNS:
+                gaussian = rng.random() < 0.4
+                flags = [INF if i in inf else self._value(rng, height, gaussian) for i in range(5)]
+                for bundle in (B, BPRIME):
+                    nu = self._spectrum(rng, height, gaussian, inf if bundle == BPRIME and inf else None)
+                    space = solve_connection_space(ParabolicStructure(bundle, flags), cfg, nu)
+                    if space is not None:
+                        params = [self._value(rng, height, False) for _ in range(space.dim)]
+                        yield height, space.triple_at(params)
+
+    def test_match_scalar_oracles(self):
+        rng = random.Random(101)
+        seen, limits = set(), 0
+        for height, t in self._triples(rng):
+            bundle, cfg = t.connection.bundle, t.cfg
+            n_inf = len(t.structure.infinity_indices())
+            seen.add((bundle, n_inf, height))
+            for j in range(5):
+                assert _text(elm_triple, t, j) == _text(oracle_elm_triple, t, j)
+                assert _text(elm_spectrum, t.spectrum, j) == _text(oracle_elm_spectrum, t.spectrum, j)
+            n = 3 if bundle == B else 5
+            params = [Scalar.rational(rng.choice([1, 2, -3]), rng.choice([1, 2]))]
+            params += [self._value(rng, height, rng.random() < 0.3) for _ in range(n - 1)]
+            assert _text(act, bundle, params, t.structure, cfg) == _text(
+                oracle_act, bundle, params, t.structure, cfg
+            )
+            moved = gauge_transform(t, params)
+            assert json.dumps(moved.to_json()) == _text(oracle_gauge_transform, t, params)
+            w = rand_nonspecial_weight(rng, total_below=1)
+            for triple in (t, moved):
+                try:
+                    res = higgslimit.cstar_limit(triple, w)
+                except ValueError:
+                    continue
+                limits += 1
+                oracle = oracle_point_json(oracle_limit_point(res.higgs), cfg)
+                assert json.dumps(res.point.to_json(cfg)) == json.dumps(oracle)
+                if res.point.theta is not None:
+                    # a line datum is theta normalized, with no marked zero
+                    assert res.point.theta == oracle_normalize_projective(res.higgs.theta.coeffs)
+        assert {(B, k, h) for k in range(3) for h in self.HEIGHTS} <= seen, seen
+        assert {(BPRIME, k, h) for k in range(3) for h in self.HEIGHTS} <= seen, seen
+        assert limits > 60, limits
+
+    def test_point_coordinates_match_scalar_oracles(self):
+        # the zero pairs, second zeros and projective normalizations of the
+        # limit points, on quadratics with split, double, dropped and
+        # irrational zeros at every height
+        rng = random.Random(109)
+        split = 0
+        for height in self.HEIGHTS:
+            for _ in range(40):
+                r, s = (self._value(rng, height, rng.random() < 0.4) for _ in range(2))
+                lead = self._value(rng, height, False)
+                shape = rng.choice(["split", "double", "linear", "constant", "any"])
+                if shape == "any":
+                    theta = Poly([self._value(rng, height, rng.random() < 0.4) for _ in range(3)])
+                elif shape == "constant":
+                    theta = Poly([lead, 0, 0])
+                elif shape == "linear":
+                    theta = Poly([-lead * r, lead, 0])
+                else:
+                    s = r if shape == "double" else s
+                    theta = Poly([lead * r * s, -lead * (r + s), lead])
+                if theta.is_zero():
+                    continue
+                roots = quadratic_roots(theta)
+                assert roots == oracle_quadratic_roots(theta)
+                split += roots is not None and roots[0] != roots[1]
+                coords = [sc(0)] * rng.randrange(3) + list(theta.coeffs)
+                assert _normalize_projective(coords) == oracle_normalize_projective(coords)
+                if theta.degree() == 2:
+                    assert _other_zero(theta, r) == oracle_other_zero(theta, r)
+        assert split > 40, split
+
+    def test_errors_keep_type_and_text(self):
+        rng = random.Random(103)
+        errors = set()
+        for height, t in islice(self._triples(rng), 0, None, 4):
+            bundle, cfg, flags = t.connection.bundle, t.cfg, list(t.structure.flags)
+            n = 3 if bundle == B else 5
+            params = [sc(1)] + [self._value(rng, height, False) for _ in range(n - 1)]
+            other = BPRIME if bundle == B else B
+            cases = [
+                # the structure on the other bundle
+                (act, other, params[:3] if other == B else params + [sc(0)] * 2, t.structure, cfg),
+                (gauge_transform, t._replace(structure=ParabolicStructure(other, flags)), params),
+                # a = 0
+                (act, bundle, [sc(0)] + params[1:], t.structure, cfg),
+                (gauge_transform, t, [sc(0)] + params[1:]),
+                # a marked point outside 0..4
+                (elm_spectrum, t.spectrum, 5),
+            ]
+            for j in range(5):
+                # a flag moved off its residue's eigenline: a double pole
+                # once the frame factor divides
+                moved = flags[:j] + [INF if not flags[j].is_infinity() else sc(1)] + flags[j + 1:]
+                cases.append((elm_triple, t._replace(structure=ParabolicStructure(bundle, moved)), j))
+            # a spectrum off the Fuchs relation
+            nu = list(t.spectrum.nu)
+            nu[0] = (nu[0][0] + self._value(rng, height, rng.random() < 0.5), nu[0][1])
+            cases.append((SpectrumRank2, nu, t.spectrum.d))
+            for fn, *args in cases:
+                oracle = {
+                    act: oracle_act, gauge_transform: oracle_gauge_transform,
+                    elm_triple: oracle_elm_triple, elm_spectrum: oracle_elm_spectrum,
+                    SpectrumRank2: oracle_spectrum,
+                }[fn]
+                got = _text(fn, *args)
+                assert got == _text(oracle, *args), (fn.__name__, args)
+                if isinstance(got, tuple):
+                    errors.add((got[0], got[1].split(":")[0]))
+        assert {
+            ("StratumError", "structure lives on a different bundle"),
+            ("ExactError", "automorphism scale a must be nonzero"),
+            ("ConnectionError", "division would create a double pole"),
+            ("SpectrumError", "Fuchs relation fails"),
+            ("ExactError", "marked point index 5 outside 0..4"),
         } <= errors, errors

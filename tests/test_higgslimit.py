@@ -24,6 +24,7 @@ from paramod import _kernel, higgslimit, stability
 from paramod.connection import (
     FlatTriple,
     LogConnection,
+    elm_triple,
     gauge_transform,
     solve_connection_space,
     validate_triple,
@@ -940,3 +941,63 @@ class TestLimitMarkedZerosFromResidues:
             assert (type(info.value), str(info.value)) == (exc, text)
         else:
             assert theta_from_connection(conn, CFG) == numerator
+
+
+class TestNoScalarArithmeticPastTheSolve:
+    """Past the solve, the pipeline's stages run on ``_kernel`` triples and
+    integers: ``gauge_transform`` (with the flags it moves), ``elm_triple``
+    (with its spectrum) and ``cstar_limit`` (with its point's JSON) make no
+    Scalar ``+ - * /``, evaluate no ``Poly`` and build no projective point
+    through ``ProjectivePoint.__init__`` on solved B and B' triples.  Counted
+    calls, not seconds, so the test does not depend on the machine's load."""
+
+    NAMES = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__")
+
+    @classmethod
+    def _recorder(cls, monkeypatch):
+        calls = []
+
+        def counted(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+            return call
+
+        for name in cls.NAMES:
+            monkeypatch.setattr(Scalar, name, counted(f"Scalar.{name}", getattr(Scalar, name)))
+        monkeypatch.setattr(Poly, "__call__", counted("Poly.__call__", Poly.__call__))
+        monkeypatch.setattr(
+            ProjectivePoint, "__init__", counted("ProjectivePoint.__init__", ProjectivePoint.__init__)
+        )
+        return calls
+
+    def test_frame_changes_and_limit(self, monkeypatch):
+        rng = random.Random(107)
+        triples = [solved_b_triple(rng) for _ in range(3)]
+        triples += [solved_b_triple(rng, _one_infinite_flags(rng, k)) for k in range(5)]
+        triples.append(solved_b_triple(rng, [INF, INF, 1, 2, 5]))
+        space = solve_connection_space(
+            bprime_generic_representative(CFG), CFG, rand_nonspecial_spectrum(rng, d=1)
+        )
+        triples += [space.triple_at([rand_rational(rng, -4, 4, 2) for _ in range(2)]) for _ in range(3)]
+        inputs = [
+            (t, [sc(2)] + [rand_rational(rng, -3, 3, 2) for _ in range(2 if t.connection.bundle == B else 4)],
+             rand_nonspecial_weight(rng, total_below=1))
+            for t in triples
+        ]
+        # the configuration builds its numerator maps once, on Scalars
+        CFG.numerator_maps()
+        calls = self._recorder(monkeypatch)
+        points = []
+        for t, params, w in inputs:
+            moved = gauge_transform(t, params)
+            for j in range(5):
+                elm_triple(t, j)
+            for triple in (t, moved):
+                points.append(cstar_limit(triple, w).point)
+                points[-1].to_json(CFG)
+            assert calls == [], calls
+        assert {p.component for p in points} == {"F0", "F1"}
+        assert any(p.exceptional_index is not None for p in points)
+        assert any(p.theta is not None for p in points)

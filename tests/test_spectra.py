@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import balanced_branch, rand_nonspecial_spectrum
+from paramod import spectra
 from paramod.exactnum import ExactError, Scalar, sc
 from paramod.spectra import (
     MCBranch,
@@ -26,6 +27,12 @@ class TestSpectrum:
         with pytest.raises(SpectrumError):
             SpectrumRank2([(sc(1), sc(0))] * 5, 0)
         SpectrumRank2([(sc(1), sc(0))] * 5, -5)
+        # decided on cleared integers, the message keeps the Scalar sum,
+        # Gaussian parts included
+        with pytest.raises(SpectrumError, match=r"^Fuchs relation fails: d \+ sum = 5/6\+1/3\*i$"):
+            SpectrumRank2([(sc("1/2"), Scalar.parse("1/3+1/3*i"))] + [(sc(0), sc(0))] * 4, 0)
+        with pytest.raises(SpectrumError, match=r"^Fuchs relation fails: d \+ sum = 1/2\*i$"):
+            SpectrumRank2([(Scalar.parse("1/2*i"), sc(0))] + [(sc(0), sc(0))] * 4, 0)
 
     def test_quarter_example_non_special(self):
         preds = QUARTER.predicates()
@@ -49,6 +56,21 @@ class TestSpectrum:
 
     def test_json_roundtrip(self):
         assert SpectrumRank2.from_json(QUARTER.to_json()) == QUARTER
+
+    def test_genericity_decided_once(self, monkeypatch):
+        # a spectrum keeps genericity's answer: a C*-limit and the limit of
+        # its gauge image share one spectrum and clear it once
+        nu = SpectrumRank2(rand_nonspecial_spectrum(random.Random(5), d=1).nu, 1)
+        calls = []
+        real = spectra.clear_denominators
+        monkeypatch.setattr(spectra, "clear_denominators", lambda v: calls.append(v) or real(v))
+        first = nu.genericity()
+        assert nu.genericity() is first and nu.predicates()["non_special"]
+        assert len(calls) == 1
+        # equality and the hash read only the eigenvalues and the degree
+        twin = SpectrumRank2(nu.nu, nu.d)
+        assert twin == nu and hash(twin) == hash(nu)
+        assert twin.genericity() == first and len(calls) == 2
 
 
 class TestElmWeight:
